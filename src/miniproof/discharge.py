@@ -2,32 +2,47 @@
 
 An obligation is Discharged when its formula holds under every total
 assignment of domain values to its free symbols, Failed with the
-lexicographically first falsifying assignment otherwise, and Error when
-it cannot be evaluated at all (Unsupported constructs).
+lexicographically first falsifying assignment otherwise (symbols in
+sorted-name order, values in domain order), and Error when it cannot be
+evaluated at all: an Unsupported construct or an unresolved ``old``.
+Any other exception is a bug in miniproof and propagates.
 
-The search walks symbols in sorted-name order, binding one value at a
-time and constant-folding the remainder; a residual that folds to true
-prunes the whole subtree, one that folds to false makes every leaf below
-it a falsifier, so the first one is the current prefix extended with
-each remaining symbol's first domain value.
+The search binds one symbol at a time and constant-folds the residual. A
+residual that folds to true holds on its whole subtree; one that folds to
+false makes every leaf below it a falsifier, so the first is the current
+prefix with each unbound symbol at its first domain value. Four rules cut
+the work, and none of them can change which falsifier comes first:
+
+1. Branch only on symbols the folded residual still mentions. Every value
+   of any other symbol gives the same residual, so the first value stands
+   for all of them.
+2. Build each symbol domain once per ``Domains``.
+3. Pin: when the residual is ``A implies B`` and a conjunct of ``A`` is
+   ``s = literal`` for the next symbol ``s``, only that literal can falsify
+   it; every other value makes ``A`` false and the implication true.
+4. Once at most three symbols are live, compile the residual to a Python
+   function and scan its leaves in order instead of re-folding.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import product
 
 from . import ast
 from . import formula as F
 from .analyzer import CheckedProgram
+from .errors import InternalError
 from .vcgen import Obligation, UNSUPPORTED, UNSUPPORTED_REASON, VerifyOptions, generate_obligations
 
 DISCHARGED = "Discharged"
 FAILED = "Failed"
 ERROR = "Error"
+
+# a residual with this many live symbols or fewer is compiled and scanned
+COMPILE_AT = 3
 
 
 @dataclass(frozen=True)
@@ -35,6 +50,8 @@ class Domains:
     int_range: tuple[int, int]
     string_pool: tuple[str, ...]
     max_refs: int = 1
+    # per type: the domain values and a map from each value to itself
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.int_range
@@ -57,28 +74,41 @@ def derive_domains(checked: CheckedProgram, opts: VerifyOptions) -> Domains:
     return Domains(int_range=opts.int_range, string_pool=checked.program.string_pool)
 
 
-def symbol_domain(ty: ast.Type, domains: Domains) -> list[F.Value]:
+def symbol_domain(ty: ast.Type, domains: Domains) -> tuple[F.Value, ...]:
     """Every value a symbol of the given type can take, in enumeration
     order: ints ascending, false before true, strings in pool order with
     Void last, sets in characteristic-bitvector order over the pool,
     references before Void. One representative object stands for all
     non-Void references of a class, a deliberately coarse heap model
-    that ignores aliasing between distinct objects."""
+    that ignores aliasing between distinct objects. Built once per
+    Domains and shared, hence a tuple."""
+    return _domain(ty, domains)[0]
+
+
+def _domain(ty: ast.Type, domains: Domains) -> tuple[tuple, dict]:
+    built = domains._built.get(ty)
+    if built is None:
+        values = tuple(_domain_values(ty, domains))
+        built = domains._built[ty] = (values, {v: v for v in values})
+    return built
+
+
+def _domain_values(ty: ast.Type, domains: Domains):
     if ty.kind == ast.INTEGER:
         lo, hi = domains.int_range
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if ty.kind == ast.BOOLEAN:
-        return [False, True]
+        return (False, True)
     if ty.kind == ast.STRING:
-        return list(domains.string_pool) + [None]
+        return (*domains.string_pool, None)
     if ty.kind == ast.SET_OF_STRING:
         pool = domains.string_pool
-        return [
+        return (
             frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1)
             for mask in range(1 << len(pool))
-        ]
+        )
     if ty.kind == ast.REF:
-        return [F.Ref(ty.class_name), None]
+        return (F.Ref(ty.class_name), None)
     raise ValueError(f"no enumerable domain for type {ty}")
 
 
@@ -105,83 +135,130 @@ def enumerate_environments(obligation: Obligation, domains: Domains):
 def discharge(obligation: Obligation, domains: Domains) -> Verdict:
     if obligation.kind == UNSUPPORTED:
         return Verdict(ERROR, reason=obligation.unsupported_reason or UNSUPPORTED_REASON)
-    try:
-        return _search(obligation.formula, domains)
-    except Exception as exc:  # never raise: mirror the error verdict class
-        return Verdict(ERROR, reason=f"{type(exc).__name__}: {exc}")
+    if F.old_syms(obligation.formula):
+        return Verdict(ERROR, reason="entry snapshot left unresolved")
+    return _search(obligation.formula, domains)
 
 
 def _search(f: F.Formula, domains: Domains) -> Verdict:
-    if F.old_syms(f):
-        return Verdict(ERROR, reason="entry snapshot left unresolved")
     syms = F.free_syms(f)
-    names = list(syms)
-    value_lists = [symbol_domain(syms[n], domains) for n in names]
+    bound: dict[str, F.Value] = {}
 
-    def first_leaf(prefix: dict, depth: int) -> dict:
-        env = dict(prefix)
-        for j in range(depth, len(names)):
-            env[names[j]] = value_lists[j][0]
-        return env
-
-    def walk(g: F.Formula, depth: int, prefix: dict) -> dict | None:
+    def walk(g: F.Formula) -> dict | None:
         if g == F.TRUE:
             return None
         if g == F.FALSE:
-            return first_leaf(prefix, depth)
-        if depth == len(names):
-            raise ValueError(f"formula did not fold under a total assignment: {F.to_text(g)}")
-        name = names[depth]
-        for v in value_lists[depth]:
-            residual = F.specialize(g, {name: v})
-            hit = walk(residual, depth + 1, {**prefix, name: v})
+            return dict(bound)
+        live = F.free_syms(g)
+        if not live:
+            raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
+        name = next(iter(live))
+        values, index = _domain(live[name], domains)
+        pin = _pinned_literal(g, name)
+        if pin is not _UNPINNED:
+            values = (index[pin],) if pin in index else ()
+        elif len(live) <= COMPILE_AT:
+            return _scan(g, live, domains, bound)
+        for v in values:
+            bound[name] = v
+            hit = walk(F.specialize(g, {name: v}))
             if hit is not None:
                 return hit
+        bound.pop(name, None)
         return None
 
-    counterexample = walk(F.fold(f), 0, {})
-    if counterexample is None:
+    hit = walk(F.fold(f))
+    if hit is None:
         return Verdict(DISCHARGED)
+    counterexample = {
+        name: hit[name] if name in hit else symbol_domain(ty, domains)[0]
+        for name, ty in syms.items()
+    }
     return Verdict(FAILED, counterexample=counterexample)
 
 
-# -- batch driver ---------------------------------------------------------------
+_UNPINNED = object()
 
 
-def _discharge_item(item: tuple[Obligation, Domains]) -> Verdict:
-    return discharge(*item)
+def _pinned_literal(g: F.Formula, name: str):
+    """The literal c of a conjunct ``name = c`` in the antecedent of an
+    implication, or _UNPINNED."""
+    if not isinstance(g, F.Implies):
+        return _UNPINNED
+    conjuncts = g.left.items if isinstance(g.left, F.And) else (g.left,)
+    for c in conjuncts:
+        if isinstance(c, F.Cmp) and c.op == "=":
+            for s, lit in ((c.left, c.right), (c.right, c.left)):
+                if isinstance(s, F.Sym) and s.name == name and isinstance(lit, F.Lit):
+                    return lit.value
+    return _UNPINNED
 
 
-def worker_count() -> int:
-    raw = os.environ.get("MINIPROOF_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _scan(g: F.Formula, live: dict, domains: Domains, bound: dict) -> dict | None:
+    """The first falsifying leaf of g over its live symbols, scanned in
+    enumeration order through a compiled g, merged into bound."""
+    names = list(live)
+    test = _compile(g, names)
+    for values in product(*(symbol_domain(ty, domains) for ty in live.values())):
+        result = test(*values)
+        if result is True:
+            continue
+        if result is not False:
+            raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
+        return {**bound, **dict(zip(names, values))}
+    return None
 
 
-def discharge_all(
-    obligations: list[Obligation], domains: Domains, workers: int | None = None
-) -> list[tuple[Obligation, Verdict]]:
-    """Discharge every obligation; verdict order follows obligation
-    order regardless of how many workers ran."""
-    if workers is None:
-        workers = worker_count()
-    if workers <= 1 or len(obligations) <= 1:
-        return [(o, discharge(o, domains)) for o in obligations]
-    items = [(o, domains) for o in obligations]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        verdicts = list(pool.map(_discharge_item, items))
-    return list(zip(obligations, verdicts))
+_PY_OPS = {"=": "==", "/=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "+": "+", "-": "-", "*": "*"}
+
+# generated source nests a bracket or two per formula level and Python's
+# parser rejects deeply nested source, so deeper subformulas become
+# functions of their own
+_MAX_INLINE_DEPTH = 50
 
 
-def verify_program(
-    checked: CheckedProgram, opts: VerifyOptions, workers: int | None = None
-) -> "Report":
+def _compile(g: F.Formula, names: list[str]):
+    """g as a Python function of the named symbols with F.fold's meaning
+    on well-typed formulas: connectives over booleans, has false on Void."""
+    params = ", ".join(f"s{i}" for i in range(len(names)))
+    arg = {name: f"s{i}" for i, name in enumerate(names)}
+    consts: dict[str, object] = {}
+
+    def const(value) -> str:
+        key = f"k{len(consts)}"
+        consts[key] = value
+        return key
+
+    def src(f: F.Formula, depth: int) -> str:
+        if depth == _MAX_INLINE_DEPTH:
+            return f"{const(_compile(f, names))}({params})"
+        depth += 1
+        if isinstance(f, F.Sym):
+            return arg[f.name]
+        if isinstance(f, F.Lit):
+            return const(f.value)
+        if isinstance(f, F.Not):
+            return f"(not {src(f.operand, depth)})"
+        if isinstance(f, (F.And, F.Or)):
+            joiner = " and " if isinstance(f, F.And) else " or "
+            return "(" + joiner.join(src(c, depth) for c in f.items) + ")"
+        if isinstance(f, F.Implies):
+            return f"(not {src(f.left, depth)} or {src(f.right, depth)})"
+        if isinstance(f, (F.Cmp, F.Arith)):
+            return f"({src(f.left, depth)} {_PY_OPS[f.op]} {src(f.right, depth)})"
+        if isinstance(f, F.HasF):
+            item = src(f.item, depth)
+            return f"({item} is not None and {item} in {src(f.set_expr, depth)})"
+        raise TypeError(f"unexpected formula node {f!r}")
+
+    return eval(f"lambda {params}: {src(g, 0)}", consts)
+
+
+def verify_program(checked: CheckedProgram, opts: VerifyOptions) -> "Report":
     started = time.perf_counter()
     obligations = generate_obligations(checked, opts)
     domains = derive_domains(checked, opts)
-    pairs = discharge_all(obligations, domains, workers)
+    pairs = [(o, discharge(o, domains)) for o in obligations]
     duration_ms = int((time.perf_counter() - started) * 1000)
     return build_report(pairs, domains, duration_ms)
 

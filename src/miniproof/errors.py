@@ -73,3 +73,7 @@ class ReplayImpossible(Exception):
 
 class UnknownCorpusEntry(KeyError):
     """No built-in corpus entry with the requested name."""
+
+
+class InternalError(Exception):
+    """A pipeline invariant broke: a bug in miniproof, never bad input."""

@@ -12,11 +12,17 @@ from .lexer import Token, tokenize
 # keywords that terminate a clause or statement list
 _CLAUSE_STOP = {"do", "modify", "end", "ensure", "invariant", "feature", "then", "else"}
 
+# subexpressions (parentheses, prefix operators, the right side of
+# implies, has arguments) nest at most this deep, so that neither this
+# recursive descent nor the recursive passes after it run out of stack
+MAX_NESTING = 50
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0
 
     # -- token helpers ----------------------------------------------------
 
@@ -289,11 +295,20 @@ class _Parser:
     def parse_expr(self) -> ast.Expr:
         return self.parse_implies()
 
+    def nested(self, parse, tok: Token) -> ast.Expr:
+        """Run parse one nesting level deeper than the current one."""
+        if self.nesting == MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
+        self.nesting += 1
+        expr = parse()
+        self.nesting -= 1
+        return expr
+
     def parse_implies(self) -> ast.Expr:
         left = self.parse_or()
         if self.at_keyword("implies"):
             tok = self.next()
-            right = self.parse_implies()  # right associative
+            right = self.nested(self.parse_implies, tok)  # right associative
             return ast.Binary("implies", left, right, pos=self.pos(tok))
         return left
 
@@ -335,13 +350,13 @@ class _Parser:
     def parse_unary(self) -> ast.Expr:
         if self.at_keyword("not"):
             tok = self.next()
-            return ast.Unary("not", self.parse_unary(), pos=self.pos(tok))
+            return ast.Unary("not", self.nested(self.parse_unary, tok), pos=self.pos(tok))
         if self.at_keyword("old"):
             tok = self.next()
-            return ast.Old(self.parse_unary(), pos=self.pos(tok))
+            return ast.Old(self.nested(self.parse_unary, tok), pos=self.pos(tok))
         if self.at_symbol("-"):
             tok = self.next()
-            operand = self.parse_unary()
+            operand = self.nested(self.parse_unary, tok)
             if isinstance(operand, ast.IntLit):
                 return ast.IntLit(-operand.value, pos=self.pos(tok))
             raise ParseError("unary minus applies to integer literals only", tok.line, tok.col)
@@ -354,8 +369,7 @@ class _Parser:
             if self.peek(1).kind == "IDENT" and self.peek(1).value == "has":
                 self.next()
                 self.next()
-                self.expect_symbol("(")
-                item = self.parse_expr()
+                item = self.nested(self.parse_expr, self.expect_symbol("("))
                 self.expect_symbol(")")
                 expr = ast.Has(expr, item, pos=self.pos(dot))
                 continue
@@ -386,7 +400,7 @@ class _Parser:
             return ast.CreateExpr(cname, pos=self.pos(tok))
         if self.at_symbol("("):
             self.next()
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr, tok)
             self.expect_symbol(")")
             return inner
         if self.at_symbol("{"):

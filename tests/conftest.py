@@ -1,7 +1,7 @@
 """Shared fixtures: parsed corpus entries and cached verification reports.
 
-Verification of the Tokeneer entries takes a few seconds each, so reports
-at an entry's pinned options are computed once per session and shared.
+Reports at an entry's pinned options are computed once per session and
+shared.
 """
 
 from __future__ import annotations

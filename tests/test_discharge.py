@@ -94,7 +94,16 @@ def test_reference_domain_is_representative_then_void():
     from miniproof.ast import ref
 
     domains = Domains((-1, 1), ())
-    assert symbol_domain(ref("CONST"), domains) == [F.Ref("CONST"), None]
+    assert symbol_domain(ref("CONST"), domains) == (F.Ref("CONST"), None)
+
+
+def test_domains_are_built_once_and_shared():
+    from miniproof.ast import T_SET
+
+    domains = Domains((-1, 1), ("a", "b", "c"))
+    sets = symbol_domain(T_SET, domains)
+    assert isinstance(sets, tuple) and len(sets) == 8
+    assert symbol_domain(T_SET, domains) is sets
 
 
 # -- verdicts --------------------------------------------------------------------
@@ -159,6 +168,60 @@ def test_pruned_search_agrees_with_naive_enumeration(checked_programs, entries):
                 assert verdict.counterexample == naive, obligation.id
 
 
+def test_unresolved_old_is_an_error():
+    formula = F.Cmp("=", F.Sym("x", T_INT), F.OldSym("x", T_INT))
+    verdict = discharge(_obligation_over(formula), Domains((-1, 1), ()))
+    assert verdict.status == ERROR
+    assert verdict.reason == "entry snapshot left unresolved"
+
+
+def test_exceptions_inside_the_search_propagate(monkeypatch):
+    import pytest
+
+    from miniproof import discharge as discharge_module
+
+    def broken(formula, domains):
+        raise RuntimeError("bug in the search")
+
+    monkeypatch.setattr(discharge_module, "_search", broken)
+    with pytest.raises(RuntimeError, match="bug in the search"):
+        discharge(_obligation_over(F.Sym("b", T_BOOL)), Domains((-1, 1), ()))
+
+
+def test_formula_that_does_not_fold_is_an_internal_error():
+    """An integer-valued formula never folds to true or false; that is a
+    bug upstream, not bad input, so it must not surface as ValueError
+    (which the command line reports as a usage error)."""
+    import pytest
+
+    from miniproof.errors import InternalError
+
+    assert not issubclass(InternalError, ValueError)
+    for formula in (F.Lit(5), F.Arith("+", F.Sym("x", T_INT), F.Lit(1))):
+        with pytest.raises(InternalError, match="did not fold"):
+            discharge(_obligation_over(formula), Domains((-1, 1), ()))
+
+
+def test_deep_residual_is_compiled_in_pieces():
+    """A residual over few symbols but deeper than one generated Python
+    expression can nest still gets the first falsifier."""
+    i, j = F.Sym("i", T_INT), F.Sym("j", T_INT)
+    formula = F.Cmp("<", F.Arith("+", i, j), F.Lit(3))
+    for k in range(300):
+        hyp = F.Cmp("<=", i, F.Lit(3)) if k % 2 else F.Cmp(">=", j, F.Lit(-4))
+        formula = F.Implies(hyp, formula)
+    obligation = _obligation_over(formula)
+    domains = Domains((-3, 3), ())
+    naive = next(
+        env
+        for env in enumerate_environments(obligation, domains)
+        if F.evaluate(formula, env) is not True
+    )
+    verdict = discharge(obligation, domains)
+    assert verdict.status == FAILED
+    assert verdict.counterexample == naive == {"i": 0, "j": 3}
+
+
 def test_overflow_failure_bounds(checked_programs):
     opts = VerifyOptions(int_range=(-128, 127), check_overflow=True, overflow_width=8)
     checked = checked_programs["account"]
@@ -211,18 +274,6 @@ def test_exit_status_precedence(pinned_reports):
     assert pinned_reports("account_noguard_mutant").exit_status == 1
     # an Error verdict wins over Failed and Discharged
     assert pinned_reports("contract_creation_error").exit_status == 2
-
-
-def test_workers_do_not_change_the_report(checked_programs):
-    opts = VerifyOptions(int_range=(-4, 4))
-    checked = checked_programs["account_noguard_mutant"]
-    serial = verify_program(checked, opts, workers=1)
-    parallel = verify_program(checked, opts, workers=2)
-    strip = lambda report: [
-        (r.id, r.verdict.status, r.verdict.counterexample, r.verdict.reason)
-        for r in report.rows
-    ]
-    assert strip(serial) == strip(parallel)
 
 
 def test_int_range_must_contain_zero():

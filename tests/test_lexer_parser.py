@@ -301,3 +301,20 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse("class C\nfeature\n  x : INTEGER\n  f do x := end\nend\n")
     assert exc.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "(" * n + "x = 0" + ")" * n,
+        lambda n: "not " * n + "true",
+        lambda n: " implies ".join(["true"] * (n + 1)),
+    ],
+    ids=["parentheses", "not", "implies"],
+)
+def test_nesting_is_limited(nest):
+    from miniproof.parser import MAX_NESTING
+
+    parse_expr(nest(MAX_NESTING))
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_expr(nest(MAX_NESTING + 1))

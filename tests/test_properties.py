@@ -7,8 +7,8 @@ from hypothesis import given, settings
 
 from miniproof import analyze, parse
 from miniproof import formula as F
-from miniproof.ast import T_BOOL, T_INT
-from miniproof.discharge import Domains, enumerate_environments
+from miniproof.ast import T_BOOL, T_INT, T_SET, T_STRING, ref
+from miniproof.discharge import DISCHARGED, FAILED, Domains, discharge, enumerate_environments
 from miniproof.vcgen import Obligation, wp
 
 X = F.Sym("x", T_INT)
@@ -186,3 +186,106 @@ def test_encode_decode_round_trip(values):
 
     for value in values:
         assert decode_value(encode_value(value)) == value
+
+
+# -- discharge against the naive oracle --------------------------------------------
+# A small pool of symbols of every enumerable type, named so that sorted-name
+# order interleaves the types; literals include values outside each domain.
+
+SEARCH_DOMAINS = Domains((-2, 2), ("a", "b"))
+SYMS = {
+    "a": F.Sym("a", T_INT),
+    "c": F.Sym("c", T_BOOL),
+    "e": F.Sym("e", T_STRING),
+    "g": F.Sym("g", T_SET),
+    "k": F.Sym("k", T_INT),
+    "m": F.Sym("m", ref("CELL")),
+    "p": F.Sym("p", T_BOOL),
+    "s": F.Sym("s", T_STRING),
+}
+LITERALS = {
+    "INTEGER": st.integers(-3, 3),
+    "BOOLEAN": st.booleans(),
+    "STRING": st.sampled_from(["a", "b", "z", None]),
+    "SET_OF_STRING": st.sampled_from(
+        [frozenset(), frozenset({"a"}), frozenset({"a", "b"}), frozenset({"z"})]
+    ),
+    "REF": st.sampled_from([F.Ref("CELL"), None]),
+}
+
+
+def typed_term(kind: str):
+    syms = [f for f in SYMS.values() if f.ty.kind == kind]
+    return st.one_of(st.sampled_from(syms), LITERALS[kind].map(F.Lit))
+
+
+def search_int_terms():
+    base = typed_term("INTEGER")
+    return st.one_of(base, st.builds(F.Arith, st.sampled_from(["+", "-", "*"]), base, base))
+
+
+PINS = st.sampled_from(list(SYMS.values())).flatmap(
+    lambda sym: st.builds(
+        lambda value, flip: F.Cmp("=", F.Lit(value), sym) if flip else F.Cmp("=", sym, F.Lit(value)),
+        LITERALS[sym.ty.kind],
+        st.booleans(),
+    )
+)
+
+SEARCH_ATOMS = st.one_of(
+    st.builds(F.Cmp, st.sampled_from(["=", "/=", "<", "<=", ">", ">="]), search_int_terms(), search_int_terms()),
+    st.sampled_from([SYMS["c"], SYMS["p"]]),
+    st.sampled_from(list(LITERALS)).flatmap(
+        lambda kind: st.builds(F.Cmp, st.sampled_from(["=", "/="]), typed_term(kind), typed_term(kind))
+    ),
+    st.builds(F.HasF, typed_term("SET_OF_STRING"), typed_term("STRING")),
+    # symbols that fold away: reflexive comparisons
+    st.builds(lambda t, op: F.Cmp(op, t, t), search_int_terms(), st.sampled_from(["=", "<", ">="])),
+    PINS,
+)
+
+SEARCH_FORMULAS = st.recursive(
+    SEARCH_ATOMS,
+    lambda sub: st.one_of(
+        st.builds(F.Not, sub),
+        st.lists(sub, min_size=2, max_size=3).map(lambda items: F.And(tuple(items))),
+        st.lists(sub, min_size=2, max_size=3).map(lambda items: F.Or(tuple(items))),
+        st.builds(F.Implies, sub, sub),
+        # an antecedent with sym = literal conjuncts, or disjuncts, which pin nothing
+        st.builds(
+            lambda join, pins, rest, body: F.Implies(join(tuple(pins) + (rest,)), body),
+            st.sampled_from([F.And, F.Or]),
+            st.lists(PINS, min_size=1, max_size=3),
+            sub,
+            sub,
+        ),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula=SEARCH_FORMULAS)
+def test_search_finds_the_first_falsifier_of_enumeration(formula):
+    obligation = Obligation(
+        id="T.f.postcondition.0",
+        kind="Postcondition",
+        class_name="T",
+        feature_name="f",
+        formula=formula,
+        provenance="c",
+    )
+    naive = next(
+        (
+            env
+            for env in enumerate_environments(obligation, SEARCH_DOMAINS)
+            if F.evaluate(formula, env) is not True
+        ),
+        None,
+    )
+    verdict = discharge(obligation, SEARCH_DOMAINS)
+    if naive is None:
+        assert verdict.status == DISCHARGED
+    else:
+        assert verdict.status == FAILED
+        assert verdict.counterexample == naive
