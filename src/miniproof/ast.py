@@ -273,6 +273,16 @@ class Program:
         return None
 
 
+def expr_children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, (Old, Unary)):
+        return (e.expr,)
+    if isinstance(e, Binary):
+        return (e.left, e.right)
+    if isinstance(e, Has):
+        return (e.receiver, e.item)
+    return ()
+
+
 def walk_expr(e: Expr):
     """Yield e and every subexpression."""
     yield e

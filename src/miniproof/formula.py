@@ -10,12 +10,20 @@ one representative object - which is documented where domains are built.
 Values are Python values: int, bool, str, frozenset[str], Ref, and None
 for Void. Arithmetic is unbounded; overflow is expressed by explicit
 bound-comparison obligations, not by wrapping here.
+
+Substitution is delayed. ``subst`` wraps a compound formula in a ``Let``
+that records the mapping instead of copying the formula, and substituting
+into a ``Let`` composes the mappings without entering its body. Weakest
+preconditions can then share one postcondition between both branches of
+an ``if``, so a formula is a DAG whose size grows linearly with the
+program. Every consumer reads a ``Let`` as the formula it stands for:
+``expand`` carries the substitutions out, and ``to_text`` prints that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from dataclasses import dataclass, field
+from typing import Union
 
 from . import ast
 
@@ -99,6 +107,30 @@ class HasF(Formula):
     item: Formula
 
 
+@dataclass(frozen=True)
+class Let(Formula):
+    """The delayed simultaneous substitution subst(body, binds). A bind's
+    key is a leaf key (see ``_key``), so it may replace an OldSym too.
+    Only binds of keys the body mentions take part. The keys of the
+    body's free leaves and of the Let's own, with their types, are kept
+    so that walks and further substitutions stop here."""
+
+    binds: tuple[tuple[str, Formula], ...]
+    body: Formula
+    body_leaves: dict | None = field(default=None, compare=False, repr=False)
+    leaves: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        body_leaves = self.body_leaves if self.body_leaves is not None else _leaves(self.body)
+        bound = {k for k, _ in self.binds}
+        leaves = {k: ty for k, ty in body_leaves.items() if k not in bound}
+        for k, value in self.binds:
+            if k in body_leaves:
+                leaves.update(_leaves(value))
+        object.__setattr__(self, "body_leaves", body_leaves)
+        object.__setattr__(self, "leaves", leaves)
+
+
 TRUE = Lit(True)
 FALSE = Lit(False)
 
@@ -163,40 +195,59 @@ def implies(left: Formula, right: Formula) -> Formula:
 # -- traversal ----------------------------------------------------------------
 
 
-def children(f: Formula) -> Iterator[Formula]:
+def children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, Not):
-        yield f.operand
-    elif isinstance(f, (And, Or)):
-        yield from f.items
-    elif isinstance(f, (Implies, Cmp, Arith)):
-        yield f.left
-        yield f.right
-    elif isinstance(f, HasF):
-        yield f.set_expr
-        yield f.item
+        return (f.operand,)
+    if isinstance(f, (And, Or)):
+        return f.items
+    if isinstance(f, (Implies, Cmp, Arith)):
+        return (f.left, f.right)
+    if isinstance(f, HasF):
+        return (f.set_expr, f.item)
+    if isinstance(f, Let):
+        return (*(value for _, value in f.binds), f.body)
+    return ()
 
 
-def walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    for c in children(f):
-        yield from walk(c)
+_OLD = "old "
+
+
+def _key(leaf: Sym | OldSym) -> str:
+    """A Sym is keyed by its name, an OldSym by ``old`` and its name;
+    names hold no spaces, so the two never clash."""
+    return leaf.name if isinstance(leaf, Sym) else _OLD + leaf.name
+
+
+def _leaves(f: Formula) -> dict[str, ast.Type]:
+    """Keys of the free leaves of f with their types. Visits each shared
+    node once and stops at a Let, which knows its own."""
+    if isinstance(f, Let):
+        return f.leaves
+    found: dict[str, ast.Type] = {}
+    seen: set[int] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        cls = type(g)
+        if cls is Sym:
+            found[g.name] = g.ty
+        elif cls is OldSym:
+            found[_OLD + g.name] = g.ty
+        elif cls is Let:
+            found.update(g.leaves)
+        elif cls is not Lit and id(g) not in seen:
+            seen.add(id(g))
+            stack.extend(children(g))
+    return found
 
 
 def free_syms(f: Formula) -> dict[str, ast.Type]:
     """Symbols of the formula keyed by name, in sorted-name order."""
-    found: dict[str, ast.Type] = {}
-    for node in walk(f):
-        if isinstance(node, Sym):
-            found[node.name] = node.ty
-    return dict(sorted(found.items()))
+    return dict(sorted((k, ty) for k, ty in _leaves(f).items() if not k.startswith(_OLD)))
 
 
 def old_syms(f: Formula) -> dict[str, ast.Type]:
-    found: dict[str, ast.Type] = {}
-    for node in walk(f):
-        if isinstance(node, OldSym):
-            found[node.name] = node.ty
-    return dict(sorted(found.items()))
+    return dict(sorted((k[len(_OLD):], ty) for k, ty in _leaves(f).items() if k.startswith(_OLD)))
 
 
 # -- substitution and folding ---------------------------------------------------
@@ -221,24 +272,46 @@ def _rebuild(f: Formula, parts: list[Formula]) -> Formula:
 
 
 def subst(f: Formula, mapping: dict[str, Formula]) -> Formula:
-    """Replace symbols by formulas. OldSym leaves are left alone."""
-    if isinstance(f, Sym):
-        return mapping.get(f.name, f)
-    if isinstance(f, (OldSym, Lit)):
+    """Replace the leaves whose keys the mapping has, simultaneously. A
+    plain name keys a Sym, so OldSym leaves are left alone unless the key
+    is ``old`` and a name (see ``_key``). Nothing is copied: a compound
+    formula is wrapped in a Let of the keys it mentions, and a Let gets
+    the composed mapping."""
+    if isinstance(f, (Sym, OldSym)):
+        return mapping.get(_key(f), f)
+    if isinstance(f, Lit):
         return f
-    parts = [subst(c, mapping) for c in children(f)]
-    return _rebuild(f, parts)
+    leaves = _leaves(f)
+    live = {k: value for k, value in mapping.items() if k in leaves}
+    if not live:
+        return f
+    if not isinstance(f, Let):
+        return Let(tuple(live.items()), f, leaves)
+    binds = {k: subst(value, mapping) for k, value in f.binds}
+    for k, value in mapping.items():
+        if k not in binds and k in f.body_leaves:
+            binds[k] = value
+    return Let(tuple(binds.items()), f.body, f.body_leaves)
 
 
 def unify_old(f: Formula) -> Formula:
     """Turn every OldSym into the plain Sym of the same path: at the
     entry point the current value is the old value."""
-    if isinstance(f, OldSym):
-        return Sym(f.name, f.ty)
-    if isinstance(f, (Sym, Lit)):
+    mapping = {_OLD + name: Sym(name, ty) for name, ty in old_syms(f).items()}
+    return subst(f, mapping) if mapping else f
+
+
+def expand(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
+    """The Let-free formula f stands for, every substitution carried out
+    (env: leaf keys to formulas already expanded). Exponential in the
+    number of shared posts; for printing and tests."""
+    if isinstance(f, (Sym, OldSym)):
+        return env.get(_key(f), f) if env else f
+    if isinstance(f, Lit):
         return f
-    parts = [unify_old(c) for c in children(f)]
-    return _rebuild(f, parts)
+    if isinstance(f, Let):
+        return expand(f.body, {**(env or {}), **{k: expand(v, env) for k, v in f.binds}})
+    return _rebuild(f, [expand(c, env) for c in children(f)])
 
 
 def _apply_cmp(op: str, a: Value, b: Value) -> bool:
@@ -263,47 +336,69 @@ def _apply_arith(op: str, a: int, b: int) -> int:
     return a * b
 
 
-def fold(f: Formula) -> Formula:
-    """Bottom-up constant folding. Conjunctions and disjunctions collapse
-    as soon as one operand decides them, so a formula can fold to a
-    literal while some symbols are still unbound."""
-    if isinstance(f, (Sym, OldSym, Lit)):
-        return f
-    if isinstance(f, Not):
-        return neg(fold(f.operand))
-    if isinstance(f, And):
-        return conj(*(fold(c) for c in f.items))
-    if isinstance(f, Or):
-        return disj(*(fold(c) for c in f.items))
-    if isinstance(f, Implies):
-        return implies(fold(f.left), fold(f.right))
-    if isinstance(f, Cmp):
-        left, right = fold(f.left), fold(f.right)
-        if isinstance(left, Lit) and isinstance(right, Lit):
-            return Lit(_apply_cmp(f.op, left.value, right.value))
-        if left == right:
-            # reflexivity: values are total, x = x regardless of binding
-            if f.op in ("=", "<=", ">="):
+def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
+    """Bottom-up constant folding of the formula f stands for, with the
+    leaf keys in env bound to folded formulas. Conjunctions, disjunctions
+    and implications collapse as soon as one operand decides them, so a
+    formula can fold to a literal while some symbols are still unbound,
+    and the operands after the deciding one are never folded. A Let's
+    body and an implication's consequent are folded in the same frame,
+    so a closed chain of `if`s costs about one Python frame per `if`."""
+    while True:
+        if isinstance(f, (Sym, OldSym)):
+            return env.get(_key(f), f) if env else f
+        if isinstance(f, Lit):
+            return f
+        if isinstance(f, Let):
+            env = {**(env or {}), **{k: fold(v, env) for k, v in f.binds}}
+            f = f.body
+            continue
+        if isinstance(f, Not):
+            return neg(fold(f.operand, env))
+        if isinstance(f, (And, Or)):
+            decides = FALSE if isinstance(f, And) else TRUE
+            parts = []
+            for c in f.items:
+                part = fold(c, env)
+                if part == decides:
+                    return decides
+                parts.append(part)
+            return conj(*parts) if isinstance(f, And) else disj(*parts)
+        if isinstance(f, Implies):
+            left = fold(f.left, env)
+            if left == FALSE:
                 return TRUE
-            if f.op in ("/=", "<", ">"):
-                return FALSE
-        return Cmp(f.op, left, right)
-    if isinstance(f, Arith):
-        left, right = fold(f.left), fold(f.right)
-        if isinstance(left, Lit) and isinstance(right, Lit):
-            return Lit(_apply_arith(f.op, left.value, right.value))
-        return Arith(f.op, left, right)
-    if isinstance(f, HasF):
-        s, item = fold(f.set_expr), fold(f.item)
-        if isinstance(s, Lit) and isinstance(item, Lit):
-            return Lit(item.value is not None and item.value in s.value)
-        return HasF(s, item)
-    raise TypeError(f"unexpected formula node {f!r}")
+            if left == TRUE:
+                f = f.right
+                continue
+            return implies(left, fold(f.right, env))
+        if isinstance(f, Cmp):
+            left, right = fold(f.left, env), fold(f.right, env)
+            if isinstance(left, Lit) and isinstance(right, Lit):
+                return Lit(_apply_cmp(f.op, left.value, right.value))
+            if left == right:
+                # reflexivity: values are total, x = x regardless of binding
+                if f.op in ("=", "<=", ">="):
+                    return TRUE
+                if f.op in ("/=", "<", ">"):
+                    return FALSE
+            return Cmp(f.op, left, right)
+        if isinstance(f, Arith):
+            left, right = fold(f.left, env), fold(f.right, env)
+            if isinstance(left, Lit) and isinstance(right, Lit):
+                return Lit(_apply_arith(f.op, left.value, right.value))
+            return Arith(f.op, left, right)
+        if isinstance(f, HasF):
+            s, item = fold(f.set_expr, env), fold(f.item, env)
+            if isinstance(s, Lit) and isinstance(item, Lit):
+                return Lit(item.value is not None and item.value in s.value)
+            return HasF(s, item)
+        raise TypeError(f"unexpected formula node {f!r}")
 
 
 def specialize(f: Formula, env: dict[str, Value]) -> Formula:
     """Bind some symbols to values and fold."""
-    return fold(subst(f, {name: Lit(value) for name, value in env.items()}))
+    return fold(f, {name: Lit(value) for name, value in env.items()})
 
 
 def evaluate(f: Formula, env: dict[str, Value]) -> Value:
@@ -311,9 +406,13 @@ def evaluate(f: Formula, env: dict[str, Value]) -> Value:
     if isinstance(f, Sym):
         return env[f.name]
     if isinstance(f, OldSym):
+        if _OLD + f.name in env:  # bound by an enclosing Let
+            return env[_OLD + f.name]
         raise ValueError(f"old symbol {f.name} survived to evaluation")
     if isinstance(f, Lit):
         return f.value
+    if isinstance(f, Let):
+        return evaluate(f.body, {**env, **{k: evaluate(v, env) for k, v in f.binds}})
     if isinstance(f, Not):
         return not evaluate(f.operand, env)
     if isinstance(f, And):
@@ -363,7 +462,7 @@ _PREC = {
 
 
 def to_text(f: Formula) -> str:
-    text, _ = _text(f)
+    text, _ = _text(expand(f))
     return text
 
 
@@ -397,7 +496,7 @@ def _text(f: Formula) -> tuple[str, int]:
         return f"{left} {f.op} {right}", prec
     if isinstance(f, HasF):
         recv = _wrap(f.set_expr, 9)
-        return f"{recv}.has({to_text(f.item)})", 9
+        return f"{recv}.has({_text(f.item)[0]})", 9
     raise TypeError(f"unexpected formula node {f!r}")
 
 

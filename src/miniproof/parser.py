@@ -13,8 +13,10 @@ from .lexer import Token, tokenize
 _CLAUSE_STOP = {"do", "modify", "end", "ensure", "invariant", "feature", "then", "else"}
 
 # subexpressions (parentheses, prefix operators, the right side of
-# implies, has arguments) nest at most this deep, so that neither this
-# recursive descent nor the recursive passes after it run out of stack
+# implies, has arguments) nest at most this deep, and so do expression
+# trees (a flat chain like 1 + 1 + 1 is a left-deep tree) and `if`
+# statements, so that neither this recursive descent nor the recursive
+# passes after it run out of stack
 MAX_NESTING = 50
 
 
@@ -23,6 +25,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.nesting = 0
+        self.blocks = 0
 
     # -- token helpers ----------------------------------------------------
 
@@ -246,6 +249,9 @@ class _Parser:
                 creator = self.expect_ident("creator name").value
             return ast.CreateStmt(target, creator, pos=self.pos(tok))
         if self.at_keyword("if"):
+            if self.blocks == MAX_NESTING:
+                raise ParseError(f"statements nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
+            self.blocks += 1
             self.next()
             cond = self.parse_expr()
             self.expect_keyword("then")
@@ -255,6 +261,7 @@ class _Parser:
                 self.next()
                 else_branch = self.parse_statements()
             self.expect_keyword("end")
+            self.blocks -= 1
             return ast.IfStmt(cond, then_branch, else_branch, pos=self.pos(tok))
         if self.at_keyword("check"):
             self.next()
@@ -293,7 +300,11 @@ class _Parser:
     # precedence, loosest first: implies | or | and | comparison | + - | * | unary | postfix
 
     def parse_expr(self) -> ast.Expr:
-        return self.parse_implies()
+        tok = self.peek()
+        expr = self.parse_implies()
+        if self.nesting == 0 and _depth(expr) > MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
+        return expr
 
     def nested(self, parse, tok: Token) -> ast.Expr:
         """Run parse one nesting level deeper than the current one."""
@@ -426,6 +437,16 @@ class _Parser:
                 return ast.Qualified(tok.value, attr, pos=self.pos(tok))
             return ast.Name(tok.value, pos=self.pos(tok))
         raise ParseError(f"expected expression, found {tok.value!r}", tok.line, tok.col)
+
+
+def _depth(e: ast.Expr) -> int:
+    """Depth of an expression tree (a leaf is 0), found without recursion."""
+    deepest, stack = 0, [(e, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in ast.expr_children(node))
+    return deepest
 
 
 def _strings_in(e: ast.Expr):

@@ -10,6 +10,11 @@ one level of dereference, and ``r.a@3`` is the unknown value path
 havoc). Calls and creations are reasoned about modularly: assert the
 callee's precondition, forget what the callee may modify, assume its
 postcondition and invariant.
+
+Substitution is delayed (``formula.Let``), so the two branches of an
+``if`` share one postcondition object instead of two copies, and each
+obligation is a DAG whose size grows linearly with the body. Obligations
+keep these DAGs; the public ``wp`` helper returns the expanded tree.
 """
 
 from __future__ import annotations
@@ -334,7 +339,7 @@ class _WpEngine:
         obligations, then exit-site dereferences from ensure clauses."""
         out: list[tuple[str, str, F.Formula]] = []
         for clause in self.feat.require:
-            out.extend(self._deref_asserts(clause.expr, include_old=True))
+            out.extend(self._deref_asserts(clause.expr))
         body_asserts = self._collect_body(self.feat.body, opts)
         exit_asserts: list[tuple[str, str, F.Formula]] = []
         for clause in self.feat.ensure:
@@ -385,7 +390,7 @@ class _WpEngine:
             ty = self.info.attributes[receiver]
         return F.Cmp("/=", F.Sym(receiver, ty), F.Lit(None))
 
-    def _deref_asserts(self, e: ast.Expr, include_old: bool) -> list[tuple[str, str, F.Formula]]:
+    def _deref_asserts(self, e: ast.Expr) -> list[tuple[str, str, F.Formula]]:
         """VoidDereference assertions for qualified reads of an
         expression evaluated in the current state."""
         out = []
@@ -401,8 +406,6 @@ class _WpEngine:
                         self._receiver_not_void(node.receiver),
                     )
                 )
-            elif isinstance(node, ast.Has) and isinstance(node.receiver, ast.Qualified):
-                pass  # the Qualified walk above already covered it
         return out
 
     def _ensure_derefs(self, e: ast.Expr) -> list[tuple[str, str, F.Formula, bool]]:
@@ -425,7 +428,7 @@ class _WpEngine:
                         under_old,
                     )
                 )
-            for child in _expr_children(node):
+            for child in ast.expr_children(node):
                 scan(child, under_old)
 
         scan(e, False)
@@ -449,7 +452,7 @@ class _WpEngine:
 
         def value_asserts(exprs: list[ast.Expr]):
             for e in exprs:
-                out.extend(self._deref_asserts(e, include_old=False))
+                out.extend(self._deref_asserts(e))
                 if opts.check_overflow:
                     out.extend(self._overflow_asserts(e, opts))
 
@@ -485,7 +488,7 @@ class _WpEngine:
                 out.append((kind, prov, F.implies(F.neg(cond), f)))
         elif isinstance(s, ast.CheckStmt):
             if not mentions_creation(s.expr):
-                out.extend(self._deref_asserts(s.expr, include_old=False))
+                out.extend(self._deref_asserts(s.expr))
                 out.append((CHECK_ASSERTION, s.label, _lower(s.expr)))
         return out
 
@@ -517,21 +520,8 @@ class _WpEngine:
         return out
 
 
-def _expr_children(e: ast.Expr):
-    if isinstance(e, ast.Unary):
-        yield e.expr
-    elif isinstance(e, ast.Old):
-        yield e.expr
-    elif isinstance(e, ast.Binary):
-        yield e.left
-        yield e.right
-    elif isinstance(e, ast.Has):
-        yield e.receiver
-        yield e.item
-
-
 def _arith_postorder(e: ast.Expr):
-    for child in _expr_children(e):
+    for child in ast.expr_children(e):
         yield from _arith_postorder(child)
     if isinstance(e, ast.Binary) and e.op in ast.ARITH_OPS:
         yield e
@@ -548,7 +538,7 @@ def wp(
     formula, in the scope of the named feature."""
     info = checked.info(class_name)
     engine = _WpEngine(checked, info, info.routines[feature_name])
-    return engine.wp_all(statements, post)
+    return F.expand(engine.wp_all(statements, post))
 
 
 # -- obligation generation ------------------------------------------------------

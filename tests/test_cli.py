@@ -73,6 +73,46 @@ def test_verify_deep_nesting_exits_three_without_traceback(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def _verify_process(tmp_path, body: str) -> subprocess.CompletedProcess:
+    program = tmp_path / "shape.ccl"
+    program.write_text(
+        "class C\ncreate make\nfeature\n  x : INTEGER\n  make\n    do\n"
+        f"{body}    ensure\n      x >= 0\n    end\nend\n",
+        encoding="utf-8",
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "miniproof.cli", "verify", str(program)],
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("      x := " + " + ".join(["1"] * 3000) + "\n", "expression nested more than"),
+        (
+            "      if x < 5 then\n" * 600 + "      x := 1\n" + "      end\n" * 600,
+            "statements nested more than",
+        ),
+    ],
+    ids=["flat_chain_of_3000_terms", "600_nested_ifs"],
+)
+def test_verify_deep_structure_exits_three_without_traceback(tmp_path, body, message):
+    proc = _verify_process(tmp_path, body)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("miniproof:") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+def test_verify_400_sequential_ifs(tmp_path):
+    proc = _verify_process(tmp_path, "      if x < 5 then\n        x := x + 1\n      end\n" * 400)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    assert proc.stdout.strip().endswith("1 obligations: 1 discharged (100%), 0 failed (0%), 0 errors (0%)")
+
+
 def test_verify_semantic_error_exits_three(capsys, tmp_path):
     bad = tmp_path / "bad.ccl"
     bad.write_text("class C\nend\n", encoding="utf-8")

@@ -318,3 +318,29 @@ def test_nesting_is_limited(nest):
     parse_expr(nest(MAX_NESTING))
     with pytest.raises(ParseError, match="nested more than"):
         parse_expr(nest(MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("op", ["+", "*", "and", "or"])
+def test_flat_chains_are_limited(op):
+    """A flat chain parses into a left-deep tree, as deep as it is long."""
+    from miniproof.parser import MAX_NESTING
+
+    def chain(n):
+        return f" {op} ".join(["x"] * (n + 1))
+
+    parse_expr(chain(MAX_NESTING))
+    with pytest.raises(ParseError, match="expression nested more than"):
+        parse_expr(chain(MAX_NESTING + 1))
+
+
+def test_if_nesting_is_limited():
+    from miniproof.parser import MAX_NESTING
+
+    def program(n):
+        body = "      if x < 5 then\n" * n + "      x := 1\n" + "      end\n" * n
+        return wrap_expr("x >= 0").replace("      x := 0\n", body)
+
+    parse(program(MAX_NESTING))
+    with pytest.raises(ParseError, match="statements nested more than") as exc:
+        parse(program(MAX_NESTING + 1))
+    assert exc.value.line == 6 + MAX_NESTING + 1

@@ -1,6 +1,8 @@
 """Property-based checks: constant folding and substitution preserve meaning,
 wp of an assignment agrees with operational substitution, printing is
-parse-stable, and enumeration visits minimums first."""
+parse-stable, enumeration visits minimums first, the search finds the
+first falsifier of enumeration, and delayed substitution reads exactly as
+eager substitution."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -289,3 +291,139 @@ def test_search_finds_the_first_falsifier_of_enumeration(formula):
     else:
         assert verdict.status == FAILED
         assert verdict.counterexample == naive
+
+
+# -- delayed substitution against eager substitution -------------------------------
+# F.subst and F.unify_old build Let nodes. Every consumer must read a Let as
+# the tree that eager, copying substitution would have built, so each step
+# below is applied both ways and the results are compared through the
+# public consumers.
+
+LET_INTS = {name: F.Sym(name, T_INT) for name in ("x", "y", "z")}
+LET_BOOL = F.Sym("b", T_BOOL)
+LET_DOMAINS = Domains((-2, 2), ())
+
+
+def _eager(f: F.Formula, leaf) -> F.Formula:
+    """Copy f with every leaf replaced by leaf(leaf node), as substitution
+    worked before it was delayed."""
+    if isinstance(f, (F.Sym, F.OldSym, F.Lit)):
+        return leaf(f)
+    if isinstance(f, F.Not):
+        return F.Not(_eager(f.operand, leaf))
+    if isinstance(f, F.And):
+        return F.And(tuple(_eager(c, leaf) for c in f.items))
+    if isinstance(f, F.Or):
+        return F.Or(tuple(_eager(c, leaf) for c in f.items))
+    if isinstance(f, F.Implies):
+        return F.Implies(_eager(f.left, leaf), _eager(f.right, leaf))
+    if isinstance(f, F.Cmp):
+        return F.Cmp(f.op, _eager(f.left, leaf), _eager(f.right, leaf))
+    if isinstance(f, F.Arith):
+        return F.Arith(f.op, _eager(f.left, leaf), _eager(f.right, leaf))
+    if isinstance(f, F.HasF):
+        return F.HasF(_eager(f.set_expr, leaf), _eager(f.item, leaf))
+    raise AssertionError(f"unexpected node {f!r}")
+
+
+def eager_subst(f: F.Formula, mapping: dict) -> F.Formula:
+    return _eager(f, lambda leaf: mapping.get(leaf.name, leaf) if isinstance(leaf, F.Sym) else leaf)
+
+
+def eager_unify_old(f: F.Formula) -> F.Formula:
+    return _eager(f, lambda leaf: F.Sym(leaf.name, leaf.ty) if isinstance(leaf, F.OldSym) else leaf)
+
+
+LET_INT_LEAVES = st.one_of(
+    st.sampled_from(list(LET_INTS.values())),
+    st.sampled_from([F.OldSym("x", T_INT), F.OldSym("y", T_INT)]),
+    st.integers(-3, 3).map(F.Lit),
+)
+LET_INT_TERMS = st.one_of(
+    LET_INT_LEAVES,
+    st.builds(F.Arith, st.sampled_from(["+", "-", "*"]), LET_INT_LEAVES, LET_INT_LEAVES),
+)
+LET_ATOMS = st.one_of(
+    st.builds(F.Cmp, st.sampled_from(["=", "/=", "<", "<=", ">", ">="]), LET_INT_TERMS, LET_INT_TERMS),
+    st.sampled_from([LET_BOOL, F.OldSym("b", T_BOOL), F.TRUE, F.FALSE]),
+)
+LET_FORMULAS = st.recursive(
+    LET_ATOMS,
+    lambda sub: st.one_of(
+        st.builds(F.Not, sub),
+        st.lists(sub, min_size=2, max_size=3).map(lambda items: F.And(tuple(items))),
+        st.lists(sub, min_size=2, max_size=3).map(lambda items: F.Or(tuple(items))),
+        st.builds(F.Implies, sub, sub),
+    ),
+    max_leaves=6,
+)
+# a mapping hits literals, symbols and compound terms, and names that an
+# earlier step already bound; its values may mention the names it binds
+LET_MAPPINGS = st.dictionaries(
+    st.sampled_from(["x", "y", "z", "b"]), st.just(None), min_size=1, max_size=3
+).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {k: (LET_ATOMS if k == "b" else LET_INT_TERMS) for k in keys}
+    )
+)
+LET_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("subst"), LET_MAPPINGS),
+        # wp of an if: both branches share the post
+        st.tuples(st.just("branch"), LET_ATOMS, LET_MAPPINGS),
+        # wp of a check
+        st.tuples(st.just("check"), LET_ATOMS),
+    ),
+    min_size=1,
+    max_size=5,
+)
+LET_ENVS = st.fixed_dictionaries(
+    {"x": st.integers(-3, 3), "y": st.integers(-3, 3), "z": st.integers(-3, 3), "b": st.booleans()}
+)
+
+
+def _step(f, step, subst):
+    if step[0] == "subst":
+        return subst(f, step[1])
+    if step[0] == "branch":
+        _, cond, mapping = step
+        return F.conj(F.implies(cond, subst(f, mapping)), F.implies(F.neg(cond), f))
+    return F.conj(step[1], f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    formula=LET_FORMULAS,
+    steps=LET_STEPS,
+    partial=st.dictionaries(st.sampled_from(["x", "y", "b"]), st.integers(-2, 2)),
+    envs=st.lists(LET_ENVS, min_size=1, max_size=3),
+)
+def test_delayed_substitution_reads_as_eager_substitution(formula, steps, partial, envs):
+    lazy, eager = formula, formula
+    for step in steps:
+        lazy, eager = _step(lazy, step, F.subst), _step(eager, step, eager_subst)
+        assert F.free_syms(lazy) == F.free_syms(eager)
+        assert F.old_syms(lazy) == F.old_syms(eager)
+        assert F.to_text(lazy) == F.to_text(eager)
+    lazy, eager = F.unify_old(lazy), eager_unify_old(eager)
+
+    assert F.free_syms(lazy) == F.free_syms(eager)
+    assert F.old_syms(lazy) == F.old_syms(eager) == {}
+    assert F.to_text(lazy) == F.to_text(eager)
+    assert F.fold(lazy) == F.fold(eager)
+    binding = {name: (value > 0 if name == "b" else value) for name, value in partial.items()}
+    assert F.specialize(lazy, binding) == F.specialize(eager, binding)
+    for env in envs:
+        assert F.evaluate(lazy, env) == F.evaluate(eager, env)
+
+    def obligation(f):
+        return Obligation(
+            id="T.f.postcondition.0",
+            kind="Postcondition",
+            class_name="T",
+            feature_name="f",
+            formula=f,
+            provenance="c",
+        )
+
+    assert discharge(obligation(lazy), LET_DOMAINS) == discharge(obligation(eager), LET_DOMAINS)

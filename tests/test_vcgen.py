@@ -253,3 +253,70 @@ def test_one_postcondition_obligation_per_ensure_clause(
         if o.feature_name == feature and o.kind == POSTCONDITION
     ]
     assert len(posts) == expected
+
+
+def _if_chain_creator(n: int) -> str:
+    """A class whose creator runs n sequential `if` statements over three
+    attributes. Its ensure clauses state the values the body ends with,
+    but for y, which is off by one."""
+    import operator
+
+    ops = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge, "=": operator.eq, "/=": operator.ne}
+    state = {"x": 0, "y": 0, "z": 0}
+    lines = []
+    for k in range(n):
+        op, c = list(ops)[k % len(ops)], k % 4
+        lines += [
+            f"      if x {op} y + {c} then",
+            f"        x := x + {1 + k % 3}",
+            "        z := z + 1",
+            "      else",
+            f"        y := y - {1 + k % 2}",
+            "        z := z - 1",
+            "      end",
+        ]
+        if ops[op](state["x"], state["y"] + c):
+            state["x"] += 1 + k % 3
+            state["z"] += 1
+        else:
+            state["y"] -= 1 + k % 2
+            state["z"] -= 1
+    return (
+        "class CHAIN\ncreate make\nfeature\n  x : INTEGER\n  y : INTEGER\n  z : INTEGER\n"
+        "  make\n    do\n" + "\n".join(lines) + "\n    ensure\n"
+        f"      x_final: x = {state['x']}\n"
+        f"      y_off_by_one: y = {state['y'] + 1}\n"
+        f"      z_final: z = {state['z']}\n"
+        "    end\n"
+        f"invariant\n  spread: x - y >= {state['x'] - state['y']}\nend\n"
+    )
+
+
+def test_if_chain_obligations_stay_linear_in_size():
+    """Each post is shared by both branches of an `if`, so 40 sequential
+    `if`s (an expanded tree of about 2^40 leaves) give formulas whose
+    distinct nodes grow linearly. No formula here is printed: its text is
+    exponential."""
+    from miniproof.discharge import DISCHARGED, FAILED, verify_program
+
+    n = 40
+    checked = analyze(parse(_if_chain_creator(n)))
+    obligations = generate_obligations(checked, VerifyOptions())
+    seen: set[int] = set()
+    stack = [o.formula for o in obligations]
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            stack.extend(F.children(f))
+    assert len(seen) <= 100 * n
+
+    report = verify_program(checked, VerifyOptions())
+    verdicts = {row.id: (row.verdict.status, row.verdict.counterexample) for row in report.rows}
+    assert verdicts == {
+        "CHAIN.make.postcondition.0": (DISCHARGED, None),
+        "CHAIN.make.postcondition.1": (FAILED, {}),
+        "CHAIN.make.postcondition.2": (DISCHARGED, None),
+        "CHAIN.make.invariant_maintenance.0": (DISCHARGED, None),
+    }
