@@ -10,8 +10,8 @@ corpus   list the built-in programs or export one for modification
 Exit status: 0 = everything discharged / scenario ok / counterexample
 reproduced; 1 = at least one Failed verdict or violated expectation;
 2 = at least one Error verdict (or a counterexample that cannot be
-materialized); 3 = usage, parse, or semantic error.  Diagnostics go to
-stderr, reports to stdout.
+materialized or whose replay cannot finish); 3 = usage, parse, or
+semantic error.  Diagnostics go to stderr, reports to stdout.
 """
 
 from __future__ import annotations

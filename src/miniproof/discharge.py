@@ -142,32 +142,7 @@ def discharge(obligation: Obligation, domains: Domains) -> Verdict:
 
 def _search(f: F.Formula, domains: Domains) -> Verdict:
     syms = F.free_syms(f)
-    bound: dict[str, F.Value] = {}
-
-    def walk(g: F.Formula) -> dict | None:
-        if g == F.TRUE:
-            return None
-        if g == F.FALSE:
-            return dict(bound)
-        live = F.free_syms(g)
-        if not live:
-            raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
-        name = next(iter(live))
-        values, index = _domain(live[name], domains)
-        pin = _pinned_literal(g, name)
-        if pin is not _UNPINNED:
-            values = (index[pin],) if pin in index else ()
-        elif len(live) <= COMPILE_AT:
-            return _scan(g, live, domains, bound)
-        for v in values:
-            bound[name] = v
-            hit = walk(F.specialize(g, {name: v}))
-            if hit is not None:
-                return hit
-        bound.pop(name, None)
-        return None
-
-    hit = walk(F.fold(f))
+    hit = _walk(F.fold(f), domains, {})
     if hit is None:
         return Verdict(DISCHARGED)
     counterexample = {
@@ -175,6 +150,35 @@ def _search(f: F.Formula, domains: Domains) -> Verdict:
         for name, ty in syms.items()
     }
     return Verdict(FAILED, counterexample=counterexample)
+
+
+def _walk(g: F.Formula, domains: Domains, bound: dict[str, F.Value]) -> dict | None:
+    """The first falsifying assignment below the folded residual g, merged
+    into the symbols already bound, or None when g holds on its subtree.
+    A module function rather than a closure: a recursive closure is a
+    reference cycle, which would keep the domains alive until the cyclic
+    garbage collector runs."""
+    if g == F.TRUE:
+        return None
+    if g == F.FALSE:
+        return dict(bound)
+    live = F.free_syms(g)
+    if not live:
+        raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
+    name = next(iter(live))
+    values, index = _domain(live[name], domains)
+    pin = _pinned_literal(g, name)
+    if pin is not _UNPINNED:
+        values = (index[pin],) if pin in index else ()
+    elif len(live) <= COMPILE_AT:
+        return _scan(g, live, domains, bound)
+    for v in values:
+        bound[name] = v
+        hit = _walk(F.specialize(g, {name: v}), domains, bound)
+        if hit is not None:
+            return hit
+    bound.pop(name, None)
+    return None
 
 
 _UNPINNED = object()

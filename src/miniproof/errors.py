@@ -58,7 +58,8 @@ class VoidCall(VoidDereference):
 
 
 class StepBudgetExceeded(Exception):
-    """The body executed more statements than the step budget allows."""
+    """The body executed more statements than the step budget allows, or
+    calls nested deeper than the interpreter's call-depth limit."""
 
 
 class UnsupportedInContract(Exception):
@@ -68,7 +69,8 @@ class UnsupportedInContract(Exception):
 
 class ReplayImpossible(Exception):
     """The counterexample describes an object state that cannot be
-    materialized (for example attribute values under a Void reference)."""
+    materialized (for example attribute values under a Void reference),
+    or the replayed run stopped before it could reach the violation."""
 
 
 class UnknownCorpusEntry(KeyError):

@@ -22,6 +22,7 @@ program. Every consumer reads a ``Let`` as the formula it stands for:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -133,6 +134,20 @@ class Let(Formula):
 
 TRUE = Lit(True)
 FALSE = Lit(False)
+
+# the meaning of every comparison and arithmetic operator, for formulas
+# and for the runtime monitor alike
+OPS = {
+    "=": operator.eq,
+    "/=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+}
 
 
 # -- smart constructors -------------------------------------------------------
@@ -314,28 +329,6 @@ def expand(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
     return _rebuild(f, [expand(c, env) for c in children(f)])
 
 
-def _apply_cmp(op: str, a: Value, b: Value) -> bool:
-    if op == "=":
-        return a == b
-    if op == "/=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
-
-
-def _apply_arith(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    return a * b
-
-
 def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
     """Bottom-up constant folding of the formula f stands for, with the
     leaf keys in env bound to folded formulas. Conjunctions, disjunctions
@@ -372,22 +365,14 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
                 f = f.right
                 continue
             return implies(left, fold(f.right, env))
-        if isinstance(f, Cmp):
+        if isinstance(f, (Cmp, Arith)):
             left, right = fold(f.left, env), fold(f.right, env)
             if isinstance(left, Lit) and isinstance(right, Lit):
-                return Lit(_apply_cmp(f.op, left.value, right.value))
-            if left == right:
+                return Lit(OPS[f.op](left.value, right.value))
+            if isinstance(f, Cmp) and left == right:
                 # reflexivity: values are total, x = x regardless of binding
-                if f.op in ("=", "<=", ">="):
-                    return TRUE
-                if f.op in ("/=", "<", ">"):
-                    return FALSE
-            return Cmp(f.op, left, right)
-        if isinstance(f, Arith):
-            left, right = fold(f.left, env), fold(f.right, env)
-            if isinstance(left, Lit) and isinstance(right, Lit):
-                return Lit(_apply_arith(f.op, left.value, right.value))
-            return Arith(f.op, left, right)
+                return TRUE if f.op in ("=", "<=", ">=") else FALSE
+            return type(f)(f.op, left, right)
         if isinstance(f, HasF):
             s, item = fold(f.set_expr, env), fold(f.item, env)
             if isinstance(s, Lit) and isinstance(item, Lit):
@@ -421,10 +406,8 @@ def evaluate(f: Formula, env: dict[str, Value]) -> Value:
         return any(evaluate(c, env) for c in f.items)
     if isinstance(f, Implies):
         return (not evaluate(f.left, env)) or bool(evaluate(f.right, env))
-    if isinstance(f, Cmp):
-        return _apply_cmp(f.op, evaluate(f.left, env), evaluate(f.right, env))
-    if isinstance(f, Arith):
-        return _apply_arith(f.op, evaluate(f.left, env), evaluate(f.right, env))
+    if isinstance(f, (Cmp, Arith)):
+        return OPS[f.op](evaluate(f.left, env), evaluate(f.right, env))
     if isinstance(f, HasF):
         item = evaluate(f.item, env)
         return item is not None and item in evaluate(f.set_expr, env)

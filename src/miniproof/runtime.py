@@ -5,6 +5,13 @@ in declaration order on entry, entry snapshots of every `old` operand
 and every model query, a step budget over the body, then postconditions,
 the frame condition, and the class invariant on exit. The invariant is
 checked after creation and after every call, including nested ones.
+Calls nest at most MAX_CALL_DEPTH deep.
+
+One evaluator, ``eval_expr``, serves contracts and bodies, with the
+operator meanings of ``formula.OPS``. Body expressions pass the overflow
+bounds when overflow monitoring is on, so every arithmetic result in an
+assignment value, `if` condition or call argument is bounds-checked;
+contract clauses and `check` instructions pass none.
 
 Replay turns a discharge counterexample back into a concrete execution:
 it materializes the described entry state, invokes the owning feature
@@ -22,6 +29,7 @@ from typing import Mapping
 from . import ast
 from . import formula as F
 from .analyzer import CheckedProgram, ClassInfo
+from .discharge import encode_value
 from .errors import (
     ContractViolation,
     ParseError,
@@ -47,6 +55,10 @@ from .vcgen import (
 )
 
 DEFAULT_STEP_BUDGET = 10_000
+# nested calls deeper than this stop the run like an exhausted step budget;
+# each level costs a few Python frames, so the budget alone would let a
+# self-creating class reach Python's recursion limit first
+MAX_CALL_DEPTH = 100
 
 
 class RuntimeObject:
@@ -71,15 +83,47 @@ def blank_object(info: ClassInfo) -> RuntimeObject:
 # -- expression evaluation ------------------------------------------------------
 
 
-def eval_expr(expr: ast.Expr, env: Mapping, old_env: Mapping | None = None):
+class _Overflow(Exception):
+    """An arithmetic result outside the monitored bounds; node is the
+    innermost arithmetic expression that left them."""
+
+    def __init__(self, node: ast.Binary):
+        self.node = node
+
+
+def eval_expr(
+    expr: ast.Expr,
+    env: Mapping,
+    old_env: Mapping | None = None,
+    bounds: tuple[int, int] | None = None,
+):
     """Strict evaluation of a contract or body expression. env maps
     parameter and attribute names to values; old_env maps the source
-    text of each `old` operand to its entry snapshot."""
-    if isinstance(expr, ast.IntLit):
-        return expr.value
-    if isinstance(expr, ast.BoolLit):
-        return expr.value
-    if isinstance(expr, ast.StrLit):
+    text of each `old` operand to its entry snapshot. With bounds
+    (lo, hi), every arithmetic result outside them raises _Overflow:
+    the dynamic mirror of Overflow obligations."""
+    if isinstance(expr, ast.Binary):
+        op = expr.op
+        if op == "and":
+            return eval_expr(expr.left, env, old_env, bounds) and eval_expr(
+                expr.right, env, old_env, bounds
+            )
+        if op == "or":
+            return eval_expr(expr.left, env, old_env, bounds) or eval_expr(
+                expr.right, env, old_env, bounds
+            )
+        if op == "implies":
+            return (not eval_expr(expr.left, env, old_env, bounds)) or bool(
+                eval_expr(expr.right, env, old_env, bounds)
+            )
+        value = F.OPS[op](
+            eval_expr(expr.left, env, old_env, bounds),
+            eval_expr(expr.right, env, old_env, bounds),
+        )
+        if bounds is not None and op in ast.ARITH_OPS and not bounds[0] <= value <= bounds[1]:
+            raise _Overflow(expr)
+        return value
+    if isinstance(expr, (ast.IntLit, ast.BoolLit, ast.StrLit)):
         return expr.value
     if isinstance(expr, ast.VoidLit):
         return None
@@ -97,39 +141,11 @@ def eval_expr(expr: ast.Expr, env: Mapping, old_env: Mapping | None = None):
             raise ValueError("old outside a postcondition context")
         return old_env[expr_text(expr.expr)]
     if isinstance(expr, ast.Unary):
-        return not eval_expr(expr.expr, env, old_env)
+        return not eval_expr(expr.expr, env, old_env, bounds)
     if isinstance(expr, ast.Has):
-        item = eval_expr(expr.item, env, old_env)
-        collection = eval_expr(expr.receiver, env, old_env)
+        item = eval_expr(expr.item, env, old_env, bounds)
+        collection = eval_expr(expr.receiver, env, old_env, bounds)
         return item is not None and item in collection
-    if isinstance(expr, ast.Binary):
-        if expr.op == "and":
-            return eval_expr(expr.left, env, old_env) and eval_expr(expr.right, env, old_env)
-        if expr.op == "or":
-            return eval_expr(expr.left, env, old_env) or eval_expr(expr.right, env, old_env)
-        if expr.op == "implies":
-            return (not eval_expr(expr.left, env, old_env)) or bool(
-                eval_expr(expr.right, env, old_env)
-            )
-        left = eval_expr(expr.left, env, old_env)
-        right = eval_expr(expr.right, env, old_env)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "=":
-            return left == right
-        if expr.op == "/=":
-            return left != right
-        if expr.op == "<":
-            return left < right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">":
-            return left > right
-        return left >= right
     if isinstance(expr, ast.CreateExpr):
         raise UnsupportedInContract(f"creation expression create {expr.class_name}")
     raise TypeError(f"unexpected expression {expr!r}")
@@ -148,6 +164,7 @@ class Interpreter:
         self.checked = checked
         self.options = options or VerifyOptions()
         self.step_budget = step_budget
+        self._bounds = self.options.overflow_bounds if self.options.check_overflow else None
         self._steps_left = 0
         self._frames: list[tuple[str, str]] = []  # (class, feature) call stack
 
@@ -170,6 +187,8 @@ class Interpreter:
     # monitored invocation (shared by top-level and nested calls)
 
     def _invoke(self, obj: RuntimeObject, feat: ast.Feature, args: list):
+        if len(self._frames) == MAX_CALL_DEPTH:
+            raise StepBudgetExceeded(f"call depth limit of {MAX_CALL_DEPTH} nested calls exceeded")
         info = self.checked.info(obj.class_name)
         params = {p.name: v for p, v in zip(feat.params, args)}
         env = ChainMap(params, obj.fields)
@@ -193,6 +212,9 @@ class Interpreter:
         self._frames.append((info.name, feat.name))
         try:
             self._exec_block(obj, env, feat.body)
+        except _Overflow as exc:
+            # only body expressions are bounds-checked; contracts are not
+            raise violation("overflow", expr_text(exc.node)) from None
         finally:
             self._frames.pop()
 
@@ -227,9 +249,9 @@ class Interpreter:
             )
         self._steps_left -= 1
         if isinstance(s, ast.Assign):
-            obj.fields[s.target] = self._eval_body(s.value, env)
+            obj.fields[s.target] = eval_expr(s.value, env, None, self._bounds)
         elif isinstance(s, ast.QualifiedAssign):
-            value = self._eval_body(s.value, env)
+            value = eval_expr(s.value, env, None, self._bounds)
             receiver = env[s.receiver]
             if receiver is None:
                 raise VoidDereference(f"{s.receiver}.{s.attr}")
@@ -244,11 +266,11 @@ class Interpreter:
             receiver = env[s.receiver]
             if receiver is None:
                 raise VoidCall(f"{s.receiver}.{s.feature}")
-            arg_values = [self._eval_body(a, env) for a in s.args]
+            arg_values = [eval_expr(a, env, None, self._bounds) for a in s.args]
             callee_info = self.checked.info(receiver.class_name)
             self._invoke(receiver, callee_info.routines[s.feature], arg_values)
         elif isinstance(s, ast.IfStmt):
-            if self._eval_body(s.cond, env):
+            if eval_expr(s.cond, env, None, self._bounds):
                 self._exec_block(obj, env, s.then_branch)
             else:
                 self._exec_block(obj, env, s.else_branch)
@@ -258,56 +280,6 @@ class Interpreter:
                 raise ContractViolation("check", s.label, cls, feat, dict(env))
         else:
             raise TypeError(f"unexpected statement {s!r}")
-
-    def _eval_body(self, expr: ast.Expr, env):
-        """Body expressions evaluate like contract expressions, except
-        that each arithmetic result is bounds-checked when overflow
-        monitoring is on - the dynamic mirror of Overflow obligations."""
-        if isinstance(expr, ast.Binary) and expr.op in ast.ARITH_OPS:
-            left = self._eval_body(expr.left, env)
-            right = self._eval_body(expr.right, env)
-            if expr.op == "+":
-                value = left + right
-            elif expr.op == "-":
-                value = left - right
-            else:
-                value = left * right
-            if self.options.check_overflow:
-                lo, hi = self.options.overflow_bounds
-                if not lo <= value <= hi:
-                    cls, feat = self._frames[-1]
-                    raise ContractViolation("overflow", expr_text(expr), cls, feat, dict(env))
-            return value
-        if isinstance(expr, ast.Binary):
-            # rebuild on children so nested arithmetic stays monitored
-            if expr.op == "and":
-                return self._eval_body(expr.left, env) and self._eval_body(expr.right, env)
-            if expr.op == "or":
-                return self._eval_body(expr.left, env) or self._eval_body(expr.right, env)
-            if expr.op == "implies":
-                return (not self._eval_body(expr.left, env)) or bool(
-                    self._eval_body(expr.right, env)
-                )
-            left = self._eval_body(expr.left, env)
-            right = self._eval_body(expr.right, env)
-            if expr.op == "=":
-                return left == right
-            if expr.op == "/=":
-                return left != right
-            if expr.op == "<":
-                return left < right
-            if expr.op == "<=":
-                return left <= right
-            if expr.op == ">":
-                return left > right
-            return left >= right
-        if isinstance(expr, ast.Has):
-            item = self._eval_body(expr.item, env)
-            collection = self._eval_body(expr.receiver, env)
-            return item is not None and item in collection
-        if isinstance(expr, ast.Unary):
-            return not self._eval_body(expr.expr, env)
-        return eval_expr(expr, env)
 
 
 # -- scenarios ------------------------------------------------------------------
@@ -326,23 +298,13 @@ class Command:
     def text(self) -> str:
         if self.kind == "create":
             return f"create {self.var} : {self.target}"
-        rendered = ", ".join(_literal_text(a) for a in self.args)
+        rendered = ", ".join(F.value_text(a) for a in self.args)
         return f"call {self.var}.{self.target}({rendered})"
 
 
 @dataclass
 class Scenario:
     commands: list[Command]
-
-
-def _literal_text(v) -> str:
-    if v is None:
-        return "Void"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return f'"{v}"'
-    return str(v)
 
 
 def _parse_literal(token: str, line_no: int):
@@ -457,14 +419,6 @@ def run_scenario(
     return Trace(steps, objects, ok)
 
 
-def snapshot_value(v):
-    if isinstance(v, RuntimeObject):
-        return {"ref": v.class_name}
-    if isinstance(v, frozenset):
-        return sorted(v)
-    return v
-
-
 def trace_text(trace: Trace) -> str:
     lines = []
     for step in trace.steps:
@@ -498,7 +452,7 @@ def trace_payload(trace: Trace) -> dict:
             for s in trace.steps
         ],
         "objects": {
-            var: {name: snapshot_value(value) for name, value in obj.fields.items()}
+            var: {name: encode_value(_as_formula_value(value)) for name, value in obj.fields.items()}
             for var, obj in trace.objects.items()
         },
         "ok": trace.ok,
@@ -595,7 +549,9 @@ def replay_counterexample(
 ) -> bool:
     """True iff running the owning feature from the counterexample's
     entry state reproduces the violation the obligation stands for.
-    Discharged obligations have no counterexample: replay is a no-op."""
+    Discharged obligations have no counterexample: replay is a no-op.
+    Raises ReplayImpossible when the run meets a construct the monitor
+    cannot evaluate or exceeds the step budget or call depth."""
     if counterexample is None:
         return False
     obj, args = synthesize_entry_state(checked, obligation, counterexample)
@@ -616,6 +572,9 @@ def replay_counterexample(
         return cv.label == obligation.provenance
     except VoidDereference as exc:
         return obligation.kind == VOID_DEREFERENCE and exc.path == obligation.provenance
+    except (UnsupportedInContract, StepBudgetExceeded) as exc:
+        # the run stopped before it could show or rule out the violation
+        raise ReplayImpossible(f"{type(exc).__name__}: {exc}") from None
     return False
 
 

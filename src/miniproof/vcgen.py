@@ -11,6 +11,11 @@ havoc). Calls and creations are reasoned about modularly: assert the
 callee's precondition, forget what the callee may modify, assume its
 postcondition and invariant.
 
+One function, ``_lower``, lowers every contract and body expression to
+a formula. Only the reading of Name and Qualified leaves varies: the
+feature's own expressions read its paths, and the clauses of a callee
+or of a created object read through the receiver path (``_through``).
+
 Substitution is delayed (``formula.Let``), so the two branches of an
 ``if`` share one postcondition object instead of two copies, and each
 obligation is a DAG whose size grows linearly with the body. Obligations
@@ -20,6 +25,7 @@ keep these DAGs; the public ``wp`` helper returns the expanded tree.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 from . import ast
@@ -47,16 +53,8 @@ ALL_KINDS = (
     UNSUPPORTED,
 )
 
-_ID_TAGS = {
-    POSTCONDITION: "postcondition",
-    INVARIANT_MAINTENANCE: "invariant_maintenance",
-    FRAME: "frame",
-    CALLEE_PRECONDITION: "callee_precondition",
-    OVERFLOW: "overflow",
-    VOID_DEREFERENCE: "void_dereference",
-    CHECK_ASSERTION: "check_assertion",
-    UNSUPPORTED: "unsupported",
-}
+# the tag an obligation id carries for each kind: its snake_case form
+_ID_TAGS = {kind: re.sub(r"(?<!^)(?=[A-Z])", "_", kind).lower() for kind in ALL_KINDS}
 
 UNSUPPORTED_REASON = "creation expression in contract"
 
@@ -109,37 +107,33 @@ class _Creation(Exception):
     """Raised when lowering hits a creation expression."""
 
 
-# -- lowering own-feature expressions ------------------------------------------
+# -- lowering expressions to formulas ------------------------------------------
 
 
-def _lower(e: ast.Expr, in_old: bool = False) -> F.Formula:
-    """Lower an analyzed expression of the feature under verification.
-    Attribute and parameter reads become path symbols; everything under
-    `old` becomes entry-snapshot symbols."""
-    if isinstance(e, ast.IntLit):
-        return F.Lit(e.value)
-    if isinstance(e, ast.BoolLit):
-        return F.Lit(e.value)
-    if isinstance(e, ast.StrLit):
+def _lower(e: ast.Expr, read=None, in_old: bool = False) -> F.Formula:
+    """Lower an analyzed expression. read(leaf, in_old), when given,
+    lowers each Name and Qualified leaf (see ``_through``). Without it,
+    the expression belongs to the feature under verification: its reads
+    become path symbols, and under `old` entry-snapshot symbols."""
+    if isinstance(e, (ast.IntLit, ast.BoolLit, ast.StrLit)):
         return F.Lit(e.value)
     if isinstance(e, ast.VoidLit):
         return F.Lit(None)
     if isinstance(e, ast.SetLit):
         return F.Lit(frozenset(e.items))
-    if isinstance(e, ast.Name):
-        cls = F.OldSym if in_old else F.Sym
-        return cls(e.name, e.ty)
-    if isinstance(e, ast.Qualified):
-        cls = F.OldSym if in_old else F.Sym
-        return cls(f"{e.receiver}.{e.attr}", e.ty)
+    if isinstance(e, (ast.Name, ast.Qualified)):
+        if read is not None:
+            return read(e, in_old)
+        path = e.name if isinstance(e, ast.Name) else f"{e.receiver}.{e.attr}"
+        return (F.OldSym if in_old else F.Sym)(path, e.ty)
     if isinstance(e, ast.Old):
-        return _lower(e.expr, in_old=True)
+        return _lower(e.expr, read, True)
     if isinstance(e, ast.Unary):
-        return F.Not(_lower(e.expr, in_old))
+        return F.Not(_lower(e.expr, read, in_old))
     if isinstance(e, ast.Has):
-        return F.HasF(_lower(e.receiver, in_old), _lower(e.item, in_old))
+        return F.HasF(_lower(e.receiver, read, in_old), _lower(e.item, read, in_old))
     if isinstance(e, ast.Binary):
-        left, right = _lower(e.left, in_old), _lower(e.right, in_old)
+        left, right = _lower(e.left, read, in_old), _lower(e.right, read, in_old)
         if e.op in ast.ARITH_OPS:
             return F.Arith(e.op, left, right)
         if e.op in ast.COMPARISON_OPS:
@@ -154,62 +148,39 @@ def _lower(e: ast.Expr, in_old: bool = False) -> F.Formula:
     raise TypeError(f"unexpected expression {e!r}")
 
 
-def _lower_prefixed(
-    e: ast.Expr,
+def _through(
     prefix: str,
     param_map: dict[str, F.Formula],
     rename_post,
     old_to_default: ClassInfo | None = None,
-    in_old: bool = False,
-) -> F.Formula:
-    """Lower a clause of another class as seen through a receiver path.
+):
+    """The leaf reader for a clause of another class as seen through a
+    receiver path.
 
-    Attribute reads of that class become ``prefix.attr`` symbols, passed
-    through rename_post in the current (post) state; under `old` they
-    are either the pre-call path unrenamed, or - for creators, where the
-    entry state is the default state - default-value literals
-    (old_to_default gives the class to look the defaults up in).
+    Parameters become their lowered arguments (param_map). Attribute
+    reads of that class become ``prefix.attr`` symbols, passed through
+    rename_post in the current (post) state; under `old` they are either
+    the pre-call path unrenamed, or - for creators, where the entry state
+    is the default state - default-value literals (old_to_default gives
+    the class to look the defaults up in).
     """
 
-    def go(e: ast.Expr, in_old: bool) -> F.Formula:
-        if isinstance(e, (ast.IntLit, ast.BoolLit, ast.StrLit, ast.VoidLit, ast.SetLit)):
-            return _lower(e)
+    def read(e: ast.Name | ast.Qualified, in_old: bool) -> F.Formula:
         if isinstance(e, ast.Name):
             if e.name in param_map:
                 return param_map[e.name]
             if in_old and old_to_default is not None:
                 return F.Lit(type_default(old_to_default.attributes[e.name]))
             path = f"{prefix}.{e.name}"
-            return F.Sym(path if in_old else rename_post(path), e.ty)
-        if isinstance(e, ast.Qualified):
-            path = f"{prefix}.{e.receiver}.{e.attr}"
+        else:
             if in_old and old_to_default is not None:
                 # the receiver defaults to Void in a fresh object; its
                 # fields have no defined entry value
                 raise _Creation
-            return F.Sym(path if in_old else rename_post(path), e.ty)
-        if isinstance(e, ast.Old):
-            return go(e.expr, True)
-        if isinstance(e, ast.Unary):
-            return F.Not(go(e.expr, in_old))
-        if isinstance(e, ast.Has):
-            return F.HasF(go(e.receiver, in_old), go(e.item, in_old))
-        if isinstance(e, ast.Binary):
-            left, right = go(e.left, in_old), go(e.right, in_old)
-            if e.op in ast.ARITH_OPS:
-                return F.Arith(e.op, left, right)
-            if e.op in ast.COMPARISON_OPS:
-                return F.Cmp(e.op, left, right)
-            if e.op == "and":
-                return F.And((left, right))
-            if e.op == "or":
-                return F.Or((left, right))
-            return F.Implies(left, right)
-        if isinstance(e, ast.CreateExpr):
-            raise _Creation
-        raise TypeError(f"unexpected expression {e!r}")
+            path = f"{prefix}.{e.receiver}.{e.attr}"
+        return F.Sym(path if in_old else rename_post(path), e.ty)
 
-    return go(e, in_old)
+    return read
 
 
 # -- the weakest-precondition transformer ---------------------------------------
@@ -280,15 +251,13 @@ class _WpEngine:
         for clause in creator.ensure:
             try:
                 assumed.append(
-                    _lower_prefixed(
-                        clause.expr, s.target, {}, rename, old_to_default=target_info
-                    )
+                    _lower(clause.expr, _through(s.target, {}, rename, old_to_default=target_info))
                 )
             except _Creation:
                 pass
         for clause in target_info.decl.invariant:
             try:
-                assumed.append(_lower_prefixed(clause.expr, s.target, {}, rename))
+                assumed.append(_lower(clause.expr, _through(s.target, {}, rename)))
             except _Creation:
                 pass
         out = F.implies(F.conj(*assumed), self._freshen(post, s.target, target_info.attributes, k))
@@ -308,14 +277,12 @@ class _WpEngine:
         assumed: list[F.Formula] = []
         for clause in callee.ensure:
             try:
-                assumed.append(
-                    _lower_prefixed(clause.expr, s.receiver, param_map, rename)
-                )
+                assumed.append(_lower(clause.expr, _through(s.receiver, param_map, rename)))
             except _Creation:
                 pass
         for clause in callee_info.decl.invariant:
             try:
-                assumed.append(_lower_prefixed(clause.expr, s.receiver, {}, rename))
+                assumed.append(_lower(clause.expr, _through(s.receiver, {}, rename)))
             except _Creation:
                 pass
         return F.implies(
@@ -339,15 +306,12 @@ class _WpEngine:
         obligations, then exit-site dereferences from ensure clauses."""
         out: list[tuple[str, str, F.Formula]] = []
         for clause in self.feat.require:
-            out.extend(self._deref_asserts(clause.expr))
+            out.extend(a for _, a in self._deref_asserts(clause.expr))
         body_asserts = self._collect_body(self.feat.body, opts)
         exit_asserts: list[tuple[str, str, F.Formula]] = []
         for clause in self.feat.ensure:
-            for kind, prov, f, under_old in self._ensure_derefs(clause.expr):
-                if under_old:
-                    out.append((kind, prov, f))
-                else:
-                    exit_asserts.append((kind, prov, f))
+            for under_old, a in self._deref_asserts(clause.expr):
+                (out if under_old else exit_asserts).append(a)
         exit_at_entry = [
             (kind, prov, self.wp_all(self.feat.body, f)) for kind, prov, f in exit_asserts
         ]
@@ -363,22 +327,14 @@ class _WpEngine:
             return False
         for clause in self.info.decl.invariant:
             e = clause.expr
-            if (
-                isinstance(e, ast.Binary)
-                and e.op == "/="
-                and isinstance(e.left, ast.Name)
-                and e.left.name == receiver
-                and isinstance(e.right, ast.VoidLit)
-            ):
-                return True
-            if (
-                isinstance(e, ast.Binary)
-                and e.op == "/="
-                and isinstance(e.right, ast.Name)
-                and e.right.name == receiver
-                and isinstance(e.left, ast.VoidLit)
-            ):
-                return True
+            if isinstance(e, ast.Binary) and e.op == "/=":
+                for name, void in ((e.left, e.right), (e.right, e.left)):
+                    if (
+                        isinstance(name, ast.Name)
+                        and name.name == receiver
+                        and isinstance(void, ast.VoidLit)
+                    ):
+                        return True
         return False
 
     def _receiver_not_void(self, receiver: str) -> F.Formula:
@@ -390,49 +346,23 @@ class _WpEngine:
             ty = self.info.attributes[receiver]
         return F.Cmp("/=", F.Sym(receiver, ty), F.Lit(None))
 
-    def _deref_asserts(self, e: ast.Expr) -> list[tuple[str, str, F.Formula]]:
-        """VoidDereference assertions for qualified reads of an
-        expression evaluated in the current state."""
-        out = []
-        for node in ast.walk_expr(e):
-            if isinstance(node, ast.CreateExpr):
-                return []  # clause is Unsupported; no derived obligations
-        for node in ast.walk_expr(e):
-            if isinstance(node, ast.Qualified) and not self._guaranteed_not_void(node.receiver):
-                out.append(
-                    (
-                        VOID_DEREFERENCE,
-                        f"{node.receiver}.{node.attr}",
-                        self._receiver_not_void(node.receiver),
-                    )
-                )
-        return out
-
-    def _ensure_derefs(self, e: ast.Expr) -> list[tuple[str, str, F.Formula, bool]]:
-        """Dereference assertions of an ensure clause; old-wrapped reads
-        evaluate at entry, the rest at exit."""
-        if mentions_creation(e):
+    def _deref_asserts(self, e: ast.Expr) -> list[tuple[bool, tuple[str, str, F.Formula]]]:
+        """VoidDereference assertions for the qualified reads of e, in
+        preorder, each tagged with whether it sits under `old` (evaluated
+        at entry rather than in the current state). None when e holds a
+        creation expression: the clause is Unsupported."""
+        nodes = list(ast.walk_expr(e))
+        if any(isinstance(n, ast.CreateExpr) for n in nodes):
             return []
-        out = []
-
-        def scan(node: ast.Expr, under_old: bool):
-            if isinstance(node, ast.Old):
-                scan(node.expr, True)
-                return
-            if isinstance(node, ast.Qualified) and not self._guaranteed_not_void(node.receiver):
-                out.append(
-                    (
-                        VOID_DEREFERENCE,
-                        f"{node.receiver}.{node.attr}",
-                        self._receiver_not_void(node.receiver),
-                        under_old,
-                    )
-                )
-            for child in ast.expr_children(node):
-                scan(child, under_old)
-
-        scan(e, False)
-        return out
+        old = {id(n) for o in nodes if isinstance(o, ast.Old) for n in ast.walk_expr(o.expr)}
+        return [
+            (
+                id(n) in old,
+                (VOID_DEREFERENCE, f"{n.receiver}.{n.attr}", self._receiver_not_void(n.receiver)),
+            )
+            for n in nodes
+            if isinstance(n, ast.Qualified) and not self._guaranteed_not_void(n.receiver)
+        ]
 
     def _collect_body(
         self, stmts: list[ast.Statement], opts: VerifyOptions
@@ -452,7 +382,7 @@ class _WpEngine:
 
         def value_asserts(exprs: list[ast.Expr]):
             for e in exprs:
-                out.extend(self._deref_asserts(e))
+                out.extend(a for _, a in self._deref_asserts(e))
                 if opts.check_overflow:
                     out.extend(self._overflow_asserts(e, opts))
 
@@ -488,7 +418,7 @@ class _WpEngine:
                 out.append((kind, prov, F.implies(F.neg(cond), f)))
         elif isinstance(s, ast.CheckStmt):
             if not mentions_creation(s.expr):
-                out.extend(self._deref_asserts(s.expr))
+                out.extend(a for _, a in self._deref_asserts(s.expr))
                 out.append((CHECK_ASSERTION, s.label, _lower(s.expr)))
         return out
 
@@ -499,7 +429,7 @@ class _WpEngine:
         out = []
         for clause in callee.require:
             try:
-                f = _lower_prefixed(clause.expr, s.receiver, param_map, lambda p: p)
+                f = _lower(clause.expr, _through(s.receiver, param_map, lambda p: p))
             except _Creation:
                 continue  # flagged Unsupported where the clause lives
             out.append((CALLEE_PRECONDITION, clause.label, f))
@@ -623,7 +553,7 @@ class _FeatureObligations:
             for clause in ref_info.decl.invariant:
                 if mentions_creation(clause.expr):
                     continue
-                lifted = _lower_prefixed(clause.expr, r, {}, lambda p: p)
+                lifted = _lower(clause.expr, _through(r, {}, lambda p: p))
                 if set(F.free_syms(lifted)) <= set(scope):
                     out.append(
                         F.disj(F.Cmp("=", F.Sym(r, ty), F.Lit(None)), lifted)

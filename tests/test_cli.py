@@ -374,6 +374,98 @@ def test_replay_impossible_counterexample_exits_two(capsys, tmp_path, noguard_re
     assert "replay impossible" in err
 
 
+_CREATES_IN_ENSURE = """
+class HELPER
+create make
+feature
+  make
+    do
+    end
+end
+class C
+create make
+feature
+  x : INTEGER
+  helper : HELPER
+  make
+    do
+    end
+  bump
+    do
+      x := x + 1
+    ensure
+      fresh: helper = create HELPER
+      small: x < 3
+    end
+end
+"""
+
+_RECURSES = """
+class C
+create make
+feature
+  x : INTEGER
+  r : C
+  make
+    do
+    end
+  spin
+    do
+      create r
+      r.spin ()
+    ensure
+      one: x = 1
+    end
+end
+"""
+
+
+def _cli_process(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "miniproof.cli", *argv], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "source, obligation_id, cause",
+    [
+        (_CREATES_IN_ENSURE, "C.bump.postcondition.0", "UnsupportedInContract: creation expression create HELPER"),
+        (_RECURSES, "C.spin.postcondition.0", "StepBudgetExceeded: call depth limit of 100"),
+    ],
+    ids=["unsupported_clause_first", "runaway_recursion"],
+)
+def test_replay_that_cannot_finish_exits_two_without_traceback(
+    tmp_path, source, obligation_id, cause
+):
+    program = tmp_path / "c.ccl"
+    program.write_text(source, encoding="utf-8")
+    report = tmp_path / "r.json"
+    verify = _cli_process("verify", str(program), "--format", "json")
+    report.write_text(verify.stdout, encoding="utf-8")
+    (row,) = [r for r in json.loads(verify.stdout)["rows"] if r["id"] == obligation_id]
+    assert row["verdict"] == "Failed"
+    proc = _cli_process("replay", str(program), obligation_id, "--report", str(report))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("miniproof: replay impossible: " + cause)
+    assert proc.stderr.count("\n") == 1
+
+
+def test_run_self_creating_class_stops_at_the_call_depth_limit(tmp_path):
+    program = tmp_path / "node.ccl"
+    program.write_text(
+        "class NODE\ncreate make\nfeature\n  next : NODE\n  make\n    do\n      create next\n    end\nend\n",
+        encoding="utf-8",
+    )
+    scenario = tmp_path / "s.scn"
+    scenario.write_text("create n : NODE\n", encoding="utf-8")
+    proc = _cli_process("run", str(program), str(scenario))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert "error StepBudgetExceeded: call depth limit of 100 nested calls exceeded" in proc.stdout
+    assert proc.stdout.strip().endswith("scenario failed")
+
+
 def test_replay_overflow_with_matching_flags(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,

@@ -2,17 +2,19 @@
 mutants as one-line diffs of their parents, and disk export."""
 
 import difflib
+import hashlib
 import json
 import re
 
 import pytest
 
 from miniproof import analyze, parse
+from miniproof import formula as F
 from miniproof.corpus import export_entry, load_builtin, names, parent_of
 from miniproof.discharge import decode_value, derive_domains
 from miniproof.errors import UnknownCorpusEntry
 from miniproof.runtime import parse_scenario
-from miniproof.vcgen import VerifyOptions
+from miniproof.vcgen import VerifyOptions, generate_obligations
 
 ALL_NAMES = (
     "account",
@@ -101,6 +103,27 @@ def test_manifest_matches_fresh_verification(name, entries, pinned_reports):
             assert row.verdict.counterexample == recorded_cx, row.id
         if row.verdict.status == "Error":
             assert row.verdict.reason == recorded["reason"], row.id
+
+
+# SHA-256 of the JSON list of [id, kind, provenance, formula text] of each
+# entry's obligations at its pinned options. Manifests pin verdicts; these
+# pin the formulas, so a change to lowering or wp that alters a VC shows.
+OBLIGATION_DIGESTS = {
+    "account": "ce84b0a6bcfd9dd4a7cd740a4e7b7686c7361c36e4dac75fe081cd01fc9a01e6",
+    "account_noguard_mutant": "f9483a180b3ee2488b59ce678a007c42ccc3b6596138f9c2b7f18954f5b1abe6",
+    "account_overflow_mutant": "1d13966cbd4e095a09b2edb538d874c61e84f9bec465e97ddb2f5c8878847238",
+    "tokeneer_enrolment": "398d38b45159151aecdc7b9bb662e4f5f4f6b95ffd8463b0c6cea72c5496def6",
+    "tokeneer_noprecond_mutant": "f633a839d805ea1254690e6ce2cd7e993a2be06984c3353b6db9b76e52febda1",
+    "tokeneer_frame_mutant": "44a887d51e727ad4ee56f405265f80004b8ec365e73b7e3a47ab65fa7240bbda",
+    "contract_creation_error": "568c8d73bdfbd0f80d4986bb52bc611ac6b56049e4e523af2437392a7e3771bf",
+}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_obligation_formulas_are_pinned(name, entries, checked_programs):
+    obligations = generate_obligations(checked_programs[name], entries[name].options)
+    text = json.dumps([[o.id, o.kind, o.provenance, F.to_text(o.formula)] for o in obligations])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == OBLIGATION_DIGESTS[name]
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from miniproof.errors import (
     VoidDereference,
 )
 from miniproof.runtime import (
+    MAX_CALL_DEPTH,
     Interpreter,
     eval_expr,
     parse_scenario,
@@ -296,6 +297,112 @@ def test_step_budget_bounds_runaway_recursion():
     obj = interp.create("C")
     with pytest.raises(StepBudgetExceeded):
         interp.call(obj, "spin", [])
+
+
+def test_call_depth_is_limited_at_the_default_budget():
+    source = (
+        "class NODE\n"
+        "create make\n"
+        "feature\n"
+        "  next : NODE\n"
+        "  make\n"
+        "    do\n"
+        "      create next\n"
+        "    end\n"
+        "end\n"
+    )
+    interp = Interpreter(checked_of(source))
+    with pytest.raises(StepBudgetExceeded, match=f"call depth limit of {MAX_CALL_DEPTH}"):
+        interp.create("NODE")
+    assert interp._frames == []
+
+
+REACH = (
+    "class HOLDER\n"
+    "create make\n"
+    "feature\n"
+    "  got : INTEGER\n"
+    "  make\n"
+    "    do\n"
+    "    end\n"
+    "  take (v : INTEGER)\n"
+    "    do\n"
+    "      got := v\n"
+    "    end\n"
+    "end\n"
+    "class C\n"
+    "create make\n"
+    "feature\n"
+    "  a : INTEGER\n"
+    "  b : BOOLEAN\n"
+    "  h : HOLDER\n"
+    "  make\n"
+    "    do\n"
+    "      create h\n"
+    "    end\n"
+    "  set (v : INTEGER)\n"
+    "    do\n"
+    "      a := v\n"
+    "    end\n"
+    "  assign\n"
+    "    do\n"
+    "      a := a * 2 + 1\n"
+    "    end\n"
+    "  assign_through\n"
+    "    do\n"
+    "      h.got := 1 + a * 2\n"
+    "    end\n"
+    "  branch\n"
+    "    do\n"
+    "      if not (a * 2 + 1 > 0) then\n"
+    "        b := true\n"
+    "      end\n"
+    "    end\n"
+    "  pass\n"
+    "    do\n"
+    "      h.take (a + a)\n"
+    "    end\n"
+    "  contracts\n"
+    "    require\n"
+    "      pre: a * 2 > 0\n"
+    "    do\n"
+    "      check inside: a * 2 > 0 end\n"
+    "    ensure\n"
+    "      post: a * 2 = a + a\n"
+    "    end\n"
+    "invariant\n"
+    "  inv: a * a >= 0\n"
+    "end\n"
+)
+
+
+@pytest.mark.parametrize(
+    "feature, label",
+    [
+        ("assign", "a * 2"),
+        ("assign_through", "a * 2"),
+        ("branch", "a * 2"),
+        ("pass", "a + a"),
+    ],
+)
+def test_overflow_monitor_checks_body_arithmetic(feature, label):
+    interp = Interpreter(checked_of(REACH), VerifyOptions(check_overflow=True, overflow_width=8))
+    obj = interp.create("C")
+    interp.call(obj, "set", [100])
+    with pytest.raises(ContractViolation) as exc:
+        interp.call(obj, feature, [])
+    # the innermost node that leaves [-128, 127], in the caller's frame
+    assert (exc.value.kind, exc.value.label) == ("overflow", label)
+    assert (exc.value.class_name, exc.value.feature) == ("C", feature)
+    assert exc.value.environment["a"] == 100
+
+
+def test_overflow_monitor_leaves_contract_arithmetic_unbounded():
+    interp = Interpreter(checked_of(REACH), VerifyOptions(check_overflow=True, overflow_width=8))
+    obj = interp.create("C")
+    # require, check, ensure and the invariant all compute 200 or 10000
+    interp.call(obj, "set", [100])
+    interp.call(obj, "contracts", [])
 
 
 def test_overflow_monitoring_is_opt_in():

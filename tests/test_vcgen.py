@@ -192,6 +192,59 @@ def test_qualified_access_emits_void_dereference_obligations(checked_programs):
     )
 
 
+def test_dereferences_and_callee_clauses_in_the_obligations():
+    source = (
+        "class CELL\n"
+        "create make\n"
+        "feature\n"
+        "  v : INTEGER\n"
+        "  make\n"
+        "    do\n"
+        "    end\n"
+        "  inc\n"
+        "    do\n"
+        "      v := v + 1\n"
+        "    ensure\n"
+        "      up: v = old v + 1\n"
+        "    end\n"
+        "end\n"
+        "class C\n"
+        "create make\n"
+        "feature\n"
+        "  r : CELL\n"
+        "  s : CELL\n"
+        "  make\n"
+        "    do\n"
+        "      create r\n"
+        "    end\n"
+        "  go\n"
+        "    do\n"
+        "      r.inc ()\n"
+        "      s := r\n"
+        "    ensure\n"
+        "      grew: r.v = old r.v + 1\n"
+        "      kept: s.v = old s.v\n"
+        "      made: s.v = 0 or s = create CELL\n"
+        "    end\n"
+        "invariant\n"
+        "  attached: Void /= r\n"
+        "end\n"
+    )
+    obligations = generate_obligations(analyze(parse(source)), VerifyOptions())
+    go = [(o.id, o.provenance, F.to_text(o.formula)) for o in obligations if o.feature_name == "go"]
+    # `Void /= r` guards every read through r; the callee's `old v` is the
+    # pre-call r.v; `old s.v` is dereferenced at entry, `s.v` at exit; an
+    # Unsupported clause dereferences nothing
+    assert go == [
+        ("C.go.postcondition.0", "grew", "Void /= r implies r.v@1 = r.v + 1 implies r.v@1 = r.v + 1"),
+        ("C.go.postcondition.1", "kept", "Void /= r implies r.v@1 = r.v + 1 implies s.v = s.v"),
+        ("C.go.invariant_maintenance.0", "attached", "Void /= r implies r.v@1 = r.v + 1 implies Void /= r"),
+        ("C.go.void_dereference.0", "s.v", "Void /= r implies s /= Void"),
+        ("C.go.void_dereference.1", "s.v", "Void /= r implies r.v@1 = r.v + 1 implies r /= Void"),
+        ("C.go.unsupported.0", "made", "true"),
+    ]
+
+
 def test_check_statement_emits_check_assertion():
     source = (
         "class C\n"
