@@ -41,6 +41,9 @@ class CheckedProgram:
 
     program: ast.Program
     classes: dict[str, ClassInfo]
+    # (class, feature) -> runtime.MonitorPlan, filled lazily by the monitor;
+    # a plan derives from the feature alone, so caching it here is safe
+    monitor_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def info(self, class_name: str) -> ClassInfo:
         return self.classes[class_name]

@@ -17,11 +17,22 @@ Replay turns a discharge counterexample back into a concrete execution:
 it materializes the described entry state, invokes the owning feature
 under monitoring, and reports whether the violation named by the
 obligation fires.
+
+What monitoring needs from a feature's text is computed once per
+analyzed program, in a MonitorPlan built on the feature's first
+monitored call: the distinct `old` operands to snapshot and the text key
+of every `old` node, the label of every arithmetic body node, the
+arithmetic labels each Overflow provenance accepts on replay, and the
+model queries the frame condition compares. A plan depends only on the
+feature, and a CheckedProgram never changes after analysis, so the plan
+is cached on the CheckedProgram and shared by every Interpreter and
+every replay over it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -96,29 +107,32 @@ def eval_expr(
     env: Mapping,
     old_env: Mapping | None = None,
     bounds: tuple[int, int] | None = None,
+    old_keys: Mapping[int, str] | None = None,
 ):
     """Strict evaluation of a contract or body expression. env maps
     parameter and attribute names to values; old_env maps the source
-    text of each `old` operand to its entry snapshot. With bounds
-    (lo, hi), every arithmetic result outside them raises _Overflow:
-    the dynamic mirror of Overflow obligations."""
+    text of each `old` operand to its entry snapshot, and old_keys, when
+    given, maps id() of each `old` node to that text so it need not be
+    rendered again. With bounds (lo, hi), every arithmetic result
+    outside them raises _Overflow: the dynamic mirror of Overflow
+    obligations."""
     if isinstance(expr, ast.Binary):
         op = expr.op
         if op == "and":
-            return eval_expr(expr.left, env, old_env, bounds) and eval_expr(
-                expr.right, env, old_env, bounds
+            return eval_expr(expr.left, env, old_env, bounds, old_keys) and eval_expr(
+                expr.right, env, old_env, bounds, old_keys
             )
         if op == "or":
-            return eval_expr(expr.left, env, old_env, bounds) or eval_expr(
-                expr.right, env, old_env, bounds
+            return eval_expr(expr.left, env, old_env, bounds, old_keys) or eval_expr(
+                expr.right, env, old_env, bounds, old_keys
             )
         if op == "implies":
-            return (not eval_expr(expr.left, env, old_env, bounds)) or bool(
-                eval_expr(expr.right, env, old_env, bounds)
+            return (not eval_expr(expr.left, env, old_env, bounds, old_keys)) or bool(
+                eval_expr(expr.right, env, old_env, bounds, old_keys)
             )
         value = F.OPS[op](
-            eval_expr(expr.left, env, old_env, bounds),
-            eval_expr(expr.right, env, old_env, bounds),
+            eval_expr(expr.left, env, old_env, bounds, old_keys),
+            eval_expr(expr.right, env, old_env, bounds, old_keys),
         )
         if bounds is not None and op in ast.ARITH_OPS and not bounds[0] <= value <= bounds[1]:
             raise _Overflow(expr)
@@ -139,16 +153,89 @@ def eval_expr(
     if isinstance(expr, ast.Old):
         if old_env is None:
             raise ValueError("old outside a postcondition context")
-        return old_env[expr_text(expr.expr)]
+        key = old_keys[id(expr)] if old_keys is not None else expr_text(expr.expr)
+        return old_env[key]
     if isinstance(expr, ast.Unary):
-        return not eval_expr(expr.expr, env, old_env, bounds)
+        return not eval_expr(expr.expr, env, old_env, bounds, old_keys)
     if isinstance(expr, ast.Has):
-        item = eval_expr(expr.item, env, old_env, bounds)
-        collection = eval_expr(expr.receiver, env, old_env, bounds)
+        item = eval_expr(expr.item, env, old_env, bounds, old_keys)
+        collection = eval_expr(expr.receiver, env, old_env, bounds, old_keys)
         return item is not None and item in collection
     if isinstance(expr, ast.CreateExpr):
         raise UnsupportedInContract(f"creation expression create {expr.class_name}")
     raise TypeError(f"unexpected expression {expr!r}")
+
+
+# -- monitor plans ----------------------------------------------------------------
+
+
+class MonitorPlan:
+    """What monitoring one feature needs from its text. Node maps are
+    keyed by id(): the plan lives in the CheckedProgram whose AST holds
+    the nodes, so the ids stay valid for the plan's life. A plain class,
+    not a dataclass, because every CLI process pays for defining it."""
+
+    __slots__ = ("olds", "old_keys", "arith_labels", "labels_by_provenance", "frame_queries")
+
+    def __init__(
+        self,
+        olds: tuple[tuple[str, ast.Expr], ...],  # distinct `old` operands, first occurrence first
+        old_keys: dict[int, str],  # every `old` node -> its operand's text
+        arith_labels: dict[int, str],  # every arithmetic body node -> its text
+        labels_by_provenance: dict[str, frozenset[str]],
+        frame_queries: tuple[str, ...],  # model queries the frame condition compares
+    ):
+        self.olds = olds
+        self.old_keys = old_keys
+        self.arith_labels = arith_labels
+        self.labels_by_provenance = labels_by_provenance
+        self.frame_queries = frame_queries
+
+    def overflow_labels(self, provenance: str) -> frozenset[str]:
+        """Texts of the arithmetic node named by an Overflow obligation and
+        of every arithmetic node nested inside it."""
+        return self.labels_by_provenance.get(provenance) or frozenset((provenance,))
+
+
+def monitor_plan(checked: CheckedProgram, class_name: str, feat: ast.Feature) -> MonitorPlan:
+    """The plan of a feature, built on first use and cached on checked."""
+    key = (class_name, feat.name)
+    plan = checked.monitor_plans.get(key)
+    if plan is None:
+        plan = checked.monitor_plans[key] = _build_plan(checked.info(class_name), feat)
+    return plan
+
+
+def _build_plan(info: ClassInfo, feat: ast.Feature) -> MonitorPlan:
+    olds: dict[str, ast.Expr] = {}
+    old_keys: dict[int, str] = {}
+    for clause in feat.ensure:
+        for node in ast.walk_expr(clause.expr):
+            if isinstance(node, ast.Old):
+                key = old_keys[id(node)] = expr_text(node.expr)
+                olds.setdefault(key, node.expr)
+    # an Overflow provenance names the first node with its text, searched
+    # statement by statement, expression by expression, in postorder
+    labels: dict[int, str] = {}
+    by_provenance: dict[str, frozenset[str]] = {}
+    for s in ast.walk_statements(feat.body):
+        for e in ast.statement_exprs(s):
+            for node in _arith_postorder(e):
+                text = labels[id(node)] = expr_text(node)
+                if text not in by_provenance:
+                    by_provenance[text] = frozenset(labels[id(n)] for n in _arith_postorder(node))
+    frame: tuple[str, ...] = ()
+    if feat.modify is not None:
+        allowed = set(feat.modify)
+        frame = tuple(q for q in info.model_queries if q not in allowed)
+    return MonitorPlan(tuple(olds.items()), old_keys, labels, by_provenance, frame)
+
+
+def _violation(
+    kind: str, label: str, info: ClassInfo, feat: ast.Feature, obj: RuntimeObject, params: dict
+) -> ContractViolation:
+    # the keys and values of dict(ChainMap(params, obj.fields)), built directly
+    return ContractViolation(kind, label, info.name, feat.name, {**obj.fields, **params})
 
 
 # -- the monitored interpreter ---------------------------------------------------
@@ -190,51 +277,36 @@ class Interpreter:
         if len(self._frames) == MAX_CALL_DEPTH:
             raise StepBudgetExceeded(f"call depth limit of {MAX_CALL_DEPTH} nested calls exceeded")
         info = self.checked.info(obj.class_name)
+        plan = monitor_plan(self.checked, info.name, feat)
         params = {p.name: v for p, v in zip(feat.params, args)}
         env = ChainMap(params, obj.fields)
 
-        def violation(kind: str, label: str) -> ContractViolation:
-            return ContractViolation(kind, label, info.name, feat.name, dict(env))
-
         for clause in feat.require:
             if not eval_expr(clause.expr, env):
-                raise violation("precondition", clause.label)
+                raise _violation("precondition", clause.label, info, feat, obj, params)
 
-        old_env: dict = {}
-        for clause in feat.ensure:
-            for node in ast.walk_expr(clause.expr):
-                if isinstance(node, ast.Old):
-                    key = expr_text(node.expr)
-                    if key not in old_env:
-                        old_env[key] = eval_expr(node.expr, env)
-        entry_queries = {q: obj.fields[q] for q in info.model_queries}
+        old_env = {key: eval_expr(operand, env) for key, operand in plan.olds}
+        entry_queries = [obj.fields[q] for q in plan.frame_queries]
 
         self._frames.append((info.name, feat.name))
         try:
             self._exec_block(obj, env, feat.body)
         except _Overflow as exc:
             # only body expressions are bounds-checked; contracts are not
-            raise violation("overflow", expr_text(exc.node)) from None
+            label = plan.arith_labels[id(exc.node)]
+            raise _violation("overflow", label, info, feat, obj, params) from None
         finally:
             self._frames.pop()
 
         for clause in feat.ensure:
-            if not eval_expr(clause.expr, env, old_env):
-                raise violation("postcondition", clause.label)
-        if feat.modify is not None:
-            allowed = set(feat.modify)
-            for q in info.model_queries:
-                if q not in allowed and obj.fields[q] != entry_queries[q]:
-                    raise violation("frame", q)
-        self._check_invariant(obj, env, feat)
-
-    def _check_invariant(self, obj: RuntimeObject, env, feat: ast.Feature):
-        info = self.checked.info(obj.class_name)
+            if not eval_expr(clause.expr, env, old_env, None, plan.old_keys):
+                raise _violation("postcondition", clause.label, info, feat, obj, params)
+        for q, before in zip(plan.frame_queries, entry_queries):
+            if obj.fields[q] != before:
+                raise _violation("frame", q, info, feat, obj, params)
         for clause in info.decl.invariant:
             if not eval_expr(clause.expr, env):
-                raise ContractViolation(
-                    "invariant", clause.label, info.name, feat.name, dict(env)
-                )
+                raise _violation("invariant", clause.label, info, feat, obj, params)
 
     # body execution
 
@@ -285,7 +357,7 @@ class Interpreter:
 # -- scenarios ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Command:
     kind: str  # "create" | "call"
     var: str
@@ -335,7 +407,8 @@ def parse_scenario(text: str) -> Scenario:
             var, sep, class_name = rest.partition(":")
             if not sep or not var.strip() or not class_name.strip():
                 raise ParseError("expected: create <var> : <class>", line_no, 1)
-            commands.append(Command("create", var.strip(), class_name.strip(), line=line_no))
+            var, class_name = sys.intern(var.strip()), sys.intern(class_name.strip())
+            commands.append(Command("create", var, class_name, line=line_no))
         elif head == "call":
             target, paren, arg_text = rest.partition("(")
             if not paren or not arg_text.endswith(")"):
@@ -347,6 +420,7 @@ def parse_scenario(text: str) -> Scenario:
             args = (
                 [_parse_literal(t, line_no) for t in arg_text.split(",")] if arg_text else []
             )
+            var, feature = sys.intern(var), sys.intern(feature)
             commands.append(Command("call", var, feature, args, line=line_no))
         elif head == "expect_violation":
             if not commands or commands[-1].expect is not None:
@@ -382,6 +456,49 @@ class Trace:
         return dict(self.objects[var].fields)
 
 
+def _check_command(checked: CheckedProgram, cmd: Command, objects: dict) -> None:
+    """Raise ParseError at the command's line when it names an unknown
+    variable, class or feature, or passes arguments that do not fit the
+    feature's parameters."""
+    if cmd.kind == "create":
+        if cmd.target not in checked.classes:
+            raise ParseError(f"unknown class {cmd.target}", cmd.line, 1)
+        return
+    obj = objects.get(cmd.var)
+    if obj is None:
+        raise ParseError(f"unknown scenario variable {cmd.var}", cmd.line, 1)
+    info = checked.info(obj.class_name)
+    feat = info.routines.get(cmd.target)
+    if feat is None:
+        raise ParseError(f"unknown feature {info.name}.{cmd.target}", cmd.line, 1)
+    if len(cmd.args) != len(feat.params):
+        raise ParseError(
+            f"{info.name}.{feat.name} takes {len(feat.params)} argument(s), got {len(cmd.args)}",
+            cmd.line,
+            1,
+        )
+    for param, value in zip(feat.params, cmd.args):
+        if not _literal_fits(value, param.ty):
+            raise ParseError(
+                f"argument {param.name} of {info.name}.{feat.name} is {param.ty}, "
+                f"got {F.value_text(value)}",
+                cmd.line,
+                1,
+            )
+
+
+def _literal_fits(value, ty: ast.Type) -> bool:
+    """Whether a scenario literal is a value of a parameter type; the only
+    reference literal is Void."""
+    if ty.kind == ast.INTEGER:
+        return type(value) is int
+    if ty.kind == ast.BOOLEAN:
+        return type(value) is bool
+    if ty.kind == ast.STRING:
+        return value is None or type(value) is str
+    return value is None and ty.kind == ast.REF
+
+
 def run_scenario(
     checked: CheckedProgram,
     scenario: Scenario,
@@ -396,12 +513,11 @@ def run_scenario(
         expected = "ok" if cmd.expect is None or cmd.expect[0] == "ok" else cmd.expect[1]
         violation = None
         outcome = "ok"
+        _check_command(checked, cmd, objects)
         try:
             if cmd.kind == "create":
                 objects[cmd.var] = interp.create(cmd.target)
             else:
-                if cmd.var not in objects:
-                    raise ParseError(f"unknown scenario variable {cmd.var}", cmd.line, 1)
                 interp.call(objects[cmd.var], cmd.target, list(cmd.args))
         except ContractViolation as cv:
             violation = cv
@@ -568,7 +684,8 @@ def replay_counterexample(
         if obligation.kind == OVERFLOW:
             # the monitor reports the innermost node that leaves the
             # bounds, which may be a subexpression of the obligation's
-            return cv.label in _overflow_labels(feat, obligation.provenance)
+            plan = monitor_plan(checked, info.name, feat)
+            return cv.label in plan.overflow_labels(obligation.provenance)
         return cv.label == obligation.provenance
     except VoidDereference as exc:
         return obligation.kind == VOID_DEREFERENCE and exc.path == obligation.provenance
@@ -576,15 +693,3 @@ def replay_counterexample(
         # the run stopped before it could show or rule out the violation
         raise ReplayImpossible(f"{type(exc).__name__}: {exc}") from None
     return False
-
-
-def _overflow_labels(feat: ast.Feature, provenance: str) -> frozenset[str]:
-    """Texts of the arithmetic node named by an Overflow obligation and
-    of every arithmetic node nested inside it."""
-    for s in ast.walk_statements(feat.body):
-        for e in ast.statement_exprs(s):
-            nodes = list(_arith_postorder(e))
-            for node in nodes:
-                if expr_text(node) == provenance:
-                    return frozenset(expr_text(n) for n in _arith_postorder(node))
-    return frozenset((provenance,))

@@ -466,6 +466,28 @@ def test_run_self_creating_class_stops_at_the_call_depth_limit(tmp_path):
     assert proc.stdout.strip().endswith("scenario failed")
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("call a.nope()", "2:1: unknown feature ACCOUNT.nope"),
+        ("create b : NOPE", "2:1: unknown class NOPE"),
+        ("call a.deposit()", "2:1: ACCOUNT.deposit takes 1 argument(s), got 0"),
+        ('call a.deposit("x")', 'argument amount of ACCOUNT.deposit is INTEGER, got "x"'),
+        ("call a.deposit(1, 2)", "2:1: ACCOUNT.deposit takes 1 argument(s), got 2"),
+    ],
+    ids=["unknown_feature", "unknown_class", "missing_argument", "wrong_type", "extra_argument"],
+)
+def test_run_bad_scenario_command_exits_three_without_traceback(tmp_path, command, message):
+    scenario = tmp_path / "bad.scn"
+    scenario.write_text(f"create a : ACCOUNT\n{command}\n", encoding="utf-8")
+    proc = _cli_process("run", "corpus:account", str(scenario))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("miniproof: 2:1: ")
+    assert message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_replay_overflow_with_matching_flags(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,

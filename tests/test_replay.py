@@ -4,8 +4,8 @@ states are reported rather than silently skipped."""
 
 import pytest
 
-from miniproof.errors import ReplayImpossible
-from miniproof.runtime import replay_counterexample, synthesize_entry_state
+from miniproof.errors import ContractViolation, ReplayImpossible
+from miniproof.runtime import Interpreter, replay_counterexample, synthesize_entry_state
 from miniproof.vcgen import VerifyOptions, generate_obligations
 
 
@@ -167,3 +167,23 @@ def test_replay_with_wrong_environment_returns_false(checked_programs, entries):
         replay_counterexample(checked, obligation, {"amount": 5, "balance": 0}, opts)
         is False
     )
+
+
+def test_overflow_replay_accepts_the_inner_node_the_monitor_reports(checked_programs, entries):
+    checked = checked_programs["account_overflow_mutant"]
+    opts = entries["account_overflow_mutant"].options  # width 8
+    cx = {"amount": 100, "balance": 100}  # balance + amount is already 200
+    interp = Interpreter(checked, opts)
+    obj, args = synthesize_entry_state(
+        checked, obligation_by_id(checked, opts, "ACCOUNT.deposit.overflow.2"), cx
+    )
+    with pytest.raises(ContractViolation) as exc:
+        interp.call(obj, "deposit", args)
+    assert (exc.value.kind, exc.value.label) == ("overflow", "balance + amount")
+    for index, provenance in enumerate(
+        ["balance + amount", "balance + amount + amount", "balance + amount + amount - amount"]
+    ):
+        obligation = obligation_by_id(checked, opts, f"ACCOUNT.deposit.overflow.{index}")
+        assert obligation.provenance == provenance
+        assert replay_counterexample(checked, obligation, cx, opts)
+        assert not replay_counterexample(checked, obligation, {"amount": 1, "balance": 0}, opts)

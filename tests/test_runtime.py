@@ -2,11 +2,16 @@
 old-state snapshots, frame and overflow monitoring, step budget, and
 scenario parsing/execution/rendering."""
 
+import hashlib
 import json
+import sys
+from dataclasses import replace
 
 import pytest
 
-from miniproof import analyze, parse
+from miniproof import analyze, ast, parse
+from miniproof.corpus import load_builtin
+from miniproof.pretty import expr_text
 from miniproof.errors import (
     ContractViolation,
     ParseError,
@@ -18,12 +23,13 @@ from miniproof.runtime import (
     MAX_CALL_DEPTH,
     Interpreter,
     eval_expr,
+    monitor_plan,
     parse_scenario,
     run_scenario,
     trace_json,
     trace_text,
 )
-from miniproof.vcgen import VerifyOptions
+from miniproof.vcgen import VerifyOptions, _arith_postorder
 
 
 def checked_of(source: str):
@@ -461,6 +467,47 @@ def test_scenario_unknown_variable_raises():
         run_scenario(checked, scenario)
 
 
+TYPED = (
+    "class T\n"
+    "create make\n"
+    "feature\n"
+    "  make\n"
+    "    do\n"
+    "    end\n"
+    "  take (i : INTEGER; b : BOOLEAN; s : STRING; r : T)\n"
+    "    do\n"
+    "    end\n"
+    "end\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args, fits",
+    [
+        ("1, true, \"x\", Void", True),
+        ("-3, false, Void, Void", True),
+        ("true, true, \"x\", Void", False),  # a BOOLEAN is not an INTEGER
+        ("1, 0, \"x\", Void", False),
+        ("1, true, 2, Void", False),
+        ("1, true, \"x\", \"T\"", False),  # the only reference literal is Void
+        ("Void, true, \"x\", Void", False),
+    ],
+)
+def test_scenario_arguments_must_fit_the_parameters(args, fits):
+    scenario = parse_scenario(f"create t : T\ncall t.take({args})\n")
+    if fits:
+        assert run_scenario(checked_of(TYPED), scenario).ok
+    else:
+        with pytest.raises(ParseError, match="^2:1: argument"):
+            run_scenario(checked_of(TYPED), scenario)
+
+
+def test_scenario_names_are_interned():
+    first, second = parse_scenario("create acc : ACCOUNT\ncall acc.deposit(1)\n").commands
+    assert first.var is second.var
+    assert first.target is sys.intern("ACCOUNT")
+
+
 def test_account_scenarios_from_corpus(entries):
     checked = checked_of(entries["account"].source)
     ok = run_scenario(
@@ -515,3 +562,194 @@ def test_trace_renderings(entries):
     assert set(payload) == {"steps", "objects", "ok"}
     assert payload["ok"] is True
     assert payload["objects"]["acc"]["balance"] == 30
+
+
+# -- monitor plans -------------------------------------------------------------------
+
+# SHA-256 of [[scenario, trace_text, trace_json], ...] over an entry's
+# built-in scenarios, at its manifest options and with width-8 overflow
+# monitoring, taken from the monitor that rendered every label on every
+# call: cached plans must not move a byte
+_ACCOUNT_TRACES = "d862f3945d96082773fb88e743fc7233783ce1dc1024e20add21115c340b3d2a"
+_TOKENEER_TRACES = "93d5c4f943046b4b20948c4010650f7a6576cdaa9be610f48912c522f3c1dfb9"
+TRACE_DIGESTS = {
+    "account": _ACCOUNT_TRACES,
+    "account_noguard_mutant": _ACCOUNT_TRACES,
+    "account_overflow_mutant": _ACCOUNT_TRACES,
+    "tokeneer_enrolment": _TOKENEER_TRACES,
+    "tokeneer_noprecond_mutant": _TOKENEER_TRACES,
+    "tokeneer_frame_mutant": "2c5e4217e0423b77c621b0939c15966f4f710e6f1d0c1221d4264a241c231272",
+}
+
+
+@pytest.mark.parametrize("width8", [False, True], ids=["manifest", "width8"])
+@pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+def test_builtin_scenario_traces_are_pinned(name, width8, entries, checked_programs):
+    entry = entries[name]
+    opts = entry.options
+    if width8:
+        opts = replace(opts, check_overflow=True, overflow_width=8)
+    parts = []
+    for scenario, text in entry.scenarios.items():
+        trace = run_scenario(checked_programs[name], parse_scenario(text), opts)
+        parts.append([scenario, trace_text(trace), trace_json(trace)])
+    digest = hashlib.sha256(json.dumps(parts).encode("utf-8")).hexdigest()
+    assert digest == TRACE_DIGESTS[name]
+
+
+def test_overflow_scenario_trace_is_pinned(entries, checked_programs):
+    # overflow labels, old snapshots and violation environments on one run
+    scenario = parse_scenario(
+        "create acc : ACCOUNT\n"
+        "call acc.deposit(50)\n"
+        "call acc.deposit(40)\n"
+        "expect_violation balance + amount + amount\n"
+        "call acc.withdraw(20)\n"
+        "call acc.deposit(120)\n"
+        "expect_violation balance + amount\n"
+        "call acc.withdraw(200)\n"
+        "expect_violation enough_balance\n"
+    )
+    name = "account_overflow_mutant"
+    trace = run_scenario(checked_programs[name], scenario, entries[name].options)
+    text = json.dumps([trace_text(trace), trace_json(trace)])
+    assert (
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        == "fd7aed34fe754cf5e06bf8d9fa4721c2bae65414132f4c99890e10f7bdd30d2c"
+    )
+    environments = [list(s.violation.environment.items()) for s in trace.steps if s.violation]
+    assert environments == [
+        [("balance", 50), ("amount", 40)],
+        [("balance", 30), ("amount", 120)],
+        [("balance", 30), ("amount", 200)],
+    ]
+
+
+def _first_match_labels(feat, provenance):
+    """Reference search: the first arithmetic body node whose text is the
+    provenance, statement by statement, expression by expression, in
+    postorder; its labels and those of the nodes nested inside it."""
+    for s in ast.walk_statements(feat.body):
+        for e in ast.statement_exprs(s):
+            for node in _arith_postorder(e):
+                if expr_text(node) == provenance:
+                    return frozenset(expr_text(n) for n in _arith_postorder(node))
+    return frozenset((provenance,))
+
+
+REPEATS = (
+    "class D\n"
+    "create make\n"
+    "feature\n"
+    "  x : INTEGER\n"
+    "  make\n"
+    "    do\n"
+    "    end\n"
+    "  twice (a : INTEGER)\n"
+    "    do\n"
+    "      x := a + 1\n"
+    "      if a + 1 > 0 then\n"
+    "        x := (a + 1) * (a + 1)\n"
+    "      end\n"
+    "      x := (a + 1) * (a + 1) - x\n"
+    "    end\n"
+    "end\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        REPEATS,
+        REACH,
+        load_builtin("account_overflow_mutant").source,
+        load_builtin("tokeneer_enrolment").source,
+    ],
+    ids=["repeats", "reach", "account_overflow_mutant", "tokeneer_enrolment"],
+)
+def test_plan_overflow_labels_keep_the_first_match(source):
+    checked = checked_of(source)
+    for info in checked.classes.values():
+        for feat in info.routines.values():
+            plan = monitor_plan(checked, info.name, feat)
+            texts = {
+                expr_text(node)
+                for s in ast.walk_statements(feat.body)
+                for e in ast.statement_exprs(s)
+                for node in _arith_postorder(e)
+            }
+            for provenance in texts | {"no such node"}:
+                assert plan.overflow_labels(provenance) == _first_match_labels(feat, provenance)
+
+
+def test_plan_labels_every_arithmetic_node():
+    checked = checked_of(REPEATS)
+    plan = monitor_plan(checked, "D", checked.info("D").routines["twice"])
+    assert sorted(set(plan.arith_labels.values())) == [
+        "(a + 1) * (a + 1)",
+        "(a + 1) * (a + 1) - x",
+        "a + 1",
+    ]
+    assert len(plan.arith_labels) == 9  # one label per node, repeats included
+    assert plan.overflow_labels("(a + 1) * (a + 1) - x") == {
+        "(a + 1) * (a + 1) - x",
+        "(a + 1) * (a + 1)",
+        "a + 1",
+    }
+
+
+def test_plan_is_built_once_and_cached_on_the_program():
+    checked = checked_of(ACCOUNT_LIKE)
+    assert checked.monitor_plans == {}
+    interp = Interpreter(checked)
+    acc = interp.create("ACCOUNT")
+    interp.call(acc, "deposit", [5])
+    plan = checked.monitor_plans[("ACCOUNT", "deposit")]
+    assert [key for key, _ in plan.olds] == ["balance"]
+    Interpreter(checked).call(acc, "deposit", [5])
+    assert checked.monitor_plans[("ACCOUNT", "deposit")] is plan
+    assert sorted(checked.monitor_plans) == [("ACCOUNT", "deposit"), ("ACCOUNT", "make")]
+
+
+def _bump_program(body: str, post: str) -> str:
+    return (
+        "class C\n"
+        "create make\n"
+        "feature\n"
+        "  a : INTEGER\n"
+        "  b : INTEGER\n"
+        "  make\n"
+        "    do\n"
+        "    end\n"
+        "  set (v : INTEGER)\n"
+        "    do\n"
+        "      a := v\n"
+        "      b := v\n"
+        "    end\n"
+        "  bump\n"
+        "    do\n"
+        f"      {body}\n"
+        "    ensure\n"
+        f"      post: {post}\n"
+        "    end\n"
+        "end\n"
+    )
+
+
+def test_programs_with_the_same_names_get_their_own_plans():
+    first = checked_of(_bump_program("a := a + 1", "a = old a + 1"))
+    second = checked_of(_bump_program("a := b * 3", "a = old b * 3"))
+    opts = VerifyOptions(check_overflow=True, overflow_width=8)
+    labels = []
+    for checked in (first, second):
+        interp = Interpreter(checked, opts)
+        obj = interp.create("C")
+        interp.call(obj, "set", [2])
+        interp.call(obj, "bump", [])  # postcondition holds: old keys resolve
+        interp.call(obj, "set", [127])
+        with pytest.raises(ContractViolation) as exc:
+            interp.call(obj, "bump", [])
+        labels.append(exc.value.label)
+    assert labels == ["a + 1", "b * 3"]
+    plans = [c.monitor_plans[("C", "bump")] for c in (first, second)]
+    assert [[key for key, _ in p.olds] for p in plans] == [["a"], ["b"]]
