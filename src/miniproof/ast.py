@@ -298,6 +298,14 @@ def walk_expr(e: Expr):
         yield from walk_expr(e.item)
 
 
+def arith_postorder(e: Expr):
+    """Yield the arithmetic nodes of e, children before parents."""
+    for child in expr_children(e):
+        yield from arith_postorder(child)
+    if isinstance(e, Binary) and e.op in ARITH_OPS:
+        yield e
+
+
 def walk_statements(stmts: list[Statement]):
     """Yield every statement, descending into conditionals in source order."""
     for s in stmts:

@@ -11,7 +11,8 @@ Exit status: 0 = everything discharged / scenario ok / counterexample
 reproduced; 1 = at least one Failed verdict or violated expectation;
 2 = at least one Error verdict (or a counterexample that cannot be
 materialized or whose replay cannot finish); 3 = usage, parse, or
-semantic error.  Diagnostics go to stderr, reports to stdout.
+semantic error, or a program too deep to process.  Diagnostics go to
+stderr, reports to stdout.
 """
 
 from __future__ import annotations
@@ -347,6 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     except ReplayImpossible as exc:
         print(f"miniproof: replay impossible: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the formula walks recurse once per statement or so
+        print("miniproof: program too deeply nested or too long to process", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -61,7 +61,6 @@ from .vcgen import (
     VOID_DEREFERENCE,
     Obligation,
     VerifyOptions,
-    _arith_postorder,
     type_default,
 )
 
@@ -220,10 +219,10 @@ def _build_plan(info: ClassInfo, feat: ast.Feature) -> MonitorPlan:
     by_provenance: dict[str, frozenset[str]] = {}
     for s in ast.walk_statements(feat.body):
         for e in ast.statement_exprs(s):
-            for node in _arith_postorder(e):
+            for node in ast.arith_postorder(e):
                 text = labels[id(node)] = expr_text(node)
                 if text not in by_provenance:
-                    by_provenance[text] = frozenset(labels[id(n)] for n in _arith_postorder(node))
+                    by_provenance[text] = frozenset(labels[id(n)] for n in ast.arith_postorder(node))
     frame: tuple[str, ...] = ()
     if feat.modify is not None:
         allowed = set(feat.modify)
@@ -260,16 +259,19 @@ class Interpreter:
     def create(self, class_name: str) -> RuntimeObject:
         info = self.checked.info(class_name)
         obj = blank_object(info)
-        self._steps_left = self.step_budget
-        self._invoke(obj, info.routines[info.creator], [])
+        self.enter(obj, info.routines[info.creator], [])
         return obj
 
     def call(self, obj: RuntimeObject | None, feature_name: str, args: list) -> None:
         if obj is None:
             raise VoidCall(feature_name)
         info = self.checked.info(obj.class_name)
+        self.enter(obj, info.routines[feature_name], args)
+
+    def enter(self, obj: RuntimeObject, feat: ast.Feature, args: list) -> None:
+        """Invoke feat on obj as a top-level call, with a fresh step budget."""
         self._steps_left = self.step_budget
-        self._invoke(obj, info.routines[feature_name], args)
+        self._invoke(obj, feat, args)
 
     # monitored invocation (shared by top-level and nested calls)
 
@@ -673,10 +675,8 @@ def replay_counterexample(
     obj, args = synthesize_entry_state(checked, obligation, counterexample)
     info = checked.info(obligation.class_name)
     feat = info.routines[obligation.feature_name]
-    interp = Interpreter(checked, options)
-    interp._steps_left = interp.step_budget
     try:
-        interp._invoke(obj, feat, args)
+        Interpreter(checked, options).enter(obj, feat, args)
     except ContractViolation as cv:
         expected_kind = _RUNTIME_KIND.get(obligation.kind)
         if cv.kind != expected_kind:

@@ -7,9 +7,18 @@ entry snapshots), produced by a weakest-precondition pass over the body.
 State paths are formula atoms. ``balance`` is the attribute, ``r.a`` is
 one level of dereference, and ``r.a@3`` is the unknown value path
 ``r.a`` holds right after statement 3 rebound it (creation or call
-havoc). Calls and creations are reasoned about modularly: assert the
-callee's precondition, forget what the callee may modify, assume its
-postcondition and invariant.
+havoc).
+
+Calls and creations share one modular rule, ``_after_call``: assert the
+callee's precondition, rename each path under the receiver whose first
+attribute the callee may modify to its ``path@k`` unknown, and assume
+the callee's postcondition and class invariant read through the
+receiver. A creation havocs every attribute, reads the creator's `old`
+as the default state, then replaces the receiver by its class's one
+representative object. The model names paths, not objects, so two paths
+to one object are independent symbols (README, "How calls and creations
+are modelled"). Every dereference asserts its receiver attached through
+one function, ``_deref``, unless the class invariant guarantees it.
 
 One function, ``_lower``, lowers every contract and body expression to
 a formula. Only the reading of Name and Qualified leaves varies: the
@@ -26,7 +35,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
 from . import ast
 from . import formula as F
@@ -186,7 +196,19 @@ def _through(
 # -- the weakest-precondition transformer ---------------------------------------
 
 
-class _WpEngine:
+def _havoc_set(callee_info: ClassInfo, callee: ast.Feature) -> set[str]:
+    # what the callee may change: its modify list, or every model
+    # query when it declares none - plus attributes outside the
+    # model, which no frame condition ever constrains
+    base = set(callee.modify) if callee.modify is not None else set(callee_info.model_queries)
+    non_model = set(callee_info.attributes) - set(callee_info.model_queries)
+    return base | non_model
+
+
+class _FeatureVCs:
+    """The weakest-precondition transformer of one feature, and the
+    obligations generated from it."""
+
     def __init__(self, checked: CheckedProgram, info: ClassInfo, feat: ast.Feature):
         self.checked = checked
         self.info = info
@@ -196,12 +218,18 @@ class _WpEngine:
         self.stmt_index = {
             id(s): k for k, s in enumerate(ast.walk_statements(feat.body), start=1)
         }
+        self.out: list[Obligation] = []
+        self.next_index: defaultdict[str, itertools.count] = defaultdict(itertools.count)
 
-    def receiver_class(self, name: str) -> ClassInfo:
+    def ref_type(self, name: str) -> ast.Type:
+        """The declared type of a parameter or attribute of the feature."""
         for p in self.feat.params:
             if p.name == name:
-                return self.checked.info(p.ty.class_name)
-        return self.checked.info(self.info.attributes[name].class_name)
+                return p.ty
+        return self.info.attributes[name]
+
+    def receiver_class(self, name: str) -> ClassInfo:
+        return self.checked.info(self.ref_type(name).class_name)
 
     def wp_all(self, stmts: list[ast.Statement], post: F.Formula) -> F.Formula:
         for s in reversed(stmts):
@@ -214,9 +242,16 @@ class _WpEngine:
         if isinstance(s, ast.QualifiedAssign):
             return F.subst(post, {f"{s.receiver}.{s.attr}": _lower(s.value)})
         if isinstance(s, ast.CreateStmt):
-            return self.wp_create(s, post)
+            created = self.receiver_class(s.target)
+            creator = created.routines[created.creator]
+            out = self._after_call(s, s.target, created, creator, {}, set(created.attributes), post)
+            return F.subst(out, {s.target: F.Lit(F.Ref(created.name))})
         if isinstance(s, ast.CallStmt):
-            return self.wp_call(s, post)
+            callee_info = self.receiver_class(s.receiver)
+            callee = callee_info.routines[s.feature]
+            param_map = {p.name: _lower(a) for p, a in zip(callee.params, s.args)}
+            havocked = _havoc_set(callee_info, callee)
+            return self._after_call(s, s.receiver, callee_info, callee, param_map, havocked, post)
         if isinstance(s, ast.IfStmt):
             cond = _lower(s.cond)
             return F.conj(
@@ -229,74 +264,46 @@ class _WpEngine:
             return F.conj(_lower(s.expr), post)
         raise TypeError(f"unexpected statement {s!r}")
 
-    def _freshen(self, f: F.Formula, receiver: str, havocked, k: int) -> F.Formula:
-        """Rename every symbol naming a havocked path under receiver to
-        its post-statement-k unknown. Symbols already anchored to a later
-        statement (containing @) are left alone."""
-        mapping: dict[str, F.Formula] = {}
-        for name, ty in F.free_syms(f).items():
-            if "@" in name or not name.startswith(receiver + "."):
-                continue
-            first = name[len(receiver) + 1 :].split(".", 1)[0]
-            if first in havocked:
-                mapping[name] = F.Sym(f"{name}@{k}", ty)
-        return F.subst(f, mapping) if mapping else f
-
-    def wp_create(self, s: ast.CreateStmt, post: F.Formula) -> F.Formula:
-        target_info = self.receiver_class(s.target)
-        k = self.stmt_index[id(s)]
-        creator = target_info.routines[target_info.creator]
-        rename = lambda path: f"{path}@{k}"
-        assumed: list[F.Formula] = []
-        for clause in creator.ensure:
-            try:
-                assumed.append(
-                    _lower(clause.expr, _through(s.target, {}, rename, old_to_default=target_info))
-                )
-            except _Creation:
-                pass
-        for clause in target_info.decl.invariant:
-            try:
-                assumed.append(_lower(clause.expr, _through(s.target, {}, rename)))
-            except _Creation:
-                pass
-        out = F.implies(F.conj(*assumed), self._freshen(post, s.target, target_info.attributes, k))
-        return F.subst(out, {s.target: F.Lit(F.Ref(target_info.name))})
-
-    def wp_call(self, s: ast.CallStmt, post: F.Formula) -> F.Formula:
-        callee_info = self.receiver_class(s.receiver)
-        callee = callee_info.routines[s.feature]
-        k = self.stmt_index[id(s)]
-        havocked = self._havoc_set(callee_info, callee)
-        param_map = {p.name: _lower(a) for p, a in zip(callee.params, s.args)}
+    def _after_call(
+        self,
+        stmt: ast.CreateStmt | ast.CallStmt,
+        receiver: str,
+        callee_info: ClassInfo,
+        callee: ast.Feature,
+        param_map: dict[str, F.Formula],
+        havocked: set[str],
+        post: F.Formula,
+    ) -> F.Formula:
+        """The call rule after its precondition is asserted (see
+        ``_callee_precondition_asserts``): every path under receiver whose
+        first attribute is havocked becomes its post-statement unknown
+        ``path@k``, and the callee's postcondition and class invariant,
+        read through receiver, are assumed. A creation reads the
+        creator's `old` as the default state."""
+        k = self.stmt_index[id(stmt)]
 
         def rename(path: str) -> str:
-            first = path[len(s.receiver) + 1 :].split(".", 1)[0]
+            # paths already anchored to a later statement (containing @)
+            # are left alone
+            if "@" in path or not path.startswith(receiver + "."):
+                return path
+            first = path[len(receiver) + 1 :].split(".", 1)[0]
             return f"{path}@{k}" if first in havocked else path
 
+        defaults = callee_info if isinstance(stmt, ast.CreateStmt) else None
+        read = _through(receiver, param_map, rename, old_to_default=defaults)
         assumed: list[F.Formula] = []
-        for clause in callee.ensure:
+        for clause in (*callee.ensure, *callee_info.decl.invariant):
             try:
-                assumed.append(_lower(clause.expr, _through(s.receiver, param_map, rename)))
+                assumed.append(_lower(clause.expr, read))
             except _Creation:
-                pass
-        for clause in callee_info.decl.invariant:
-            try:
-                assumed.append(_lower(clause.expr, _through(s.receiver, {}, rename)))
-            except _Creation:
-                pass
-        return F.implies(
-            F.conj(*assumed), self._freshen(post, s.receiver, havocked, k)
-        )
-
-    @staticmethod
-    def _havoc_set(callee_info: ClassInfo, callee: ast.Feature) -> set[str]:
-        # what the callee may change: its modify list, or every model
-        # query when it declares none - plus attributes outside the
-        # model, which no frame condition ever constrains
-        base = set(callee.modify) if callee.modify is not None else set(callee_info.model_queries)
-        non_model = set(callee_info.attributes) - set(callee_info.model_queries)
-        return base | non_model
+                pass  # flagged Unsupported where the clause lives
+        fresh = {
+            name: F.Sym(rename(name), ty)
+            for name, ty in F.free_syms(post).items()
+            if rename(name) != name
+        }
+        return F.implies(F.conj(*assumed), F.subst(post, fresh) if fresh else post)
 
     # -- assertion collection (facts that must hold mid-body) --------------------
 
@@ -305,11 +312,16 @@ class _WpEngine:
         feature, in program order: require-site dereferences, body-site
         obligations, then exit-site dereferences from ensure clauses."""
         out: list[tuple[str, str, F.Formula]] = []
+        # a clause holding a creation expression is Unsupported and
+        # dereferences nothing
         for clause in self.feat.require:
-            out.extend(a for _, a in self._deref_asserts(clause.expr))
+            if not mentions_creation(clause.expr):
+                out.extend(a for _, a in self._deref_asserts(clause.expr))
         body_asserts = self._collect_body(self.feat.body, opts)
         exit_asserts: list[tuple[str, str, F.Formula]] = []
         for clause in self.feat.ensure:
+            if mentions_creation(clause.expr):
+                continue
             for under_old, a in self._deref_asserts(clause.expr):
                 (out if under_old else exit_asserts).append(a)
         exit_at_entry = [
@@ -318,50 +330,36 @@ class _WpEngine:
         return out + body_asserts + exit_at_entry
 
     def _guaranteed_not_void(self, receiver: str) -> bool:
-        """A class-invariant clause `receiver /= Void` discharges the
-        dereference obligation outright - except inside the creator,
-        which cannot assume the invariant."""
-        if self.feat.is_creator:
+        """A class-invariant clause `receiver /= Void`, either way round,
+        discharges the dereference obligation outright - except inside the
+        creator, which cannot assume the invariant."""
+        if self.feat.is_creator or receiver not in self.info.attributes:
             return False
-        if receiver not in self.info.attributes:
-            return False
-        for clause in self.info.decl.invariant:
-            e = clause.expr
-            if isinstance(e, ast.Binary) and e.op == "/=":
-                for name, void in ((e.left, e.right), (e.right, e.left)):
-                    if (
-                        isinstance(name, ast.Name)
-                        and name.name == receiver
-                        and isinstance(void, ast.VoidLit)
-                    ):
-                        return True
-        return False
+        name, void = ast.Name(receiver), ast.VoidLit()
+        attached = (ast.Binary("/=", name, void), ast.Binary("/=", void, name))
+        return any(clause.expr in attached for clause in self.info.decl.invariant)
 
-    def _receiver_not_void(self, receiver: str) -> F.Formula:
-        ty = None
-        for p in self.feat.params:
-            if p.name == receiver:
-                ty = p.ty
-        if ty is None:
-            ty = self.info.attributes[receiver]
-        return F.Cmp("/=", F.Sym(receiver, ty), F.Lit(None))
+    def _deref(self, receiver: str, member: str) -> list[tuple[str, str, F.Formula]]:
+        """The VoidDereference assertion of reaching member through
+        receiver, unless the class invariant already guarantees it."""
+        if self._guaranteed_not_void(receiver):
+            return []
+        not_void = F.Cmp("/=", F.Sym(receiver, self.ref_type(receiver)), F.Lit(None))
+        return [(VOID_DEREFERENCE, f"{receiver}.{member}", not_void)]
 
     def _deref_asserts(self, e: ast.Expr) -> list[tuple[bool, tuple[str, str, F.Formula]]]:
         """VoidDereference assertions for the qualified reads of e, in
         preorder, each tagged with whether it sits under `old` (evaluated
-        at entry rather than in the current state). None when e holds a
-        creation expression: the clause is Unsupported."""
+        at entry rather than in the current state). e holds no creation
+        expression: the analyzer allows none in a body, and callers skip
+        contract clauses that hold one."""
         nodes = list(ast.walk_expr(e))
-        if any(isinstance(n, ast.CreateExpr) for n in nodes):
-            return []
         old = {id(n) for o in nodes if isinstance(o, ast.Old) for n in ast.walk_expr(o.expr)}
         return [
-            (
-                id(n) in old,
-                (VOID_DEREFERENCE, f"{n.receiver}.{n.attr}", self._receiver_not_void(n.receiver)),
-            )
+            (id(n) in old, a)
             for n in nodes
-            if isinstance(n, ast.Qualified) and not self._guaranteed_not_void(n.receiver)
+            if isinstance(n, ast.Qualified)
+            for a in self._deref(n.receiver, n.attr)
         ]
 
     def _collect_body(
@@ -390,23 +388,9 @@ class _WpEngine:
             value_asserts([s.value])
         elif isinstance(s, ast.QualifiedAssign):
             value_asserts([s.value])
-            if not self._guaranteed_not_void(s.receiver):
-                out.append(
-                    (
-                        VOID_DEREFERENCE,
-                        f"{s.receiver}.{s.attr}",
-                        self._receiver_not_void(s.receiver),
-                    )
-                )
+            out.extend(self._deref(s.receiver, s.attr))
         elif isinstance(s, ast.CallStmt):
-            if not self._guaranteed_not_void(s.receiver):
-                out.append(
-                    (
-                        VOID_DEREFERENCE,
-                        f"{s.receiver}.{s.feature}",
-                        self._receiver_not_void(s.receiver),
-                    )
-                )
+            out.extend(self._deref(s.receiver, s.feature))
             value_asserts(list(s.args))
             out.extend(self._callee_precondition_asserts(s))
         elif isinstance(s, ast.IfStmt):
@@ -438,7 +422,7 @@ class _WpEngine:
     def _overflow_asserts(self, e: ast.Expr, opts: VerifyOptions) -> list[tuple[str, str, F.Formula]]:
         lo, hi = opts.overflow_bounds
         out = []
-        for node in _arith_postorder(e):
+        for node in ast.arith_postorder(e):
             lowered = _lower(node)
             bounds = F.And(
                 (
@@ -449,51 +433,10 @@ class _WpEngine:
             out.append((OVERFLOW, expr_text(node), bounds))
         return out
 
-
-def _arith_postorder(e: ast.Expr):
-    for child in ast.expr_children(e):
-        yield from _arith_postorder(child)
-    if isinstance(e, ast.Binary) and e.op in ast.ARITH_OPS:
-        yield e
-
-
-def wp(
-    checked: CheckedProgram,
-    class_name: str,
-    feature_name: str,
-    statements: list[ast.Statement],
-    post: F.Formula,
-) -> F.Formula:
-    """Weakest precondition of a statement list against a postcondition
-    formula, in the scope of the named feature."""
-    info = checked.info(class_name)
-    engine = _WpEngine(checked, info, info.routines[feature_name])
-    return F.expand(engine.wp_all(statements, post))
-
-
-# -- obligation generation ------------------------------------------------------
-
-
-class _FeatureObligations:
-    def __init__(
-        self,
-        checked: CheckedProgram,
-        info: ClassInfo,
-        feat: ast.Feature,
-        opts: VerifyOptions,
-        counters: dict[tuple[str, str, str], "itertools.count"],
-    ):
-        self.checked = checked
-        self.info = info
-        self.feat = feat
-        self.opts = opts
-        self.engine = _WpEngine(checked, info, feat)
-        self.counters = counters
-        self.out: list[Obligation] = []
+    # -- obligation generation --------------------------------------------------
 
     def emit(self, kind: str, provenance: str, entry_formula: F.Formula, reason: str | None = None):
-        key = (self.info.name, self.feat.name, kind)
-        index = next(self.counters.setdefault(key, itertools.count()))
+        index = next(self.next_index[kind])
         closed = self._close(entry_formula) if kind != UNSUPPORTED else entry_formula
         self.out.append(
             Obligation(
@@ -511,14 +454,13 @@ class _FeatureObligations:
         """Unify entry snapshots, attach hypotheses, and for creators
         replace attribute symbols by their default values."""
         goal = F.unify_old(goal)
-        hyps: list[F.Formula] = []
-        if not self.feat.is_creator:
-            for clause in self.info.decl.invariant:
-                if not mentions_creation(clause.expr):
-                    hyps.append(_lower(clause.expr))
-        for clause in self.feat.require:
-            if not mentions_creation(clause.expr):
-                hyps.append(_lower(clause.expr))
+        # the creator cannot assume the invariant
+        invariant = [] if self.feat.is_creator else self.info.decl.invariant
+        hyps = [
+            _lower(clause.expr)
+            for clause in (*invariant, *self.feat.require)
+            if not mentions_creation(clause.expr)
+        ]
         if not self.feat.is_creator:
             hyps.extend(self._referenced_invariants(goal, hyps))
         closed = F.implies(F.conj(*hyps), goal)
@@ -538,16 +480,10 @@ class _FeatureObligations:
         scope: dict[str, ast.Type] = dict(F.free_syms(goal))
         for h in hyps:
             scope.update(F.free_syms(h))
-        refs: list[tuple[str, ast.Type]] = []
-        for p in self.feat.params:
-            if p.ty.kind == ast.REF:
-                refs.append((p.name, p.ty))
-        for name, ty in self.info.attributes.items():
-            if ty.kind == ast.REF:
-                refs.append((name, ty))
+        names = [(p.name, p.ty) for p in self.feat.params] + list(self.info.attributes.items())
         out: list[F.Formula] = []
-        for r, ty in sorted(refs):
-            if r not in scope:
+        for r, ty in sorted(names):
+            if ty.kind != ast.REF or r not in scope:
                 continue
             ref_info = self.checked.info(ty.class_name)
             for clause in ref_info.decl.invariant:
@@ -560,18 +496,14 @@ class _FeatureObligations:
                     )
         return out
 
-    def generate(self):
+    def generate(self, opts: VerifyOptions) -> list[Obligation]:
         feat, info = self.feat, self.info
-        for clause in feat.ensure:
-            if mentions_creation(clause.expr):
-                continue
-            goal = self.engine.wp_all(feat.body, _lower(clause.expr))
-            self.emit(POSTCONDITION, clause.label, goal)
-        for clause in info.decl.invariant:
-            if mentions_creation(clause.expr):
-                continue
-            goal = self.engine.wp_all(feat.body, _lower(clause.expr))
-            self.emit(INVARIANT_MAINTENANCE, clause.label, goal)
+        goals = ((POSTCONDITION, feat.ensure), (INVARIANT_MAINTENANCE, info.decl.invariant))
+        for kind, clauses in goals:
+            for clause in clauses:
+                if not mentions_creation(clause.expr):
+                    goal = self.wp_all(feat.body, _lower(clause.expr))
+                    self.emit(kind, clause.label, goal)
         if feat.modify is not None:
             modified = set(feat.modify)
             for q in info.model_queries:
@@ -579,19 +511,32 @@ class _FeatureObligations:
                     continue
                 ty = info.attributes[q]
                 unchanged = F.Cmp("=", F.Sym(q, ty), F.OldSym(q, ty))
-                goal = self.engine.wp_all(feat.body, unchanged)
+                goal = self.wp_all(feat.body, unchanged)
                 self.emit(FRAME, q, goal)
-        for kind, provenance, entry_f in self.engine.collect_assertions(self.opts):
+        for kind, provenance, entry_f in self.collect_assertions(opts):
             self.emit(kind, provenance, entry_f)
-        for clause in feat.require:
-            if mentions_creation(clause.expr):
-                self.emit(UNSUPPORTED, clause.label, F.TRUE, UNSUPPORTED_REASON)
-        for clause in feat.ensure:
-            if mentions_creation(clause.expr):
-                self.emit(UNSUPPORTED, clause.label, F.TRUE, UNSUPPORTED_REASON)
-        for stmt in ast.walk_statements(feat.body):
-            if isinstance(stmt, ast.CheckStmt) and mentions_creation(stmt.expr):
-                self.emit(UNSUPPORTED, stmt.label, F.TRUE, UNSUPPORTED_REASON)
+        checks = [s for s in ast.walk_statements(feat.body) if isinstance(s, ast.CheckStmt)]
+        for labelled in (*feat.require, *feat.ensure, *checks):
+            if mentions_creation(labelled.expr):
+                self.emit(UNSUPPORTED, labelled.label, F.TRUE, UNSUPPORTED_REASON)
+        return self.out
+
+
+def wp(
+    checked: CheckedProgram,
+    class_name: str,
+    feature_name: str,
+    statements: list[ast.Statement],
+    post: F.Formula,
+) -> F.Formula:
+    """Weakest precondition of a statement list against a postcondition
+    formula, in the scope of the named feature."""
+    info = checked.info(class_name)
+    engine = _FeatureVCs(checked, info, info.routines[feature_name])
+    return F.expand(engine.wp_all(statements, post))
+
+
+# -- obligation generation ------------------------------------------------------
 
 
 def generate_obligations(checked: CheckedProgram, opts: VerifyOptions) -> list[Obligation]:
@@ -600,13 +545,10 @@ def generate_obligations(checked: CheckedProgram, opts: VerifyOptions) -> list[O
     invariant maintenance, frames, then body assertions in program
     order; invariant clauses that cannot be expressed come last."""
     obligations: list[Obligation] = []
-    counters: dict = {}
     for cls in checked.program.classes:
         info = checked.info(cls.name)
         for feat in cls.features:
-            gen = _FeatureObligations(checked, info, feat, opts, counters)
-            gen.generate()
-            obligations.extend(gen.out)
+            obligations.extend(_FeatureVCs(checked, info, feat).generate(opts))
         for i, clause in enumerate(cls.invariant):
             if mentions_creation(clause.expr):
                 obligations.append(

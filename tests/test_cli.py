@@ -73,7 +73,7 @@ def test_verify_deep_nesting_exits_three_without_traceback(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-def _verify_process(tmp_path, body: str) -> subprocess.CompletedProcess:
+def _verify_process(tmp_path, body: str, launcher=("-m", "miniproof.cli")) -> subprocess.CompletedProcess:
     program = tmp_path / "shape.ccl"
     program.write_text(
         "class C\ncreate make\nfeature\n  x : INTEGER\n  make\n    do\n"
@@ -81,7 +81,7 @@ def _verify_process(tmp_path, body: str) -> subprocess.CompletedProcess:
         encoding="utf-8",
     )
     return subprocess.run(
-        [sys.executable, "-m", "miniproof.cli", "verify", str(program)],
+        [sys.executable, *launcher, "verify", str(program)],
         capture_output=True,
         text=True,
     )
@@ -111,6 +111,26 @@ def test_verify_400_sequential_ifs(tmp_path):
     assert proc.stderr == ""
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("1 obligations: 1 discharged (100%), 0 failed (0%), 0 errors (0%)")
+
+
+# the formula walks recurse about once per sequential statement, so under
+# a recursion limit of 300 a body of a few hundred statements is too long
+_LOW_RECURSION_LIMIT = (
+    "-c",
+    "import sys, miniproof.cli; sys.setrecursionlimit(300); sys.exit(miniproof.cli.main(sys.argv[1:]))",
+)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["      if x < 5 then\n        x := x + 1\n      end\n" * 400, "      x := x + 1\n" * 200],
+    ids=["400_sequential_ifs", "200_sequential_assignments"],
+)
+def test_verify_too_long_body_exits_three_without_traceback(tmp_path, body):
+    proc = _verify_process(tmp_path, body, _LOW_RECURSION_LIMIT)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "miniproof: program too deeply nested or too long to process\n"
 
 
 def test_verify_semantic_error_exits_three(capsys, tmp_path):

@@ -29,7 +29,7 @@ from miniproof.runtime import (
     trace_json,
     trace_text,
 )
-from miniproof.vcgen import VerifyOptions, _arith_postorder
+from miniproof.vcgen import VerifyOptions
 
 
 def checked_of(source: str):
@@ -631,9 +631,9 @@ def _first_match_labels(feat, provenance):
     postorder; its labels and those of the nodes nested inside it."""
     for s in ast.walk_statements(feat.body):
         for e in ast.statement_exprs(s):
-            for node in _arith_postorder(e):
+            for node in ast.arith_postorder(e):
                 if expr_text(node) == provenance:
-                    return frozenset(expr_text(n) for n in _arith_postorder(node))
+                    return frozenset(expr_text(n) for n in ast.arith_postorder(node))
     return frozenset((provenance,))
 
 
@@ -676,7 +676,7 @@ def test_plan_overflow_labels_keep_the_first_match(source):
                 expr_text(node)
                 for s in ast.walk_statements(feat.body)
                 for e in ast.statement_exprs(s)
-                for node in _arith_postorder(e)
+                for node in ast.arith_postorder(e)
             }
             for provenance in texts | {"no such node"}:
                 assert plan.overflow_labels(provenance) == _first_match_labels(feat, provenance)

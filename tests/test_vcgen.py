@@ -245,6 +245,125 @@ def test_dereferences_and_callee_clauses_in_the_obligations():
     ]
 
 
+def test_require_clause_with_a_creation_dereferences_nothing():
+    source = (
+        "class CELL\n"
+        "create make\n"
+        "feature\n"
+        "  v : INTEGER\n"
+        "  make\n"
+        "    do\n"
+        "    end\n"
+        "end\n"
+        "class C\n"
+        "create make\n"
+        "feature\n"
+        "  r : CELL\n"
+        "  make\n"
+        "    do\n"
+        "    end\n"
+        "  go\n"
+        "    require\n"
+        "      fresh: r.v = 0 or r = create CELL\n"
+        "    do\n"
+        "    end\n"
+        "end\n"
+    )
+    obligations = generate_obligations(analyze(parse(source)), VerifyOptions())
+    assert [(o.id, o.provenance) for o in obligations if o.feature_name == "go"] == [
+        ("C.go.unsupported.0", "fresh")
+    ]
+
+
+def test_creation_reads_the_creators_old_as_the_default_state():
+    source = (
+        "class D\n"
+        "create make\n"
+        "feature\n"
+        "  x : INTEGER\n"
+        "  p : D\n"
+        "  make\n"
+        "    do\n"
+        "      x := x + 1\n"
+        "    ensure\n"
+        "      up: x = old x + 1\n"
+        "      no_entry: x = old p.x\n"
+        "    end\n"
+        "end\n"
+        "class C\n"
+        "create make\n"
+        "feature\n"
+        "  d : D\n"
+        "  make\n"
+        "    do\n"
+        "      create d.make\n"
+        "    ensure\n"
+        "      one: d.x = 1\n"
+        "    end\n"
+        "end\n"
+    )
+    obligations = generate_obligations(analyze(parse(source)), VerifyOptions())
+    made = [(o.id, F.to_text(o.formula)) for o in obligations if o.class_name == "C"]
+    # `old x` is the default 0; `old p.x` has no entry value in a fresh
+    # object, so `no_entry` is not assumed; then d is D's one object
+    assert made == [
+        ("C.make.postcondition.0", "d.x@1 = 0 + 1 implies d.x@1 = 1"),
+        ("C.make.void_dereference.0", "d.x@1 = 0 + 1 implies <D> /= Void"),
+    ]
+
+
+def test_call_havocs_its_modify_list_and_attributes_outside_the_model():
+    source = (
+        "class CELL\n"
+        "note\n"
+        "  model: a, b\n"
+        "create make\n"
+        "feature\n"
+        "  a : INTEGER\n"
+        "  b : INTEGER\n"
+        "  p : CELL\n"
+        "  make\n"
+        "    do\n"
+        "    end\n"
+        "  bump\n"
+        "    modify\n"
+        "      a\n"
+        "    do\n"
+        "      a := a + 1\n"
+        "    ensure\n"
+        "      up: a = old a + 1\n"
+        "      same: p.a = old p.a\n"
+        "    end\n"
+        "end\n"
+        "class C\n"
+        "create make\n"
+        "feature\n"
+        "  r : CELL\n"
+        "  make\n"
+        "    do\n"
+        "    end\n"
+        "  go\n"
+        "    do\n"
+        "      r.bump ()\n"
+        "      r.bump ()\n"
+        "    ensure\n"
+        "      two: r.a = old r.a + 2 and r.b = old r.b\n"
+        "    end\n"
+        "invariant\n"
+        "  attached: r /= Void\n"
+        "end\n"
+    )
+    obligations = generate_obligations(analyze(parse(source)), VerifyOptions())
+    post = [F.to_text(o.formula) for o in obligations if o.id == "C.go.postcondition.0"]
+    # bump may modify a (its modify list) and p (outside the model), not
+    # b; the first call renames neither r.a@2 nor r.p.a@2 of the second
+    assert post == [
+        "r /= Void implies r.a@1 = r.a + 1 and r.p.a@1 = r.p.a"
+        " implies r.a@2 = r.a@1 + 1 and r.p.a@2 = r.p.a@1"
+        " implies r.a@2 = r.a + 2 and r.b = r.b"
+    ]
+
+
 def test_check_statement_emits_check_assertion():
     source = (
         "class C\n"
