@@ -22,21 +22,15 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import corpus as corpus_lib
-from . import formula as F
-from .analyzer import CheckedProgram, analyze
-from .discharge import decode_value, render_json, render_text, verify_program
 from .errors import ParseError, ReplayImpossible, SemanticError, UnknownCorpusEntry
-from .parser import parse
-from .runtime import (
-    parse_scenario,
-    replay_counterexample,
-    run_scenario,
-    trace_json,
-    trace_text,
-)
-from .vcgen import Obligation, VerifyOptions, generate_obligations
+
+if TYPE_CHECKING:
+    from .analyzer import CheckedProgram
+    from .corpus import CorpusEntry
+    from .formula import VerifyOptions
+    from .vcgen import Obligation
 
 CORPUS_PREFIX = "corpus:"
 
@@ -157,23 +151,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- shared plumbing --------------------------------------------------------------
+#
+# Each command imports the layers it runs where it first needs them, so a
+# usage error or `corpus list` compiles no pipeline layer and `run` never
+# loads vcgen or discharge.
 
 
-def _load_program(target: str) -> tuple[CheckedProgram, corpus_lib.CorpusEntry | None]:
+def _load_program(target: str) -> tuple[CheckedProgram, CorpusEntry | None]:
     if target.startswith(CORPUS_PREFIX):
-        entry = corpus_lib.load_builtin(target[len(CORPUS_PREFIX):])
+        from .corpus import load_builtin
+
+        entry = load_builtin(target[len(CORPUS_PREFIX):])
         source = entry.source
     else:
         entry = None
         source = Path(target).read_text(encoding="utf-8")
+    from .analyzer import analyze
+    from .parser import parse
+
     return analyze(parse(source)), entry
 
 
 def _resolve_options(
-    entry: corpus_lib.CorpusEntry | None, args: argparse.Namespace
+    entry: CorpusEntry | None, args: argparse.Namespace
 ) -> VerifyOptions:
     """Corpus entries start from their pinned options; files from the defaults.
     Explicit flags override either."""
+    from .formula import VerifyOptions
+
     opts = entry.options if entry is not None else VerifyOptions()
     updates = {}
     if getattr(args, "int_range", None) is not None:
@@ -195,6 +200,8 @@ def _out(text: str) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     checked, entry = _load_program(args.target)
     opts = _resolve_options(entry, args)
+    from .discharge import render_json, render_text, verify_program
+
     report = verify_program(checked, opts)
     if args.emit_obligations:
         _write_obligation_dump(checked, opts, args.emit_obligations)
@@ -205,6 +212,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _write_obligation_dump(
     checked: CheckedProgram, opts: VerifyOptions, path: str
 ) -> None:
+    from . import formula as F
+    from .vcgen import generate_obligations
+
     dump = [
         {
             "id": o.id,
@@ -222,13 +232,15 @@ def _write_obligation_dump(
 def cmd_run(args: argparse.Namespace) -> int:
     checked, entry = _load_program(args.target)
     opts = _resolve_options(entry, args)
-    scenario = parse_scenario(_scenario_text(entry, args.scenario))
-    trace = run_scenario(checked, scenario, opts)
+    text = _scenario_text(entry, args.scenario)
+    from .runtime import parse_scenario, run_scenario, trace_json, trace_text
+
+    trace = run_scenario(checked, parse_scenario(text), opts)
     _out(trace_json(trace) if args.fmt == "json" else trace_text(trace))
     return 0 if trace.ok else 1
 
 
-def _scenario_text(entry: corpus_lib.CorpusEntry | None, ref: str) -> str:
+def _scenario_text(entry: CorpusEntry | None, ref: str) -> str:
     if entry is not None and ref in entry.scenarios:
         return entry.scenarios[ref]
     path = Path(ref)
@@ -254,10 +266,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if verdict == "Discharged":
         _out(f"{args.obligation_id}: Discharged, nothing to replay (result false)")
         return 0
-    counterexample = {
-        name: decode_value(raw) for name, raw in (row.get("counterexample") or {}).items()
-    }
+    raw = row.get("counterexample") or {}
+    if not isinstance(raw, dict):
+        raise UsageError(
+            f"counterexample of {args.obligation_id} in {args.report} is not a JSON object"
+        )
     obligation, opts = _find_obligation(checked, opts, args.obligation_id)
+    counterexample = _decode_counterexample(raw, obligation)
+    from .runtime import replay_counterexample
+
     if replay_counterexample(checked, obligation, counterexample, opts):
         _out(
             f"{args.obligation_id}: reproduced; runtime violation of "
@@ -271,10 +288,42 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def _report_row(report_path: str, obligation_id: str) -> dict:
     raw = json.loads(Path(report_path).read_text(encoding="utf-8"))
     rows = raw.get("rows", []) if isinstance(raw, dict) else raw
+    if not isinstance(rows, list):
+        raise UsageError(f"{report_path} is not a verification report (no list of rows)")
     for row in rows:
         if isinstance(row, dict) and row.get("id") == obligation_id:
             return row
     raise UsageError(f"obligation {obligation_id!r} not found in {report_path}")
+
+
+def _decode_counterexample(raw: dict, obligation: Obligation) -> dict:
+    """Decode a report's counterexample. It cannot be materialized when it
+    names a symbol outside the obligation's formula, whose symbols are the
+    only ones discharge reports, or when a value is not the encoding of a
+    value of its symbol's type."""
+    from . import ast
+    from .formula import decode_value, free_syms
+
+    types = free_syms(obligation.formula)
+    for name, value in raw.items():
+        ty = types.get(name)
+        if ty is None:
+            raise ReplayImpossible(f"counterexample symbol {name} is not in scope")
+        if ty.kind == ast.REF:
+            fits = value is None or value == {"ref": ty.class_name}
+        elif ty.kind == ast.SET_OF_STRING:
+            fits = isinstance(value, list) and all(isinstance(s, str) for s in value)
+        elif ty.kind == ast.STRING:
+            fits = value is None or isinstance(value, str)
+        elif ty.kind == ast.BOOLEAN:
+            fits = isinstance(value, bool)
+        else:  # INTEGER
+            fits = isinstance(value, int) and not isinstance(value, bool)
+        if not fits:
+            raise ReplayImpossible(
+                f"counterexample value {json.dumps(value)} does not fit {name} : {ty}"
+            )
+    return {name: decode_value(value) for name, value in raw.items()}
 
 
 def _find_obligation(
@@ -282,6 +331,8 @@ def _find_obligation(
 ) -> tuple[Obligation, VerifyOptions]:
     """Overflow obligations only exist when overflow checking is on, so retry
     with it enabled before declaring the id unknown."""
+    from .vcgen import generate_obligations
+
     for o in generate_obligations(checked, opts):
         if o.id == obligation_id:
             return o, opts
@@ -294,12 +345,14 @@ def _find_obligation(
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
+    from .corpus import export_entry, names, parent_of
+
     if args.corpus_command == "list":
-        for name in corpus_lib.names():
-            parent = corpus_lib.parent_of(name)
+        for name in names():
+            parent = parent_of(name)
             _out(f"{name}  (mutant of {parent})" if parent else name)
         return 0
-    for written in corpus_lib.export_entry(args.name, args.directory):
+    for written in export_entry(args.name, args.directory):
         _out(str(written))
     return 0
 
@@ -336,8 +389,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"miniproof: {exc}", file=sys.stderr)
         return 3
     except UnknownCorpusEntry as exc:
-        names = ", ".join(corpus_lib.names())
-        print(f"miniproof: unknown corpus entry {exc.args[0]!r} (known: {names})", file=sys.stderr)
+        from .corpus import names
+
+        known = ", ".join(names())
+        print(f"miniproof: unknown corpus entry {exc.args[0]!r} (known: {known})", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"miniproof: {exc}", file=sys.stderr)

@@ -16,7 +16,6 @@ from importlib import resources
 from pathlib import Path
 
 from ..errors import UnknownCorpusEntry
-from ..vcgen import VerifyOptions
 
 NAMES = (
     "account",
@@ -46,6 +45,10 @@ class CorpusEntry:
 
     @property
     def options(self) -> VerifyOptions:
+        # imported here so that listing or exporting entries loads no
+        # pipeline layer
+        from ..formula import VerifyOptions
+
         opts = self.manifest["options"]
         return VerifyOptions(
             int_range=tuple(opts["int_range"]),

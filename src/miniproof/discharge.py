@@ -35,7 +35,33 @@ from . import ast
 from . import formula as F
 from .analyzer import CheckedProgram
 from .errors import InternalError
-from .vcgen import Obligation, UNSUPPORTED, UNSUPPORTED_REASON, VerifyOptions, generate_obligations
+from .formula import UNSUPPORTED, VerifyOptions, decode_value, encode_value
+from .vcgen import Obligation, UNSUPPORTED_REASON, generate_obligations
+
+# the value encoding lives with the values in formula; reports are written
+# here, so it is re-exported for their readers
+__all__ = [
+    "DISCHARGED",
+    "FAILED",
+    "ERROR",
+    "COMPILE_AT",
+    "Domains",
+    "Verdict",
+    "derive_domains",
+    "symbol_domain",
+    "enumerate_environments",
+    "discharge",
+    "verify_program",
+    "ReportRow",
+    "Report",
+    "build_report",
+    "summary_line",
+    "render_text",
+    "report_payload",
+    "render_json",
+    "encode_value",
+    "decode_value",
+]
 
 DISCHARGED = "Discharged"
 FAILED = "Failed"
@@ -360,22 +386,6 @@ def render_text(report: Report) -> str:
         lines.append("")
     lines.append(summary_line(report))
     return "\n".join(lines)
-
-
-def encode_value(v: F.Value):
-    if isinstance(v, F.Ref):
-        return {"ref": v.class_name}
-    if isinstance(v, frozenset):
-        return sorted(v)
-    return v
-
-
-def decode_value(raw) -> F.Value:
-    if isinstance(raw, dict):
-        return F.Ref(raw["ref"])
-    if isinstance(raw, list):
-        return frozenset(raw)
-    return raw
 
 
 def report_payload(report: Report) -> dict:

@@ -18,6 +18,11 @@ preconditions can then share one postcondition between both branches of
 an ``if``, so a formula is a DAG whose size grows linearly with the
 program. Every consumer reads a ``Let`` as the formula it stands for:
 ``expand`` carries the substitutions out, and ``to_text`` prints that.
+
+This module also holds what vcgen, discharge and the runtime monitor
+share about values and obligations: the verification options, the
+obligation kinds, each type's default value, and the one JSON encoding
+of values (``encode_value``/``decode_value``).
 """
 
 from __future__ import annotations
@@ -148,6 +153,58 @@ OPS = {
     "-": operator.sub,
     "*": operator.mul,
 }
+
+
+# -- verification options and obligation kinds ---------------------------------
+
+POSTCONDITION = "Postcondition"
+INVARIANT_MAINTENANCE = "InvariantMaintenance"
+FRAME = "Frame"
+CALLEE_PRECONDITION = "CalleePrecondition"
+OVERFLOW = "Overflow"
+VOID_DEREFERENCE = "VoidDereference"
+CHECK_ASSERTION = "CheckAssertion"
+UNSUPPORTED = "Unsupported"
+
+ALL_KINDS = (
+    POSTCONDITION,
+    INVARIANT_MAINTENANCE,
+    FRAME,
+    CALLEE_PRECONDITION,
+    OVERFLOW,
+    VOID_DEREFERENCE,
+    CHECK_ASSERTION,
+    UNSUPPORTED,
+)
+
+
+@dataclass(frozen=True)
+class VerifyOptions:
+    int_range: tuple[int, int] = (-8, 8)
+    check_overflow: bool = False
+    overflow_width: int = 32
+
+    def __post_init__(self):
+        lo, hi = self.int_range
+        if not lo <= 0 <= hi:
+            raise ValueError(f"int_range [{lo}, {hi}] must contain 0")
+        if self.overflow_width < 2 or self.overflow_width & (self.overflow_width - 1):
+            raise ValueError(f"overflow_width {self.overflow_width} must be a power of two")
+
+    @property
+    def overflow_bounds(self) -> tuple[int, int]:
+        half = 1 << (self.overflow_width - 1)
+        return -half, half - 1
+
+
+def type_default(ty: ast.Type) -> Value:
+    if ty.kind == ast.INTEGER:
+        return 0
+    if ty.kind == ast.BOOLEAN:
+        return False
+    if ty.kind == ast.SET_OF_STRING:
+        return frozenset()
+    return None  # STRING and REF start detached
 
 
 # -- smart constructors -------------------------------------------------------
@@ -431,6 +488,23 @@ def value_text(v: Value) -> str:
     if isinstance(v, Ref):
         return str(v)
     raise TypeError(f"unexpected value {v!r}")
+
+
+def encode_value(v: Value):
+    """The one JSON encoding of a value, used by reports and traces."""
+    if isinstance(v, Ref):
+        return {"ref": v.class_name}
+    if isinstance(v, frozenset):
+        return sorted(v)
+    return v
+
+
+def decode_value(raw) -> Value:
+    if isinstance(raw, dict):
+        return Ref(raw["ref"])
+    if isinstance(raw, list):
+        return frozenset(raw)
+    return raw
 
 
 _PREC = {

@@ -27,6 +27,11 @@ model queries the frame condition compares. A plan depends only on the
 feature, and a CheckedProgram never changes after analysis, so the plan
 is cached on the CheckedProgram and shared by every Interpreter and
 every replay over it.
+
+The monitor reads the verification options, the obligation kinds and
+the value encoding from ``formula``; it imports neither vcgen nor
+discharge, so running a scenario never loads them. Replay takes the
+Obligation that vcgen made, but needs only its fields.
 """
 
 from __future__ import annotations
@@ -35,12 +40,11 @@ import json
 import sys
 from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from . import ast
 from . import formula as F
 from .analyzer import CheckedProgram, ClassInfo
-from .discharge import encode_value
 from .errors import (
     ContractViolation,
     ParseError,
@@ -50,8 +54,7 @@ from .errors import (
     VoidCall,
     VoidDereference,
 )
-from .pretty import expr_text
-from .vcgen import (
+from .formula import (
     CALLEE_PRECONDITION,
     CHECK_ASSERTION,
     FRAME,
@@ -59,10 +62,14 @@ from .vcgen import (
     OVERFLOW,
     POSTCONDITION,
     VOID_DEREFERENCE,
-    Obligation,
     VerifyOptions,
+    encode_value,
     type_default,
 )
+from .pretty import expr_text
+
+if TYPE_CHECKING:
+    from .vcgen import Obligation
 
 DEFAULT_STEP_BUDGET = 10_000
 # nested calls deeper than this stop the run like an exhausted step budget;

@@ -41,51 +41,25 @@ from dataclasses import dataclass
 from . import ast
 from . import formula as F
 from .analyzer import CheckedProgram, ClassInfo
-from .pretty import expr_text
-
-POSTCONDITION = "Postcondition"
-INVARIANT_MAINTENANCE = "InvariantMaintenance"
-FRAME = "Frame"
-CALLEE_PRECONDITION = "CalleePrecondition"
-OVERFLOW = "Overflow"
-VOID_DEREFERENCE = "VoidDereference"
-CHECK_ASSERTION = "CheckAssertion"
-UNSUPPORTED = "Unsupported"
-
-ALL_KINDS = (
-    POSTCONDITION,
-    INVARIANT_MAINTENANCE,
-    FRAME,
+from .formula import (
+    ALL_KINDS,
     CALLEE_PRECONDITION,
-    OVERFLOW,
-    VOID_DEREFERENCE,
     CHECK_ASSERTION,
+    FRAME,
+    INVARIANT_MAINTENANCE,
+    OVERFLOW,
+    POSTCONDITION,
     UNSUPPORTED,
+    VOID_DEREFERENCE,
+    VerifyOptions,
+    type_default,
 )
+from .pretty import expr_text
 
 # the tag an obligation id carries for each kind: its snake_case form
 _ID_TAGS = {kind: re.sub(r"(?<!^)(?=[A-Z])", "_", kind).lower() for kind in ALL_KINDS}
 
 UNSUPPORTED_REASON = "creation expression in contract"
-
-
-@dataclass(frozen=True)
-class VerifyOptions:
-    int_range: tuple[int, int] = (-8, 8)
-    check_overflow: bool = False
-    overflow_width: int = 32
-
-    def __post_init__(self):
-        lo, hi = self.int_range
-        if not lo <= 0 <= hi:
-            raise ValueError(f"int_range [{lo}, {hi}] must contain 0")
-        if self.overflow_width < 2 or self.overflow_width & (self.overflow_width - 1):
-            raise ValueError(f"overflow_width {self.overflow_width} must be a power of two")
-
-    @property
-    def overflow_bounds(self) -> tuple[int, int]:
-        half = 1 << (self.overflow_width - 1)
-        return -half, half - 1
 
 
 @dataclass(frozen=True)
@@ -97,16 +71,6 @@ class Obligation:
     formula: F.Formula
     provenance: str
     unsupported_reason: str | None = None
-
-
-def type_default(ty: ast.Type) -> F.Value:
-    if ty.kind == ast.INTEGER:
-        return 0
-    if ty.kind == ast.BOOLEAN:
-        return False
-    if ty.kind == ast.SET_OF_STRING:
-        return frozenset()
-    return None  # STRING and REF start detached
 
 
 def mentions_creation(e: ast.Expr) -> bool:

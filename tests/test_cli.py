@@ -394,6 +394,40 @@ def test_replay_impossible_counterexample_exits_two(capsys, tmp_path, noguard_re
     assert "replay impossible" in err
 
 
+def _malformed_row(counterexample) -> str:
+    row = {"id": "ACCOUNT.deposit.postcondition.0", "verdict": "Failed", "counterexample": counterexample}
+    return json.dumps({"rows": [row]})
+
+
+@pytest.mark.parametrize(
+    "report, code, message",
+    [
+        ("5", 3, "is not a verification report"),
+        ('{"rows": 5}', 3, "is not a verification report"),
+        (_malformed_row([1]), 3, "is not a JSON object"),
+        (_malformed_row({"amount": "x"}), 2, "replay impossible: "),
+        (_malformed_row({"amount": 5, "zzz": [[1]]}), 2, "replay impossible: "),
+    ],
+    ids=[
+        "report-is-a-number",
+        "rows-is-a-number",
+        "counterexample-is-a-list",
+        "value-of-wrong-kind",
+        "symbol-outside-the-formula",
+    ],
+)
+def test_malformed_replay_report_gives_one_line(tmp_path, report, code, message):
+    path = tmp_path / "R"
+    path.write_text(report, encoding="utf-8")
+    proc = _cli_process(
+        "replay", "corpus:account", "ACCOUNT.deposit.postcondition.0", "--report", str(path)
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("miniproof: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+
+
 _CREATES_IN_ENSURE = """
 class HELPER
 create make

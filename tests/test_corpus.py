@@ -11,8 +11,9 @@ import pytest
 from miniproof import analyze, parse
 from miniproof import formula as F
 from miniproof.corpus import export_entry, load_builtin, names, parent_of
-from miniproof.discharge import decode_value, derive_domains
+from miniproof.discharge import derive_domains
 from miniproof.errors import UnknownCorpusEntry
+from miniproof.formula import decode_value
 from miniproof.runtime import parse_scenario
 from miniproof.vcgen import VerifyOptions, generate_obligations
 

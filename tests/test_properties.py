@@ -184,7 +184,7 @@ def test_printed_expressions_reparse_to_the_same_tree(text):
     )
 )
 def test_encode_decode_round_trip(values):
-    from miniproof.discharge import decode_value, encode_value
+    from miniproof.formula import decode_value, encode_value
 
     for value in values:
         assert decode_value(encode_value(value)) == value
