@@ -301,25 +301,14 @@ def _decode_counterexample(raw: dict, obligation: Obligation) -> dict:
     names a symbol outside the obligation's formula, whose symbols are the
     only ones discharge reports, or when a value is not the encoding of a
     value of its symbol's type."""
-    from . import ast
-    from .formula import decode_value, free_syms
+    from .formula import decode_value, fits, free_syms
 
     types = free_syms(obligation.formula)
     for name, value in raw.items():
         ty = types.get(name)
         if ty is None:
             raise ReplayImpossible(f"counterexample symbol {name} is not in scope")
-        if ty.kind == ast.REF:
-            fits = value is None or value == {"ref": ty.class_name}
-        elif ty.kind == ast.SET_OF_STRING:
-            fits = isinstance(value, list) and all(isinstance(s, str) for s in value)
-        elif ty.kind == ast.STRING:
-            fits = value is None or isinstance(value, str)
-        elif ty.kind == ast.BOOLEAN:
-            fits = isinstance(value, bool)
-        else:  # INTEGER
-            fits = isinstance(value, int) and not isinstance(value, bool)
-        if not fits:
+        if not fits(value, ty):
             raise ReplayImpossible(
                 f"counterexample value {json.dumps(value)} does not fit {name} : {ty}"
             )

@@ -22,7 +22,8 @@ program. Every consumer reads a ``Let`` as the formula it stands for:
 This module also holds what vcgen, discharge and the runtime monitor
 share about values and obligations: the verification options, the
 obligation kinds, each type's default value, and the one JSON encoding
-of values (``encode_value``/``decode_value``).
+of values (``encode_value``/``decode_value``) with its type check
+(``fits``).
 """
 
 from __future__ import annotations
@@ -505,6 +506,21 @@ def decode_value(raw) -> Value:
     if isinstance(raw, list):
         return frozenset(raw)
     return raw
+
+
+def fits(raw, ty: ast.Type) -> bool:
+    """Whether raw is the JSON encoding of a value of type ty. A scenario
+    literal (an integer, a boolean, a string or Void) is its own
+    encoding."""
+    if ty.kind == ast.INTEGER:
+        return type(raw) is int
+    if ty.kind == ast.BOOLEAN:
+        return type(raw) is bool
+    if ty.kind == ast.STRING:
+        return raw is None or type(raw) is str
+    if ty.kind == ast.SET_OF_STRING:
+        return type(raw) is list and all(type(s) is str for s in raw)
+    return raw is None or raw == {"ref": ty.class_name}
 
 
 _PREC = {

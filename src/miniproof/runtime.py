@@ -487,25 +487,13 @@ def _check_command(checked: CheckedProgram, cmd: Command, objects: dict) -> None
             1,
         )
     for param, value in zip(feat.params, cmd.args):
-        if not _literal_fits(value, param.ty):
+        if not F.fits(value, param.ty):
             raise ParseError(
                 f"argument {param.name} of {info.name}.{feat.name} is {param.ty}, "
                 f"got {F.value_text(value)}",
                 cmd.line,
                 1,
             )
-
-
-def _literal_fits(value, ty: ast.Type) -> bool:
-    """Whether a scenario literal is a value of a parameter type; the only
-    reference literal is Void."""
-    if ty.kind == ast.INTEGER:
-        return type(value) is int
-    if ty.kind == ast.BOOLEAN:
-        return type(value) is bool
-    if ty.kind == ast.STRING:
-        return value is None or type(value) is str
-    return value is None and ty.kind == ast.REF
 
 
 def run_scenario(

@@ -2,28 +2,41 @@
 
 Every provable fact about a feature becomes one Obligation: a closed
 formula over the feature's entry state (attributes, parameters, and
-entry snapshots), produced by a weakest-precondition pass over the body.
+entry snapshots), produced by one weakest-precondition pass over the
+body.
 
 State paths are formula atoms. ``balance`` is the attribute, ``r.a`` is
 one level of dereference, and ``r.a@3`` is the unknown value path
 ``r.a`` holds right after statement 3 rebound it (creation or call
 havoc).
 
-Calls and creations share one modular rule, ``_after_call``: assert the
+The pass, ``pull``, carries every pending ``(kind, provenance,
+formula)`` - postconditions, invariants, frames and exit-site
+dereferences - from the exit of the body to its entry in one backward
+walk, and picks up the assertions that arise on the way (dereferences,
+overflow bounds, callee preconditions, `check` statements), which the
+statements before them then pull too. Each statement's transformer is
+built once, whatever number of formulas passes through it; an ``if``
+pulls them through each branch once and joins the two results.
+
+Calls and creations share one modular rule, ``_call_rule``: assert the
 callee's precondition, rename each path under the receiver whose first
 attribute the callee may modify to its ``path@k`` unknown, and assume
 the callee's postcondition and class invariant read through the
-receiver. A creation havocs every attribute, reads the creator's `old`
-as the default state, then replaces the receiver by its class's one
-representative object. The model names paths, not objects, so two paths
-to one object are independent symbols (README, "How calls and creations
-are modelled"). Every dereference asserts its receiver attached through
-one function, ``_deref``, unless the class invariant guarantees it.
+receiver. A creation havocs every attribute, reads the creator's entry
+state (its precondition and `old`) as the default state, then replaces
+the receiver by its class's one representative object. The model names
+paths, not objects, so two paths to one object are independent symbols
+(README, "How calls and creations are modelled"). Every dereference
+asserts its receiver attached through one function, ``_deref``, unless
+the class invariant guarantees it.
 
 One function, ``_lower``, lowers every contract and body expression to
 a formula. Only the reading of Name and Qualified leaves varies: the
 feature's own expressions read its paths, and the clauses of a callee
 or of a created object read through the receiver path (``_through``).
+The hypotheses every obligation of a feature assumes, and the
+invariants of the objects it references, are lowered once per feature.
 
 Substitution is delayed (``formula.Let``), so the two branches of an
 ``if`` share one postcondition object instead of two copies, and each
@@ -122,6 +135,19 @@ def _lower(e: ast.Expr, read=None, in_old: bool = False) -> F.Formula:
     raise TypeError(f"unexpected expression {e!r}")
 
 
+def _lowered(clauses, read, in_old: bool = False) -> list[tuple[ast.Clause, F.Formula]]:
+    """(clause, formula) for each clause of another class that lowers
+    through read; one holding a creation is flagged Unsupported where it
+    lives."""
+    out = []
+    for clause in clauses:
+        try:
+            out.append((clause, _lower(clause.expr, read, in_old)))
+        except _Creation:
+            pass
+    return out
+
+
 def _through(
     prefix: str,
     param_map: dict[str, F.Formula],
@@ -157,7 +183,7 @@ def _through(
     return read
 
 
-# -- the weakest-precondition transformer ---------------------------------------
+# -- the weakest-precondition pass ----------------------------------------------
 
 
 def _havoc_set(callee_info: ClassInfo, callee: ast.Feature) -> set[str]:
@@ -170,13 +196,20 @@ def _havoc_set(callee_info: ClassInfo, callee: ast.Feature) -> set[str]:
 
 
 class _FeatureVCs:
-    """The weakest-precondition transformer of one feature, and the
+    """The weakest-precondition pass over one feature, and the
     obligations generated from it."""
 
-    def __init__(self, checked: CheckedProgram, info: ClassInfo, feat: ast.Feature):
+    def __init__(
+        self,
+        checked: CheckedProgram,
+        info: ClassInfo,
+        feat: ast.Feature,
+        opts: VerifyOptions = VerifyOptions(),
+    ):
         self.checked = checked
         self.info = info
         self.feat = feat
+        self.opts = opts
         # a stable index per statement so havoc symbols like r.a@3 are
         # identical across all obligations of the feature
         self.stmt_index = {
@@ -184,6 +217,24 @@ class _FeatureVCs:
         }
         self.out: list[Obligation] = []
         self.next_index: defaultdict[str, itertools.count] = defaultdict(itertools.count)
+        # the creator cannot assume the invariant
+        invariant = [] if feat.is_creator else [clause.expr for clause in info.decl.invariant]
+        # receivers a class-invariant clause `r /= Void`, either way
+        # round, guarantees attached
+        void = ast.VoidLit()
+        self.attached = {
+            r
+            for r in info.attributes
+            if ast.Binary("/=", ast.Name(r), void) in invariant
+            or ast.Binary("/=", void, ast.Name(r)) in invariant
+        }
+        self.hyps = [
+            _lower(e) for e in (*invariant, *(c.expr for c in feat.require))
+            if not mentions_creation(e)
+        ]
+        self.hyp_syms = {name for h in self.hyps for name in F.free_syms(h)}
+        self.lifted = [] if feat.is_creator else self._lifted_invariants()
+        self.defaults = {name: F.Lit(type_default(ty)) for name, ty in info.attributes.items()}
 
     def ref_type(self, name: str) -> ast.Type:
         """The declared type of a parameter or attribute of the feature."""
@@ -195,56 +246,77 @@ class _FeatureVCs:
     def receiver_class(self, name: str) -> ClassInfo:
         return self.checked.info(self.ref_type(name).class_name)
 
-    def wp_all(self, stmts: list[ast.Statement], post: F.Formula) -> F.Formula:
+    def pull(self, stmts: list[ast.Statement], items: list) -> list:
+        """Carry each pending (kind, provenance, formula) in items from
+        the exit of stmts to its entry. Returns the assertions arising
+        inside stmts, in program order and expressed at the entry,
+        followed by the pulled items."""
         for s in reversed(stmts):
-            post = self.wp(s, post)
-        return post
+            if isinstance(s, ast.IfStmt):
+                items = self._pull_if(s, items)
+            else:
+                asserts, back = self._rule(s)
+                items = asserts + [(kind, prov, back(f)) for kind, prov, f in items]
+        return items
 
-    def wp(self, s: ast.Statement, post: F.Formula) -> F.Formula:
-        if isinstance(s, ast.Assign):
-            return F.subst(post, {s.target: _lower(s.value)})
-        if isinstance(s, ast.QualifiedAssign):
-            return F.subst(post, {f"{s.receiver}.{s.attr}": _lower(s.value)})
+    def _pull_if(self, s: ast.IfStmt, items: list) -> list:
+        cond = _lower(s.cond)
+        not_cond = F.neg(cond)
+        then, orelse = self.pull(s.then_branch, items), self.pull(s.else_branch, items)
+        k, j = len(then) - len(items), len(orelse) - len(items)
+        return [
+            *self._value_asserts([s.cond]),
+            *((kind, prov, F.implies(cond, f)) for kind, prov, f in then[:k]),
+            *((kind, prov, F.implies(not_cond, f)) for kind, prov, f in orelse[:j]),
+            *(
+                (kind, prov, F.conj(F.implies(cond, t), F.implies(not_cond, e)))
+                for (kind, prov, t), (_, _, e) in zip(then[k:], orelse[j:])
+            ),
+        ]
+
+    def _rule(self, s: ast.Statement):
+        """The assertions of a statement other than an `if`, at its
+        entry, and its transformer of one post."""
+        if isinstance(s, (ast.Assign, ast.QualifiedAssign)):
+            asserts = self._value_asserts([s.value])
+            if isinstance(s, ast.QualifiedAssign):
+                asserts += self._deref(s.receiver, s.attr)
+            target = s.target if isinstance(s, ast.Assign) else f"{s.receiver}.{s.attr}"
+            binding = {target: _lower(s.value)}
+            return asserts, lambda post: F.subst(post, binding)
         if isinstance(s, ast.CreateStmt):
-            created = self.receiver_class(s.target)
-            creator = created.routines[created.creator]
-            out = self._after_call(s, s.target, created, creator, {}, set(created.attributes), post)
-            return F.subst(out, {s.target: F.Lit(F.Ref(created.name))})
+            return self._call_rule(s)
         if isinstance(s, ast.CallStmt):
-            callee_info = self.receiver_class(s.receiver)
+            pre, back = self._call_rule(s)
+            return self._deref(s.receiver, s.feature) + self._value_asserts(s.args) + pre, back
+        if isinstance(s, ast.CheckStmt):
+            if mentions_creation(s.expr):
+                return [], lambda post: post  # flagged as Unsupported elsewhere
+            checked = _lower(s.expr)
+            asserts = [a for _, a in self._deref_asserts(s.expr)]
+            return asserts + [(CHECK_ASSERTION, s.label, checked)], lambda post: F.conj(checked, post)
+        raise TypeError(f"unexpected statement {s!r}")
+
+    def _call_rule(self, s: ast.CreateStmt | ast.CallStmt):
+        """The one rule for calls and creations: the callee's
+        precondition assertions, and the transformer that renames every
+        path under the receiver whose first attribute is havocked to its
+        post-statement unknown ``path@k`` and assumes the callee's
+        postcondition and class invariant, read through the receiver. A
+        creation reads the creator's entry state as the default state,
+        then replaces the receiver by its class's one object."""
+        creating = isinstance(s, ast.CreateStmt)
+        receiver = s.target if creating else s.receiver
+        callee_info = self.receiver_class(receiver)
+        if creating:
+            callee = callee_info.routines[callee_info.creator]
+            param_map: dict[str, F.Formula] = {}
+            havocked = set(callee_info.attributes)
+        else:
             callee = callee_info.routines[s.feature]
             param_map = {p.name: _lower(a) for p, a in zip(callee.params, s.args)}
             havocked = _havoc_set(callee_info, callee)
-            return self._after_call(s, s.receiver, callee_info, callee, param_map, havocked, post)
-        if isinstance(s, ast.IfStmt):
-            cond = _lower(s.cond)
-            return F.conj(
-                F.implies(cond, self.wp_all(s.then_branch, post)),
-                F.implies(F.neg(cond), self.wp_all(s.else_branch, post)),
-            )
-        if isinstance(s, ast.CheckStmt):
-            if mentions_creation(s.expr):
-                return post  # flagged as Unsupported elsewhere
-            return F.conj(_lower(s.expr), post)
-        raise TypeError(f"unexpected statement {s!r}")
-
-    def _after_call(
-        self,
-        stmt: ast.CreateStmt | ast.CallStmt,
-        receiver: str,
-        callee_info: ClassInfo,
-        callee: ast.Feature,
-        param_map: dict[str, F.Formula],
-        havocked: set[str],
-        post: F.Formula,
-    ) -> F.Formula:
-        """The call rule after its precondition is asserted (see
-        ``_callee_precondition_asserts``): every path under receiver whose
-        first attribute is havocked becomes its post-statement unknown
-        ``path@k``, and the callee's postcondition and class invariant,
-        read through receiver, are assumed. A creation reads the
-        creator's `old` as the default state."""
-        k = self.stmt_index[id(stmt)]
+        k = self.stmt_index[id(s)]
 
         def rename(path: str) -> str:
             # paths already anchored to a later statement (containing @)
@@ -254,59 +326,30 @@ class _FeatureVCs:
             first = path[len(receiver) + 1 :].split(".", 1)[0]
             return f"{path}@{k}" if first in havocked else path
 
-        defaults = callee_info if isinstance(stmt, ast.CreateStmt) else None
-        read = _through(receiver, param_map, rename, old_to_default=defaults)
-        assumed: list[F.Formula] = []
-        for clause in (*callee.ensure, *callee_info.decl.invariant):
-            try:
-                assumed.append(_lower(clause.expr, read))
-            except _Creation:
-                pass  # flagged Unsupported where the clause lives
-        fresh = {
-            name: F.Sym(rename(name), ty)
-            for name, ty in F.free_syms(post).items()
-            if rename(name) != name
-        }
-        return F.implies(F.conj(*assumed), F.subst(post, fresh) if fresh else post)
+        read = _through(receiver, param_map, rename, callee_info if creating else None)
+        # the precondition reads the pre-call state, as `old` does
+        pre = [(CALLEE_PRECONDITION, c.label, f) for c, f in _lowered(callee.require, read, True)]
+        clauses = (*callee.ensure, *callee_info.decl.invariant)
+        assumed = F.conj(*(f for _, f in _lowered(clauses, read)))
+        created = {receiver: F.Lit(F.Ref(callee_info.name))}
 
-    # -- assertion collection (facts that must hold mid-body) --------------------
+        def back(post: F.Formula) -> F.Formula:
+            fresh = {
+                name: F.Sym(rename(name), ty)
+                for name, ty in F.free_syms(post).items()
+                if rename(name) != name
+            }
+            out = F.implies(assumed, F.subst(post, fresh) if fresh else post)
+            return F.subst(out, created) if creating else out
 
-    def collect_assertions(self, opts: VerifyOptions) -> list[tuple[str, str, F.Formula]]:
-        """All (kind, provenance, entry-state formula) assertions of the
-        feature, in program order: require-site dereferences, body-site
-        obligations, then exit-site dereferences from ensure clauses."""
-        out: list[tuple[str, str, F.Formula]] = []
-        # a clause holding a creation expression is Unsupported and
-        # dereferences nothing
-        for clause in self.feat.require:
-            if not mentions_creation(clause.expr):
-                out.extend(a for _, a in self._deref_asserts(clause.expr))
-        body_asserts = self._collect_body(self.feat.body, opts)
-        exit_asserts: list[tuple[str, str, F.Formula]] = []
-        for clause in self.feat.ensure:
-            if mentions_creation(clause.expr):
-                continue
-            for under_old, a in self._deref_asserts(clause.expr):
-                (out if under_old else exit_asserts).append(a)
-        exit_at_entry = [
-            (kind, prov, self.wp_all(self.feat.body, f)) for kind, prov, f in exit_asserts
-        ]
-        return out + body_asserts + exit_at_entry
+        return pre, back
 
-    def _guaranteed_not_void(self, receiver: str) -> bool:
-        """A class-invariant clause `receiver /= Void`, either way round,
-        discharges the dereference obligation outright - except inside the
-        creator, which cannot assume the invariant."""
-        if self.feat.is_creator or receiver not in self.info.attributes:
-            return False
-        name, void = ast.Name(receiver), ast.VoidLit()
-        attached = (ast.Binary("/=", name, void), ast.Binary("/=", void, name))
-        return any(clause.expr in attached for clause in self.info.decl.invariant)
+    # -- assertions (facts that must hold mid-body) -----------------------------
 
     def _deref(self, receiver: str, member: str) -> list[tuple[str, str, F.Formula]]:
         """The VoidDereference assertion of reaching member through
         receiver, unless the class invariant already guarantees it."""
-        if self._guaranteed_not_void(receiver):
+        if receiver in self.attached:
             return []
         not_void = F.Cmp("/=", F.Sym(receiver, self.ref_type(receiver)), F.Lit(None))
         return [(VOID_DEREFERENCE, f"{receiver}.{member}", not_void)]
@@ -326,75 +369,18 @@ class _FeatureVCs:
             for a in self._deref(n.receiver, n.attr)
         ]
 
-    def _collect_body(
-        self, stmts: list[ast.Statement], opts: VerifyOptions
-    ) -> list[tuple[str, str, F.Formula]]:
-        """Assertions arising inside stmts, each expressed at the entry
-        of stmts by pulling it back through the preceding statements."""
-        collected: list[tuple[str, str, F.Formula]] = []
-        for s in reversed(stmts):
-            collected = [(kind, prov, self.wp(s, f)) for kind, prov, f in collected]
-            collected = self._statement_asserts(s, opts) + collected
-        return collected
-
-    def _statement_asserts(
-        self, s: ast.Statement, opts: VerifyOptions
-    ) -> list[tuple[str, str, F.Formula]]:
-        out: list[tuple[str, str, F.Formula]] = []
-
-        def value_asserts(exprs: list[ast.Expr]):
-            for e in exprs:
-                out.extend(a for _, a in self._deref_asserts(e))
-                if opts.check_overflow:
-                    out.extend(self._overflow_asserts(e, opts))
-
-        if isinstance(s, ast.Assign):
-            value_asserts([s.value])
-        elif isinstance(s, ast.QualifiedAssign):
-            value_asserts([s.value])
-            out.extend(self._deref(s.receiver, s.attr))
-        elif isinstance(s, ast.CallStmt):
-            out.extend(self._deref(s.receiver, s.feature))
-            value_asserts(list(s.args))
-            out.extend(self._callee_precondition_asserts(s))
-        elif isinstance(s, ast.IfStmt):
-            value_asserts([s.cond])
-            cond = _lower(s.cond)
-            for kind, prov, f in self._collect_body(s.then_branch, opts):
-                out.append((kind, prov, F.implies(cond, f)))
-            for kind, prov, f in self._collect_body(s.else_branch, opts):
-                out.append((kind, prov, F.implies(F.neg(cond), f)))
-        elif isinstance(s, ast.CheckStmt):
-            if not mentions_creation(s.expr):
-                out.extend(a for _, a in self._deref_asserts(s.expr))
-                out.append((CHECK_ASSERTION, s.label, _lower(s.expr)))
-        return out
-
-    def _callee_precondition_asserts(self, s: ast.CallStmt) -> list[tuple[str, str, F.Formula]]:
-        callee_info = self.receiver_class(s.receiver)
-        callee = callee_info.routines[s.feature]
-        param_map = {p.name: _lower(a) for p, a in zip(callee.params, s.args)}
+    def _value_asserts(self, exprs: list[ast.Expr]) -> list[tuple[str, str, F.Formula]]:
+        """The dereference and, when checked, overflow assertions of
+        evaluating exprs."""
         out = []
-        for clause in callee.require:
-            try:
-                f = _lower(clause.expr, _through(s.receiver, param_map, lambda p: p))
-            except _Creation:
-                continue  # flagged Unsupported where the clause lives
-            out.append((CALLEE_PRECONDITION, clause.label, f))
-        return out
-
-    def _overflow_asserts(self, e: ast.Expr, opts: VerifyOptions) -> list[tuple[str, str, F.Formula]]:
-        lo, hi = opts.overflow_bounds
-        out = []
-        for node in ast.arith_postorder(e):
-            lowered = _lower(node)
-            bounds = F.And(
-                (
-                    F.Cmp(">=", lowered, F.Lit(lo)),
-                    F.Cmp("<=", lowered, F.Lit(hi)),
-                )
-            )
-            out.append((OVERFLOW, expr_text(node), bounds))
+        lo, hi = self.opts.overflow_bounds
+        for e in exprs:
+            out.extend(a for _, a in self._deref_asserts(e))
+            if self.opts.check_overflow:
+                for node in ast.arith_postorder(e):
+                    lowered = _lower(node)
+                    bounds = F.And((F.Cmp(">=", lowered, F.Lit(lo)), F.Cmp("<=", lowered, F.Lit(hi))))
+                    out.append((OVERFLOW, expr_text(node), bounds))
         return out
 
     # -- obligation generation --------------------------------------------------
@@ -415,69 +401,65 @@ class _FeatureVCs:
         )
 
     def _close(self, goal: F.Formula) -> F.Formula:
-        """Unify entry snapshots, attach hypotheses, and for creators
-        replace attribute symbols by their default values."""
+        """Unify entry snapshots, attach the hypotheses and the lifted
+        invariants in the goal's scope, and for creators replace
+        attribute symbols by their default values."""
         goal = F.unify_old(goal)
-        # the creator cannot assume the invariant
-        invariant = [] if self.feat.is_creator else self.info.decl.invariant
-        hyps = [
-            _lower(clause.expr)
-            for clause in (*invariant, *self.feat.require)
-            if not mentions_creation(clause.expr)
-        ]
-        if not self.feat.is_creator:
-            hyps.extend(self._referenced_invariants(goal, hyps))
+        hyps = self.hyps
+        if self.lifted:
+            scope = self.hyp_syms.union(F.free_syms(goal))
+            hyps = hyps + [g for r, syms, g in self.lifted if r in scope and syms <= scope]
         closed = F.implies(F.conj(*hyps), goal)
-        if self.feat.is_creator:
-            defaults = {
-                name: F.Lit(type_default(ty)) for name, ty in self.info.attributes.items()
-            }
-            closed = F.subst(closed, defaults)
-        return closed
+        return F.subst(closed, self.defaults) if self.feat.is_creator else closed
 
-    def _referenced_invariants(
-        self, goal: F.Formula, hyps: list[F.Formula]
-    ) -> list[F.Formula]:
+    def _lifted_invariants(self) -> list[tuple[str, set[str], F.Formula]]:
         """Invariants of objects one dereference away, guarded by their
-        attachment and sliced to the clauses whose symbols the obligation
-        already mentions - anything else would only widen the search."""
-        scope: dict[str, ast.Type] = dict(F.free_syms(goal))
-        for h in hyps:
-            scope.update(F.free_syms(h))
+        attachment, each with its receiver and symbols: an obligation
+        takes those whose symbols it already mentions - anything else
+        would only widen the search."""
         names = [(p.name, p.ty) for p in self.feat.params] + list(self.info.attributes.items())
-        out: list[F.Formula] = []
+        out = []
         for r, ty in sorted(names):
-            if ty.kind != ast.REF or r not in scope:
+            if ty.kind != ast.REF:
                 continue
-            ref_info = self.checked.info(ty.class_name)
-            for clause in ref_info.decl.invariant:
-                if mentions_creation(clause.expr):
-                    continue
-                lifted = _lower(clause.expr, _through(r, {}, lambda p: p))
-                if set(F.free_syms(lifted)) <= set(scope):
-                    out.append(
-                        F.disj(F.Cmp("=", F.Sym(r, ty), F.Lit(None)), lifted)
-                    )
+            invariant = self.checked.info(ty.class_name).decl.invariant
+            for _, lifted in _lowered(invariant, _through(r, {}, lambda p: p)):
+                guarded = F.disj(F.Cmp("=", F.Sym(r, ty), F.Lit(None)), lifted)
+                out.append((r, set(F.free_syms(lifted)), guarded))
         return out
 
-    def generate(self, opts: VerifyOptions) -> list[Obligation]:
+    def generate(self) -> list[Obligation]:
+        """Postconditions, invariants and frames, then entry-site
+        dereferences, body assertions and exit-site dereferences; the
+        Unsupported clauses last."""
         feat, info = self.feat, self.info
-        goals = ((POSTCONDITION, feat.ensure), (INVARIANT_MAINTENANCE, info.decl.invariant))
-        for kind, clauses in goals:
-            for clause in clauses:
-                if not mentions_creation(clause.expr):
-                    goal = self.wp_all(feat.body, _lower(clause.expr))
-                    self.emit(kind, clause.label, goal)
+        kinds = ((POSTCONDITION, feat.ensure), (INVARIANT_MAINTENANCE, info.decl.invariant))
+        goals = [
+            (kind, clause.label, _lower(clause.expr))
+            for kind, clauses in kinds
+            for clause in clauses
+            if not mentions_creation(clause.expr)
+        ]
         if feat.modify is not None:
-            modified = set(feat.modify)
             for q in info.model_queries:
-                if q in modified:
-                    continue
-                ty = info.attributes[q]
-                unchanged = F.Cmp("=", F.Sym(q, ty), F.OldSym(q, ty))
-                goal = self.wp_all(feat.body, unchanged)
-                self.emit(FRAME, q, goal)
-        for kind, provenance, entry_f in self.collect_assertions(opts):
+                if q not in feat.modify:
+                    ty = info.attributes[q]
+                    goals.append((FRAME, q, F.Cmp("=", F.Sym(q, ty), F.OldSym(q, ty))))
+        # a clause holding a creation expression is Unsupported and
+        # dereferences nothing
+        entry = [
+            a for clause in feat.require if not mentions_creation(clause.expr)
+            for _, a in self._deref_asserts(clause.expr)
+        ]
+        at_exit = []
+        for clause in feat.ensure:
+            if not mentions_creation(clause.expr):
+                for under_old, a in self._deref_asserts(clause.expr):
+                    (entry if under_old else at_exit).append(a)
+        pulled = self.pull(feat.body, goals + at_exit)
+        n = len(pulled) - len(goals) - len(at_exit)
+        body, goals, at_exit = pulled[:n], pulled[n : n + len(goals)], pulled[n + len(goals) :]
+        for kind, provenance, entry_f in (*goals, *entry, *body, *at_exit):
             self.emit(kind, provenance, entry_f)
         checks = [s for s in ast.walk_statements(feat.body) if isinstance(s, ast.CheckStmt)]
         for labelled in (*feat.require, *feat.ensure, *checks):
@@ -496,8 +478,9 @@ def wp(
     """Weakest precondition of a statement list against a postcondition
     formula, in the scope of the named feature."""
     info = checked.info(class_name)
-    engine = _FeatureVCs(checked, info, info.routines[feature_name])
-    return F.expand(engine.wp_all(statements, post))
+    vcs = _FeatureVCs(checked, info, info.routines[feature_name])
+    [*_, (_, _, pre)] = vcs.pull(statements, [(POSTCONDITION, "", post)])
+    return F.expand(pre)
 
 
 # -- obligation generation ------------------------------------------------------
@@ -506,13 +489,13 @@ def wp(
 def generate_obligations(checked: CheckedProgram, opts: VerifyOptions) -> list[Obligation]:
     """Every obligation of the program, in a deterministic order:
     classes and features as declared; within a feature postconditions,
-    invariant maintenance, frames, then body assertions in program
-    order; invariant clauses that cannot be expressed come last."""
+    invariant maintenance, frames, then assertions in program order;
+    invariant clauses that cannot be expressed come last."""
     obligations: list[Obligation] = []
     for cls in checked.program.classes:
         info = checked.info(cls.name)
         for feat in cls.features:
-            obligations.extend(_FeatureVCs(checked, info, feat).generate(opts))
+            obligations.extend(_FeatureVCs(checked, info, feat, opts).generate())
         for i, clause in enumerate(cls.invariant):
             if mentions_creation(clause.expr):
                 obligations.append(

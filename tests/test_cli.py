@@ -407,6 +407,8 @@ def _malformed_row(counterexample) -> str:
         (_malformed_row([1]), 3, "is not a JSON object"),
         (_malformed_row({"amount": "x"}), 2, "replay impossible: "),
         (_malformed_row({"amount": 5, "zzz": [[1]]}), 2, "replay impossible: "),
+        (_malformed_row({"amount": {"x": 1}}), 2, "replay impossible: "),
+        (_malformed_row({"amount": [1, [2]]}), 2, "replay impossible: "),
     ],
     ids=[
         "report-is-a-number",
@@ -414,6 +416,8 @@ def _malformed_row(counterexample) -> str:
         "counterexample-is-a-list",
         "value-of-wrong-kind",
         "symbol-outside-the-formula",
+        "value-is-an-object-without-ref",
+        "value-is-a-list-of-non-strings",
     ],
 )
 def test_malformed_replay_report_gives_one_line(tmp_path, report, code, message):
@@ -426,6 +430,57 @@ def test_malformed_replay_report_gives_one_line(tmp_path, report, code, message)
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("miniproof: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr
+
+
+_CREATOR_REQUIRES = """
+class D
+create make
+feature
+  x : INTEGER
+  make
+    require
+      one: x = 1
+    do
+      x := 2
+    ensure
+      two: x = 3
+    end
+end
+class C
+create make
+feature
+  d : D
+  make
+    do
+      create d.make
+    ensure
+      three: d.x = 3
+    end
+end
+"""
+
+
+def test_creation_asserts_the_creators_precondition(capsys, tmp_path):
+    """A fresh D has x = 0, so `create d.make` breaks D.make's `one`:
+    verify fails it at the creation site, replay reproduces it, and the
+    monitor breaks it."""
+    program = tmp_path / "dc.ccl"
+    program.write_text(_CREATOR_REQUIRES, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(program))
+    assert code == 1
+    assert re.search(r"^C\.make\.callee_precondition\.0 +CalleePrecondition +Failed", out, re.M)
+    report = tmp_path / "r.json"
+    code, out, _ = run_cli(capsys, "verify", str(program), "--format", "json")
+    report.write_text(out, encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "replay", str(program), "C.make.callee_precondition.0", "--report", str(report)
+    )
+    assert (code, out) == (0, "C.make.callee_precondition.0: reproduced; runtime violation of 'one'\n")
+    scenario = tmp_path / "dc.scn"
+    scenario.write_text("create c : C\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", str(program), str(scenario))
+    assert code == 1
+    assert "violation precondition one" in out
 
 
 _CREATES_IN_ENSURE = """

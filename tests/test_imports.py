@@ -1,7 +1,9 @@
 """Import hygiene of the miniproof package.
 
 Checked with the stdlib ``ast`` module: no module imports a name it never
-uses, and none imports a ``_private`` name from another miniproof module.
+uses, none imports a ``_private`` name from another miniproof module, and
+every ``_private`` function, method, class or module-level name is read
+in the module that defines it.
 
 Checked in a fresh interpreter per command, because pytest's warm
 ``sys.modules`` would hide a missing import: each CLI subcommand loads
@@ -75,6 +77,30 @@ def test_no_private_name_is_imported_from_another_miniproof_module():
         ]
 
     assert _offenders(private) == []
+
+
+def test_every_private_definition_is_read_in_its_module():
+    def dead(tree):
+        defined = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            defined.extend(t.id for t in targets if isinstance(t, ast.Name))
+        read = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+        }
+        return [
+            name
+            for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read
+        ]
+
+    assert _offenders(dead) == []
 
 
 # -- what each command loads ------------------------------------------------------

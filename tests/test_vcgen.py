@@ -5,6 +5,7 @@ import pytest
 
 from miniproof import analyze, parse
 from miniproof import formula as F
+from miniproof import vcgen
 from miniproof.vcgen import (
     CALLEE_PRECONDITION,
     CHECK_ASSERTION,
@@ -312,6 +313,47 @@ def test_creation_reads_the_creators_old_as_the_default_state():
     ]
 
 
+def test_creation_asserts_each_require_clause_of_the_creator_in_the_default_state():
+    source = (
+        "class D\n"
+        "create make\n"
+        "feature\n"
+        "  x : INTEGER\n"
+        "  p : D\n"
+        "  make\n"
+        "    require\n"
+        "      one: x = 1\n"
+        "      two: p = Void\n"
+        "      deep: p.x = 0\n"
+        "    do\n"
+        "    end\n"
+        "end\n"
+        "class C\n"
+        "create make\n"
+        "feature\n"
+        "  d : D\n"
+        "  make\n"
+        "    do\n"
+        "      create d.make\n"
+        "    end\n"
+        "  again\n"
+        "    do\n"
+        "      create d\n"
+        "    end\n"
+        "end\n"
+    )
+    obligations = generate_obligations(analyze(parse(source)), VerifyOptions())
+    made = [(o.id, o.kind, o.provenance, F.to_text(o.formula)) for o in obligations if o.class_name == "C"]
+    # a fresh D has x = 0 and p = Void; p.x has no defined value in a
+    # fresh object, so `deep` is not asserted
+    assert made == [
+        ("C.make.callee_precondition.0", CALLEE_PRECONDITION, "one", "0 = 1"),
+        ("C.make.callee_precondition.1", CALLEE_PRECONDITION, "two", "Void = Void"),
+        ("C.again.callee_precondition.0", CALLEE_PRECONDITION, "one", "0 = 1"),
+        ("C.again.callee_precondition.1", CALLEE_PRECONDITION, "two", "Void = Void"),
+    ]
+
+
 def test_call_havocs_its_modify_list_and_attributes_outside_the_model():
     source = (
         "class CELL\n"
@@ -492,3 +534,82 @@ def test_if_chain_obligations_stay_linear_in_size():
         "CHAIN.make.postcondition.2": (DISCHARGED, None),
         "CHAIN.make.invariant_maintenance.0": (DISCHARGED, None),
     }
+
+
+_ONE_PASS = (
+    "class CELL\n"
+    "create make\n"
+    "feature\n"
+    "  v : INTEGER\n"
+    "  make\n"
+    "    do\n"
+    "    end\n"
+    "  inc\n"
+    "    do\n"
+    "      v := v + 1\n"
+    "    ensure\n"
+    "      up: v = old v + 1\n"
+    "    end\n"
+    "end\n"
+    "class C\n"
+    "create make\n"
+    "feature\n"
+    "  r : CELL\n"
+    "  s : CELL\n"
+    "  n : INTEGER\n"
+    "  make\n"
+    "    do\n"
+    "    end\n"
+    "  go (k : INTEGER)\n"
+    "    do\n"
+    "      r.inc ()\n"
+    "      create s.make\n"
+    "      if k > 0 then\n"
+    "        s.v := k + r.v\n"
+    "      else\n"
+    "        n := n + 1\n"
+    "      end\n"
+    "      check counted: n >= 0 end\n"
+    "    ensure\n"
+    "      grew: r.v = old r.v + 1\n"
+    "      set: k > 0 implies s.v = k + r.v\n"
+    "    end\n"
+    "invariant\n"
+    "  small: n < 5\n"
+    "end\n"
+)
+
+
+def test_pulling_goals_together_equals_pulling_each_alone():
+    """One pull carries every pending goal through the body; each comes
+    out as it would alone, after the same body assertions."""
+    checked = analyze(parse(_ONE_PASS))
+    info = checked.info("C")
+    feat = info.routines["go"]
+    pass_ = vcgen._FeatureVCs(checked, info, feat, VerifyOptions(check_overflow=True))
+    clauses = [*feat.ensure, *info.decl.invariant]
+    goals = [(POSTCONDITION, c.label, vcgen._lower(c.expr)) for c in clauses]
+
+    def texts(items):
+        return [(kind, prov, F.to_text(f)) for kind, prov, f in items]
+
+    together = texts(pass_.pull(feat.body, goals))
+    alone = [texts(pass_.pull(feat.body, [goal])) for goal in goals]
+    asserts = together[: -len(goals)]
+    # the call, the assignments and the `check` assert something
+    assert {kind for kind, _, _ in asserts} == {VOID_DEREFERENCE, OVERFLOW, CHECK_ASSERTION}
+    assert all(one[:-1] == asserts for one in alone)
+    assert together[-len(goals):] == [one[-1] for one in alone]
+
+
+def test_each_call_and_creation_rule_is_built_once(checked_programs, monkeypatch):
+    calls = []
+    build = vcgen._FeatureVCs._call_rule
+
+    def counted(self, s):
+        calls.append(s)
+        return build(self, s)
+
+    monkeypatch.setattr(vcgen._FeatureVCs, "_call_rule", counted)
+    generate_obligations(checked_programs["tokeneer_enrolment"], VerifyOptions())
+    assert len(calls) == len({id(s) for s in calls}) == 6
