@@ -152,20 +152,10 @@ class _Analysis:
                 if target_ty is not None:
                     self.require_assignable(target_ty, value_ty, s.pos, s.target)
             elif isinstance(s, ast.QualifiedAssign):
-                recv_ty = self.resolve_name(s.receiver, info, feat, s.pos)
-                if recv_ty is not None:
-                    if recv_ty.kind != ast.REF:
-                        self.error(s.pos, f"{s.receiver} is not a reference")
-                    else:
-                        target_info = self.classes.get(recv_ty.class_name or "")
-                        attr_ty = target_info.attr_type(s.attr) if target_info else None
-                        if attr_ty is None:
-                            self.error(s.pos, f"{recv_ty.class_name} has no attribute {s.attr}")
-                        else:
-                            value_ty = self.expr_type(s.value, info, feat, old_ok=False, contract=False)
-                            self.require_assignable(attr_ty, value_ty, s.pos, f"{s.receiver}.{s.attr}")
-                            continue
-                self.expr_type(s.value, info, feat, old_ok=False, contract=False)
+                attr_ty = self.resolve_attribute(s.receiver, s.attr, info, feat, s.pos)
+                value_ty = self.expr_type(s.value, info, feat, old_ok=False, contract=False)
+                if attr_ty is not None:
+                    self.require_assignable(attr_ty, value_ty, s.pos, f"{s.receiver}.{s.attr}")
             elif isinstance(s, ast.CreateStmt):
                 target_ty = info.attr_type(s.target)
                 if target_ty is None:
@@ -226,6 +216,22 @@ class _Analysis:
             self.error(pos, f"unknown name {name}")
         return ty
 
+    def resolve_attribute(
+        self, receiver: str, attr: str, info: ClassInfo, feat: ast.Feature | None, pos
+    ) -> ast.Type | None:
+        """Type of receiver.attr, or None after reporting why it has none."""
+        recv_ty = self.resolve_name(receiver, info, feat, pos)
+        if recv_ty is None:
+            return None
+        if recv_ty.kind != ast.REF:
+            self.error(pos, f"{receiver} is not a reference")
+            return None
+        target_info = self.classes.get(recv_ty.class_name or "")
+        attr_ty = target_info.attr_type(attr) if target_info else None
+        if attr_ty is None:
+            self.error(pos, f"{recv_ty.class_name} has no attribute {attr}")
+        return attr_ty
+
     def expr_type(
         self,
         e: ast.Expr,
@@ -252,32 +258,9 @@ class _Analysis:
         if isinstance(e, ast.SetLit):
             return ast.T_SET
         if isinstance(e, ast.Name):
-            if feat is not None and any(p.name == e.name for p in feat.params):
-                e.binding = "parameter"
-                return next(p.ty for p in feat.params if p.name == e.name)
-            ty = info.attr_type(e.name)
-            if ty is not None:
-                e.binding = "attribute"
-                return ty
-            self.error(e.pos, f"unknown name {e.name}")
-            return ast.T_VOID
+            return self.resolve_name(e.name, info, feat, e.pos) or ast.T_VOID
         if isinstance(e, ast.Qualified):
-            recv_ty = self.resolve_name(e.receiver, info, feat, e.pos)
-            if feat is not None and any(p.name == e.receiver for p in feat.params):
-                e.receiver_binding = "parameter"
-            else:
-                e.receiver_binding = "attribute"
-            if recv_ty is None:
-                return ast.T_VOID
-            if recv_ty.kind != ast.REF:
-                self.error(e.pos, f"{e.receiver} is not a reference")
-                return ast.T_VOID
-            target_info = self.classes.get(recv_ty.class_name or "")
-            attr_ty = target_info.attr_type(e.attr) if target_info else None
-            if attr_ty is None:
-                self.error(e.pos, f"{recv_ty.class_name} has no attribute {e.attr}")
-                return ast.T_VOID
-            return attr_ty
+            return self.resolve_attribute(e.receiver, e.attr, info, feat, e.pos) or ast.T_VOID
         if isinstance(e, ast.Old):
             if not old_ok:
                 self.error(e.pos, "old is only legal inside ensure clauses")

@@ -101,7 +101,6 @@ class Name(Expr):
     """Unqualified read of an attribute or parameter."""
 
     name: str = ""
-    binding: str | None = field(default=None, compare=False)  # "attribute" | "parameter"
 
 
 @dataclass
@@ -111,7 +110,6 @@ class Qualified(Expr):
 
     receiver: str = ""
     attr: str = ""
-    receiver_binding: str | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -152,6 +150,24 @@ class CreateExpr(Expr):
 COMPARISON_OPS = ("=", "/=", "<", "<=", ">", ">=")
 ARITH_OPS = ("+", "-", "*")
 BOOL_OPS = ("and", "or", "implies")
+
+# The binary operators by binding power, loosest first, each level with its
+# associativity: "none" marks operators that do not chain. The parser, the
+# pretty-printer and formula.to_text all read this one table. Prefix
+# operators (not, old, unary minus) bind tighter than every binary one, and
+# atoms (literals, names, parenthesized expressions, has calls) tightest.
+BINARY_LEVELS = (
+    ("right", ("implies",)),
+    ("left", ("or",)),
+    ("left", ("and",)),
+    ("none", COMPARISON_OPS),
+    ("left", ("+", "-")),
+    ("left", ("*",)),
+)
+BINARY_PREC = {op: level for level, (_, ops) in enumerate(BINARY_LEVELS, 1) for op in ops}
+BINARY_ASSOC = {op: assoc for assoc, ops in BINARY_LEVELS for op in ops}
+UNARY_PREC = len(BINARY_LEVELS) + 1
+ATOM_PREC = UNARY_PREC + 1
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +302,8 @@ def expr_children(e: Expr) -> tuple[Expr, ...]:
 def walk_expr(e: Expr):
     """Yield e and every subexpression."""
     yield e
-    if isinstance(e, Old):
-        yield from walk_expr(e.expr)
-    elif isinstance(e, Unary):
-        yield from walk_expr(e.expr)
-    elif isinstance(e, Binary):
-        yield from walk_expr(e.left)
-        yield from walk_expr(e.right)
-    elif isinstance(e, Has):
-        yield from walk_expr(e.receiver)
-        yield from walk_expr(e.item)
+    for child in expr_children(e):
+        yield from walk_expr(child)
 
 
 def arith_postorder(e: Expr):

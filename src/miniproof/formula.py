@@ -523,53 +523,32 @@ def fits(raw, ty: ast.Type) -> bool:
     return raw is None or raw == {"ref": ty.class_name}
 
 
-_PREC = {
-    "implies": 1,
-    "or": 2,
-    "and": 3,
-    "cmp": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-}
-
-
 def to_text(f: Formula) -> str:
     text, _ = _text(expand(f))
     return text
 
 
 def _text(f: Formula) -> tuple[str, int]:
-    atom = 9
     if isinstance(f, Sym):
-        return f.name, atom
+        return f.name, ast.ATOM_PREC
     if isinstance(f, OldSym):
-        return f"old {f.name}", 7
+        return f"old {f.name}", ast.UNARY_PREC
     if isinstance(f, Lit):
-        return value_text(f.value), atom
+        return value_text(f.value), ast.ATOM_PREC
     if isinstance(f, Not):
-        inner = _wrap(f.operand, 7)
-        return f"not {inner}", 7
-    if isinstance(f, And):
-        return " and ".join(_wrap(c, _PREC["and"]) for c in f.items), _PREC["and"]
-    if isinstance(f, Or):
-        return " or ".join(_wrap(c, _PREC["or"]) for c in f.items), _PREC["or"]
-    if isinstance(f, Implies):
-        left = _wrap(f.left, _PREC["implies"] + 1)
-        right = _wrap(f.right, _PREC["implies"])
-        return f"{left} implies {right}", _PREC["implies"]
-    if isinstance(f, Cmp):
-        left = _wrap(f.left, _PREC["cmp"] + 1)
-        right = _wrap(f.right, _PREC["cmp"] + 1)
-        return f"{left} {f.op} {right}", _PREC["cmp"]
-    if isinstance(f, Arith):
-        prec = _PREC[f.op]
-        left = _wrap(f.left, prec)
-        right = _wrap(f.right, prec + 1)
-        return f"{left} {f.op} {right}", prec
+        return f"not {_wrap(f.operand, ast.UNARY_PREC)}", ast.UNARY_PREC
+    if isinstance(f, (And, Or)):
+        op = "and" if isinstance(f, And) else "or"
+        prec = ast.BINARY_PREC[op]
+        return f" {op} ".join(_wrap(c, prec) for c in f.items), prec
+    if isinstance(f, (Implies, Cmp, Arith)):
+        op = "implies" if isinstance(f, Implies) else f.op
+        prec, assoc = ast.BINARY_PREC[op], ast.BINARY_ASSOC[op]
+        left = _wrap(f.left, prec if assoc == "left" else prec + 1)
+        right = _wrap(f.right, prec if assoc == "right" else prec + 1)
+        return f"{left} {op} {right}", prec
     if isinstance(f, HasF):
-        recv = _wrap(f.set_expr, 9)
-        return f"{recv}.has({_text(f.item)[0]})", 9
+        return f"{_wrap(f.set_expr, ast.ATOM_PREC)}.has({_text(f.item)[0]})", ast.ATOM_PREC
     raise TypeError(f"unexpected formula node {f!r}")
 
 

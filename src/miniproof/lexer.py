@@ -1,11 +1,19 @@
 """Tokenizer for .ccl sources.
 
-Line comments start with -- and run to end of line. Newlines are not
-tokens; the grammar is keyword-delimited.
+One compiled pattern scans the text. Its alternatives, tried in order at
+each position, are: a run of blanks (space, tab, CR, LF) and line comments
+(``--`` to the end of the line), which yields no token; a string literal
+(double quotes around any characters but a quote or a newline, with no
+escapes); an integer (decimal digits, ``str.isdecimal``); a word (``\\w``
+characters, ``str.isalnum`` or ``_``), which is a keyword or an identifier
+and must start with a letter or ``_``; and a symbol, longest first. Any
+other character is an error. Newlines are not tokens; the grammar is
+keyword-delimited. Lines and columns count from 1, a column in characters.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -35,7 +43,6 @@ KEYWORDS = {
     "Void",
 }
 
-# longest match first
 SYMBOLS = [
     ":=",
     "/=",
@@ -57,6 +64,15 @@ SYMBOLS = [
     "*",
 ]
 
+_TOKEN = re.compile(
+    r"(?P<SKIP>(?:[ \t\r\n]|--[^\n]*)+)"
+    r'|"(?P<STRING>[^"\n]*)"'
+    r"|(?P<INT>\d+)"
+    r"|(?P<WORD>\w+)"
+    r"|(?P<SYMBOL>" + "|".join(re.escape(s) for s in sorted(SYMBOLS, key=len, reverse=True)) + ")"
+    r"|(?P<OTHER>.)"
+)
+
 
 @dataclass(frozen=True)
 class Token:
@@ -71,66 +87,26 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
+            start, end = m.span()
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, end) + 1
             continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n and text[j] not in ('"', "\n"):
-                j += 1
-            if j >= n or text[j] == "\n":
-                raise ParseError("unterminated string literal", start_line, start_col)
-            value = text[i + 1 : j]
-            advance(j + 1 - i)
-            tokens.append(Token("STRING", value, start_line, start_col))
-            continue
-        if ch.isdigit():
-            start_line, start_col = line, col
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            value = text[i:j]
-            advance(j - i)
-            tokens.append(Token("INT", value, start_line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            value = text[i:j]
-            advance(j - i)
+        value = m.group(kind)
+        col = m.start() - line_start + 1
+        if kind == "WORD":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", line, col)
             kind = "KEYWORD" if value in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, value, start_line, start_col))
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("SYMBOL", sym, line, col))
-                advance(len(sym))
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+        elif kind == "OTHER":
+            if value == '"':
+                raise ParseError("unterminated string literal", line, col)
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens

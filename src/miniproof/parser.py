@@ -1,6 +1,10 @@
 """Recursive-descent parser for .ccl sources.
 
-Stops at the first syntax error and reports it with line and column.
+Declarations and statements have one method each. Binary expressions have
+one method, parse_binary, driven by the operator table ast.BINARY_LEVELS:
+it parses one binding level per call, with that level's associativity.
+The program's string pool is the set of its STRING tokens. Parsing stops
+at the first lexical or syntax error and reports it with line and column.
 """
 
 from __future__ import annotations
@@ -77,16 +81,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "EOF":
             raise ParseError(f"expected 'class' or end of input, found {tok.value!r}", tok.line, tok.col)
-        pool = set()
-        for cls in classes:
-            for clause in cls.invariant:
-                pool.update(_strings_in(clause.expr))
-            for feat in cls.features:
-                for clause in feat.require + feat.ensure:
-                    pool.update(_strings_in(clause.expr))
-                for stmt in ast.walk_statements(feat.body):
-                    for e in ast.statement_exprs(stmt):
-                        pool.update(_strings_in(e))
+        # a parsed program holds every string token in a literal
+        pool = {t.value for t in self.tokens if t.kind == "STRING"}
         return ast.Program(classes=classes, string_pool=tuple(sorted(pool)))
 
     def parse_class(self) -> ast.ClassDecl:
@@ -297,11 +293,10 @@ class _Parser:
         raise ParseError(f"expected statement, found {name.value!r}", name.line, name.col)
 
     # -- expressions --------------------------------------------------------
-    # precedence, loosest first: implies | or | and | comparison | + - | * | unary | postfix
 
     def parse_expr(self) -> ast.Expr:
         tok = self.peek()
-        expr = self.parse_implies()
+        expr = self.parse_binary()
         if self.nesting == 0 and _depth(expr) > MAX_NESTING:
             raise ParseError(f"expression nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
         return expr
@@ -315,48 +310,25 @@ class _Parser:
         self.nesting -= 1
         return expr
 
-    def parse_implies(self) -> ast.Expr:
-        left = self.parse_or()
-        if self.at_keyword("implies"):
-            tok = self.next()
-            right = self.nested(self.parse_implies, tok)  # right associative
-            return ast.Binary("implies", left, right, pos=self.pos(tok))
-        return left
-
-    def parse_or(self) -> ast.Expr:
-        left = self.parse_and()
-        while self.at_keyword("or"):
-            tok = self.next()
-            left = ast.Binary("or", left, self.parse_and(), pos=self.pos(tok))
-        return left
-
-    def parse_and(self) -> ast.Expr:
-        left = self.parse_comparison()
-        while self.at_keyword("and"):
-            tok = self.next()
-            left = ast.Binary("and", left, self.parse_comparison(), pos=self.pos(tok))
-        return left
-
-    def parse_comparison(self) -> ast.Expr:
-        left = self.parse_additive()
-        if self.peek().kind == "SYMBOL" and self.peek().value in ast.COMPARISON_OPS:
-            tok = self.next()
-            return ast.Binary(tok.value, left, self.parse_additive(), pos=self.pos(tok))
-        return left
-
-    def parse_additive(self) -> ast.Expr:
-        left = self.parse_multiplicative()
-        while self.peek().kind == "SYMBOL" and self.peek().value in ("+", "-"):
-            tok = self.next()
-            left = ast.Binary(tok.value, left, self.parse_multiplicative(), pos=self.pos(tok))
-        return left
-
-    def parse_multiplicative(self) -> ast.Expr:
-        left = self.parse_unary()
-        while self.at_symbol("*"):
-            tok = self.next()
-            left = ast.Binary("*", left, self.parse_unary(), pos=self.pos(tok))
-        return left
+    def parse_binary(self, level: int = 1) -> ast.Expr:
+        """Parse an expression whose operators outside parentheses bind at
+        level or tighter (see ast.BINARY_LEVELS)."""
+        if level == ast.UNARY_PREC:
+            return self.parse_unary()
+        left = self.parse_binary(level + 1)
+        assoc = ast.BINARY_LEVELS[level - 1][0]
+        while True:
+            tok = self.peek()  # the string literal "and" is no operator, hence the kind test
+            if tok.kind not in ("KEYWORD", "SYMBOL") or ast.BINARY_PREC.get(tok.value) != level:
+                return left
+            self.next()
+            if assoc == "right":
+                right = self.nested(lambda: self.parse_binary(level), tok)
+            else:
+                right = self.parse_binary(level + 1)
+            left = ast.Binary(tok.value, left, right, pos=self.pos(tok))
+            if assoc != "left":  # a right operand took the rest; "none" does not chain
+                return left
 
     def parse_unary(self) -> ast.Expr:
         if self.at_keyword("not"):
@@ -447,14 +419,6 @@ def _depth(e: ast.Expr) -> int:
         deepest = max(deepest, depth)
         stack.extend((child, depth + 1) for child in ast.expr_children(node))
     return deepest
-
-
-def _strings_in(e: ast.Expr):
-    for node in ast.walk_expr(e):
-        if isinstance(node, ast.StrLit):
-            yield node.value
-        elif isinstance(node, ast.SetLit):
-            yield from node.items
 
 
 def parse(text: str) -> ast.Program:

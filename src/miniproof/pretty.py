@@ -8,31 +8,12 @@ from __future__ import annotations
 
 from . import ast
 
-# binding tightness, loosest first
-_PREC = {
-    "implies": 1,
-    "or": 2,
-    "and": 3,
-    "=": 4,
-    "/=": 4,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-}
-_UNARY_PREC = 7
-_ATOM_PREC = 8
-
-
 def _prec(e: ast.Expr) -> int:
     if isinstance(e, ast.Binary):
-        return _PREC[e.op]
+        return ast.BINARY_PREC[e.op]
     if isinstance(e, (ast.Unary, ast.Old)):
-        return _UNARY_PREC
-    return _ATOM_PREC
+        return ast.UNARY_PREC
+    return ast.ATOM_PREC
 
 
 def expr_text(e: ast.Expr) -> str:
@@ -51,31 +32,27 @@ def expr_text(e: ast.Expr) -> str:
     if isinstance(e, ast.Qualified):
         return f"{e.receiver}.{e.attr}"
     if isinstance(e, ast.Old):
-        return f"old {_child(e.expr, _UNARY_PREC, tight=False)}"
+        return f"old {_child(e.expr, ast.UNARY_PREC)}"
     if isinstance(e, ast.Unary):
-        return f"not {_child(e.expr, _UNARY_PREC, tight=False)}"
+        return f"not {_child(e.expr, ast.UNARY_PREC)}"
     if isinstance(e, ast.Has):
-        return f"{_child(e.receiver, _ATOM_PREC, tight=False)}.has({expr_text(e.item)})"
+        return f"{_child(e.receiver, ast.ATOM_PREC)}.has({expr_text(e.item)})"
     if isinstance(e, ast.CreateExpr):
         return f"create {e.class_name}"
     if isinstance(e, ast.Binary):
-        p = _PREC[e.op]
-        if e.op == "implies":  # right associative
-            left = _child(e.left, p, tight=True)
-            right = _child(e.right, p, tight=False)
-        else:  # left associative (comparisons never chain)
-            left = _child(e.left, p, tight=False)
-            right = _child(e.right, p, tight=True)
+        p = ast.BINARY_PREC[e.op]
+        if ast.BINARY_ASSOC[e.op] == "right":
+            left, right = _child(e.left, p + 1), _child(e.right, p)
+        else:
+            left, right = _child(e.left, p), _child(e.right, p + 1)
         return f"{left} {e.op} {right}"
     raise TypeError(f"unprintable expression {e!r}")
 
 
-def _child(e: ast.Expr, parent_prec: int, tight: bool) -> str:
+def _child(e: ast.Expr, min_prec: int) -> str:
+    """Text of e, parenthesized if it binds looser than min_prec."""
     text = expr_text(e)
-    child_prec = _prec(e)
-    if child_prec < parent_prec or (tight and child_prec == parent_prec):
-        return f"({text})"
-    return text
+    return f"({text})" if _prec(e) < min_prec else text
 
 
 def _clause_lines(clauses: list[ast.Clause], indent: str) -> list[str]:

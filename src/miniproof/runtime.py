@@ -500,9 +500,8 @@ def run_scenario(
     checked: CheckedProgram,
     scenario: Scenario,
     options: VerifyOptions | None = None,
-    step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> Trace:
-    interp = Interpreter(checked, options, step_budget)
+    interp = Interpreter(checked, options)
     objects: dict[str, RuntimeObject] = {}
     steps: list[Step] = []
     ok = True

@@ -1,11 +1,14 @@
 """Lexing and parsing: token stream shape, program structure, synthesized
 clause labels, and syntax-error positions."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from miniproof import ast, parse
 from miniproof.errors import ParseError
-from miniproof.lexer import tokenize
+from miniproof.lexer import KEYWORDS, tokenize
 
 
 def wrap_expr(text: str) -> str:
@@ -62,6 +65,64 @@ def test_unterminated_string_is_a_parse_error():
 def test_unexpected_character_is_a_parse_error():
     with pytest.raises(ParseError):
         tokenize("class A ? end")
+
+
+@pytest.mark.parametrize(
+    "text, stream",
+    [
+        (
+            "class A\r\n  x\r\nend",
+            [("KEYWORD", "class", 1, 1), ("IDENT", "A", 1, 7), ("IDENT", "x", 2, 3), ("KEYWORD", "end", 3, 1),
+             ("EOF", "", 3, 4)],
+        ),
+        ("\tx :=\t1", [("IDENT", "x", 1, 2), ("SYMBOL", ":=", 1, 4), ("INT", "1", 1, 7), ("EOF", "", 1, 8)]),
+        ("x -- trailing comment", [("IDENT", "x", 1, 1), ("EOF", "", 1, 22)]),
+        ("x--1", [("IDENT", "x", 1, 1), ("EOF", "", 1, 5)]),
+        ("3abc", [("INT", "3", 1, 1), ("IDENT", "abc", 1, 2), ("EOF", "", 1, 5)]),
+        ("café := é2", [("IDENT", "café", 1, 1), ("SYMBOL", ":=", 1, 6), ("IDENT", "é2", 1, 9), ("EOF", "", 1, 11)]),
+        ("x = \u0663", [("IDENT", "x", 1, 1), ("SYMBOL", "=", 1, 3), ("INT", "\u0663", 1, 5), ("EOF", "", 1, 6)]),
+        (
+            '"a b" "" >=<',
+            [("STRING", "a b", 1, 1), ("STRING", "", 1, 7), ("SYMBOL", ">=", 1, 10), ("SYMBOL", "<", 1, 12),
+             ("EOF", "", 1, 13)],
+        ),
+        ("", [("EOF", "", 1, 1)]),
+        ("a\n\n  ", [("IDENT", "a", 1, 1), ("EOF", "", 3, 3)]),
+    ],
+    ids=["crlf", "tabs", "comment-at-eof", "comment-after-name", "int-then-ident", "letters", "arabic-indic-digit",
+         "strings-and-symbols", "empty", "trailing-blank-lines"],
+)
+def test_token_stream_is_exact(text, stream):
+    assert [(t.kind, t.value, t.line, t.col) for t in tokenize(text)] == stream
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('x "abc', "1:3: unterminated string literal"),
+        ('x\n  "ab\n"', "2:3: unterminated string literal"),
+        ("x \u00bd", "1:3: unexpected character '\u00bd'"),
+        ("x\r\n?", "2:1: unexpected character '?'"),
+        ("x\f", "1:2: unexpected character '\\x0c'"),
+    ],
+    ids=["string-at-eof", "string-before-newline", "vulgar-fraction", "question-mark", "form-feed"],
+)
+def test_lexical_error_text_is_exact(text, message):
+    with pytest.raises(ParseError) as exc:
+        tokenize(text)
+    assert str(exc.value) == message
+
+
+def test_decimal_digits_of_any_script_are_integers():
+    assert parse_expr("x = \u0663").right == ast.IntLit(3)
+
+
+def test_superscript_digit_is_a_parse_error():
+    """A superscript two passes str.isdigit but is no decimal digit, so it
+    is no integer: it is reported where it stands, not by int()."""
+    with pytest.raises(ParseError) as exc:
+        parse("class A\nfeature\n  x : INTEGER\n  f do x := 2\u00b2 end\nend\n")
+    assert str(exc.value) == "4:14: unexpected character '\u00b2'"
 
 
 # -- program structure -----------------------------------------------------------
@@ -292,9 +353,37 @@ def test_implies_binds_loosest():
     assert expr.right.op == "or"
 
 
+def test_a_string_literal_is_never_an_operator():
+    clauses = parse(wrap_expr('x = 0 "and" true')).classes[0].features[0].ensure
+    assert [type(c.expr) for c in clauses] == [ast.Binary, ast.StrLit, ast.BoolLit]
+
+
 def test_string_pool_collects_every_literal_sorted():
     source = wrap_expr('x = 0 and {"b", "a"}.has("c")')
     assert parse(source).string_pool == ("a", "b", "c")
+
+
+def _literals(program: ast.Program) -> set[str]:
+    """Every string literal of a program, found by walking its tree."""
+    exprs = []
+    for cls in program.classes:
+        exprs += [c.expr for c in cls.invariant]
+        for feat in cls.features:
+            exprs += [c.expr for c in feat.require + feat.ensure]
+            exprs += [e for s in ast.walk_statements(feat.body) for e in ast.statement_exprs(s)]
+    found = set()
+    for node in (n for e in exprs for n in ast.walk_expr(e)):
+        if isinstance(node, ast.StrLit):
+            found.add(node.value)
+        elif isinstance(node, ast.SetLit):
+            found.update(node.items)
+    return found
+
+
+def test_string_pool_is_every_literal_in_the_tree(entries):
+    for name, entry in entries.items():
+        program = parse(entry.source)
+        assert program.string_pool == tuple(sorted(_literals(program))), name
 
 
 def test_parse_error_carries_position():
@@ -344,3 +433,11 @@ def test_if_nesting_is_limited():
     with pytest.raises(ParseError, match="statements nested more than") as exc:
         parse(program(MAX_NESTING + 1))
     assert exc.value.line == 6 + MAX_NESTING + 1
+
+
+def test_readme_states_the_lexer_and_parser_tables():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| \d \| `(.+?)` \| (\w+)", readme, re.MULTILINE)
+    assert [(assoc, tuple(ops.split("` `"))) for ops, assoc in rows] == list(ast.BINARY_LEVELS)
+    keywords = re.search(r"These words are\s+keywords: `([^`]+)`", readme).group(1)
+    assert sorted(keywords.split()) == sorted(KEYWORDS)
