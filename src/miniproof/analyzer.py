@@ -8,8 +8,6 @@ identical tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import ast
 from .errors import SemanticError
 
@@ -22,28 +20,25 @@ def default_model_queries(cls: ast.ClassDecl) -> list[str]:
     return [a.name for a in cls.attributes]
 
 
-@dataclass
-class ClassInfo:
-    name: str
-    decl: ast.ClassDecl
-    attributes: dict[str, ast.Type] = field(default_factory=dict)
-    routines: dict[str, ast.Feature] = field(default_factory=dict)
-    model_queries: list[str] = field(default_factory=list)
-    creator: str = ""
+class ClassInfo(ast.Node):
+    __slots__ = ("name", "decl", "attributes", "routines", "model_queries", "creator")
+    _defaults = {"attributes": {}, "routines": {}, "model_queries": [], "creator": ""}
 
     def attr_type(self, name: str) -> ast.Type | None:
         return self.attributes.get(name)
 
 
-@dataclass
-class CheckedProgram:
+class CheckedProgram(ast.Node):
     """Analyzed program plus symbol tables. Treat as immutable."""
 
-    program: ast.Program
-    classes: dict[str, ClassInfo]
-    # (class, feature) -> runtime.MonitorPlan, filled lazily by the monitor;
-    # a plan derives from the feature alone, so caching it here is safe
-    monitor_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("program", "classes", "monitor_plans")
+    _fields = ("program", "classes")
+
+    def __post_init__(self):
+        # (class, feature) -> runtime.MonitorPlan, filled lazily by the
+        # monitor; a plan derives from the feature alone, so caching it
+        # here is safe
+        self.monitor_plans = {}
 
     def info(self, class_name: str) -> ClassInfo:
         return self.classes[class_name]

@@ -1,4 +1,5 @@
-"""Syntax tree for the contract class language.
+"""Syntax tree for the contract class language, and ``Node``, the base
+of every tree node and record in miniproof.
 
 Expression and statement nodes compare structurally; source positions and
 analyzer annotations are excluded from equality so that a program and its
@@ -7,13 +8,97 @@ pretty-printed reparse are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+
+def _refuse(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
 
 
-@dataclass(frozen=True)
-class Pos:
-    line: int
-    col: int
+class Node:
+    """The base of every tree node and record. A class's fields are its
+    bases' followed by its own ``__slots__`` (or by its ``_fields``, when
+    other slots hold state outside the fields, such as a cache); their
+    defaults are in ``_defaults``, and a list or dict default is copied
+    per instance. Class keywords: ``frozen`` refuses assignment after
+    construction and hashes by value, also in subclasses; ``kw_only``
+    names fields passed by keyword only; ``uncompared`` names fields that
+    equality and hashing skip. Nodes are equal when of one class with
+    equal compared fields, and the repr shows every field by name."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _kw_only: tuple[str, ...] = ()
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen=False, kw_only=(), uncompared=()):
+        base, own = cls.__mro__[1], cls.__dict__
+        cls._fields = base._fields + own.get("_fields", own.get("__slots__", ()))
+        cls._defaults = {**base._defaults, **own.get("_defaults", {})}
+        cls._kw_only = base._kw_only + kw_only
+        cls._uncompared = base._uncompared + uncompared
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse
+        # each class compiles its own on first use (see _derive)
+        cls.__init__, cls.__eq__ = _first_init, _first_eq
+        cls.__hash__ = _first_hash if cls.__setattr__ is _refuse else None
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, made (and so checked) by
+        the constructor."""
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
+
+
+def _first_init(self, *args, **kwargs):
+    _derive(type(self), "__init__")(self, *args, **kwargs)
+
+
+def _first_eq(self, other):
+    return _derive(type(self), "__eq__")(self, other)
+
+
+def _first_hash(self):
+    return _derive(type(self), "__hash__")(self)
+
+
+def _derive(cls, name: str):
+    """Compile a Node class's __init__, __eq__ or __hash__ into it on its
+    first use: generic methods that look the fields up by name cost
+    about twice as much per call, and a method a command never calls
+    costs it nothing. __init__ sets a frozen class's fields straight
+    into their slots, then runs ``__post_init__`` if the class has one."""
+    fields, defaults = cls._fields, cls._defaults
+    key = "(" + "".join(f"self.{f}, " for f in fields if f not in cls._uncompared) + ")"
+    scope = {"_d": defaults, **{f"_s_{f}": getattr(cls, f).__set__ for f in fields}}
+    if name == "__eq__":
+        source = (
+            "def __eq__(self, other):\n  if other.__class__ is self.__class__:\n"
+            f"    return {key} == {key.replace('self.', 'other.')}\n  return NotImplemented"
+        )
+    elif name == "__hash__":
+        source = f"def __hash__(self):\n  return hash({key})"
+    else:
+        param = {f: f"{f}=_d[{f!r}]" if f in defaults else f for f in fields}
+        params = ["self", *(param[f] for f in fields if f not in cls._kw_only)]
+        if cls._kw_only:
+            params += ["*", *(param[f] for f in cls._kw_only)]
+        body = []
+        for f in fields:
+            value = f"{f}.copy() if {f} is _d[{f!r}] else {f}" if isinstance(defaults.get(f), (list, dict)) else f
+            body.append(f"_s_{f}(self, {value})" if cls.__setattr__ is _refuse else f"self.{f} = {value}")
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        source = f"def __init__({', '.join(params)}):\n  " + "\n  ".join(body or ["pass"])
+    exec(source, scope)
+    setattr(cls, name, scope[name])
+    return scope[name]
+
+
+class Pos(Node, frozen=True):
+    __slots__ = ("line", "col")
 
     def __str__(self):
         return f"{self.line}:{self.col}"
@@ -32,10 +117,9 @@ VOID_TYPE = "VOID"  # type of the Void literal before unification
 BUILTIN_TYPES = (INTEGER, BOOLEAN, STRING, SET_OF_STRING)
 
 
-@dataclass(frozen=True)
-class Type:
-    kind: str
-    class_name: str | None = None
+class Type(Node, frozen=True):
+    __slots__ = ("kind", "class_name")
+    _defaults = {"class_name": None}
 
     def __str__(self):
         if self.kind == REF:
@@ -63,88 +147,81 @@ def ref(class_name: str) -> Type:
 # Expressions
 
 
-@dataclass
-class Expr:
-    pos: Pos | None = field(default=None, compare=False, kw_only=True)
-    ty: Type | None = field(default=None, compare=False, kw_only=True)
+class Expr(Node, kw_only=("pos", "ty"), uncompared=("pos", "ty")):
+    __slots__ = ("pos", "ty")
+    _defaults = {"pos": None, "ty": None}
 
 
-@dataclass
 class IntLit(Expr):
-    value: int = 0
+    __slots__ = ("value",)
+    _defaults = {"value": 0}
 
 
-@dataclass
 class BoolLit(Expr):
-    value: bool = False
+    __slots__ = ("value",)
+    _defaults = {"value": False}
 
 
-@dataclass
 class StrLit(Expr):
-    value: str = ""
+    __slots__ = ("value",)
+    _defaults = {"value": ""}
 
 
-@dataclass
 class VoidLit(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class SetLit(Expr):
     """String-set display, e.g. {"blank", "welcome"}. Members keep source order."""
 
-    items: tuple[str, ...] = ()
+    __slots__ = ("items",)
+    _defaults = {"items": ()}
 
 
-@dataclass
 class Name(Expr):
     """Unqualified read of an attribute or parameter."""
 
-    name: str = ""
+    __slots__ = ("name",)
+    _defaults = {"name": ""}
 
 
-@dataclass
 class Qualified(Expr):
     """Single-level qualified read: receiver.attr where receiver names an
     attribute or parameter of reference type."""
 
-    receiver: str = ""
-    attr: str = ""
+    __slots__ = ("receiver", "attr")
+    _defaults = {"receiver": "", "attr": ""}
 
 
-@dataclass
 class Old(Expr):
     """Value of the operand at feature entry; only legal inside ensure."""
 
-    expr: Expr = None  # type: ignore[assignment]
+    __slots__ = ("expr",)
+    _defaults = {"expr": None}
 
 
-@dataclass
 class Unary(Expr):
-    op: str = "not"
-    expr: Expr = None  # type: ignore[assignment]
+    __slots__ = ("op", "expr")
+    _defaults = {"op": "not", "expr": None}
 
 
-@dataclass
 class Binary(Expr):
-    op: str = "+"  # + - * = /= < <= > >= and or implies
-    left: Expr = None  # type: ignore[assignment]
-    right: Expr = None  # type: ignore[assignment]
+    __slots__ = ("op", "left", "right")  # op: + - * = /= < <= > >= and or implies
+    _defaults = {"op": "+", "left": None, "right": None}
 
 
-@dataclass
 class Has(Expr):
     """Set membership test: receiver.has(item)."""
 
-    receiver: Expr = None  # type: ignore[assignment]
-    item: Expr = None  # type: ignore[assignment]
+    __slots__ = ("receiver", "item")
+    _defaults = {"receiver": None, "item": None}
 
 
-@dataclass
 class CreateExpr(Expr):
     """Creation expression inside an expression context (never dischargeable)."""
 
-    class_name: str = ""
+    __slots__ = ("class_name",)
+    _defaults = {"class_name": ""}
 
 
 COMPARISON_OPS = ("=", "/=", "<", "<=", ">", ">=")
@@ -174,113 +251,88 @@ ATOM_PREC = UNARY_PREC + 1
 # Statements
 
 
-@dataclass
-class Statement:
-    pos: Pos | None = field(default=None, compare=False, kw_only=True)
+class Statement(Node, kw_only=("pos",), uncompared=("pos",)):
+    __slots__ = ("pos",)
+    _defaults = {"pos": None}
 
 
-@dataclass
 class Assign(Statement):
-    target: str = ""
-    value: Expr = None  # type: ignore[assignment]
+    __slots__ = ("target", "value")
+    _defaults = {"target": "", "value": None}
 
 
-@dataclass
 class QualifiedAssign(Statement):
-    receiver: str = ""
-    attr: str = ""
-    value: Expr = None  # type: ignore[assignment]
+    __slots__ = ("receiver", "attr", "value")
+    _defaults = {"receiver": "", "attr": "", "value": None}
 
 
-@dataclass
 class CreateStmt(Statement):
     """Creation instruction: create target or create target.make."""
 
-    target: str = ""
-    creator: str | None = None
+    __slots__ = ("target", "creator")
+    _defaults = {"target": "", "creator": None}
 
 
-@dataclass
 class CallStmt(Statement):
-    receiver: str = ""
-    feature: str = ""
-    args: list[Expr] = field(default_factory=list)
+    __slots__ = ("receiver", "feature", "args")
+    _defaults = {"receiver": "", "feature": "", "args": []}
 
 
-@dataclass
 class IfStmt(Statement):
-    cond: Expr = None  # type: ignore[assignment]
-    then_branch: list[Statement] = field(default_factory=list)
-    else_branch: list[Statement] = field(default_factory=list)
+    __slots__ = ("cond", "then_branch", "else_branch")
+    _defaults = {"cond": None, "then_branch": [], "else_branch": []}
 
 
-@dataclass
-class CheckStmt(Statement):
+class CheckStmt(Statement, uncompared=("synthesized",)):
     """Inlined assertion."""
 
-    label: str = ""
-    expr: Expr = None  # type: ignore[assignment]
-    synthesized: bool = field(default=False, compare=False)
+    __slots__ = ("label", "expr", "synthesized")
+    _defaults = {"label": "", "expr": None, "synthesized": False}
 
 
 # ---------------------------------------------------------------------------
 # Declarations
 
 
-@dataclass
-class Clause:
+class Clause(Node, uncompared=("synthesized", "pos")):
     """Labeled boolean contract clause. Unlabeled clauses get positional
     labels such as invariant_1 so violations can always be named."""
 
-    label: str
-    expr: Expr
-    synthesized: bool = field(default=False, compare=False)
-    pos: Pos | None = field(default=None, compare=False)
+    __slots__ = ("label", "expr", "synthesized", "pos")
+    _defaults = {"synthesized": False, "pos": None}
 
 
-@dataclass
-class Param:
-    name: str
-    ty: Type
-    pos: Pos | None = field(default=None, compare=False)
+class Param(Node, uncompared=("pos",)):
+    __slots__ = ("name", "ty", "pos")
+    _defaults = {"pos": None}
 
 
-@dataclass
-class Attribute:
-    name: str
-    ty: Type
-    pos: Pos | None = field(default=None, compare=False)
+class Attribute(Node, uncompared=("pos",)):
+    __slots__ = ("name", "ty", "pos")
+    _defaults = {"pos": None}
 
 
-@dataclass
-class Feature:
-    name: str
-    params: list[Param] = field(default_factory=list)
-    is_creator: bool = False
-    require: list[Clause] = field(default_factory=list)
-    modify: list[str] | None = None  # None means "may modify every model query"
-    body: list[Statement] = field(default_factory=list)
-    ensure: list[Clause] = field(default_factory=list)
-    pos: Pos | None = field(default=None, compare=False)
+class Feature(Node, uncompared=("pos",)):
+    # modify None means "may modify every model query"
+    __slots__ = ("name", "params", "is_creator", "require", "modify", "body", "ensure", "pos")
+    _defaults = {
+        "params": [], "is_creator": False, "require": [], "modify": None, "body": [], "ensure": [], "pos": None
+    }
 
 
-@dataclass
-class ClassDecl:
-    name: str
-    model_note: list[str] | None = None  # None means "every attribute is a query"
-    # surface spelling only; the creator is the feature with is_creator set
-    create_name: str | None = field(default=None, compare=False)
-    attributes: list[Attribute] = field(default_factory=list)
-    features: list[Feature] = field(default_factory=list)
-    invariant: list[Clause] = field(default_factory=list)
-    pos: Pos | None = field(default=None, compare=False)
+class ClassDecl(Node, uncompared=("create_name", "pos")):
+    # model_note None means "every attribute is a query"; create_name is
+    # the surface spelling only, the creator is the feature with is_creator
+    __slots__ = ("name", "model_note", "create_name", "attributes", "features", "invariant", "pos")
+    _defaults = {
+        "model_note": None, "create_name": None, "attributes": [], "features": [], "invariant": [], "pos": None
+    }
 
 
-@dataclass
-class Program:
-    classes: list[ClassDecl] = field(default_factory=list)
-    # every string literal syntactically present, in sorted order
-    string_pool: tuple[str, ...] = ()
+class Program(Node):
+    # string_pool: every string literal syntactically present, in sorted order
+    __slots__ = ("classes", "string_pool")
+    _defaults = {"classes": [], "string_pool": ()}
 
     def class_named(self, name: str) -> ClassDecl | None:
         for c in self.classes:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -187,7 +186,7 @@ def _resolve_options(
         updates["check_overflow"] = args.check_overflow
     if args.overflow_width is not None:
         updates["overflow_width"] = args.overflow_width
-    return replace(opts, **updates) if updates else opts
+    return opts.replace(**updates) if updates else opts
 
 
 def _out(text: str) -> None:
@@ -326,7 +325,7 @@ def _find_obligation(
         if o.id == obligation_id:
             return o, opts
     if not opts.check_overflow:
-        retry = replace(opts, check_overflow=True)
+        retry = opts.replace(check_overflow=True)
         for o in generate_obligations(checked, retry):
             if o.id == obligation_id:
                 return o, retry

@@ -11,7 +11,6 @@ deliberate, audited change.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -35,13 +34,18 @@ _MUTANT_PARENT = {
 }
 
 
-@dataclass(frozen=True)
 class CorpusEntry:
-    name: str
-    source: str
-    manifest: dict
-    scenarios: dict[str, str]  # scenario name -> script text
-    notes: str
+    """A plain slotted record: listing or exporting entries loads no
+    pipeline layer, so it does not derive from ``ast.Node``."""
+
+    __slots__ = ("name", "source", "manifest", "scenarios", "notes")
+
+    def __init__(self, name: str, source: str, manifest: dict, scenarios: dict[str, str], notes: str):
+        self.name = name
+        self.source = source
+        self.manifest = manifest
+        self.scenarios = scenarios  # scenario name -> script text
+        self.notes = notes
 
     @property
     def options(self) -> VerifyOptions:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from itertools import product
 
 from . import ast
@@ -71,25 +70,22 @@ ERROR = "Error"
 COMPILE_AT = 3
 
 
-@dataclass(frozen=True)
-class Domains:
-    int_range: tuple[int, int]
-    string_pool: tuple[str, ...]
-    max_refs: int = 1
-    # per type: the domain values and a map from each value to itself
-    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class Domains(ast.Node, frozen=True):
+    __slots__ = ("int_range", "string_pool", "max_refs", "_built")
+    _fields = ("int_range", "string_pool", "max_refs")
+    _defaults = {"max_refs": 1}
 
     def __post_init__(self):
         lo, hi = self.int_range
         if hi - lo + 1 < 2:
             raise ValueError(f"int_range [{lo}, {hi}] must span at least two values")
+        # per type: the domain values and a map from each value to itself
+        object.__setattr__(self, "_built", {})
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    counterexample: dict | None = None
-    reason: str | None = None
+class Verdict(ast.Node, frozen=True):
+    __slots__ = ("status", "counterexample", "reason")
+    _defaults = {"counterexample": None, "reason": None}
 
     @property
     def discharged(self) -> bool:
@@ -296,23 +292,12 @@ def verify_program(checked: CheckedProgram, opts: VerifyOptions) -> "Report":
 # -- reporting ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    id: str
-    kind: str
-    class_name: str
-    feature_name: str
-    provenance: str
-    verdict: Verdict
+class ReportRow(ast.Node, frozen=True):
+    __slots__ = ("id", "kind", "class_name", "feature_name", "provenance", "verdict")
 
 
-@dataclass(frozen=True)
-class Report:
-    rows: tuple[ReportRow, ...]
-    counts: dict[str, int]
-    percentages: dict[str, int]
-    domains: Domains
-    duration_ms: int
+class Report(ast.Node, frozen=True):
+    __slots__ = ("rows", "counts", "percentages", "domains", "duration_ms")
 
     @property
     def total(self) -> int:

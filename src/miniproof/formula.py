@@ -29,17 +29,15 @@ of values (``encode_value``/``decode_value``) with its type check
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from typing import Union
 
 from . import ast
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(ast.Node, frozen=True):
     """The representative object of a class; compares equal to itself."""
 
-    class_name: str
+    __slots__ = ("class_name",)
 
     def __str__(self):
         return f"<{self.class_name}>"
@@ -48,94 +46,63 @@ class Ref:
 Value = Union[int, bool, str, frozenset, Ref, None]
 
 
-class Formula:
-    __slots__ = ()
+class Formula(ast.Node, frozen=True):
+    # the keys of the free leaves below a compound node, once worked out
+    # (see ``_leaves``)
+    __slots__ = ("_leafkeys",)
+    _fields = ()
 
 
-@dataclass(frozen=True)
 class Sym(Formula):
-    name: str
-    ty: ast.Type
+    __slots__ = ("name", "ty")
 
 
-@dataclass(frozen=True)
 class OldSym(Formula):
     """Entry-state value of a path, produced while lowering ensure
     clauses; replaced by a plain Sym once weakest preconditions reach
     the entry point."""
 
-    name: str
-    ty: ast.Type
+    __slots__ = ("name", "ty")
 
 
-@dataclass(frozen=True)
 class Lit(Formula):
-    value: Value
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    items: tuple[Formula, ...]
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    items: tuple[Formula, ...]
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Cmp(Formula):
-    op: str  # = /= < <= > >=
-    left: Formula
-    right: Formula
+    __slots__ = ("op", "left", "right")  # op: = /= < <= > >=
 
 
-@dataclass(frozen=True)
 class Arith(Formula):
-    op: str  # + - *
-    left: Formula
-    right: Formula
+    __slots__ = ("op", "left", "right")  # op: + - *
 
 
-@dataclass(frozen=True)
 class HasF(Formula):
-    set_expr: Formula
-    item: Formula
+    __slots__ = ("set_expr", "item")
 
 
-@dataclass(frozen=True)
 class Let(Formula):
     """The delayed simultaneous substitution subst(body, binds). A bind's
     key is a leaf key (see ``_key``), so it may replace an OldSym too.
-    Only binds of keys the body mentions take part. The keys of the
-    body's free leaves and of the Let's own, with their types, are kept
-    so that walks and further substitutions stop here."""
+    Only binds of keys the body mentions take part."""
 
-    binds: tuple[tuple[str, Formula], ...]
-    body: Formula
-    body_leaves: dict | None = field(default=None, compare=False, repr=False)
-    leaves: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        body_leaves = self.body_leaves if self.body_leaves is not None else _leaves(self.body)
-        bound = {k for k, _ in self.binds}
-        leaves = {k: ty for k, ty in body_leaves.items() if k not in bound}
-        for k, value in self.binds:
-            if k in body_leaves:
-                leaves.update(_leaves(value))
-        object.__setattr__(self, "body_leaves", body_leaves)
-        object.__setattr__(self, "leaves", leaves)
+    __slots__ = ("binds", "body")
 
 
 TRUE = Lit(True)
@@ -179,11 +146,9 @@ ALL_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class VerifyOptions:
-    int_range: tuple[int, int] = (-8, 8)
-    check_overflow: bool = False
-    overflow_width: int = 32
+class VerifyOptions(ast.Node, frozen=True):
+    __slots__ = ("int_range", "check_overflow", "overflow_width")
+    _defaults = {"int_range": (-8, 8), "check_overflow": False, "overflow_width": 32}
 
     def __post_init__(self):
         lo, hi = self.int_range
@@ -292,25 +257,53 @@ def _key(leaf: Sym | OldSym) -> str:
 
 
 def _leaves(f: Formula) -> dict[str, ast.Type]:
-    """Keys of the free leaves of f with their types. Visits each shared
-    node once and stops at a Let, which knows its own."""
-    if isinstance(f, Let):
-        return f.leaves
-    found: dict[str, ast.Type] = {}
-    seen: set[int] = set()
+    """Keys of the free leaves of f with their types. A compound node
+    works its keys out once, from its children's, and keeps them in its
+    ``_leafkeys`` slot, so no subtree is walked twice."""
+    try:
+        return f._leafkeys
+    except AttributeError:
+        if isinstance(f, (Sym, OldSym)):
+            return {_key(f): f.ty}
+        if isinstance(f, Lit):
+            return {}
     stack = [f]
     while stack:
         g = stack.pop()
-        cls = type(g)
+        if type(g) is tuple:  # a node and its children, each done
+            g, kids = g
+            object.__setattr__(g, "_leafkeys", _own_leaves(g, kids))
+        elif not hasattr(g, "_leafkeys"):  # a shared node may be done already
+            kids = children(g)
+            stack.append((g, kids))
+            stack += [c for c in kids if type(c) not in _ATOMS]
+    return f._leafkeys
+
+
+_ATOMS = (Sym, OldSym, Lit)
+
+
+def _own_leaves(g: Formula, kids) -> dict[str, ast.Type]:
+    """The leaf keys of a compound node whose children know theirs. A
+    Let has those of its body that it does not bind, and those of each
+    bind whose key the body mentions."""
+    if isinstance(g, Let):
+        body = _leaves(g.body)
+        bound = {k for k, _ in g.binds}
+        found = {k: ty for k, ty in body.items() if k not in bound}
+        for k, value in g.binds:
+            if k in body:
+                found.update(_leaves(value))
+        return found
+    found = {}
+    for c in kids:
+        cls = type(c)
         if cls is Sym:
-            found[g.name] = g.ty
+            found[c.name] = c.ty
         elif cls is OldSym:
-            found[_OLD + g.name] = g.ty
-        elif cls is Let:
-            found.update(g.leaves)
-        elif cls is not Lit and id(g) not in seen:
-            seen.add(id(g))
-            stack.extend(children(g))
+            found[_OLD + c.name] = c.ty
+        elif cls is not Lit:
+            found.update(c._leafkeys)
     return found
 
 
@@ -359,12 +352,13 @@ def subst(f: Formula, mapping: dict[str, Formula]) -> Formula:
     if not live:
         return f
     if not isinstance(f, Let):
-        return Let(tuple(live.items()), f, leaves)
+        return Let(tuple(live.items()), f)
+    body_leaves = _leaves(f.body)
     binds = {k: subst(value, mapping) for k, value in f.binds}
     for k, value in mapping.items():
-        if k not in binds and k in f.body_leaves:
+        if k not in binds and k in body_leaves:
             binds[k] = value
-    return Let(tuple(binds.items()), f.body, f.body_leaves)
+    return Let(tuple(binds.items()), f.body)
 
 
 def unify_old(f: Formula) -> Formula:
@@ -394,7 +388,9 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
     formula can fold to a literal while some symbols are still unbound,
     and the operands after the deciding one are never folded. A Let's
     body and an implication's consequent are folded in the same frame,
-    so a closed chain of `if`s costs about one Python frame per `if`."""
+    so a closed chain of `if`s costs about one Python frame per `if`. A
+    comparison, arithmetic or has node whose operands fold to themselves
+    is returned as it is, with the leaf keys it keeps."""
     while True:
         if isinstance(f, (Sym, OldSym)):
             return env.get(_key(f), f) if env else f
@@ -430,12 +426,12 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
             if isinstance(f, Cmp) and left == right:
                 # reflexivity: values are total, x = x regardless of binding
                 return TRUE if f.op in ("=", "<=", ">=") else FALSE
-            return type(f)(f.op, left, right)
+            return f if left is f.left and right is f.right else type(f)(f.op, left, right)
         if isinstance(f, HasF):
             s, item = fold(f.set_expr, env), fold(f.item, env)
             if isinstance(s, Lit) and isinstance(item, Lit):
                 return Lit(item.value is not None and item.value in s.value)
-            return HasF(s, item)
+            return f if s is f.set_expr and item is f.item else HasF(s, item)
         raise TypeError(f"unexpected formula node {f!r}")
 
 

@@ -14,8 +14,8 @@ keyword-delimited. Lines and columns count from 1, a column in characters.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from .ast import Node
 from .errors import ParseError
 
 KEYWORDS = {
@@ -74,12 +74,9 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT | INT | STRING | KEYWORD | SYMBOL | EOF
-    value: str
-    line: int
-    col: int
+class Token(Node, frozen=True):
+    # kind: IDENT | INT | STRING | KEYWORD | SYMBOL | EOF
+    __slots__ = ("kind", "value", "line", "col")
 
     def __repr__(self):
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"

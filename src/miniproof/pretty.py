@@ -40,11 +40,11 @@ def expr_text(e: ast.Expr) -> str:
     if isinstance(e, ast.CreateExpr):
         return f"create {e.class_name}"
     if isinstance(e, ast.Binary):
-        p = ast.BINARY_PREC[e.op]
-        if ast.BINARY_ASSOC[e.op] == "right":
-            left, right = _child(e.left, p + 1), _child(e.right, p)
-        else:
-            left, right = _child(e.left, p), _child(e.right, p + 1)
+        # an operand at the operator's own level is wrapped unless the
+        # operator chains on that side; comparisons chain on neither
+        p, assoc = ast.BINARY_PREC[e.op], ast.BINARY_ASSOC[e.op]
+        left = _child(e.left, p if assoc == "left" else p + 1)
+        right = _child(e.right, p if assoc == "right" else p + 1)
         return f"{left} {e.op} {right}"
     raise TypeError(f"unprintable expression {e!r}")
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import sys
 from collections import ChainMap
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from . import ast
@@ -175,27 +174,16 @@ def eval_expr(
 # -- monitor plans ----------------------------------------------------------------
 
 
-class MonitorPlan:
+class MonitorPlan(ast.Node):
     """What monitoring one feature needs from its text. Node maps are
     keyed by id(): the plan lives in the CheckedProgram whose AST holds
-    the nodes, so the ids stay valid for the plan's life. A plain class,
-    not a dataclass, because every CLI process pays for defining it."""
+    the nodes, so the ids stay valid for the plan's life."""
 
+    # olds: the distinct `old` operands, first occurrence first; old_keys:
+    # every `old` node -> its operand's text; arith_labels: every
+    # arithmetic body node -> its text; frame_queries: the model queries
+    # the frame condition compares
     __slots__ = ("olds", "old_keys", "arith_labels", "labels_by_provenance", "frame_queries")
-
-    def __init__(
-        self,
-        olds: tuple[tuple[str, ast.Expr], ...],  # distinct `old` operands, first occurrence first
-        old_keys: dict[int, str],  # every `old` node -> its operand's text
-        arith_labels: dict[int, str],  # every arithmetic body node -> its text
-        labels_by_provenance: dict[str, frozenset[str]],
-        frame_queries: tuple[str, ...],  # model queries the frame condition compares
-    ):
-        self.olds = olds
-        self.old_keys = old_keys
-        self.arith_labels = arith_labels
-        self.labels_by_provenance = labels_by_provenance
-        self.frame_queries = frame_queries
 
     def overflow_labels(self, provenance: str) -> frozenset[str]:
         """Texts of the arithmetic node named by an Overflow obligation and
@@ -366,14 +354,11 @@ class Interpreter:
 # -- scenarios ------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Command:
-    kind: str  # "create" | "call"
-    var: str
-    target: str  # class name for create, feature name for call
-    args: list = field(default_factory=list)
-    expect: tuple | None = None  # ("ok",) or ("violation", label)
-    line: int = 0
+class Command(ast.Node):
+    # kind: "create" | "call"; target: class name for create, feature name
+    # for call; expect: ("ok",) or ("violation", label)
+    __slots__ = ("kind", "var", "target", "args", "expect", "line")
+    _defaults = {"args": [], "expect": None, "line": 0}
 
     @property
     def text(self) -> str:
@@ -383,9 +368,8 @@ class Command:
         return f"call {self.var}.{self.target}({rendered})"
 
 
-@dataclass
-class Scenario:
-    commands: list[Command]
+class Scenario(ast.Node):
+    __slots__ = ("commands",)
 
 
 def _parse_literal(token: str, line_no: int):
@@ -446,20 +430,14 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(commands)
 
 
-@dataclass
-class Step:
-    command: str
-    expected: str
-    outcome: str  # "ok" | "violation <kind> <label>" | "error <text>"
-    matched: bool
-    violation: ContractViolation | None = None
+class Step(ast.Node):
+    # outcome: "ok" | "violation <kind> <label>" | "error <text>"
+    __slots__ = ("command", "expected", "outcome", "matched", "violation")
+    _defaults = {"violation": None}
 
 
-@dataclass
-class Trace:
-    steps: list[Step]
-    objects: dict[str, RuntimeObject]
-    ok: bool
+class Trace(ast.Node):
+    __slots__ = ("steps", "objects", "ok")
 
     def final_state(self, var: str) -> dict:
         return dict(self.objects[var].fields)

@@ -35,8 +35,9 @@ One function, ``_lower``, lowers every contract and body expression to
 a formula. Only the reading of Name and Qualified leaves varies: the
 feature's own expressions read its paths, and the clauses of a callee
 or of a created object read through the receiver path (``_through``).
-The hypotheses every obligation of a feature assumes, and the
-invariants of the objects it references, are lowered once per feature.
+The hypotheses every obligation of a feature assumes are lowered once
+per feature, and the invariants of the objects its class's attributes
+reference once per class.
 
 Substitution is delayed (``formula.Let``), so the two branches of an
 ``if`` share one postcondition object instead of two copies, and each
@@ -49,7 +50,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from operator import itemgetter
 
 from . import ast
 from . import formula as F
@@ -75,15 +76,9 @@ _ID_TAGS = {kind: re.sub(r"(?<!^)(?=[A-Z])", "_", kind).lower() for kind in ALL_
 UNSUPPORTED_REASON = "creation expression in contract"
 
 
-@dataclass(frozen=True)
-class Obligation:
-    id: str
-    kind: str
-    class_name: str
-    feature_name: str
-    formula: F.Formula
-    provenance: str
-    unsupported_reason: str | None = None
+class Obligation(ast.Node, frozen=True):
+    __slots__ = ("id", "kind", "class_name", "feature_name", "formula", "provenance", "unsupported_reason")
+    _defaults = {"unsupported_reason": None}
 
 
 def mentions_creation(e: ast.Expr) -> bool:
@@ -197,7 +192,8 @@ def _havoc_set(callee_info: ClassInfo, callee: ast.Feature) -> set[str]:
 
 class _FeatureVCs:
     """The weakest-precondition pass over one feature, and the
-    obligations generated from it."""
+    obligations generated from it. lifted, when given, is
+    ``_lifted_invariants`` of the class's attributes."""
 
     def __init__(
         self,
@@ -205,6 +201,7 @@ class _FeatureVCs:
         info: ClassInfo,
         feat: ast.Feature,
         opts: VerifyOptions = VerifyOptions(),
+        lifted: list | None = None,
     ):
         self.checked = checked
         self.info = info
@@ -233,7 +230,11 @@ class _FeatureVCs:
             if not mentions_creation(e)
         ]
         self.hyp_syms = {name for h in self.hyps for name in F.free_syms(h)}
-        self.lifted = [] if feat.is_creator else self._lifted_invariants()
+        if lifted is None:
+            lifted = _lifted_invariants(checked, info.attributes.items())
+        params = _lifted_invariants(checked, [(p.name, p.ty) for p in feat.params])
+        # nor the invariants of the objects it references
+        self.lifted = [] if feat.is_creator else sorted(lifted + params, key=itemgetter(0))
         self.defaults = {name: F.Lit(type_default(ty)) for name, ty in info.attributes.items()}
 
     def ref_type(self, name: str) -> ast.Type:
@@ -412,22 +413,6 @@ class _FeatureVCs:
         closed = F.implies(F.conj(*hyps), goal)
         return F.subst(closed, self.defaults) if self.feat.is_creator else closed
 
-    def _lifted_invariants(self) -> list[tuple[str, set[str], F.Formula]]:
-        """Invariants of objects one dereference away, guarded by their
-        attachment, each with its receiver and symbols: an obligation
-        takes those whose symbols it already mentions - anything else
-        would only widen the search."""
-        names = [(p.name, p.ty) for p in self.feat.params] + list(self.info.attributes.items())
-        out = []
-        for r, ty in sorted(names):
-            if ty.kind != ast.REF:
-                continue
-            invariant = self.checked.info(ty.class_name).decl.invariant
-            for _, lifted in _lowered(invariant, _through(r, {}, lambda p: p)):
-                guarded = F.disj(F.Cmp("=", F.Sym(r, ty), F.Lit(None)), lifted)
-                out.append((r, set(F.free_syms(lifted)), guarded))
-        return out
-
     def generate(self) -> list[Obligation]:
         """Postconditions, invariants and frames, then entry-site
         dereferences, body assertions and exit-site dereferences; the
@@ -486,6 +471,23 @@ def wp(
 # -- obligation generation ------------------------------------------------------
 
 
+def _lifted_invariants(checked: CheckedProgram, names) -> list[tuple[str, set[str], F.Formula]]:
+    """Invariants of the objects the named references point to, guarded
+    by their attachment, each with its receiver and symbols, by receiver
+    name: an obligation takes those whose symbols it already mentions -
+    anything else would only widen the search. Those of a class's
+    attributes are built once per class."""
+    out = []
+    for r, ty in sorted(names):
+        if ty.kind != ast.REF:
+            continue
+        invariant = checked.info(ty.class_name).decl.invariant
+        for _, lifted in _lowered(invariant, _through(r, {}, lambda p: p)):
+            guarded = F.disj(F.Cmp("=", F.Sym(r, ty), F.Lit(None)), lifted)
+            out.append((r, set(F.free_syms(lifted)), guarded))
+    return out
+
+
 def generate_obligations(checked: CheckedProgram, opts: VerifyOptions) -> list[Obligation]:
     """Every obligation of the program, in a deterministic order:
     classes and features as declared; within a feature postconditions,
@@ -494,8 +496,9 @@ def generate_obligations(checked: CheckedProgram, opts: VerifyOptions) -> list[O
     obligations: list[Obligation] = []
     for cls in checked.program.classes:
         info = checked.info(cls.name)
+        lifted = _lifted_invariants(checked, info.attributes.items())
         for feat in cls.features:
-            obligations.extend(_FeatureVCs(checked, info, feat, opts).generate())
+            obligations.extend(_FeatureVCs(checked, info, feat, opts, lifted).generate())
         for i, clause in enumerate(cls.invariant):
             if mentions_creation(clause.expr):
                 obligations.append(

@@ -7,7 +7,8 @@ in the module that defines it.
 
 Checked in a fresh interpreter per command, because pytest's warm
 ``sys.modules`` would hide a missing import: each CLI subcommand loads
-exactly the layers it runs, and every public name resolves.
+exactly the layers it runs and neither ``dataclasses`` nor ``inspect``,
+and every public name resolves.
 """
 
 import ast
@@ -111,6 +112,8 @@ from miniproof.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     main(sys.argv[1:])
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "miniproof")))
+# standard modules that cost start-up time and that no command needs
+print(json.dumps([m for m in ("dataclasses", "inspect") if m in sys.modules]))
 """
 
 _SHELL = {"cli", "errors"}
@@ -128,10 +131,11 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _loaded(*argv: str) -> set[str]:
-    """The miniproof submodules a fresh interpreter holds after cli.main(argv)."""
-    modules = json.loads(_fresh("-c", _PROBE, *argv).stdout)
-    return {m.removeprefix("miniproof.") for m in modules} - {"miniproof"}
+def _loaded(*argv: str) -> tuple[set[str], list[str]]:
+    """The miniproof submodules a fresh interpreter holds after
+    cli.main(argv), and which of dataclasses and inspect it holds."""
+    modules, stdlib = map(json.loads, _fresh("-c", _PROBE, *argv).stdout.splitlines())
+    return {m.removeprefix("miniproof.") for m in modules} - {"miniproof"}, stdlib
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +171,7 @@ def noguard_report(tmp_path_factory) -> Path:
 )
 def test_each_command_loads_only_the_layers_it_runs(argv, expected, tmp_path, noguard_report):
     argv = [a.format(tmp=tmp_path, report=noguard_report) for a in argv]
-    assert _loaded(*argv) == expected
+    assert _loaded(*argv) == (expected, [])
 
 
 def test_importing_the_package_loads_only_errors():

@@ -1,0 +1,148 @@
+"""The Node base: construction, repr, equality, hashing and immutability of
+tree nodes and records, and the leaf keys formula nodes keep."""
+
+import pytest
+
+from miniproof import analyze, ast, parse
+from miniproof import formula as F
+from miniproof.ast import T_BOOL, T_INT, Pos
+from miniproof.discharge import Verdict
+from miniproof.formula import VerifyOptions
+from miniproof.lexer import Token, tokenize
+from miniproof.vcgen import generate_obligations
+
+
+def test_reprs_name_every_field_in_order():
+    binary = ast.Binary("+", ast.IntLit(1), ast.Name("x", ty=T_INT), pos=Pos(2, 5))
+    assert repr(binary) == (
+        "Binary(pos=Pos(line=2, col=5), ty=None, op='+', "
+        "left=IntLit(pos=None, ty=None, value=1), "
+        "right=Name(pos=None, ty=Type(kind='INTEGER', class_name=None), name='x'))"
+    )
+    assert repr(ast.Clause("c", ast.VoidLit())) == (
+        "Clause(label='c', expr=VoidLit(pos=None, ty=None), synthesized=False, pos=None)"
+    )
+    cmp = F.Cmp("=", F.Sym("x", T_INT), F.Lit(1))
+    assert repr(cmp) == (
+        "Cmp(op='=', left=Sym(name='x', ty=Type(kind='INTEGER', class_name=None)), "
+        "right=Lit(value=1))"
+    )
+    assert repr(F.subst(cmp, {"x": F.Lit(2)})) == f"Let(binds=(('x', Lit(value=2)),), body={cmp!r})"
+    assert repr(tokenize("x := 1")[1]) == "Token(SYMBOL, ':=', 1:3)"
+    assert repr(Verdict("Failed", {"x": 1})) == (
+        "Verdict(status='Failed', counterexample={'x': 1}, reason=None)"
+    )
+
+
+def test_construction_by_position_and_keyword():
+    assert ast.CheckStmt("l", ast.BoolLit(True), True, pos=Pos(1, 1)) == ast.CheckStmt(
+        label="l", expr=ast.BoolLit(value=True)
+    )
+    with pytest.raises(TypeError):
+        ast.IntLit(1, Pos(1, 1))  # pos and ty are keyword-only
+    with pytest.raises(TypeError):
+        F.Sym("x")
+    # a list default is the node's own
+    first, second = ast.Feature("f"), ast.Feature("g")
+    first.body.append(ast.Assign("x", ast.IntLit(1)))
+    assert second.body == []
+
+
+def test_ast_equality_ignores_positions_types_and_synthesis():
+    assert ast.Name("x", pos=Pos(1, 1), ty=T_INT) == ast.Name("x", pos=Pos(9, 9), ty=T_BOOL)
+    assert ast.VoidLit(pos=Pos(1, 1)) == ast.VoidLit()
+    assert ast.Clause("c", ast.VoidLit(), True, Pos(1, 1)) == ast.Clause("c", ast.VoidLit())
+    assert ast.ClassDecl("C", create_name="make") == ast.ClassDecl("C")
+    assert ast.Name("x") != ast.Name("y")
+    assert ast.Name("x") != ast.StrLit("x")
+    assert ast.IntLit(1) != F.Lit(1)
+
+
+def test_mutable_nodes_are_unhashable_and_assignable():
+    node = ast.Binary("+", ast.IntLit(1), ast.IntLit(2))
+    with pytest.raises(TypeError):
+        hash(node)
+    with pytest.raises(TypeError):
+        hash(ast.Feature("f"))
+    node.ty = T_INT
+    assert node.ty == T_INT
+
+
+def test_frozen_nodes_hash_by_value():
+    x = F.Sym("x", T_INT)
+    assert F.Cmp("=", x, F.Lit(1)) == F.Cmp("=", F.Sym("x", T_INT), F.Lit(1))
+    assert hash(F.Cmp("=", x, F.Lit(1))) == hash(F.Cmp("=", F.Sym("x", T_INT), F.Lit(1)))
+    assert len({F.Sym("x", T_INT), F.Sym("x", T_INT), F.OldSym("x", T_INT)}) == 2
+    assert F.Sym("x", T_INT) != F.OldSym("x", T_INT)
+    assert {Pos(1, 2): "p"}[Pos(1, 2)] == "p"
+    assert Token("IDENT", "x", 1, 1) == Token("IDENT", "x", 1, 1)
+
+
+@pytest.mark.parametrize(
+    "node, field",
+    [
+        (F.Sym("x", T_INT), "name"),
+        (F.Lit(1), "value"),
+        (F.And((F.TRUE, F.FALSE)), "items"),
+        (Token("IDENT", "x", 1, 1), "value"),
+        (Pos(1, 1), "line"),
+        (T_INT, "kind"),
+        (Verdict("Discharged"), "status"),
+        (VerifyOptions(), "int_range"),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
+)
+def test_frozen_nodes_refuse_assignment(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, None)
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+
+
+def test_verify_options_replace_checks_like_the_constructor():
+    opts = VerifyOptions(int_range=(-4, 4))
+    assert opts.replace(check_overflow=True, overflow_width=8) == VerifyOptions((-4, 4), True, 8)
+    assert opts == VerifyOptions(int_range=(-4, 4))
+    for changes in ({"int_range": (1, 8)}, {"overflow_width": 12}):
+        with pytest.raises(ValueError) as by_constructor:
+            VerifyOptions(**changes)
+        with pytest.raises(ValueError) as by_replace:
+            opts.replace(**changes)
+        assert str(by_replace.value) == str(by_constructor.value)
+    with pytest.raises(TypeError):
+        opts.replace(width=8)
+
+
+def _walked_leaves(f: F.Formula) -> dict:
+    """The leaf keys of f found by walking the formula it stands for,
+    with every substitution carried out and nothing cached."""
+    found, stack = {}, [F.expand(f)]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, F.Sym):
+            found[g.name] = g.ty
+        elif isinstance(g, F.OldSym):
+            found["old " + g.name] = g.ty
+        stack.extend(F.children(g))
+    return found
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["manifest", "width8"])
+def test_cached_leaf_keys_equal_a_fresh_walk(entries, overflow):
+    checked_obligations = 0
+    for entry in entries.values():
+        opts = entry.options.replace(check_overflow=True, overflow_width=8) if overflow else entry.options
+        for o in generate_obligations(analyze(parse(entry.source)), opts):
+            assert F._leaves(o.formula) == _walked_leaves(o.formula), o.id
+            # every compound node below keeps the keys of what it stands for
+            stack, seen = [o.formula], set()
+            while stack:
+                g = stack.pop()
+                if id(g) not in seen and not isinstance(g, (F.Sym, F.OldSym, F.Lit)):
+                    seen.add(id(g))
+                    assert g._leafkeys == _walked_leaves(g), o.id
+                    stack.extend(F.children(g))
+            checked_obligations += 1
+    assert checked_obligations > 100

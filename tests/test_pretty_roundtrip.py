@@ -97,6 +97,32 @@ def test_parentheses_only_where_needed():
     assert expr_text(parse_expr("x = (1 + 2) * 3")) == "x = (1 + 2) * 3"
 
 
+NESTED_COMPARISON = """class T
+create make
+feature
+  x: INTEGER
+feature
+  make
+    do
+    ensure
+      c: (x = 0) = true
+      d: true = (x /= 0)
+    end
+end
+"""
+
+
+def test_nested_comparison_round_trips():
+    """Comparisons do not chain, so a comparison operand of a comparison
+    keeps its parentheses on either side."""
+    tree = parse(NESTED_COMPARISON)
+    printed = program_text(tree)
+    assert "c: (x = 0) = true" in printed
+    assert "d: true = (x /= 0)" in printed
+    assert parse(printed) == tree
+    assert program_text(parse(printed)) == printed
+
+
 def test_printed_account_keeps_contract_order(entries):
     printed = program_text(parse(entries["account"].source))
     # within deposit: require precedes the body, ensure follows it

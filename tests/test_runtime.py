@@ -5,7 +5,6 @@ scenario parsing/execution/rendering."""
 import hashlib
 import json
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -588,7 +587,7 @@ def test_builtin_scenario_traces_are_pinned(name, width8, entries, checked_progr
     entry = entries[name]
     opts = entry.options
     if width8:
-        opts = replace(opts, check_overflow=True, overflow_width=8)
+        opts = opts.replace(check_overflow=True, overflow_width=8)
     parts = []
     for scenario, text in entry.scenarios.items():
         trace = run_scenario(checked_programs[name], parse_scenario(text), opts)
