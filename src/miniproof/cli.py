@@ -156,7 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
 # loads vcgen or discharge.
 
 
-def _load_program(target: str) -> tuple[CheckedProgram, CorpusEntry | None]:
+def _load_program(
+    target: str, scenario: str | None = None
+) -> tuple[CheckedProgram, CorpusEntry | None, str | None]:
+    """The checked program, its corpus entry or None, and the named
+    scenario's text, looked up before any front end loads."""
     if target.startswith(CORPUS_PREFIX):
         from .corpus import load_builtin
 
@@ -165,10 +169,11 @@ def _load_program(target: str) -> tuple[CheckedProgram, CorpusEntry | None]:
     else:
         entry = None
         source = Path(target).read_text(encoding="utf-8")
+    text = _scenario_text(entry, scenario) if scenario is not None else None
     from .analyzer import analyze
     from .parser import parse
 
-    return analyze(parse(source)), entry
+    return analyze(parse(source)), entry, text
 
 
 def _resolve_options(
@@ -197,7 +202,7 @@ def _out(text: str) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checked, entry = _load_program(args.target)
+    checked, entry, _ = _load_program(args.target)
     opts = _resolve_options(entry, args)
     from .discharge import render_json, render_text, verify_program
 
@@ -229,9 +234,8 @@ def _write_obligation_dump(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    checked, entry = _load_program(args.target)
+    checked, entry, text = _load_program(args.target, args.scenario)
     opts = _resolve_options(entry, args)
-    text = _scenario_text(entry, args.scenario)
     from .runtime import parse_scenario, run_scenario, trace_json, trace_text
 
     trace = run_scenario(checked, parse_scenario(text), opts)
@@ -252,7 +256,7 @@ def _scenario_text(entry: CorpusEntry | None, ref: str) -> str:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    checked, entry = _load_program(args.target)
+    checked, entry, _ = _load_program(args.target)
     opts = _resolve_options(entry, args)
     row = _report_row(args.report, args.obligation_id)
     verdict = row.get("verdict")

@@ -16,12 +16,15 @@ the work, and none of them can change which falsifier comes first:
 1. Branch only on symbols the folded residual still mentions. Every value
    of any other symbol gives the same residual, so the first value stands
    for all of them.
-2. Build each symbol domain once per ``Domains``.
-3. Pin: when the residual is ``A implies B`` and a conjunct of ``A`` is
-   ``s = literal`` for the next symbol ``s``, only that literal can falsify
-   it; every other value makes ``A`` false and the implication true.
+2. Build a domain, once per ``Domains``, only to branch on, scan or
+   filter it; pins and first values do without it.
+3. Narrow by hypotheses, the conjuncts every falsifier satisfies (see
+   ``_hypotheses``): one over a single live symbol keeps the values of its
+   domain that make it true, in domain order. Symbols left with one value
+   are bound together, and the step repeats. This is node consistency
+   (Mackworth 1977), which generalises the unit propagation of DPLL.
 4. Once at most three symbols are live, compile the residual to a Python
-   function and scan its leaves in order instead of re-folding.
+   function and scan its leaves, over the narrowed domains, in order.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ class Domains(ast.Node, frozen=True):
         lo, hi = self.int_range
         if hi - lo + 1 < 2:
             raise ValueError(f"int_range [{lo}, {hi}] must span at least two values")
-        # per type: the domain values and a map from each value to itself
+        # per type, its domain values, built when first searched; per
+        # hypothesis and input values, the values it keeps (see _narrow)
         object.__setattr__(self, "_built", {})
 
 
@@ -100,18 +104,13 @@ def symbol_domain(ty: ast.Type, domains: Domains) -> tuple[F.Value, ...]:
     """Every value a symbol of the given type can take, in enumeration
     order: ints ascending, false before true, strings in pool order with
     Void last, sets in characteristic-bitvector order over the pool,
-    references before Void. One representative object stands for all
-    non-Void references of a class, a deliberately coarse heap model
-    that ignores aliasing between distinct objects. Built once per
-    Domains and shared, hence a tuple."""
-    return _domain(ty, domains)[0]
-
-
-def _domain(ty: ast.Type, domains: Domains) -> tuple[tuple, dict]:
+    references before Void. Built on first use and shared per Domains,
+    hence a tuple. One object stands for all non-Void references of a
+    class, yet a field read is a symbol per access path, so paths that
+    alias read independent values: a coarse model, unsound there."""
     built = domains._built.get(ty)
     if built is None:
-        values = tuple(_domain_values(ty, domains))
-        built = domains._built[ty] = (values, {v: v for v in values})
+        built = domains._built[ty] = tuple(_domain_values(ty, domains))
     return built
 
 
@@ -139,19 +138,8 @@ def enumerate_environments(obligation: Obligation, domains: Domains):
     lexicographic order; assignments violating the hypotheses are
     included (the hypotheses live inside the formula)."""
     syms = F.free_syms(obligation.formula)
-    names = list(syms)
-    value_lists = [symbol_domain(syms[n], domains) for n in names]
-
-    def rec(i: int, env: dict):
-        if i == len(names):
-            yield dict(env)
-            return
-        for v in value_lists[i]:
-            env[names[i]] = v
-            yield from rec(i + 1, env)
-        del env[names[i]]
-
-    yield from rec(0, {})
+    for values in product(*(symbol_domain(ty, domains) for ty in syms.values())):
+        yield dict(zip(syms, values))
 
 
 def discharge(obligation: Obligation, domains: Domains) -> Verdict:
@@ -164,22 +152,23 @@ def discharge(obligation: Obligation, domains: Domains) -> Verdict:
 
 def _search(f: F.Formula, domains: Domains) -> Verdict:
     syms = F.free_syms(f)
-    hit = _walk(F.fold(f), domains, {})
+    hit = _walk(F.fold(f), domains, {}, {})
     if hit is None:
         return Verdict(DISCHARGED)
     counterexample = {
-        name: hit[name] if name in hit else symbol_domain(ty, domains)[0]
+        name: hit[name] if name in hit else next(iter(_domain_values(ty, domains)))
         for name, ty in syms.items()
     }
     return Verdict(FAILED, counterexample=counterexample)
 
 
-def _walk(g: F.Formula, domains: Domains, bound: dict[str, F.Value]) -> dict | None:
+def _walk(g: F.Formula, domains: Domains, bound: dict, narrowed: dict) -> dict | None:
     """The first falsifying assignment below the folded residual g, merged
     into the symbols already bound, or None when g holds on its subtree.
-    A module function rather than a closure: a recursive closure is a
-    reference cycle, which would keep the domains alive until the cyclic
-    garbage collector runs."""
+    narrowed maps a live symbol to what the hypotheses above left of its
+    domain. A module function rather than a closure: a recursive closure
+    is a reference cycle, which would keep the domains alive until the
+    cyclic garbage collector runs."""
     if g == F.TRUE:
         return None
     if g == F.FALSE:
@@ -187,52 +176,88 @@ def _walk(g: F.Formula, domains: Domains, bound: dict[str, F.Value]) -> dict | N
     live = F.free_syms(g)
     if not live:
         raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
+    pins = {}
+    for h in _hypotheses(g):
+        syms = F.free_syms(h)
+        if len(syms) == 1 and next(iter(syms)) not in pins:
+            ((name, ty),) = syms.items()
+            values = _narrow(h, name, ty, narrowed.get(name), domains)
+            if not values:
+                return None
+            if len(values) == 1:
+                pins[name] = values[0]
+            elif values is not narrowed.get(name):
+                narrowed = {**narrowed, name: values}
+    if pins:  # bound together, then narrowed again
+        return _walk(F.specialize(g, pins), domains, {**bound, **pins}, narrowed)
+    if len(live) <= COMPILE_AT:
+        lists = [narrowed.get(n) or symbol_domain(ty, domains) for n, ty in live.items()]
+        hit = next(_leaves_where(g, list(live), lists, False), None)
+        return None if hit is None else {**bound, **dict(zip(live, hit))}
     name = next(iter(live))
-    values, index = _domain(live[name], domains)
-    pin = _pinned_literal(g, name)
-    if pin is not _UNPINNED:
-        values = (index[pin],) if pin in index else ()
-    elif len(live) <= COMPILE_AT:
-        return _scan(g, live, domains, bound)
-    for v in values:
+    for v in narrowed.get(name) or symbol_domain(live[name], domains):
         bound[name] = v
-        hit = _walk(F.specialize(g, {name: v}), domains, bound)
+        hit = _walk(F.specialize(g, {name: v}), domains, bound, narrowed)
         if hit is not None:
             return hit
     bound.pop(name, None)
     return None
 
 
-_UNPINNED = object()
+def _hypotheses(g: F.Formula):
+    """Conjuncts that every falsifier of g satisfies: those of each
+    antecedent along an implication chain, and those of X when g is
+    ``not X``."""
+    while isinstance(g, F.Implies):
+        yield from g.left.items if isinstance(g.left, F.And) else (g.left,)
+        g = g.right
+    if isinstance(g, F.Not):
+        yield from g.operand.items if isinstance(g.operand, F.And) else (g.operand,)
 
 
-def _pinned_literal(g: F.Formula, name: str):
-    """The literal c of a conjunct ``name = c`` in the antecedent of an
-    implication, or _UNPINNED."""
-    if not isinstance(g, F.Implies):
-        return _UNPINNED
-    conjuncts = g.left.items if isinstance(g.left, F.And) else (g.left,)
-    for c in conjuncts:
-        if isinstance(c, F.Cmp) and c.op == "=":
-            for s, lit in ((c.left, c.right), (c.right, c.left)):
-                if isinstance(s, F.Sym) and s.name == name and isinstance(lit, F.Lit):
-                    return lit.value
-    return _UNPINNED
+def _narrow(h: F.Formula, name: str, ty: ast.Type, values, domains: Domains) -> tuple:
+    """The values of name, from values or else from its whole domain, that
+    make h, a hypothesis over name alone, true, in domain order. ``name =
+    literal`` is looked up without building the domain; any other h is
+    compiled once per Domains and input."""
+    if isinstance(h, F.Cmp) and h.op == "=" and {type(h.left), type(h.right)} == {F.Sym, F.Lit}:
+        found = _member((h.left if type(h.left) is F.Lit else h.right).value, ty, domains)
+        return tuple(v for v in found if values is None or v in values)
+    key, memo = (h, id(values)), domains._built
+    if key not in memo:
+        source = values or symbol_domain(ty, domains)
+        kept = tuple(v for (v,) in _leaves_where(h, [name], [source], True))
+        # the input stays alive with the result, so its id is not reused;
+        # an input that h leaves whole is returned as it is
+        memo[key] = (values, values if values and len(kept) == len(values) else kept)
+    return memo[key][1]
 
 
-def _scan(g: F.Formula, live: dict, domains: Domains, bound: dict) -> dict | None:
-    """The first falsifying leaf of g over its live symbols, scanned in
-    enumeration order through a compiled g, merged into bound."""
-    names = list(live)
+def _member(lit, ty: ast.Type, domains: Domains) -> tuple:
+    """The value of ty's domain that a dict of that domain would find for
+    lit, alone in a tuple, or no value; found without building the domain."""
+    pool = domains.string_pool
+    if ty.kind == ast.INTEGER:
+        lo, hi = domains.int_range
+        return (int(lit),) if isinstance(lit, int) and lo <= lit <= hi else ()
+    if ty.kind == ast.BOOLEAN:
+        return (bool(lit),) if lit in (False, True) else ()
+    if ty.kind == ast.SET_OF_STRING:
+        return (lit,) if isinstance(lit, frozenset) and lit.issubset(pool) else ()
+    others = pool if ty.kind == ast.STRING else (F.Ref(ty.class_name),)
+    return (lit,) if lit is None or lit in others else ()
+
+
+def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool):
+    """Each tuple of values of the named symbols, in enumeration order,
+    under which g, compiled, is truth."""
     test = _compile(g, names)
-    for values in product(*(symbol_domain(ty, domains) for ty in live.values())):
+    for values in product(*value_lists):
         result = test(*values)
-        if result is True:
-            continue
-        if result is not False:
+        if result is truth:
+            yield values
+        elif result is not (not truth):
             raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
-        return {**bound, **dict(zip(names, values))}
-    return None
 
 
 _PY_OPS = {"=": "==", "/=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "+": "+", "-": "-", "*": "*"}

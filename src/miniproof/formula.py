@@ -390,7 +390,9 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
     body and an implication's consequent are folded in the same frame,
     so a closed chain of `if`s costs about one Python frame per `if`. A
     comparison, arithmetic or has node whose operands fold to themselves
-    is returned as it is, with the leaf keys it keeps."""
+    is returned as it is, with the leaf keys it keeps, and so is a
+    connective that its smart constructor rebuilds from the very same
+    operands."""
     while True:
         if isinstance(f, (Sym, OldSym)):
             return env.get(_key(f), f) if env else f
@@ -401,16 +403,20 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
             f = f.body
             continue
         if isinstance(f, Not):
-            return neg(fold(f.operand, env))
+            operand = fold(f.operand, env)
+            out = neg(operand)
+            return f if operand is f.operand and out == f else out
         if isinstance(f, (And, Or)):
             decides = FALSE if isinstance(f, And) else TRUE
-            parts = []
+            parts, same = [], True
             for c in f.items:
                 part = fold(c, env)
-                if part == decides:
+                if type(part) is Lit and part == decides:
                     return decides
                 parts.append(part)
-            return conj(*parts) if isinstance(f, And) else disj(*parts)
+                same = same and part is c
+            out = conj(*parts) if isinstance(f, And) else disj(*parts)
+            return f if same and out == f else out
         if isinstance(f, Implies):
             left = fold(f.left, env)
             if left == FALSE:
@@ -418,7 +424,9 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
             if left == TRUE:
                 f = f.right
                 continue
-            return implies(left, fold(f.right, env))
+            right = fold(f.right, env)
+            out = implies(left, right)
+            return f if left is f.left and right is f.right and out == f else out
         if isinstance(f, (Cmp, Arith)):
             left, right = fold(f.left, env), fold(f.right, env)
             if isinstance(left, Lit) and isinstance(right, Lit):

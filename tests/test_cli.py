@@ -284,6 +284,21 @@ def test_run_unknown_scenario_exits_three(capsys):
     assert "unknown scenario" in err
 
 
+def test_run_with_a_bad_program_and_a_bad_scenario_exits_three(capsys, tmp_path):
+    """The scenario is looked up before the program is parsed, so its
+    error is the one reported; either way the exit status is 3."""
+    program = tmp_path / "broken.ccl"
+    program.write_text("class C\nfeature\n  x : \nend\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", str(program), str(tmp_path / "missing.scn"))
+    assert code == 3
+    assert "scenario file not found" in err
+    scenario = tmp_path / "s.scn"
+    scenario.write_text("create c : C\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", str(program), str(scenario))
+    assert code == 3
+    assert "scenario" not in err
+
+
 # -- replay ----------------------------------------------------------------------
 
 

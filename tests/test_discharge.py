@@ -222,6 +222,43 @@ def test_deep_residual_is_compiled_in_pieces():
     assert verdict.counterexample == naive == {"i": 0, "j": 3}
 
 
+def test_a_pin_in_one_branch_stays_out_of_the_next():
+    """With a = -2 the residual is ``e = 2 implies ...``, which pins e and
+    then holds; with a = -1 it is ``b < -5``, false at b = -2, so e keeps
+    its first value there."""
+    a, b, c, d, e = (F.Sym(n, T_INT) for n in "abcde")
+    total = F.Arith("+", F.Arith("+", b, c), F.Arith("+", d, e))
+    formula = F.And(
+        (
+            F.Implies(F.Cmp("=", a, F.Lit(-2)), F.Implies(F.Cmp("=", e, F.Lit(2)), F.Cmp("<=", total, F.Lit(100)))),
+            F.Implies(F.Cmp("/=", a, F.Lit(-2)), F.Cmp("<", b, F.Lit(-5))),
+        )
+    )
+    obligation = _obligation_over(formula)
+    domains = Domains((-2, 2), ())
+    naive = next(
+        env
+        for env in enumerate_environments(obligation, domains)
+        if F.evaluate(formula, env) is not True
+    )
+    verdict = discharge(obligation, domains)
+    assert verdict.counterexample == naive == {"a": -1, "b": -2, "c": -2, "d": -2, "e": -2}
+
+
+def test_tokeneer_search_builds_no_set_domain(checked_programs, entries):
+    """Every SET_OF_STRING symbol of the Tokeneer entries is pinned to a
+    literal, narrowed away or left at its first value, so the 4096-value
+    domain over their 12-string pool is never built."""
+    from miniproof.ast import T_SET
+
+    for name in ("tokeneer_enrolment", "tokeneer_noprecond_mutant", "tokeneer_frame_mutant"):
+        checked, opts = checked_programs[name], entries[name].options
+        domains = derive_domains(checked, opts)
+        for obligation in generate_obligations(checked, opts):
+            discharge(obligation, domains)
+        assert T_SET not in domains._built, name
+
+
 def test_overflow_failure_bounds(checked_programs):
     opts = VerifyOptions(int_range=(-128, 127), check_overflow=True, overflow_width=8)
     checked = checked_programs["account"]

@@ -157,7 +157,8 @@ def noguard_report(tmp_path_factory) -> Path:
         (["corpus", "export", "account", "{tmp}/export"], _CORPUS),
         (["verify"], _SHELL),
         (["verify", "corpus:no_such_entry"], _CORPUS),
-        (["run", "corpus:account", "no_such_scenario"], _FRONT),
+        # the scenario is looked up before the program is parsed
+        (["run", "corpus:account", "no_such_scenario"], _CORPUS),
         (["verify", "corpus:account"], _VERIFY),
         (["verify", "corpus:account", "--emit-obligations", "{tmp}/obligations.json"], _VERIFY),
         (["run", "corpus:account", "account_deposit_withdraw"], _RUN),

@@ -1,8 +1,9 @@
 """Property-based checks: constant folding and substitution preserve meaning,
 wp of an assignment agrees with operational substitution, printing is
 parse-stable, enumeration visits minimums first, the search finds the
-first falsifier of enumeration, and delayed substitution reads exactly as
-eager substitution."""
+first falsifier of enumeration however its hypotheses narrow the domains,
+a pin's lazy domain lookup agrees with the built domain, and delayed
+substitution reads exactly as eager substitution."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -10,7 +11,15 @@ from hypothesis import given, settings
 from miniproof import analyze, parse
 from miniproof import formula as F
 from miniproof.ast import T_BOOL, T_INT, T_SET, T_STRING, ref
-from miniproof.discharge import DISCHARGED, FAILED, Domains, discharge, enumerate_environments
+from miniproof.discharge import (
+    DISCHARGED,
+    FAILED,
+    Domains,
+    _member,
+    discharge,
+    enumerate_environments,
+    symbol_domain,
+)
 from miniproof.vcgen import Obligation, wp
 
 X = F.Sym("x", T_INT)
@@ -246,6 +255,35 @@ SEARCH_ATOMS = st.one_of(
     PINS,
 )
 
+def _sym_against_literal(op: str, kinds: tuple[str, ...]):
+    """sym op literal, either way round, for a symbol of one of the kinds."""
+    syms = [f for f in SYMS.values() if f.ty.kind in kinds]
+    return st.sampled_from(syms).flatmap(
+        lambda sym: st.builds(
+            lambda value, flip: F.Cmp(op, F.Lit(value), sym) if flip else F.Cmp(op, sym, F.Lit(value)),
+            LITERALS[sym.ty.kind],
+            st.booleans(),
+        )
+    )
+
+
+# hypotheses over one symbol, any of them (the later ones in sorted-name
+# order too), which the search narrows that symbol's domain by
+NARROWS = st.one_of(
+    PINS,
+    _sym_against_literal("/=", tuple(LITERALS)),
+    st.sampled_from(["<", ">="]).flatmap(lambda op: _sym_against_literal(op, ("INTEGER",))),
+    st.builds(F.HasF, st.just(SYMS["g"]), LITERALS["STRING"].map(F.Lit)),
+    st.builds(F.HasF, LITERALS["SET_OF_STRING"].map(F.Lit), st.sampled_from([SYMS["e"], SYMS["s"]])),
+    st.just(F.Cmp("/=", SYMS["m"], F.Lit(None))),
+    st.sampled_from([SYMS["c"], SYMS["p"], F.Not(SYMS["p"])]),
+)
+
+
+def _hypothesis_and(narrows, rest):
+    return F.And((*narrows, rest))
+
+
 SEARCH_FORMULAS = st.recursive(
     SEARCH_ATOMS,
     lambda sub: st.one_of(
@@ -253,14 +291,23 @@ SEARCH_FORMULAS = st.recursive(
         st.lists(sub, min_size=2, max_size=3).map(lambda items: F.And(tuple(items))),
         st.lists(sub, min_size=2, max_size=3).map(lambda items: F.Or(tuple(items))),
         st.builds(F.Implies, sub, sub),
-        # an antecedent with sym = literal conjuncts, or disjuncts, which pin nothing
+        # an antecedent with one-symbol conjuncts, or disjuncts, which narrow nothing
         st.builds(
-            lambda join, pins, rest, body: F.Implies(join(tuple(pins) + (rest,)), body),
+            lambda join, narrows, rest, body: F.Implies(join(tuple(narrows) + (rest,)), body),
             st.sampled_from([F.And, F.Or]),
-            st.lists(PINS, min_size=1, max_size=3),
+            st.lists(NARROWS, min_size=1, max_size=3),
             sub,
             sub,
         ),
+        # an implication chain A implies (B implies C)
+        st.builds(
+            lambda a, b, c: F.Implies(a, F.Implies(b, c)),
+            st.builds(_hypothesis_and, st.lists(NARROWS, min_size=1, max_size=2), sub),
+            st.builds(_hypothesis_and, st.lists(NARROWS, min_size=1, max_size=2), sub),
+            sub,
+        ),
+        # not (A and B), what A implies false folds to
+        st.builds(lambda hyp: F.Not(hyp), st.builds(_hypothesis_and, st.lists(NARROWS, min_size=1, max_size=3), sub)),
     ),
     max_leaves=10,
 )
@@ -291,6 +338,26 @@ def test_search_finds_the_first_falsifier_of_enumeration(formula):
     else:
         assert verdict.status == FAILED
         assert verdict.counterexample == naive
+
+
+LITERAL_VALUES = st.sampled_from(list(LITERALS)).flatmap(lambda kind: LITERALS[kind])
+DOMAIN_TYPES = st.sampled_from([T_INT, T_BOOL, T_STRING, T_SET, ref("CELL"), ref("OTHER")])
+
+
+@settings(max_examples=300)
+@given(lit=LITERAL_VALUES, ty=DOMAIN_TYPES)
+def test_lazy_membership_agrees_with_the_built_domain(lit, ty):
+    """A pin finds its literal's domain value without building the domain,
+    as a dict of the built domain would: 1 finds the INTEGER 1 and the
+    BOOLEAN true, a set must lie in the pool, a reference must be of the
+    class."""
+    domains = Domains((-2, 2), ("a", "b"))
+    found = _member(lit, ty, domains)
+    assert domains._built == {}
+    index = {v: v for v in symbol_domain(ty, domains)}
+    expected = (index[lit],) if lit in index else ()
+    assert found == expected
+    assert [type(v) for v in found] == [type(v) for v in expected]
 
 
 # -- delayed substitution against eager substitution -------------------------------
