@@ -255,6 +255,7 @@ SEARCH_ATOMS = st.one_of(
     PINS,
 )
 
+
 def _sym_against_literal(op: str, kinds: tuple[str, ...]):
     """sym op literal, either way round, for a symbol of one of the kinds."""
     syms = [f for f in SYMS.values() if f.ty.kind in kinds]
@@ -307,7 +308,7 @@ SEARCH_FORMULAS = st.recursive(
             sub,
         ),
         # not (A and B), what A implies false folds to
-        st.builds(lambda hyp: F.Not(hyp), st.builds(_hypothesis_and, st.lists(NARROWS, min_size=1, max_size=3), sub)),
+        st.builds(_hypothesis_and, st.lists(NARROWS, min_size=1, max_size=3), sub).map(F.Not),
     ),
     max_leaves=10,
 )
