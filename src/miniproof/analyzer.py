@@ -27,6 +27,15 @@ class ClassInfo(ast.Node):
     def attr_type(self, name: str) -> ast.Type | None:
         return self.attributes.get(name)
 
+    def frame(self, feat: ast.Feature) -> tuple[str, ...]:
+        """The model queries feat must leave unchanged: those outside its
+        modify list, or none when it has no modify list. A modify list
+        names model queries only, so every attribute outside the frame
+        is one feat may change."""
+        if feat.modify is None:
+            return ()
+        return tuple(q for q in self.model_queries if q not in feat.modify)
+
 
 class CheckedProgram(ast.Node):
     """Analyzed program plus symbol tables. Treat as immutable."""

@@ -247,6 +247,15 @@ UNARY_PREC = len(BINARY_LEVELS) + 1
 ATOM_PREC = UNARY_PREC + 1
 
 
+def operand_precs(op: str) -> tuple[int, int]:
+    """The loosest binding level the left and the right operand of a
+    binary operator may print at without parentheses: an operand at the
+    operator's own level is wrapped unless the operator chains on that
+    side; comparisons chain on neither."""
+    prec, assoc = BINARY_PREC[op], BINARY_ASSOC[op]
+    return (prec if assoc == "left" else prec + 1, prec if assoc == "right" else prec + 1)
+
+
 # ---------------------------------------------------------------------------
 # Statements
 

@@ -377,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_fuse_range_flag(sys.argv[1:] if argv is None else list(argv)))
         return _HANDLERS[args.command](args)
-    except (UsageError, ParseError, SemanticError) as exc:
+    # ValueError: bad option values, malformed report JSON
+    except (UsageError, ParseError, SemanticError, OSError, ValueError) as exc:
         print(f"miniproof: {exc}", file=sys.stderr)
         return 3
     except UnknownCorpusEntry as exc:
@@ -385,12 +386,6 @@ def main(argv: list[str] | None = None) -> int:
 
         known = ", ".join(names())
         print(f"miniproof: unknown corpus entry {exc.args[0]!r} (known: {known})", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"miniproof: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # bad option values, malformed report JSON
-        print(f"miniproof: {exc}", file=sys.stderr)
         return 3
     except ReplayImpossible as exc:
         print(f"miniproof: replay impossible: {exc}", file=sys.stderr)

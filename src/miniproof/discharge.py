@@ -91,10 +91,6 @@ class Verdict(ast.Node, frozen=True):
     __slots__ = ("status", "counterexample", "reason")
     _defaults = {"counterexample": None, "reason": None}
 
-    @property
-    def discharged(self) -> bool:
-        return self.status == DISCHARGED
-
 
 def derive_domains(checked: CheckedProgram, opts: VerifyOptions) -> Domains:
     return Domains(int_range=opts.int_range, string_pool=checked.program.string_pool)
@@ -260,8 +256,6 @@ def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool
             raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
 
 
-_PY_OPS = {"=": "==", "/=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=", "+": "+", "-": "-", "*": "*"}
-
 # generated source nests a bracket or two per formula level and Python's
 # parser rejects deeply nested source, so deeper subformulas become
 # functions of their own
@@ -296,7 +290,7 @@ def _compile(g: F.Formula, names: list[str]):
         if isinstance(f, F.Implies):
             return f"(not {src(f.left, depth)} or {src(f.right, depth)})"
         if isinstance(f, (F.Cmp, F.Arith)):
-            return f"({src(f.left, depth)} {_PY_OPS[f.op]} {src(f.right, depth)})"
+            return f"({src(f.left, depth)} {F.OPS[f.op][1]} {src(f.right, depth)})"
         if isinstance(f, F.HasF):
             item = src(f.item, depth)
             return f"({item} is not None and {item} in {src(f.set_expr, depth)})"

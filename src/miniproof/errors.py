@@ -69,8 +69,10 @@ class UnsupportedInContract(Exception):
 
 class ReplayImpossible(Exception):
     """The counterexample describes an object state that cannot be
-    materialized (for example attribute values under a Void reference),
-    or the replayed run stopped before it could reach the violation."""
+    materialized (for example a path through a non-reference, or a name
+    outside the feature's scope; values under a Void reference are
+    skipped, not refused), or the replayed run stopped before it could
+    reach the violation."""
 
 
 class UnknownCorpusEntry(KeyError):

@@ -109,17 +109,18 @@ TRUE = Lit(True)
 FALSE = Lit(False)
 
 # the meaning of every comparison and arithmetic operator, for formulas
-# and for the runtime monitor alike
+# and for the runtime monitor alike: the function, and its Python spelling
+# for the code discharge compiles
 OPS = {
-    "=": operator.eq,
-    "/=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
+    "=": (operator.eq, "=="),
+    "/=": (operator.ne, "!="),
+    "<": (operator.lt, "<"),
+    "<=": (operator.le, "<="),
+    ">": (operator.gt, ">"),
+    ">=": (operator.ge, ">="),
+    "+": (operator.add, "+"),
+    "-": (operator.sub, "-"),
+    "*": (operator.mul, "*"),
 }
 
 
@@ -176,40 +177,32 @@ def type_default(ty: ast.Type) -> Value:
 # -- smart constructors -------------------------------------------------------
 
 
-def conj(*items: Formula) -> Formula:
+def _flatten(cls: type, unit: Lit, zero: Lit, items) -> Formula:
+    """The connective cls (And or Or) of items: nested cls nodes spliced
+    in, the unit dropped, and the zero deciding the whole."""
     flat: list[Formula] = []
     for f in items:
-        if isinstance(f, And):
+        if isinstance(f, cls):
             flat.extend(f.items)
-        elif f == TRUE:
+        elif f == unit:
             continue
-        elif f == FALSE:
-            return FALSE
+        elif f == zero:
+            return zero
         else:
             flat.append(f)
     if not flat:
-        return TRUE
+        return unit
     if len(flat) == 1:
         return flat[0]
-    return And(tuple(flat))
+    return cls(tuple(flat))
+
+
+def conj(*items: Formula) -> Formula:
+    return _flatten(And, TRUE, FALSE, items)
 
 
 def disj(*items: Formula) -> Formula:
-    flat: list[Formula] = []
-    for f in items:
-        if isinstance(f, Or):
-            flat.extend(f.items)
-        elif f == FALSE:
-            continue
-        elif f == TRUE:
-            return TRUE
-        else:
-            flat.append(f)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _flatten(Or, FALSE, TRUE, items)
 
 
 def neg(f: Formula) -> Formula:
@@ -407,7 +400,7 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
             out = neg(operand)
             return f if operand is f.operand and out == f else out
         if isinstance(f, (And, Or)):
-            decides = FALSE if isinstance(f, And) else TRUE
+            unit, decides = (TRUE, FALSE) if isinstance(f, And) else (FALSE, TRUE)
             parts, same = [], True
             for c in f.items:
                 part = fold(c, env)
@@ -415,7 +408,7 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
                     return decides
                 parts.append(part)
                 same = same and part is c
-            out = conj(*parts) if isinstance(f, And) else disj(*parts)
+            out = _flatten(type(f), unit, decides, parts)
             return f if same and out == f else out
         if isinstance(f, Implies):
             left = fold(f.left, env)
@@ -430,7 +423,7 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
         if isinstance(f, (Cmp, Arith)):
             left, right = fold(f.left, env), fold(f.right, env)
             if isinstance(left, Lit) and isinstance(right, Lit):
-                return Lit(OPS[f.op](left.value, right.value))
+                return Lit(OPS[f.op][0](left.value, right.value))
             if isinstance(f, Cmp) and left == right:
                 # reflexivity: values are total, x = x regardless of binding
                 return TRUE if f.op in ("=", "<=", ">=") else FALSE
@@ -469,7 +462,7 @@ def evaluate(f: Formula, env: dict[str, Value]) -> Value:
     if isinstance(f, Implies):
         return (not evaluate(f.left, env)) or bool(evaluate(f.right, env))
     if isinstance(f, (Cmp, Arith)):
-        return OPS[f.op](evaluate(f.left, env), evaluate(f.right, env))
+        return OPS[f.op][0](evaluate(f.left, env), evaluate(f.right, env))
     if isinstance(f, HasF):
         item = evaluate(f.item, env)
         return item is not None and item in evaluate(f.set_expr, env)
@@ -547,10 +540,8 @@ def _text(f: Formula) -> tuple[str, int]:
         return f" {op} ".join(_wrap(c, prec) for c in f.items), prec
     if isinstance(f, (Implies, Cmp, Arith)):
         op = "implies" if isinstance(f, Implies) else f.op
-        prec, assoc = ast.BINARY_PREC[op], ast.BINARY_ASSOC[op]
-        left = _wrap(f.left, prec if assoc == "left" else prec + 1)
-        right = _wrap(f.right, prec if assoc == "right" else prec + 1)
-        return f"{left} {op} {right}", prec
+        left, right = ast.operand_precs(op)
+        return f"{_wrap(f.left, left)} {op} {_wrap(f.right, right)}", ast.BINARY_PREC[op]
     if isinstance(f, HasF):
         return f"{_wrap(f.set_expr, ast.ATOM_PREC)}.has({_text(f.item)[0]})", ast.ATOM_PREC
     raise TypeError(f"unexpected formula node {f!r}")

@@ -40,12 +40,8 @@ def expr_text(e: ast.Expr) -> str:
     if isinstance(e, ast.CreateExpr):
         return f"create {e.class_name}"
     if isinstance(e, ast.Binary):
-        # an operand at the operator's own level is wrapped unless the
-        # operator chains on that side; comparisons chain on neither
-        p, assoc = ast.BINARY_PREC[e.op], ast.BINARY_ASSOC[e.op]
-        left = _child(e.left, p if assoc == "left" else p + 1)
-        right = _child(e.right, p if assoc == "right" else p + 1)
-        return f"{left} {e.op} {right}"
+        left, right = ast.operand_precs(e.op)
+        return f"{_child(e.left, left)} {e.op} {_child(e.right, right)}"
     raise TypeError(f"unprintable expression {e!r}")
 
 

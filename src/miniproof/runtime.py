@@ -16,7 +16,9 @@ contract clauses and `check` instructions pass none.
 Replay turns a discharge counterexample back into a concrete execution:
 it materializes the described entry state, invokes the owning feature
 under monitoring, and reports whether the violation named by the
-obligation fires.
+obligation fires. Every symbol path is walked by one rule: a reference
+bound to Void ends it, and an unset reference gets its class's
+representative object.
 
 What monitoring needs from a feature's text is computed once per
 analyzed program, in a MonitorPlan built on the feature's first
@@ -135,7 +137,7 @@ def eval_expr(
             return (not eval_expr(expr.left, env, old_env, bounds, old_keys)) or bool(
                 eval_expr(expr.right, env, old_env, bounds, old_keys)
             )
-        value = F.OPS[op](
+        value = F.OPS[op][0](
             eval_expr(expr.left, env, old_env, bounds, old_keys),
             eval_expr(expr.right, env, old_env, bounds, old_keys),
         )
@@ -218,11 +220,7 @@ def _build_plan(info: ClassInfo, feat: ast.Feature) -> MonitorPlan:
                 text = labels[id(node)] = expr_text(node)
                 if text not in by_provenance:
                     by_provenance[text] = frozenset(labels[id(n)] for n in ast.arith_postorder(node))
-    frame: tuple[str, ...] = ()
-    if feat.modify is not None:
-        allowed = set(feat.modify)
-        frame = tuple(q for q in info.model_queries if q not in allowed)
-    return MonitorPlan(tuple(olds.items()), old_keys, labels, by_provenance, frame)
+    return MonitorPlan(tuple(olds.items()), old_keys, labels, by_provenance, info.frame(feat))
 
 
 def _violation(
@@ -252,10 +250,8 @@ class Interpreter:
     # entry points: each top-level create/call gets a fresh step budget
 
     def create(self, class_name: str) -> RuntimeObject:
-        info = self.checked.info(class_name)
-        obj = blank_object(info)
-        self.enter(obj, info.routines[info.creator], [])
-        return obj
+        self._steps_left = self.step_budget
+        return self._new(class_name)
 
     def call(self, obj: RuntimeObject | None, feature_name: str, args: list) -> None:
         if obj is None:
@@ -269,6 +265,13 @@ class Interpreter:
         self._invoke(obj, feat, args)
 
     # monitored invocation (shared by top-level and nested calls)
+
+    def _new(self, class_name: str) -> RuntimeObject:
+        """A blank object of the class, after its creator has run."""
+        info = self.checked.info(class_name)
+        obj = blank_object(info)
+        self._invoke(obj, info.routines[info.creator], [])
+        return obj
 
     def _invoke(self, obj: RuntimeObject, feat: ast.Feature, args: list):
         if len(self._frames) == MAX_CALL_DEPTH:
@@ -327,10 +330,7 @@ class Interpreter:
             receiver.fields[s.attr] = value
         elif isinstance(s, ast.CreateStmt):
             target_class = self.checked.info(obj.class_name).attributes[s.target].class_name
-            target_info = self.checked.info(target_class)
-            created = blank_object(target_info)
-            self._invoke(created, target_info.routines[target_info.creator], [])
-            obj.fields[s.target] = created
+            obj.fields[s.target] = self._new(target_class)
         elif isinstance(s, ast.CallStmt):
             receiver = env[s.receiver]
             if receiver is None:
@@ -569,66 +569,55 @@ def synthesize_entry_state(
     checked: CheckedProgram, obligation: Obligation, counterexample: dict
 ) -> tuple[RuntimeObject, list]:
     """Materialize the receiver object and argument list a counterexample
-    describes. Paths are set directly on the object graph; one shared
-    representative object realizes all non-Void references of a class,
-    matching the heap model the formulas were built on. Havoc symbols
-    (name@k) describe mid-body states and are skipped. Raises
-    ReplayImpossible for contradictory descriptions, such as attribute
-    values under a reference the counterexample binds to Void."""
+    describes. Each symbol is a path from a parameter or attribute of the
+    feature, and one rule walks every segment of it: the last segment
+    takes the symbol's value; a reference the counterexample binds to
+    Void ends the path, so the values under it, which describe no state,
+    are skipped; an unset reference gets its class's representative
+    object. One shared representative realizes all non-Void references
+    of a class, matching the heap model the formulas were built on.
+    Havoc symbols (name@k) describe mid-body states and are skipped too.
+    Raises ReplayImpossible for a path through a non-reference or a name
+    outside the feature's scope."""
     info = checked.info(obligation.class_name)
     feat = info.routines[obligation.feature_name]
-    param_names = [p.name for p in feat.params]
+    param_types = {p.name: p.ty for p in feat.params}
+    params: dict[str, object] = dict.fromkeys(param_types)
+    obj = blank_object(info)
     representatives: dict[str, RuntimeObject] = {}
 
-    def materialize(value):
-        if isinstance(value, F.Ref):
-            if value.class_name not in representatives:
-                representatives[value.class_name] = blank_object(checked.info(value.class_name))
-            return representatives[value.class_name]
-        return value
+    def representative(class_name: str) -> RuntimeObject:
+        found = representatives.get(class_name)
+        if found is None:
+            found = representatives[class_name] = blank_object(checked.info(class_name))
+        return found
 
-    obj = blank_object(info)
-    params: dict[str, object] = {name: None for name in param_names}
-    roots: dict[str, tuple] = {}  # first path segment -> (holder dict, key)
-
-    entries = sorted(counterexample.items(), key=lambda kv: (kv[0].count("."), kv[0]))
-    for name, value in entries:
+    # in a fixed order, shallow paths first, so that paths meeting at one
+    # representative build the same state whatever the order of the keys
+    for name, value in sorted(counterexample.items(), key=lambda kv: (kv[0].count("."), kv[0])):
         if "@" in name:
             continue  # mid-body havoc value, not part of the entry state
         segments = name.split(".")
-        head, rest = segments[0], segments[1:]
-        if head in params:
-            holder: dict = params
-        elif head in info.attributes:
-            holder = obj.fields
-        else:
-            raise ReplayImpossible(f"counterexample symbol {name} is not in scope")
-        if not rest:
-            holder[head] = materialize(value)
-            continue
-        current = holder.get(head)
-        if current is None:
-            if head in counterexample and counterexample[head] is None:
-                raise ReplayImpossible(
-                    f"counterexample sets {head} to Void but describes {name}"
-                )
-            ty = info.attributes.get(head)
+        fields, types = (params, param_types) if segments[0] in params else (obj.fields, info.attributes)
+        prefix = ""
+        for depth, seg in enumerate(segments, 1):
+            ty = types.get(seg)
             if ty is None:
-                ty = next(p.ty for p in feat.params if p.name == head)
-            current = materialize(F.Ref(ty.class_name))
-            holder[head] = current
-        for seg in rest[:-1]:
-            nxt = current.fields.get(seg)
-            if nxt is None:
-                seg_ty = checked.info(current.class_name).attributes[seg]
-                if seg_ty.kind != ast.REF:
-                    raise ReplayImpossible(f"path {name} crosses non-reference {seg}")
-                nxt = materialize(F.Ref(seg_ty.class_name))
-                current.fields[seg] = nxt
-            current = nxt
-        current.fields[rest[-1]] = materialize(value)
-    args = [params[name] for name in param_names]
-    return obj, args
+                raise ReplayImpossible(f"counterexample symbol {name} is not in scope")
+            if depth == len(segments):
+                fields[seg] = representative(value.class_name) if isinstance(value, F.Ref) else value
+                break
+            if ty.kind != ast.REF:
+                raise ReplayImpossible(f"path {name} crosses non-reference {seg}")
+            prefix = f"{prefix}.{seg}" if prefix else seg
+            # a missing key reads False, so only a Void binding reads None
+            if counterexample.get(prefix, False) is None:
+                break
+            current = fields.get(seg)
+            if current is None:
+                current = fields[seg] = representative(ty.class_name)
+            fields, types = current.fields, checked.info(current.class_name).attributes
+    return obj, list(params.values())
 
 
 def replay_counterexample(

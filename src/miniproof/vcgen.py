@@ -181,15 +181,6 @@ def _through(
 # -- the weakest-precondition pass ----------------------------------------------
 
 
-def _havoc_set(callee_info: ClassInfo, callee: ast.Feature) -> set[str]:
-    # what the callee may change: its modify list, or every model
-    # query when it declares none - plus attributes outside the
-    # model, which no frame condition ever constrains
-    base = set(callee.modify) if callee.modify is not None else set(callee_info.model_queries)
-    non_model = set(callee_info.attributes) - set(callee_info.model_queries)
-    return base | non_model
-
-
 class _FeatureVCs:
     """The weakest-precondition pass over one feature, and the
     obligations generated from it. lifted, when given, is
@@ -316,7 +307,8 @@ class _FeatureVCs:
         else:
             callee = callee_info.routines[s.feature]
             param_map = {p.name: _lower(a) for p, a in zip(callee.params, s.args)}
-            havocked = _havoc_set(callee_info, callee)
+            # what the callee may change: every attribute outside its frame
+            havocked = set(callee_info.attributes).difference(callee_info.frame(callee))
         k = self.stmt_index[id(s)]
 
         def rename(path: str) -> str:
@@ -425,11 +417,9 @@ class _FeatureVCs:
             for clause in clauses
             if not mentions_creation(clause.expr)
         ]
-        if feat.modify is not None:
-            for q in info.model_queries:
-                if q not in feat.modify:
-                    ty = info.attributes[q]
-                    goals.append((FRAME, q, F.Cmp("=", F.Sym(q, ty), F.OldSym(q, ty))))
+        for q in info.frame(feat):
+            ty = info.attributes[q]
+            goals.append((FRAME, q, F.Cmp("=", F.Sym(q, ty), F.OldSym(q, ty))))
         # a clause holding a creation expression is Unsupported and
         # dereferences nothing
         entry = [

@@ -409,6 +409,72 @@ def test_replay_impossible_counterexample_exits_two(capsys, tmp_path, noguard_re
     assert "replay impossible" in err
 
 
+_VOID_ROOT = """
+class CELL
+create make
+feature
+  a : INTEGER
+  make
+    do
+    end
+end
+class H
+create make
+feature
+  r : CELL
+  n : INTEGER
+  make
+    do
+    end
+  get
+    require
+      pos: r.a >= 0
+    do
+      n := 1
+    end
+end
+"""
+
+
+def test_replay_void_root_with_a_path_under_it(capsys, tmp_path):
+    """The counterexample binds r to Void and also gives r.a: the value
+    under Void describes no state, and running get with r Void breaks
+    the obligation's own clause."""
+    program = tmp_path / "h.ccl"
+    program.write_text(_VOID_ROOT, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(program))
+    assert code == 1
+    assert "H.get.void_dereference.0  VoidDereference  Failed  r = Void, r.a = 0" in out
+    report = tmp_path / "r.json"
+    _, out, _ = run_cli(capsys, "verify", str(program), "--format", "json")
+    report.write_text(out, encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "replay", str(program), "H.get.void_dereference.0", "--report", str(report)
+    )
+    assert (code, out) == (0, "H.get.void_dereference.0: reproduced; runtime violation of 'r.a'\n")
+
+
+def test_replay_finds_overflow_obligations_without_the_flag(capsys, tmp_path):
+    """Overflow obligations exist only with overflow checking on, so a
+    replay given the width but not --check-overflow looks the id up
+    again with checking on."""
+    run_cli(capsys, "corpus", "export", "account_overflow_mutant", str(tmp_path))
+    program = str(tmp_path / "account_overflow_mutant.ccl")
+    code, out, _ = run_cli(
+        capsys, "verify", program, "--check-overflow", "--overflow-width", "8",
+        "--int-range", "-128..127", "--format", "json",
+    )
+    assert code == 1
+    report = tmp_path / "r.json"
+    report.write_text(out, encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "replay", program, "ACCOUNT.deposit.overflow.1", "--report", str(report),
+        "--overflow-width", "8",
+    )
+    assert code == 0
+    assert "reproduced" in out
+
+
 def _malformed_row(counterexample) -> str:
     row = {"id": "ACCOUNT.deposit.postcondition.0", "verdict": "Failed", "counterexample": counterexample}
     return json.dumps({"rows": [row]})

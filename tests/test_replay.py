@@ -4,6 +4,8 @@ states are reported rather than silently skipped."""
 
 import pytest
 
+from miniproof import analyze, parse
+from miniproof import formula as F
 from miniproof.errors import ContractViolation, ReplayImpossible
 from miniproof.runtime import Interpreter, replay_counterexample, synthesize_entry_state
 from miniproof.vcgen import VerifyOptions, generate_obligations
@@ -103,8 +105,6 @@ def test_synthesis_orders_paths_shallow_first(checked_programs, entries):
     obligation = obligation_by_id(
         checked, opts, "ID_STATION.set_current_display.invariant_maintenance.0"
     )
-    from miniproof import formula as F
-
     cx = {
         # deliberately listed deep-first; synthesis must still work
         "constants.display_message": frozenset({"blank"}),
@@ -118,18 +118,98 @@ def test_synthesis_orders_paths_shallow_first(checked_programs, entries):
     assert args == ["enrolled"]
 
 
-def test_attributes_under_void_reference_are_impossible(checked_programs, entries):
+def test_void_reference_ends_the_path(checked_programs, entries):
+    """A reference bound to Void has no attributes: the values the
+    counterexample gives under it describe no state and are skipped."""
     checked = checked_programs["tokeneer_noprecond_mutant"]
     opts = entries["tokeneer_noprecond_mutant"].options
     obligation = obligation_by_id(
         checked, opts, "ID_STATION.set_current_display.invariant_maintenance.0"
     )
     cx = {
-        "constants": None,  # Void, yet attributes below are described
+        "constants": None,
         "constants.display_message": frozenset({"blank"}),
         "current_display": "blank",
         "v": "enrolled",
     }
+    obj, args = synthesize_entry_state(checked, obligation, cx)
+    assert obj.fields["constants"] is None
+    assert obj.fields["current_display"] == "blank"
+    assert args == ["enrolled"]
+
+
+_PATHS = """
+class CELL
+create make
+feature
+  a: INTEGER
+feature
+  make
+    note status: creator
+    do
+    end
+end
+
+class BOX
+create make
+feature
+  s: CELL
+feature
+  make
+    note status: creator
+    do
+    end
+end
+
+class H
+create make
+feature
+  r: BOX
+  n: INTEGER
+feature
+  make
+    note status: creator
+    do
+    end
+
+  get
+    require
+      pos: r.s /= Void
+    do
+      n := 1
+    end
+end
+"""
+
+
+@pytest.fixture(scope="module")
+def paths_program():
+    checked = analyze(parse(_PATHS))
+    obligation = next(o for o in generate_obligations(checked, VerifyOptions()) if o.feature_name == "get")
+    return checked, obligation
+
+
+def test_inner_void_reference_stays_void(paths_program):
+    checked, obligation = paths_program
+    cx = {"r": F.Ref("BOX"), "r.s": None, "r.s.a": 5}
+    obj, _ = synthesize_entry_state(checked, obligation, cx)
+    assert obj.fields["r"].class_name == "BOX"
+    assert obj.fields["r"].fields["s"] is None
+
+
+def test_unset_references_on_a_path_get_representatives(paths_program):
+    checked, obligation = paths_program
+    obj, _ = synthesize_entry_state(checked, obligation, {"r.s.a": 5})
+    cell = obj.fields["r"].fields["s"]
+    assert (cell.class_name, cell.fields) == ("CELL", {"a": 5})
+
+
+@pytest.mark.parametrize(
+    "cx", [{"n.x": 1}, {"r.s.a.b": 1}, {"r.t": 1}, {"q.s": None}],
+    ids=["root-not-a-reference", "inner-not-a-reference", "unknown-attribute", "unknown-root"],
+)
+def test_paths_outside_the_heap_are_impossible(paths_program, cx):
+    checked, obligation = paths_program
     with pytest.raises(ReplayImpossible):
         synthesize_entry_state(checked, obligation, cx)
 

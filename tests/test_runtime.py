@@ -80,6 +80,23 @@ def test_eval_has_membership(entries):
     assert eval_expr(guard, env) is False
 
 
+@pytest.mark.parametrize(
+    "text, truth",
+    [
+        ("p and q", lambda p, q: p and q),
+        ("p or q", lambda p, q: p or q),
+        ("p implies q", lambda p, q: not p or q),
+        ("not p", lambda p, q: not p),
+    ],
+    ids=["and", "or", "implies", "not"],
+)
+def test_eval_connectives_truth_table(text, truth):
+    expr = expr_of(text, extra_attrs="  p : BOOLEAN\n  q : BOOLEAN\n")
+    for p in (False, True):
+        for q in (False, True):
+            assert eval_expr(expr, {"p": p, "q": q}) is truth(p, q), (p, q)
+
+
 def test_eval_void_qualified_read_raises():
     expr = expr_of("r.x = 0", extra_attrs="  r : HOST\n  x : INTEGER\n")
     with pytest.raises(VoidDereference) as exc:
