@@ -1,6 +1,8 @@
 """Lexing and parsing: token stream shape, program structure, synthesized
 clause labels, and syntax-error positions."""
 
+import hashlib
+import json
 import re
 from pathlib import Path
 
@@ -441,3 +443,282 @@ def test_readme_states_the_lexer_and_parser_tables():
     assert [(assoc, tuple(ops.split("` `"))) for ops, assoc in rows] == list(ast.BINARY_LEVELS)
     keywords = re.search(r"These words are\s+keywords: `([^`]+)`", readme).group(1)
     assert sorted(keywords.split()) == sorted(KEYWORDS)
+
+
+# -- pinned front-end output -------------------------------------------------------
+#
+# Equality of tree nodes skips positions, so these pins compare text that
+# shows them: the token stream as (kind, value, line, col) tuples, and the
+# repr of the parsed program, which names every field, pos included. The
+# digests were recorded before the scanner and the expression parser were
+# last rewritten; any change to a token, a tree or a position shows here.
+
+_SEPARATORS = (" ", " ", " ", "  ", "\t", "\n", "\n    ", "\r\n  ", " -- a comment\n  ", "--\n", "\n\n")
+_GLUE = set("(){},;")
+_BINARY_OPS = [op for _, ops in ast.BINARY_LEVELS for op in ops]
+
+
+def _gen_expr(rng, depth: int) -> tuple[list[str], int]:
+    """A random expression as a token list, with the binding level it
+    prints at (ast.ATOM_PREC for an atom)."""
+    if depth == 0 or rng.random() < 0.25:
+        atom = rng.choice([
+            ["x"], ["y_1"], ["r", ".", "a"], [str(rng.randint(0, 999))], ['"s t"'], ['""'], ["true"], ["false"],
+            ["Void"], ["-", str(rng.randint(0, 9))], ["{", "}"], ["{", '"a"', ",", '"b"', "}"], ["create", "CELL"],
+        ])
+        return atom, ast.ATOM_PREC
+    kind = rng.random()
+    if kind < 0.1:
+        inner, _ = _gen_expr(rng, depth - 1)
+        return ["("] + inner + [")"], ast.ATOM_PREC
+    if kind < 0.25:
+        word = rng.choice(["not", "old"])
+        inner, prec = _gen_expr(rng, depth - 1)
+        if prec < ast.UNARY_PREC:
+            inner = ["("] + inner + [")"]
+        return [word] + inner, ast.UNARY_PREC
+    if kind < 0.32:
+        receiver, prec = _gen_expr(rng, depth - 1)
+        if prec < ast.ATOM_PREC or receiver[0] == "-":
+            receiver = ["("] + receiver + [")"]
+        item, _ = _gen_expr(rng, depth - 1)
+        return receiver + [".", "has", "("] + item + [")"], ast.ATOM_PREC
+    op = rng.choice(_BINARY_OPS)
+    left_min, right_min = ast.operand_precs(op)
+    left, lprec = _gen_expr(rng, depth - 1)
+    right, rprec = _gen_expr(rng, depth - 1)
+    if lprec < left_min:
+        left = ["("] + left + [")"]
+    if rprec < right_min:
+        right = ["("] + right + [")"]
+    return left + [op] + right, ast.BINARY_PREC[op]
+
+
+def _gen_clause_expr(rng) -> list[str]:
+    tokens, _ = _gen_expr(rng, rng.randint(0, 4))
+    # a clause starting with a minus would continue the clause before it
+    return ["("] + tokens + [")"] if tokens[0] == "-" else tokens
+
+
+def _gen_clauses(rng, keyword: str) -> list[str]:
+    tokens = [keyword]
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            tokens += [rng.choice(["ok", "in_range", "c1"]), ":"]
+        tokens += _gen_clause_expr(rng)
+    return tokens
+
+
+def _gen_statements(rng, depth: int) -> list[str]:
+    tokens = []
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(6 if depth else 5)
+        if kind == 0:
+            tokens += ["x", ":="] + _gen_clause_expr(rng)
+        elif kind == 1:
+            tokens += ["r", ".", "a", ":="] + _gen_clause_expr(rng)
+        elif kind == 2:
+            tokens += ["create", "r"] + ([".", "make"] if rng.random() < 0.5 else [])
+        elif kind == 3:
+            args = [["x"], ["1", "+", "y"], ['"z"']][: rng.randint(0, 3)]
+            call = ["r", ".", "set"]
+            if args or rng.random() < 0.5:
+                call += ["("] + [t for i, a in enumerate(args) for t in ([","] if i else []) + a] + [")"]
+            tokens += call
+        elif kind == 4:
+            label = [rng.choice(["here", "sane"]), ":"] if rng.random() < 0.5 else []
+            tokens += ["check"] + label + _gen_clause_expr(rng) + ["end"]
+        else:
+            tokens += ["if"] + _gen_clause_expr(rng) + ["then"] + _gen_statements(rng, depth - 1)
+            if rng.random() < 0.5:
+                tokens += ["else"] + _gen_statements(rng, depth - 1)
+            tokens += ["end"]
+    return tokens
+
+
+def _gen_feature(rng, name: str) -> list[str]:
+    tokens = [name]
+    if rng.random() < 0.5:
+        tokens += ["(", "p", ":", "INTEGER"]
+        for extra in rng.sample([["q", ":", "BOOLEAN"], ["c", ":", "CELL"], ["t", ":", "STRING"]], rng.randint(0, 2)):
+            tokens += [rng.choice([";", ","])] + extra
+        tokens += [")"]
+    if rng.random() < 0.2:
+        tokens += ["note", "status", ":", "creator"]
+    if rng.random() < 0.6:
+        tokens += _gen_clauses(rng, "require")
+    if rng.random() < 0.5:
+        tokens += ["modify"] + [t for i, n in enumerate(rng.sample(["x", "r", "s"], rng.randint(0, 3)))
+                                for t in ([","] if i else []) + [n]]
+    tokens += ["do"] + _gen_statements(rng, 2)
+    if rng.random() < 0.6:
+        tokens += _gen_clauses(rng, "ensure")
+    return tokens + ["end"]
+
+
+def _gen_class(rng, name: str) -> list[str]:
+    tokens = ["class", name]
+    if rng.random() < 0.3:
+        tokens += ["note", "model", ":", "x"] + [",", "s"] * rng.randint(0, 1)
+    if rng.random() < 0.6:
+        tokens += ["create", "make"]
+    for _ in range(rng.randint(1, 2)):
+        tokens += ["feature"]
+        for attr, ty in rng.sample([("x", "INTEGER"), ("b", "BOOLEAN"), ("s", "STRING"), ("t", "SET_OF_STRING"),
+                                    ("r", "CELL")], rng.randint(0, 3)):
+            tokens += [attr, ":", ty]
+        for k in range(rng.randint(0, 3)):
+            tokens += _gen_feature(rng, rng.choice(["make", "go", "f"]) + str(k))
+    if rng.random() < 0.6:
+        tokens += _gen_clauses(rng, "invariant")
+    return tokens + ["end"]
+
+
+def generated_source(seed: int) -> str:
+    """A seeded random program that parses, though it need not analyze:
+    every kind of declaration, statement and expression, with blanks,
+    tabs, CRLF line ends and comments of every shape between tokens."""
+    import random
+
+    rng = random.Random(seed)
+    tokens = [t for k in range(rng.randint(1, 3)) for t in _gen_class(rng, f"C{k}")]
+    out = [rng.choice(["", "-- header\n", "\n"])]
+    for prev, tok in zip([None] + tokens, tokens):
+        if prev is not None:
+            glue = prev in _GLUE or tok in _GLUE
+            sep = "" if glue and rng.random() < 0.5 else rng.choice(_SEPARATORS)
+            out.append(" " + sep if prev == "-" else sep)  # "-" then "--" would open a comment
+        out.append(tok)
+    return "".join(out) + rng.choice(["", "\n", " -- trailer"])
+
+
+def front_end_digest(source: str) -> str:
+    stream = [(t.kind, t.value, t.line, t.col) for t in tokenize(source)]
+    text = json.dumps(stream, ensure_ascii=False) + "\n" + repr(parse(source))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+FRONT_END_DIGESTS = {
+    "account": "6a2c66019845b53d13851a264ae2c4bad0f74d9ee8d7ea5b4a72ba4a0df77632",
+    "account_noguard_mutant": "9266ca8e2b15251bce962ecefc8c058d709d6541691b5e4f125a2a7d80101301",
+    "account_overflow_mutant": "4162c6af93a4f415d7f69e82eb95a25a82643837f557dd39509bed3cd01001a4",
+    "tokeneer_enrolment": "49ba65d1f12d56717a48738d84707c46cbc367bd241b0aaa144f29990884d0f6",
+    "tokeneer_noprecond_mutant": "a56b7baeda683fcabb66cfc7ffd9e7a579005851c2a41a8458e645c95770ac75",
+    "tokeneer_frame_mutant": "441b1b90549f24f417b0724d0f7d16131719ad3fd0525ec55743705ddae96d2c",
+    "contract_creation_error": "13e5679467ba59c7c53fefd7dcc3991974c527ef6cc8881daf01d5f3ab837833",
+}
+
+GENERATED_DIGESTS = {
+    0: "f4ef5324bdefe5d4106f3938b20515469e247923364c0e0ed4a7eadad36aafd5",
+    1: "c7f4bbb3e19a6207fbcd65ab6c4f6544de92b3cc2cb6eafd0b4349eae6960d10",
+    2: "4bafe2da232ecca8284a3e51370710600bee69624642eacceea681af01dacaf8",
+    3: "9cc09399fa76cfe9edc2ed66d6bf30edb7cdbec8fb00188d0a67fffcae5d9769",
+    4: "83585b84662f51bb652d3e1469af2e0bfa255473db63e47a189a4700df310e90",
+    5: "be3e737359c6cea66e24fbc211b03b639afdff6bb3b8284d696411df7e47f3af",
+    6: "2fb96bf40f30b13271622ebe7a96038fde47f5572e37275cca7860afb9d7e464",
+    7: "a8bbf8b97431f1d5a256eaa04862a48ac328a6d76c93ebdf2ddd42cc8ee8d0b4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRONT_END_DIGESTS))
+def test_corpus_front_end_output_is_pinned(name, entries):
+    assert front_end_digest(entries[name].source) == FRONT_END_DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed", sorted(GENERATED_DIGESTS))
+def test_generated_front_end_output_is_pinned(seed):
+    assert front_end_digest(generated_source(seed)) == GENERATED_DIGESTS[seed]
+
+
+def test_corpus_front_end_pins_cover_every_entry(entries):
+    assert sorted(FRONT_END_DIGESTS) == sorted(entries)
+
+
+# (id, source, message, line, col) of the first error in each malformed
+# input, recorded like the digests above
+MALFORMED = [
+    ("empty", "",
+     "expected 'class', found ''", 1, 1),
+    ("no-class", "feature x : INTEGER end",
+     "expected 'class', found 'feature'", 1, 1),
+    ("class-without-name", "class\nend",
+     "expected class name, found 'end'", 2, 1),
+    ("missing-end", "class A\nfeature\n  x : INTEGER\n",
+     "expected feature or attribute name, found ''", 4, 1),
+    ("trailing-token", "class A\nend\nx",
+     "expected 'class' or end of input, found 'x'", 3, 1),
+    ("unknown-class-note", "class A note owner: x end",
+     "unknown class note 'owner'", 1, 14),
+    ("unknown-feature-note", "class A feature f note kind: creator do end end",
+     "unknown feature note 'kind'", 1, 24),
+    ("unknown-status", "class A feature f note status: query do end end",
+     "unknown status 'query'", 1, 32),
+    ("unclosed-params", "class A feature f (p : INTEGER do end end",
+     "expected ')', found 'do'", 1, 32),
+    ("param-without-type", "class A feature f (p) do end end",
+     "expected ':', found ')'", 1, 21),
+    ("expected-statement", "class A feature f do x end end",
+     "expected statement, found 'x'", 1, 22),
+    ("statement-keyword", "class A feature f do then end end",
+     "expected statement, found 'then'", 1, 22),
+    ("assign-without-value", "class A feature f do x := end end",
+     "expected expression, found 'end'", 1, 27),
+    ("call-unclosed", "class A feature f do r.g(1, 2 end end",
+     "expected ')', found 'end'", 1, 31),
+    ("check-without-end", "class A feature f do check x = 1 end",
+     "expected 'end', found ''", 1, 37),
+    ("if-without-then", "class A feature f do if x = 1 x := 2 end end end",
+     "expected 'then', found 'x'", 1, 31),
+    ("chained-equality", wrap_expr("x = 1 = 2"),
+     "expected expression, found '='", 9, 16),
+    ("chained-comparisons", wrap_expr("x < 1 <= 2"),
+     "expected expression, found '<='", 9, 16),
+    ("comparison-after-sum", wrap_expr("x + 1 = 2 /= true"),
+     "expected expression, found '/='", 9, 20),
+    ("dangling-operator", wrap_expr("x = 1 +"),
+     "expected expression, found 'end'", 10, 5),
+    ("dangling-implies", wrap_expr("true implies"),
+     "expected expression, found 'end'", 10, 5),
+    ("minus-on-name", wrap_expr("x = -x"),
+     'unary minus applies to integer literals only', 9, 14),
+    ("minus-on-parenthesized-sum", wrap_expr("x = -(1 + 2)"),
+     'unary minus applies to integer literals only', 9, 14),
+    ("not-at-end", wrap_expr("not"),
+     "expected expression, found 'end'", 10, 5),
+    ("old-without-operand", wrap_expr("old = 1"),
+     "expected expression, found '='", 9, 14),
+    ("two-level-qualification", wrap_expr("r.a.b = 1"),
+     'only one level of qualification is supported (receiver.attr or set.has(..))', 9, 13),
+    ("has-unclosed", wrap_expr('{"a"}.has("a"'),
+     "expected ')', found 'end'", 10, 5),
+    ("set-of-integers", wrap_expr('{"a", 1}.has("a")'),
+     'set displays hold string literals only', 9, 16),
+    ("set-unclosed", wrap_expr('{"a" "b"}.has("a")'),
+     "expected '}', found 'b'", 9, 15),
+    ("unclosed-parenthesis", wrap_expr("(x = 1"),
+     "expected ')', found 'end'", 10, 5),
+    ("operator-first", wrap_expr("* 2 = x"),
+     "expected expression, found '*'", 9, 10),
+    ("deep-parentheses", wrap_expr("(" * 51 + "x" + ")" * 51),
+     'expression nested more than 50 levels deep', 9, 60),
+    ("deep-implies", wrap_expr(" implies ".join(["true"] * 52)),
+     'expression nested more than 50 levels deep', 9, 665),
+    ("long-sum", wrap_expr("x = " + " + ".join(["1"] * 52)),
+     'expression nested more than 50 levels deep', 9, 10),
+    ("deep-not", wrap_expr("not " * 51 + "true"),
+     'expression nested more than 50 levels deep', 9, 210),
+    ("deep-has", wrap_expr("x" + ".has(x" * 51 + ")" * 51),
+     'expression nested more than 50 levels deep', 9, 315),
+    ("unterminated-string", wrap_expr('"abc'),
+     'unterminated string literal', 9, 10),
+    ("bad-character", wrap_expr("x = 1 ? 2"),
+     "unexpected character '?'", 9, 16),
+]
+
+
+@pytest.mark.parametrize("source, message, line, col", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
+def test_parse_error_text_and_position_are_pinned(source, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
