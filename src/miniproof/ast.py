@@ -361,18 +361,24 @@ def expr_children(e: Expr) -> tuple[Expr, ...]:
 
 
 def walk_expr(e: Expr):
-    """Yield e and every subexpression."""
-    yield e
-    for child in expr_children(e):
-        yield from walk_expr(child)
+    """Yield e and every subexpression, in preorder."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(expr_children(e)))
 
 
 def arith_postorder(e: Expr):
-    """Yield the arithmetic nodes of e, children before parents."""
-    for child in expr_children(e):
-        yield from arith_postorder(child)
-    if isinstance(e, Binary) and e.op in ARITH_OPS:
-        yield e
+    """The arithmetic nodes of e, children before parents: the reverse of
+    a preorder that visits right children first."""
+    found, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Binary) and e.op in ARITH_OPS:
+            found.append(e)
+        stack.extend(expr_children(e))
+    return reversed(found)
 
 
 def walk_statements(stmts: list[Statement]):

@@ -274,7 +274,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise UsageError(
             f"counterexample of {args.obligation_id} in {args.report} is not a JSON object"
         )
-    obligation, opts = _find_obligation(checked, opts, args.obligation_id)
+    obligation, opts = _find_obligation(checked, opts, args.obligation_id, args.check_overflow is None)
     counterexample = _decode_counterexample(raw, obligation)
     from .runtime import replay_counterexample
 
@@ -319,16 +319,17 @@ def _decode_counterexample(raw: dict, obligation: Obligation) -> dict:
 
 
 def _find_obligation(
-    checked: CheckedProgram, opts: VerifyOptions, obligation_id: str
+    checked: CheckedProgram, opts: VerifyOptions, obligation_id: str, may_retry: bool
 ) -> tuple[Obligation, VerifyOptions]:
-    """Overflow obligations only exist when overflow checking is on, so retry
-    with it enabled before declaring the id unknown."""
+    """Overflow obligations only exist when overflow checking is on, so
+    unless the command line set checking on or off (may_retry false),
+    retry with it enabled before declaring the id unknown."""
     from .vcgen import generate_obligations
 
     for o in generate_obligations(checked, opts):
         if o.id == obligation_id:
             return o, opts
-    if not opts.check_overflow:
+    if may_retry and not opts.check_overflow:
         retry = opts.replace(check_overflow=True)
         for o in generate_obligations(checked, retry):
             if o.id == obligation_id:

@@ -1,10 +1,16 @@
 """Recursive-descent parser for .ccl sources.
 
-Declarations and statements have one method each. Binary expressions have
-one method, parse_binary, driven by the operator table ast.BINARY_LEVELS:
-it parses one binding level per call, with that level's associativity.
-The program's string pool is the set of its STRING tokens. Parsing stops
-at the first lexical or syntax error and reports it with line and column.
+Declarations and statements have one method each. Binary expressions are
+parsed by precedence climbing (Clarke, "The top-down parsing of
+expressions", 1986), in one method, parse_binary, driven by the operator
+tables ast.BINARY_PREC and ast.BINARY_ASSOC: one loop takes the
+operators that follow an operand, and each operator makes one recursive
+call for its right operand, which takes every tighter operator (and, for
+the right-associative implies, every one of its own level). After a
+non-chaining comparison the loop accepts only looser operators, so
+``a = b = c`` is an error. The program's string pool is the set of its
+STRING tokens. Parsing stops at the first lexical or syntax error and
+reports it with line and column.
 """
 
 from __future__ import annotations
@@ -23,10 +29,13 @@ _CLAUSE_STOP = {"do", "modify", "end", "ensure", "invariant", "feature", "then",
 # passes after it run out of stack
 MAX_NESTING = 50
 
+_PREC, _ASSOC = ast.BINARY_PREC, ast.BINARY_ASSOC
+_TIGHTEST = len(ast.BINARY_LEVELS)
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        self.tokens = tokens + tokens[-1:]  # a second EOF, so that peek(1) needs no bounds check
         self.i = 0
         self.nesting = 0
         self.blocks = 0
@@ -34,7 +43,7 @@ class _Parser:
     # -- token helpers ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
@@ -295,64 +304,69 @@ class _Parser:
     # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> ast.Expr:
-        tok = self.peek()
+        start = self.i
         expr = self.parse_binary()
-        if self.nesting == 0 and _depth(expr) > MAX_NESTING:
+        # each operator of a tree is a token of its own, so a tree over at
+        # most MAX_NESTING tokens is no deeper than that
+        if self.nesting == 0 and self.i - start > MAX_NESTING and _depth(expr) > MAX_NESTING:
+            tok = self.tokens[start]
             raise ParseError(f"expression nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
         return expr
 
-    def nested(self, parse, tok: Token) -> ast.Expr:
-        """Run parse one nesting level deeper than the current one."""
+    def nested(self, tok: Token, parse, *args) -> ast.Expr:
+        """Run parse(*args) one nesting level deeper than the current one."""
         if self.nesting == MAX_NESTING:
             raise ParseError(f"expression nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
         self.nesting += 1
-        expr = parse()
+        expr = parse(*args)
         self.nesting -= 1
         return expr
 
-    def parse_binary(self, level: int = 1) -> ast.Expr:
-        """Parse an expression whose operators outside parentheses bind at
-        level or tighter (see ast.BINARY_LEVELS)."""
-        if level == ast.UNARY_PREC:
-            return self.parse_unary()
-        left = self.parse_binary(level + 1)
-        assoc = ast.BINARY_LEVELS[level - 1][0]
+    def parse_binary(self, min_prec: int = 1) -> ast.Expr:
+        """Parse an operand and the operators after it that bind at
+        min_prec or tighter (see ast.BINARY_LEVELS), each with its right
+        operand."""
+        left = self.parse_unary()
+        limit = _TIGHTEST  # the tightest level the next operator may have
         while True:
-            tok = self.peek()  # the string literal "and" is no operator, hence the kind test
-            if tok.kind not in ("KEYWORD", "SYMBOL") or ast.BINARY_PREC.get(tok.value) != level:
+            tok = self.tokens[self.i]
+            # the string literal "and" is no operator, hence the kind test
+            prec = _PREC.get(tok.value, 0) if tok.kind != "STRING" else 0
+            if not min_prec <= prec <= limit:
                 return left
-            self.next()
+            self.i += 1
+            assoc = _ASSOC[tok.value]
             if assoc == "right":
-                right = self.nested(lambda: self.parse_binary(level), tok)
+                right = self.nested(tok, self.parse_binary, prec)
             else:
-                right = self.parse_binary(level + 1)
+                right = self.parse_binary(prec + 1)
             left = ast.Binary(tok.value, left, right, pos=self.pos(tok))
-            if assoc != "left":  # a right operand took the rest; "none" does not chain
-                return left
+            # the right operand took every tighter operator; a left operator
+            # may be followed by one of its own level, a comparison does not
+            # chain, and the right operand of implies took all of its level
+            limit = prec if assoc == "left" else prec - 1
 
     def parse_unary(self) -> ast.Expr:
-        if self.at_keyword("not"):
-            tok = self.next()
-            return ast.Unary("not", self.nested(self.parse_unary, tok), pos=self.pos(tok))
-        if self.at_keyword("old"):
-            tok = self.next()
-            return ast.Old(self.nested(self.parse_unary, tok), pos=self.pos(tok))
-        if self.at_symbol("-"):
-            tok = self.next()
-            operand = self.nested(self.parse_unary, tok)
+        tok = self.tokens[self.i]
+        if tok.kind == "KEYWORD":
+            if tok.value == "not":
+                self.i += 1
+                return ast.Unary("not", self.nested(tok, self.parse_unary), pos=self.pos(tok))
+            if tok.value == "old":
+                self.i += 1
+                return ast.Old(self.nested(tok, self.parse_unary), pos=self.pos(tok))
+        elif tok.value == "-" and tok.kind == "SYMBOL":
+            self.i += 1
+            operand = self.nested(tok, self.parse_unary)
             if isinstance(operand, ast.IntLit):
                 return ast.IntLit(-operand.value, pos=self.pos(tok))
             raise ParseError("unary minus applies to integer literals only", tok.line, tok.col)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> ast.Expr:
         expr = self.parse_atom()
         while self.at_symbol("."):
             dot = self.peek()
             if self.peek(1).kind == "IDENT" and self.peek(1).value == "has":
-                self.next()
-                self.next()
-                item = self.nested(self.parse_expr, self.expect_symbol("("))
+                self.i += 2
+                item = self.nested(self.expect_symbol("("), self.parse_expr)
                 self.expect_symbol(")")
                 expr = ast.Has(expr, item, pos=self.pos(dot))
                 continue
@@ -364,51 +378,46 @@ class _Parser:
         return expr
 
     def parse_atom(self) -> ast.Expr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            return ast.IntLit(int(tok.value), pos=self.pos(tok))
-        if tok.kind == "STRING":
-            self.next()
-            return ast.StrLit(tok.value, pos=self.pos(tok))
-        if self.at_keyword("true") or self.at_keyword("false"):
-            self.next()
-            return ast.BoolLit(tok.value == "true", pos=self.pos(tok))
-        if self.at_keyword("Void"):
-            self.next()
-            return ast.VoidLit(pos=self.pos(tok))
-        if self.at_keyword("create"):
-            self.next()
-            cname = self.expect_ident("class name").value
-            return ast.CreateExpr(cname, pos=self.pos(tok))
-        if self.at_symbol("("):
-            self.next()
-            inner = self.nested(self.parse_expr, tok)
-            self.expect_symbol(")")
-            return inner
-        if self.at_symbol("{"):
-            self.next()
-            items: list[str] = []
-            if not self.at_symbol("}"):
-                while True:
-                    item = self.next()
-                    if item.kind != "STRING":
-                        raise ParseError("set displays hold string literals only", item.line, item.col)
-                    items.append(item.value)
-                    if self.at_symbol(","):
-                        self.next()
-                        continue
-                    break
-            self.expect_symbol("}")
-            return ast.SetLit(tuple(items), pos=self.pos(tok))
-        if tok.kind == "IDENT":
-            self.next()
+        tok = self.next()
+        kind, value = tok.kind, tok.value
+        if kind == "IDENT":
             if self.at_symbol(".") and self.peek(1).kind == "IDENT" and self.peek(1).value != "has":
-                self.next()
+                self.i += 1
                 attr = self.expect_ident().value
-                return ast.Qualified(tok.value, attr, pos=self.pos(tok))
-            return ast.Name(tok.value, pos=self.pos(tok))
-        raise ParseError(f"expected expression, found {tok.value!r}", tok.line, tok.col)
+                return ast.Qualified(value, attr, pos=self.pos(tok))
+            return ast.Name(value, pos=self.pos(tok))
+        if kind == "INT":
+            return ast.IntLit(int(value), pos=self.pos(tok))
+        if kind == "STRING":
+            return ast.StrLit(value, pos=self.pos(tok))
+        if kind == "KEYWORD":
+            if value == "true" or value == "false":
+                return ast.BoolLit(value == "true", pos=self.pos(tok))
+            if value == "Void":
+                return ast.VoidLit(pos=self.pos(tok))
+            if value == "create":
+                cname = self.expect_ident("class name").value
+                return ast.CreateExpr(cname, pos=self.pos(tok))
+        elif kind == "SYMBOL":
+            if value == "(":
+                inner = self.nested(tok, self.parse_expr)
+                self.expect_symbol(")")
+                return inner
+            if value == "{":
+                items: list[str] = []
+                if not self.at_symbol("}"):
+                    while True:
+                        item = self.next()
+                        if item.kind != "STRING":
+                            raise ParseError("set displays hold string literals only", item.line, item.col)
+                        items.append(item.value)
+                        if self.at_symbol(","):
+                            self.next()
+                            continue
+                        break
+                self.expect_symbol("}")
+                return ast.SetLit(tuple(items), pos=self.pos(tok))
+        raise ParseError(f"expected expression, found {value!r}", tok.line, tok.col)
 
 
 def _depth(e: ast.Expr) -> int:

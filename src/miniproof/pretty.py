@@ -11,8 +11,8 @@ from . import ast
 def _prec(e: ast.Expr) -> int:
     if isinstance(e, ast.Binary):
         return ast.BINARY_PREC[e.op]
-    if isinstance(e, (ast.Unary, ast.Old)):
-        return ast.UNARY_PREC
+    if isinstance(e, (ast.Unary, ast.Old)) or isinstance(e, ast.IntLit) and e.value < 0:
+        return ast.UNARY_PREC  # a negative literal prints with a prefix minus
     return ast.ATOM_PREC
 
 
@@ -54,10 +54,12 @@ def _child(e: ast.Expr, min_prec: int) -> str:
 def _clause_lines(clauses: list[ast.Clause], indent: str) -> list[str]:
     lines = []
     for c in clauses:
+        text = expr_text(c.expr)
         if c.synthesized:
-            lines.append(f"{indent}{expr_text(c.expr)}")
+            # an unlabeled clause that opens with a minus would continue the clause before it
+            lines.append(f"{indent}({text})" if text.startswith("-") else f"{indent}{text}")
         else:
-            lines.append(f"{indent}{c.label}: {expr_text(c.expr)}")
+            lines.append(f"{indent}{c.label}: {text}")
     return lines
 
 

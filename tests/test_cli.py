@@ -475,6 +475,26 @@ def test_replay_finds_overflow_obligations_without_the_flag(capsys, tmp_path):
     assert "reproduced" in out
 
 
+def test_replay_keeps_an_explicit_no_check_overflow(capsys, tmp_path):
+    """--no-check-overflow is the user's choice: the overflow id is not
+    looked up again with checking on, so it is unknown."""
+    run_cli(capsys, "corpus", "export", "account_overflow_mutant", str(tmp_path))
+    program = str(tmp_path / "account_overflow_mutant.ccl")
+    code, out, _ = run_cli(
+        capsys, "verify", program, "--check-overflow", "--overflow-width", "8",
+        "--int-range", "-128..127", "--format", "json",
+    )
+    assert code == 1
+    report = tmp_path / "r.json"
+    report.write_text(out, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "replay", program, "ACCOUNT.deposit.overflow.1", "--report", str(report),
+        "--overflow-width", "8", "--no-check-overflow",
+    )
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["miniproof: program has no obligation with id 'ACCOUNT.deposit.overflow.1'"]
+
+
 def _malformed_row(counterexample) -> str:
     row = {"id": "ACCOUNT.deposit.postcondition.0", "verdict": "Failed", "counterexample": counterexample}
     return json.dumps({"rows": [row]})

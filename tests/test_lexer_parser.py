@@ -1,14 +1,17 @@
 """Lexing and parsing: token stream shape, program structure, synthesized
-clause labels, and syntax-error positions."""
+clause labels, and syntax-error positions; token streams, trees and
+error texts pinned with their positions; and the printer round trip of
+seeded generated programs."""
 
 import hashlib
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
-from miniproof import ast, parse
+from miniproof import ast, parse, program_text
 from miniproof.errors import ParseError
 from miniproof.lexer import KEYWORDS, tokenize
 
@@ -562,13 +565,15 @@ def _gen_class(rng, name: str) -> list[str]:
         tokens += ["note", "model", ":", "x"] + [",", "s"] * rng.randint(0, 1)
     if rng.random() < 0.6:
         tokens += ["create", "make"]
+    features = 0
     for _ in range(rng.randint(1, 2)):
         tokens += ["feature"]
         for attr, ty in rng.sample([("x", "INTEGER"), ("b", "BOOLEAN"), ("s", "STRING"), ("t", "SET_OF_STRING"),
                                     ("r", "CELL")], rng.randint(0, 3)):
             tokens += [attr, ":", ty]
-        for k in range(rng.randint(0, 3)):
-            tokens += _gen_feature(rng, rng.choice(["make", "go", "f"]) + str(k))
+        for _ in range(rng.randint(0, 3)):
+            tokens += _gen_feature(rng, rng.choice(["make", "go", "f"]) + str(features))
+            features += 1
     if rng.random() < 0.6:
         tokens += _gen_clauses(rng, "invariant")
     return tokens + ["end"]
@@ -578,8 +583,6 @@ def generated_source(seed: int) -> str:
     """A seeded random program that parses, though it need not analyze:
     every kind of declaration, statement and expression, with blanks,
     tabs, CRLF line ends and comments of every shape between tokens."""
-    import random
-
     rng = random.Random(seed)
     tokens = [t for k in range(rng.randint(1, 3)) for t in _gen_class(rng, f"C{k}")]
     out = [rng.choice(["", "-- header\n", "\n"])]
@@ -614,7 +617,7 @@ GENERATED_DIGESTS = {
     2: "4bafe2da232ecca8284a3e51370710600bee69624642eacceea681af01dacaf8",
     3: "9cc09399fa76cfe9edc2ed66d6bf30edb7cdbec8fb00188d0a67fffcae5d9769",
     4: "83585b84662f51bb652d3e1469af2e0bfa255473db63e47a189a4700df310e90",
-    5: "be3e737359c6cea66e24fbc211b03b639afdff6bb3b8284d696411df7e47f3af",
+    5: "fddba2d7f61a20982755d9e59a4637f45307add00ea4411685ec350746d1fd88",
     6: "2fb96bf40f30b13271622ebe7a96038fde47f5572e37275cca7860afb9d7e464",
     7: "a8bbf8b97431f1d5a256eaa04862a48ac328a6d76c93ebdf2ddd42cc8ee8d0b4",
 }
@@ -628,6 +631,14 @@ def test_corpus_front_end_output_is_pinned(name, entries):
 @pytest.mark.parametrize("seed", sorted(GENERATED_DIGESTS))
 def test_generated_front_end_output_is_pinned(seed):
     assert front_end_digest(generated_source(seed)) == GENERATED_DIGESTS[seed]
+
+
+def test_generated_programs_round_trip_through_the_printer():
+    for seed in range(200):
+        tree = parse(generated_source(seed))
+        printed = program_text(tree)
+        assert parse(printed) == tree, seed
+        assert program_text(parse(printed)) == printed, seed
 
 
 def test_corpus_front_end_pins_cover_every_entry(entries):

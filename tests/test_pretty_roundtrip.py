@@ -97,6 +97,7 @@ EXPRESSIONS = [
     "r /= Void",
     "helper = create HELPER",
     "x < -3",
+    "(-3).has(v)",
 ]
 
 
@@ -151,6 +152,9 @@ def test_parentheses_only_where_needed():
 
     assert expr_text(parse_expr("x = 1 + 2 * 3")) == "x = 1 + 2 * 3"
     assert expr_text(parse_expr("x = (1 + 2) * 3")) == "x = (1 + 2) * 3"
+    # a negative literal prints with a prefix minus, looser than .has
+    assert expr_text(parse_expr("(-3).has(v)")) == "(-3).has(v)"
+    assert expr_text(parse_expr("x - -3 * -2")) == "x - -3 * -2"
 
 
 NESTED_COMPARISON = """class T
@@ -175,6 +179,17 @@ def test_nested_comparison_round_trips():
     printed = program_text(tree)
     assert "c: (x = 0) = true" in printed
     assert "d: true = (x /= 0)" in printed
+    assert parse(printed) == tree
+    assert program_text(parse(printed)) == printed
+
+
+def test_unlabeled_clause_opening_with_a_minus_stays_a_clause():
+    """Printed bare, `-7 < x` on the line after another clause would
+    continue it as a subtraction."""
+    source = NESTED_COMPARISON.replace("      d: true = (x /= 0)\n", "      (-7 < x)\n      (-1)\n")
+    tree = parse(source)
+    printed = program_text(tree)
+    assert "      c: (x = 0) = true\n      (-7 < x)\n      (-1)\n" in printed
     assert parse(printed) == tree
     assert program_text(parse(printed)) == printed
 

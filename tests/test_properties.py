@@ -8,7 +8,7 @@ substitution reads exactly as eager substitution."""
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from miniproof import analyze, parse
+from miniproof import analyze, ast, parse
 from miniproof import formula as F
 from miniproof.ast import T_BOOL, T_INT, T_SET, T_STRING, ref
 from miniproof.discharge import (
@@ -136,48 +136,47 @@ def test_enumeration_starts_at_minimums(lo, hi):
     assert envs[-1] == {"x": hi, "y": hi}
 
 
-EXPR_TEXTS = st.recursive(
+IDENTIFIERS = st.sampled_from(["x", "y", "balance", "_t1"])
+
+# every kind of expression the parser makes; a unary minus before a
+# literal is folded into it, so it shows as a negative IntLit
+EXPR_TREES = st.recursive(
     st.one_of(
-        st.integers(0, 9).map(str),
-        st.sampled_from(["x", "y"]),
+        st.integers(-20, 20).map(ast.IntLit),
+        st.booleans().map(ast.BoolLit),
+        st.sampled_from(["", "a b", "and"]).map(ast.StrLit),
+        st.builds(ast.VoidLit),
+        st.lists(st.sampled_from(["a", "b"]), max_size=2).map(lambda items: ast.SetLit(tuple(items))),
+        IDENTIFIERS.map(ast.Name),
+        st.builds(ast.Qualified, IDENTIFIERS, IDENTIFIERS),
+        st.sampled_from(["C", "ACCOUNT"]).map(ast.CreateExpr),
     ),
-    lambda sub: st.builds(
-        lambda a, op, c: f"({a} {op} {c})",
-        sub,
-        st.sampled_from(["+", "-", "*"]),
-        sub,
+    lambda sub: st.one_of(
+        st.builds(ast.Binary, st.sampled_from([op for _, ops in ast.BINARY_LEVELS for op in ops]), sub, sub),
+        sub.map(lambda e: ast.Unary("not", e)),
+        sub.map(ast.Old),
+        st.builds(ast.Has, sub, sub),
     ),
-    max_leaves=8,
+    max_leaves=12,
 )
 
 
-@settings(max_examples=60)
-@given(text=EXPR_TEXTS)
-def test_printed_expressions_reparse_to_the_same_tree(text):
-    def parse_expr(t: str):
-        host = (
-            "class H\n"
-            "create make\n"
-            "feature\n"
-            "  x : INTEGER\n"
-            "  y : INTEGER\n"
-            "  make\n"
-            "    do\n"
-            "      x := 0\n"
-            "      y := 0\n"
-            "    ensure\n"
-            f"      c: x = {t}\n"
-            "    end\n"
-            "end\n"
-        )
-        clause = parse(host).classes[0].features[0].ensure[0].expr
-        return clause.right  # the generated integer term
-
+@settings(max_examples=300)
+@given(tree=EXPR_TREES)
+def test_printed_expressions_reparse_to_the_same_tree(tree):
+    """Over every binary operator (comparisons as operands of comparisons
+    included), not, old, negative literals, has and qualified names:
+    printed text reparses to the tree, and printing is a fixpoint."""
     from miniproof import expr_text
 
-    tree = parse_expr(text)
+    def parse_expr(text: str) -> ast.Expr:
+        host = f"class H\nfeature\n  f\n    do\n    ensure\n      c: {text}\n    end\nend\n"
+        return parse(host).classes[0].features[0].ensure[0].expr
+
     printed = expr_text(tree)
-    assert parse_expr(printed) == tree
+    reparsed = parse_expr(printed)
+    assert reparsed == tree
+    assert expr_text(reparsed) == printed
 
 
 @given(
