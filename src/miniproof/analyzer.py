@@ -24,8 +24,10 @@ class ClassInfo(ast.Node):
     __slots__ = ("name", "decl", "attributes", "routines", "model_queries", "creator")
     _defaults = {"attributes": {}, "routines": {}, "model_queries": [], "creator": ""}
 
-    def attr_type(self, name: str) -> ast.Type | None:
-        return self.attributes.get(name)
+    def name_type(self, name: str, feat: ast.Feature | None) -> ast.Type | None:
+        """The type of a name inside feat: its parameter, else the attribute."""
+        param = next((p for p in feat.params if p.name == name), None) if feat else None
+        return param.ty if param else self.attributes.get(name)
 
     def frame(self, feat: ast.Feature) -> tuple[str, ...]:
         """The model queries feat must leave unchanged: those outside its
@@ -149,7 +151,7 @@ class _Analysis:
     def check_statements(self, stmts: list[ast.Statement], info: ClassInfo, feat: ast.Feature):
         for s in stmts:
             if isinstance(s, ast.Assign):
-                target_ty = info.attr_type(s.target)
+                target_ty = info.attributes.get(s.target)
                 if target_ty is None:
                     self.error(s.pos, f"assignment target {s.target} is not an attribute of {info.name}")
                 value_ty = self.expr_type(s.value, info, feat, old_ok=False, contract=False)
@@ -161,7 +163,7 @@ class _Analysis:
                 if attr_ty is not None:
                     self.require_assignable(attr_ty, value_ty, s.pos, f"{s.receiver}.{s.attr}")
             elif isinstance(s, ast.CreateStmt):
-                target_ty = info.attr_type(s.target)
+                target_ty = info.attributes.get(s.target)
                 if target_ty is None:
                     self.error(s.pos, f"creation target {s.target} is not an attribute of {info.name}")
                 elif target_ty.kind != ast.REF:
@@ -211,11 +213,7 @@ class _Analysis:
     # -- expressions ----------------------------------------------------------
 
     def resolve_name(self, name: str, info: ClassInfo, feat: ast.Feature | None, pos) -> ast.Type | None:
-        if feat is not None:
-            for p in feat.params:
-                if p.name == name:
-                    return p.ty
-        ty = info.attr_type(name)
+        ty = info.name_type(name, feat)
         if ty is None:
             self.error(pos, f"unknown name {name}")
         return ty
@@ -231,7 +229,7 @@ class _Analysis:
             self.error(pos, f"{receiver} is not a reference")
             return None
         target_info = self.classes.get(recv_ty.class_name or "")
-        attr_ty = target_info.attr_type(attr) if target_info else None
+        attr_ty = target_info.attributes.get(attr) if target_info else None
         if attr_ty is None:
             self.error(pos, f"{recv_ty.class_name} has no attribute {attr}")
         return attr_ty
@@ -290,22 +288,15 @@ class _Analysis:
         if isinstance(e, ast.Binary):
             lt = recurse(e.left)
             rt = recurse(e.right)
-            if e.op in ast.ARITH_OPS:
-                if lt.kind != ast.INTEGER or rt.kind != ast.INTEGER:
-                    self.error(e.pos, f"{e.op} requires integer operands")
-                return ast.T_INT
             if e.op in ast.BOOL_OPS:
                 self.require_boolean(lt, e.pos, f"{e.op} operand")
                 self.require_boolean(rt, e.pos, f"{e.op} operand")
-                return ast.T_BOOL
-            if e.op in ("<", "<=", ">", ">="):
-                if lt.kind != ast.INTEGER or rt.kind != ast.INTEGER:
-                    self.error(e.pos, f"{e.op} requires integer operands")
-                return ast.T_BOOL
-            # = and /=
-            if not self.comparable(lt, rt):
-                self.error(e.pos, f"cannot compare {lt} with {rt}")
-            return ast.T_BOOL
+            elif e.op in ("=", "/="):
+                if not self.comparable(lt, rt):
+                    self.error(e.pos, f"cannot compare {lt} with {rt}")
+            elif lt.kind != ast.INTEGER or rt.kind != ast.INTEGER:
+                self.error(e.pos, f"{e.op} requires integer operands")
+            return ast.T_INT if e.op in ast.ARITH_OPS else ast.T_BOOL
         raise TypeError(f"unexpected expression node {e!r}")
 
     @staticmethod

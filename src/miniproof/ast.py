@@ -211,7 +211,8 @@ class Binary(Expr):
 
 
 class Has(Expr):
-    """Set membership test: receiver.has(item)."""
+    """Set membership test: receiver.has(item), `item in receiver` in
+    every evaluator; sets hold only strings, so a Void item is in none."""
 
     __slots__ = ("receiver", "item")
     _defaults = {"receiver": None, "item": None}

@@ -122,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a stored counterexample as a runtime violation",
         description=(
             "Replay the counterexample recorded for one obligation in a JSON verification "
-            "report (as produced by `verify --format json`).  Pass the same domain flags "
-            "that produced the report."
+            "report (as produced by `verify --format json`).  --check-overflow and "
+            "--overflow-width select the Overflow obligations and set the monitor's bounds; "
+            "--int-range is only validated: no obligation id or replay outcome depends on it."
         ),
     )
     replay.add_argument("target", help="path to a program file or corpus:NAME")
@@ -319,21 +320,20 @@ def _decode_counterexample(raw: dict, obligation: Obligation) -> dict:
 
 
 def _find_obligation(
-    checked: CheckedProgram, opts: VerifyOptions, obligation_id: str, may_retry: bool
+    checked: CheckedProgram, opts: VerifyOptions, obligation_id: str, overflow_unset: bool
 ) -> tuple[Obligation, VerifyOptions]:
-    """Overflow obligations only exist when overflow checking is on, so
-    unless the command line set checking on or off (may_retry false),
-    retry with it enabled before declaring the id unknown."""
+    """The obligation with that id, and the options to replay it under.
+    Overflow obligations only exist when overflow checking is on, so
+    unless the command line set checking on or off, the search turns it
+    on, and keeps it on only for an Overflow obligation; checking adds
+    Overflow obligations and leaves every other one as it was."""
+    from .formula import OVERFLOW
     from .vcgen import generate_obligations
 
-    for o in generate_obligations(checked, opts):
+    search = opts.replace(check_overflow=True) if overflow_unset else opts
+    for o in generate_obligations(checked, search):
         if o.id == obligation_id:
-            return o, opts
-    if may_retry and not opts.check_overflow:
-        retry = opts.replace(check_overflow=True)
-        for o in generate_obligations(checked, retry):
-            if o.id == obligation_id:
-                return o, retry
+            return o, search if o.kind == OVERFLOW else opts
     raise UsageError(f"program has no obligation with id {obligation_id!r}")
 
 
@@ -380,7 +380,8 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     # ValueError: bad option values, malformed report JSON
     except (UsageError, ParseError, SemanticError, OSError, ValueError) as exc:
-        print(f"miniproof: {exc}", file=sys.stderr)
+        # one prefixed line per issue of a SemanticError
+        print("miniproof: " + str(exc).replace("\n", "\nminiproof: "), file=sys.stderr)
         return 3
     except UnknownCorpusEntry as exc:
         from .corpus import names

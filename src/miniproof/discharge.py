@@ -74,9 +74,8 @@ COMPILE_AT = 3
 
 
 class Domains(ast.Node, frozen=True):
-    __slots__ = ("int_range", "string_pool", "max_refs", "_built")
-    _fields = ("int_range", "string_pool", "max_refs")
-    _defaults = {"max_refs": 1}
+    __slots__ = ("int_range", "string_pool", "_built")
+    _fields = ("int_range", "string_pool")
 
     def __post_init__(self):
         lo, hi = self.int_range
@@ -140,7 +139,7 @@ def enumerate_environments(obligation: Obligation, domains: Domains):
 
 def discharge(obligation: Obligation, domains: Domains) -> Verdict:
     if obligation.kind == UNSUPPORTED:
-        return Verdict(ERROR, reason=obligation.unsupported_reason or UNSUPPORTED_REASON)
+        return Verdict(ERROR, reason=UNSUPPORTED_REASON)
     if F.old_syms(obligation.formula):
         return Verdict(ERROR, reason="entry snapshot left unresolved")
     return _search(obligation.formula, domains)
@@ -264,7 +263,7 @@ _MAX_INLINE_DEPTH = 50
 
 def _compile(g: F.Formula, names: list[str]):
     """g as a Python function of the named symbols with F.fold's meaning
-    on well-typed formulas: connectives over booleans, has false on Void."""
+    on well-typed formulas: connectives over booleans, has as `in`."""
     params = ", ".join(f"s{i}" for i in range(len(names)))
     arg = {name: f"s{i}" for i, name in enumerate(names)}
     consts: dict[str, object] = {}
@@ -292,8 +291,7 @@ def _compile(g: F.Formula, names: list[str]):
         if isinstance(f, (F.Cmp, F.Arith)):
             return f"({src(f.left, depth)} {F.OPS[f.op][1]} {src(f.right, depth)})"
         if isinstance(f, F.HasF):
-            item = src(f.item, depth)
-            return f"({item} is not None and {item} in {src(f.set_expr, depth)})"
+            return f"({src(f.item, depth)} in {src(f.set_expr, depth)})"
         raise TypeError(f"unexpected formula node {f!r}")
 
     return eval(f"lambda {params}: {src(g, 0)}", consts)
@@ -429,7 +427,8 @@ def report_payload(report: Report) -> dict:
         "domains": {
             "int_range": list(report.domains.int_range),
             "string_pool": list(report.domains.string_pool),
-            "max_refs": report.domains.max_refs,
+            # the model has one object per class (symbol_domain)
+            "max_refs": 1,
         },
         "duration_ms": report.duration_ms,
     }

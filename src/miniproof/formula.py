@@ -431,7 +431,7 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
         if isinstance(f, HasF):
             s, item = fold(f.set_expr, env), fold(f.item, env)
             if isinstance(s, Lit) and isinstance(item, Lit):
-                return Lit(item.value is not None and item.value in s.value)
+                return Lit(item.value in s.value)
             return f if s is f.set_expr and item is f.item else HasF(s, item)
         raise TypeError(f"unexpected formula node {f!r}")
 
@@ -464,8 +464,7 @@ def evaluate(f: Formula, env: dict[str, Value]) -> Value:
     if isinstance(f, (Cmp, Arith)):
         return OPS[f.op][0](evaluate(f.left, env), evaluate(f.right, env))
     if isinstance(f, HasF):
-        item = evaluate(f.item, env)
-        return item is not None and item in evaluate(f.set_expr, env)
+        return evaluate(f.item, env) in evaluate(f.set_expr, env)
     raise TypeError(f"unexpected formula node {f!r}")
 
 

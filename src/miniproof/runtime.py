@@ -39,6 +39,7 @@ Obligation that vcgen made, but needs only its fields.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections import ChainMap
 from typing import TYPE_CHECKING, Mapping
@@ -166,8 +167,7 @@ def eval_expr(
         return not eval_expr(expr.expr, env, old_env, bounds, old_keys)
     if isinstance(expr, ast.Has):
         item = eval_expr(expr.item, env, old_env, bounds, old_keys)
-        collection = eval_expr(expr.receiver, env, old_env, bounds, old_keys)
-        return item is not None and item in collection
+        return item in eval_expr(expr.receiver, env, old_env, bounds, old_keys)
     if isinstance(expr, ast.CreateExpr):
         raise UnsupportedInContract(f"creation expression create {expr.class_name}")
     raise TypeError(f"unexpected expression {expr!r}")
@@ -388,10 +388,20 @@ def _parse_literal(token: str, line_no: int):
         raise ParseError(f"bad scenario literal {token!r}", line_no, 1) from None
 
 
+def _split_unquoted(text: str, sep: str) -> list[str]:
+    """text split at each sep outside a double-quoted string. .ccl strings
+    have no escapes; an unclosed one runs to the end of the line."""
+    if sep not in text or '"' not in text:
+        return text.split(sep)
+    masked = re.sub(r'"[^"]*"?', lambda m: "_" * len(m.group()), text)
+    cuts = [-1, *(m.start() for m in re.finditer(sep, masked)), len(text)]
+    return [text[a + 1 : b] for a, b in zip(cuts, cuts[1:])]
+
+
 def parse_scenario(text: str) -> Scenario:
     commands: list[Command] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (_split_unquoted(raw, "#")[0] if "#" in raw else raw).strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
@@ -411,20 +421,19 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError("expected: call <var>.<feature>(<args>)", line_no, 1)
             arg_text = arg_text[:-1].strip()
             args = (
-                [_parse_literal(t, line_no) for t in arg_text.split(",")] if arg_text else []
+                [_parse_literal(t, line_no) for t in _split_unquoted(arg_text, ",")] if arg_text else []
             )
             var, feature = sys.intern(var), sys.intern(feature)
             commands.append(Command("call", var, feature, args, line=line_no))
-        elif head == "expect_violation":
+        elif head in ("expect_violation", "expect_ok"):
             if not commands or commands[-1].expect is not None:
                 raise ParseError("expectation must follow a command", line_no, 1)
-            if not rest:
+            if head == "expect_ok":
+                commands[-1].expect = ("ok",)
+            elif not rest:
                 raise ParseError("expected: expect_violation <label>", line_no, 1)
-            commands[-1].expect = ("violation", rest)
-        elif head == "expect_ok":
-            if not commands or commands[-1].expect is not None:
-                raise ParseError("expectation must follow a command", line_no, 1)
-            commands[-1].expect = ("ok",)
+            else:
+                commands[-1].expect = ("violation", rest)
         else:
             raise ParseError(f"unknown scenario command {head!r}", line_no, 1)
     return Scenario(commands)

@@ -77,8 +77,13 @@ UNSUPPORTED_REASON = "creation expression in contract"
 
 
 class Obligation(ast.Node, frozen=True):
-    __slots__ = ("id", "kind", "class_name", "feature_name", "formula", "provenance", "unsupported_reason")
-    _defaults = {"unsupported_reason": None}
+    __slots__ = ("id", "kind", "class_name", "feature_name", "formula", "provenance")
+
+
+def _obligation(class_name: str, feature_name: str, kind: str, index: int, formula, provenance):
+    """The obligation with id ``class.feature.tag.index``."""
+    oid = f"{class_name}.{feature_name}.{_ID_TAGS[kind]}.{index}"
+    return Obligation(oid, kind, class_name, feature_name, formula, provenance)
 
 
 def mentions_creation(e: ast.Expr) -> bool:
@@ -228,15 +233,8 @@ class _FeatureVCs:
         self.lifted = [] if feat.is_creator else sorted(lifted + params, key=itemgetter(0))
         self.defaults = {name: F.Lit(type_default(ty)) for name, ty in info.attributes.items()}
 
-    def ref_type(self, name: str) -> ast.Type:
-        """The declared type of a parameter or attribute of the feature."""
-        for p in self.feat.params:
-            if p.name == name:
-                return p.ty
-        return self.info.attributes[name]
-
     def receiver_class(self, name: str) -> ClassInfo:
-        return self.checked.info(self.ref_type(name).class_name)
+        return self.checked.info(self.info.name_type(name, self.feat).class_name)
 
     def pull(self, stmts: list[ast.Statement], items: list) -> list:
         """Carry each pending (kind, provenance, formula) in items from
@@ -344,7 +342,7 @@ class _FeatureVCs:
         receiver, unless the class invariant already guarantees it."""
         if receiver in self.attached:
             return []
-        not_void = F.Cmp("/=", F.Sym(receiver, self.ref_type(receiver)), F.Lit(None))
+        not_void = F.Cmp("/=", F.Sym(receiver, self.info.name_type(receiver, self.feat)), F.Lit(None))
         return [(VOID_DEREFERENCE, f"{receiver}.{member}", not_void)]
 
     def _deref_asserts(self, e: ast.Expr) -> list[tuple[bool, tuple[str, str, F.Formula]]]:
@@ -378,20 +376,10 @@ class _FeatureVCs:
 
     # -- obligation generation --------------------------------------------------
 
-    def emit(self, kind: str, provenance: str, entry_formula: F.Formula, reason: str | None = None):
+    def emit(self, kind: str, provenance: str, entry_formula: F.Formula):
         index = next(self.next_index[kind])
         closed = self._close(entry_formula) if kind != UNSUPPORTED else entry_formula
-        self.out.append(
-            Obligation(
-                id=f"{self.info.name}.{self.feat.name}.{_ID_TAGS[kind]}.{index}",
-                kind=kind,
-                class_name=self.info.name,
-                feature_name=self.feat.name,
-                formula=closed,
-                provenance=provenance,
-                unsupported_reason=reason,
-            )
-        )
+        self.out.append(_obligation(self.info.name, self.feat.name, kind, index, closed, provenance))
 
     def _close(self, goal: F.Formula) -> F.Formula:
         """Unify entry snapshots, attach the hypotheses and the lifted
@@ -439,7 +427,7 @@ class _FeatureVCs:
         checks = [s for s in ast.walk_statements(feat.body) if isinstance(s, ast.CheckStmt)]
         for labelled in (*feat.require, *feat.ensure, *checks):
             if mentions_creation(labelled.expr):
-                self.emit(UNSUPPORTED, labelled.label, F.TRUE, UNSUPPORTED_REASON)
+                self.emit(UNSUPPORTED, labelled.label, F.TRUE)
         return self.out
 
 
@@ -491,15 +479,5 @@ def generate_obligations(checked: CheckedProgram, opts: VerifyOptions) -> list[O
             obligations.extend(_FeatureVCs(checked, info, feat, opts, lifted).generate())
         for i, clause in enumerate(cls.invariant):
             if mentions_creation(clause.expr):
-                obligations.append(
-                    Obligation(
-                        id=f"{cls.name}.invariant.unsupported.{i}",
-                        kind=UNSUPPORTED,
-                        class_name=cls.name,
-                        feature_name="invariant",
-                        formula=F.TRUE,
-                        provenance=clause.label,
-                        unsupported_reason=UNSUPPORTED_REASON,
-                    )
-                )
+                obligations.append(_obligation(cls.name, "invariant", UNSUPPORTED, i, F.TRUE, clause.label))
     return obligations

@@ -141,6 +141,21 @@ def test_verify_semantic_error_exits_three(capsys, tmp_path):
     assert "no creator" in err
 
 
+def test_verify_two_semantic_issues_give_one_prefixed_line_each(tmp_path):
+    bad = tmp_path / "two.ccl"
+    bad.write_text(
+        "class A\ncreate make\nfeature\n  x : INTEGER\n  make\n    do\n"
+        "      y := 1\n      z := 2\n    end\nend\n",
+        encoding="utf-8",
+    )
+    proc = _cli_process("verify", str(bad))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [
+        "miniproof: 7:7: assignment target y is not an attribute of A",
+        "miniproof: 8:7: assignment target z is not an attribute of A",
+    ]
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "corpus:account", "--format", "json")
     assert code == 0
@@ -493,6 +508,39 @@ def test_replay_keeps_an_explicit_no_check_overflow(capsys, tmp_path):
     )
     assert (code, out) == (3, "")
     assert err.splitlines() == ["miniproof: program has no obligation with id 'ACCOUNT.deposit.overflow.1'"]
+
+
+@pytest.mark.parametrize(
+    "obligation_id, row",
+    [
+        ("ACCOUNT.deposit.overflow.0", None),
+        ("ACCOUNT.deposit.postcondition.0", {"amount": 1, "balance": 0}),
+        ("ACCOUNT.deposit.no_such.0", {}),
+    ],
+    ids=["overflow", "postcondition", "unknown"],
+)
+def test_replay_generates_the_obligations_once(capsys, tmp_path, monkeypatch, obligation_id, row):
+    """corpus:account's manifest has overflow checking off, yet replay
+    finds its Overflow obligations in the one pass it makes over the
+    program."""
+    from miniproof import vcgen
+
+    _, out, _ = run_cli(
+        capsys, "verify", "corpus:account", "--check-overflow", "--overflow-width", "8",
+        "--int-range", "-128..127", "--format", "json",
+    )
+    report = json.loads(out)
+    if row is not None:  # a Failed row for the id, so replay looks it up
+        report["rows"] = [r for r in report["rows"] if r["id"] != obligation_id]
+        report["rows"].append({"id": obligation_id, "verdict": "Failed", "counterexample": row})
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    calls = []
+    generate = vcgen.generate_obligations
+    monkeypatch.setattr(vcgen, "generate_obligations", lambda *a: calls.append(a) or generate(*a))
+    code, _, err = run_cli(capsys, "replay", "corpus:account", obligation_id, "--report", str(path))
+    assert len(calls) == 1
+    assert (code == 3) == (row == {}), err
 
 
 def _malformed_row(counterexample) -> str:

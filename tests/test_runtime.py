@@ -518,6 +518,43 @@ def test_scenario_arguments_must_fit_the_parameters(args, fits):
             run_scenario(checked_of(TYPED), scenario)
 
 
+STRING_BOX = (
+    "class BOX\n"
+    "create make\n"
+    "feature\n"
+    "  item : STRING\n"
+    "  make\n"
+    "    do\n"
+    "    end\n"
+    "  put (s : STRING)\n"
+    "    require\n"
+    "      known: s = \"a,b\" or s = \"#1\"\n"
+    "    do\n"
+    "      item := s\n"
+    "    end\n"
+    "end\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line, stored",
+    [
+        ('call b.put("a,b")', "a,b"),
+        ('call b.put("#1")', "#1"),
+        ('call b.put("a,b")  # a comment, with "a quote', "a,b"),
+    ],
+    ids=["comma", "hash", "trailing_comment"],
+)
+def test_scenario_strings_keep_commas_and_hashes(line, stored):
+    """A `,` or `#` inside a string literal neither splits the arguments
+    nor starts a comment."""
+    scenario = parse_scenario(f"create b : BOX\n{line}\nexpect_ok\n")
+    assert scenario.commands[1].args == [stored]
+    trace = run_scenario(checked_of(STRING_BOX), scenario)
+    assert trace.ok
+    assert trace.final_state("b")["item"] == stored
+
+
 def test_scenario_names_are_interned():
     first, second = parse_scenario("create acc : ACCOUNT\ncall acc.deposit(1)\n").commands
     assert first.var is second.var
