@@ -11,13 +11,14 @@ Values are Python values: int, bool, str, frozenset[str], Ref, and None
 for Void. Arithmetic is unbounded; overflow is expressed by explicit
 bound-comparison obligations, not by wrapping here.
 
-Substitution is delayed. ``subst`` wraps a compound formula in a ``Let``
-that records the mapping instead of copying the formula, and substituting
-into a ``Let`` composes the mappings without entering its body. Weakest
-preconditions can then share one postcondition between both branches of
-an ``if``, so a formula is a DAG whose size grows linearly with the
-program. Every consumer reads a ``Let`` as the formula it stands for:
-``expand`` carries the substitutions out, and ``to_text`` prints that.
+Substitution is delayed. ``subst`` wraps a compound formula, a ``Let``
+too, in a ``Let`` that records the mapping instead of copying the
+formula, so each substitution costs the same however many came before
+it. Weakest preconditions can then share one postcondition between both
+branches of an ``if``, so a formula is a DAG whose size grows linearly
+with the program. Every consumer reads a ``Let`` as the formula it
+stands for: ``expand`` carries the substitutions out, and ``to_text``
+prints that.
 
 This module also holds what vcgen, discharge and the runtime monitor
 share about values and obligations: the verification options, the
@@ -100,7 +101,8 @@ class HasF(Formula):
 class Let(Formula):
     """The delayed simultaneous substitution subst(body, binds). A bind's
     key is a leaf key (see ``_key``), so it may replace an OldSym too.
-    Only binds of keys the body mentions take part."""
+    ``subst`` binds only keys the body mentions. The body may be a Let:
+    n assignments in a row give n nested Lets."""
 
     __slots__ = ("binds", "body")
 
@@ -279,14 +281,12 @@ _ATOMS = (Sym, OldSym, Lit)
 def _own_leaves(g: Formula, kids) -> dict[str, ast.Type]:
     """The leaf keys of a compound node whose children know theirs. A
     Let has those of its body that it does not bind, and those of each
-    bind whose key the body mentions."""
+    bind, since ``subst`` binds only keys the body mentions."""
     if isinstance(g, Let):
-        body = _leaves(g.body)
         bound = {k for k, _ in g.binds}
-        found = {k: ty for k, ty in body.items() if k not in bound}
-        for k, value in g.binds:
-            if k in body:
-                found.update(_leaves(value))
+        found = {k: ty for k, ty in _leaves(g.body).items() if k not in bound}
+        for _, value in g.binds:
+            found.update(_leaves(value))
         return found
     found = {}
     for c in kids:
@@ -334,31 +334,21 @@ def subst(f: Formula, mapping: dict[str, Formula]) -> Formula:
     """Replace the leaves whose keys the mapping has, simultaneously. A
     plain name keys a Sym, so OldSym leaves are left alone unless the key
     is ``old`` and a name (see ``_key``). Nothing is copied: a compound
-    formula is wrapped in a Let of the keys it mentions, and a Let gets
-    the composed mapping."""
+    formula, a Let included, is wrapped in a Let of the keys it mentions,
+    so each substitution costs the same however many came before it."""
     if isinstance(f, (Sym, OldSym)):
         return mapping.get(_key(f), f)
     if isinstance(f, Lit):
         return f
     leaves = _leaves(f)
     live = {k: value for k, value in mapping.items() if k in leaves}
-    if not live:
-        return f
-    if not isinstance(f, Let):
-        return Let(tuple(live.items()), f)
-    body_leaves = _leaves(f.body)
-    binds = {k: subst(value, mapping) for k, value in f.binds}
-    for k, value in mapping.items():
-        if k not in binds and k in body_leaves:
-            binds[k] = value
-    return Let(tuple(binds.items()), f.body)
+    return Let(tuple(live.items()), f) if live else f
 
 
 def unify_old(f: Formula) -> Formula:
     """Turn every OldSym into the plain Sym of the same path: at the
     entry point the current value is the old value."""
-    mapping = {_OLD + name: Sym(name, ty) for name, ty in old_syms(f).items()}
-    return subst(f, mapping) if mapping else f
+    return subst(f, {_OLD + name: Sym(name, ty) for name, ty in old_syms(f).items()})
 
 
 def expand(f: Formula, env: dict[str, Formula] | None = None) -> Formula:

@@ -578,20 +578,21 @@ def synthesize_entry_state(
     checked: CheckedProgram, obligation: Obligation, counterexample: dict
 ) -> tuple[RuntimeObject, list]:
     """Materialize the receiver object and argument list a counterexample
-    describes. Each symbol is a path from a parameter or attribute of the
-    feature, and one rule walks every segment of it: the last segment
-    takes the symbol's value; a reference the counterexample binds to
-    Void ends the path, so the values under it, which describe no state,
-    are skipped; an unset reference gets its class's representative
-    object. One shared representative realizes all non-Void references
-    of a class, matching the heap model the formulas were built on.
-    Havoc symbols (name@k) describe mid-body states and are skipped too.
-    Raises ReplayImpossible for a path through a non-reference or a name
-    outside the feature's scope."""
+    describes, from every parameter and attribute at its type's default.
+    Each symbol is a path from a parameter or attribute of the feature,
+    and one rule walks every segment of it: the last segment takes the
+    symbol's value; a reference the counterexample binds to Void ends the
+    path, so the values under it, which describe no state, are skipped;
+    an unset reference gets its class's representative object. One
+    shared representative realizes all non-Void references of a class,
+    matching the heap model the formulas were built on. Havoc symbols
+    (name@k) describe mid-body states and are skipped too. Raises
+    ReplayImpossible for a path through a non-reference or a name outside
+    the feature's scope."""
     info = checked.info(obligation.class_name)
     feat = info.routines[obligation.feature_name]
     param_types = {p.name: p.ty for p in feat.params}
-    params: dict[str, object] = dict.fromkeys(param_types)
+    params = {name: type_default(ty) for name, ty in param_types.items()}
     obj = blank_object(info)
     representatives: dict[str, RuntimeObject] = {}
 

@@ -35,9 +35,11 @@ One function, ``_lower``, lowers every contract and body expression to
 a formula. Only the reading of Name and Qualified leaves varies: the
 feature's own expressions read its paths, and the clauses of a callee
 or of a created object read through the receiver path (``_through``).
-The hypotheses every obligation of a feature assumes are lowered once
-per feature, and the invariants of the objects its class's attributes
-reference once per class.
+A class's own expressions are lowered once each (``_own``); the one
+walk also collects the qualified reads, which assert dereferences, and
+the arithmetic nodes, which assert overflow bounds, and a creation
+expression stops it, making the clause Unsupported. The invariants of
+the objects a class's attributes reference are lowered once per class.
 
 Substitution is delayed (``formula.Let``), so the two branches of an
 ``if`` share one postcondition object instead of two copies, and each
@@ -86,10 +88,6 @@ def _obligation(class_name: str, feature_name: str, kind: str, index: int, formu
     return Obligation(oid, kind, class_name, feature_name, formula, provenance)
 
 
-def mentions_creation(e: ast.Expr) -> bool:
-    return any(isinstance(n, ast.CreateExpr) for n in ast.walk_expr(e))
-
-
 class _Creation(Exception):
     """Raised when lowering hits a creation expression."""
 
@@ -97,11 +95,13 @@ class _Creation(Exception):
 # -- lowering expressions to formulas ------------------------------------------
 
 
-def _lower(e: ast.Expr, read=None, in_old: bool = False) -> F.Formula:
+def _lower(e: ast.Expr, read=None, in_old: bool = False, sites: list | None = None) -> F.Formula:
     """Lower an analyzed expression. read(leaf, in_old), when given,
     lowers each Name and Qualified leaf (see ``_through``). Without it,
     the expression belongs to the feature under verification: its reads
-    become path symbols, and under `old` entry-snapshot symbols."""
+    become path symbols, and under `old` entry-snapshot symbols. sites,
+    when given, collects each qualified read and each arithmetic node
+    with its formula, in evaluation order."""
     if isinstance(e, (ast.IntLit, ast.BoolLit, ast.StrLit)):
         return F.Lit(e.value)
     if isinstance(e, ast.VoidLit):
@@ -109,20 +109,24 @@ def _lower(e: ast.Expr, read=None, in_old: bool = False) -> F.Formula:
     if isinstance(e, ast.SetLit):
         return F.Lit(frozenset(e.items))
     if isinstance(e, (ast.Name, ast.Qualified)):
-        if read is not None:
-            return read(e, in_old)
         path = e.name if isinstance(e, ast.Name) else f"{e.receiver}.{e.attr}"
-        return (F.OldSym if in_old else F.Sym)(path, e.ty)
+        f = read(e, in_old) if read else (F.OldSym if in_old else F.Sym)(path, e.ty)
+        if sites is not None and isinstance(e, ast.Qualified):
+            sites.append((e, f))
+        return f
     if isinstance(e, ast.Old):
-        return _lower(e.expr, read, True)
+        return _lower(e.expr, read, True, sites)
     if isinstance(e, ast.Unary):
-        return F.Not(_lower(e.expr, read, in_old))
+        return F.Not(_lower(e.expr, read, in_old, sites))
     if isinstance(e, ast.Has):
-        return F.HasF(_lower(e.receiver, read, in_old), _lower(e.item, read, in_old))
+        return F.HasF(_lower(e.receiver, read, in_old, sites), _lower(e.item, read, in_old, sites))
     if isinstance(e, ast.Binary):
-        left, right = _lower(e.left, read, in_old), _lower(e.right, read, in_old)
+        left, right = _lower(e.left, read, in_old, sites), _lower(e.right, read, in_old, sites)
         if e.op in ast.ARITH_OPS:
-            return F.Arith(e.op, left, right)
+            f = F.Arith(e.op, left, right)
+            if sites is not None:
+                sites.append((e, f))
+            return f
         if e.op in ast.COMPARISON_OPS:
             return F.Cmp(e.op, left, right)
         if e.op == "and":
@@ -133,6 +137,19 @@ def _lower(e: ast.Expr, read=None, in_old: bool = False) -> F.Formula:
     if isinstance(e, ast.CreateExpr):
         raise _Creation
     raise TypeError(f"unexpected expression {e!r}")
+
+
+def _own(memo: dict, e: ast.Expr) -> tuple[F.Formula | None, list]:
+    """The formula and sites (see ``_lower``) of one of a class's own
+    contract or body expressions, lowered once into memo (keyed by node
+    id); formula None, and no sites, if it holds a creation expression."""
+    if id(e) not in memo:
+        sites: list = []
+        try:
+            memo[id(e)] = _lower(e, sites=sites), sites
+        except _Creation:
+            memo[id(e)] = None, []
+    return memo[id(e)]
 
 
 def _lowered(clauses, read, in_old: bool = False) -> list[tuple[ast.Clause, F.Formula]]:
@@ -189,7 +206,8 @@ def _through(
 class _FeatureVCs:
     """The weakest-precondition pass over one feature, and the
     obligations generated from it. lifted, when given, is
-    ``_lifted_invariants`` of the class's attributes."""
+    ``_lifted_invariants`` of the class's attributes, and memo the
+    class's lowerings (see ``_own``)."""
 
     def __init__(
         self,
@@ -198,11 +216,13 @@ class _FeatureVCs:
         feat: ast.Feature,
         opts: VerifyOptions = VerifyOptions(),
         lifted: list | None = None,
+        memo: dict | None = None,
     ):
         self.checked = checked
         self.info = info
         self.feat = feat
         self.opts = opts
+        self.memo = {} if memo is None else memo
         # a stable index per statement so havoc symbols like r.a@3 are
         # identical across all obligations of the feature
         self.stmt_index = {
@@ -221,10 +241,8 @@ class _FeatureVCs:
             if ast.Binary("/=", ast.Name(r), void) in invariant
             or ast.Binary("/=", void, ast.Name(r)) in invariant
         }
-        self.hyps = [
-            _lower(e) for e in (*invariant, *(c.expr for c in feat.require))
-            if not mentions_creation(e)
-        ]
+        hyps = (_own(self.memo, e)[0] for e in (*invariant, *(c.expr for c in feat.require)))
+        self.hyps = [h for h in hyps if h is not None]
         self.hyp_syms = {name for h in self.hyps for name in F.free_syms(h)}
         if lifted is None:
             lifted = _lifted_invariants(checked, info.attributes.items())
@@ -250,7 +268,7 @@ class _FeatureVCs:
         return items
 
     def _pull_if(self, s: ast.IfStmt, items: list) -> list:
-        cond = _lower(s.cond)
+        cond = _own(self.memo, s.cond)[0]
         not_cond = F.neg(cond)
         then, orelse = self.pull(s.then_branch, items), self.pull(s.else_branch, items)
         k, j = len(then) - len(items), len(orelse) - len(items)
@@ -272,7 +290,7 @@ class _FeatureVCs:
             if isinstance(s, ast.QualifiedAssign):
                 asserts += self._deref(s.receiver, s.attr)
             target = s.target if isinstance(s, ast.Assign) else f"{s.receiver}.{s.attr}"
-            binding = {target: _lower(s.value)}
+            binding = {target: _own(self.memo, s.value)[0]}
             return asserts, lambda post: F.subst(post, binding)
         if isinstance(s, ast.CreateStmt):
             return self._call_rule(s)
@@ -280,11 +298,11 @@ class _FeatureVCs:
             pre, back = self._call_rule(s)
             return self._deref(s.receiver, s.feature) + self._value_asserts(s.args) + pre, back
         if isinstance(s, ast.CheckStmt):
-            if mentions_creation(s.expr):
+            checked = _own(self.memo, s.expr)[0]
+            if checked is None:
                 return [], lambda post: post  # flagged as Unsupported elsewhere
-            checked = _lower(s.expr)
-            asserts = [a for _, a in self._deref_asserts(s.expr)]
-            return asserts + [(CHECK_ASSERTION, s.label, checked)], lambda post: F.conj(checked, post)
+            asserts = self._derefs(s.expr) + [(CHECK_ASSERTION, s.label, checked)]
+            return asserts, lambda post: F.conj(checked, post)
         raise TypeError(f"unexpected statement {s!r}")
 
     def _call_rule(self, s: ast.CreateStmt | ast.CallStmt):
@@ -304,7 +322,7 @@ class _FeatureVCs:
             havocked = set(callee_info.attributes)
         else:
             callee = callee_info.routines[s.feature]
-            param_map = {p.name: _lower(a) for p, a in zip(callee.params, s.args)}
+            param_map = {p.name: _own(self.memo, a)[0] for p, a in zip(callee.params, s.args)}
             # what the callee may change: every attribute outside its frame
             havocked = set(callee_info.attributes).difference(callee_info.frame(callee))
         k = self.stmt_index[id(s)]
@@ -330,7 +348,7 @@ class _FeatureVCs:
                 for name, ty in F.free_syms(post).items()
                 if rename(name) != name
             }
-            out = F.implies(assumed, F.subst(post, fresh) if fresh else post)
+            out = F.implies(assumed, F.subst(post, fresh))
             return F.subst(out, created) if creating else out
 
         return pre, back
@@ -345,18 +363,14 @@ class _FeatureVCs:
         not_void = F.Cmp("/=", F.Sym(receiver, self.info.name_type(receiver, self.feat)), F.Lit(None))
         return [(VOID_DEREFERENCE, f"{receiver}.{member}", not_void)]
 
-    def _deref_asserts(self, e: ast.Expr) -> list[tuple[bool, tuple[str, str, F.Formula]]]:
-        """VoidDereference assertions for the qualified reads of e, in
-        preorder, each tagged with whether it sits under `old` (evaluated
-        at entry rather than in the current state). e holds no creation
-        expression: the analyzer allows none in a body, and callers skip
-        contract clauses that hold one."""
-        nodes = list(ast.walk_expr(e))
-        old = {id(n) for o in nodes if isinstance(o, ast.Old) for n in ast.walk_expr(o.expr)}
+    def _derefs(self, e: ast.Expr, under_old: bool = False) -> list[tuple[str, str, F.Formula]]:
+        """VoidDereference assertions for the qualified reads of e in the
+        current state, or with under_old for those under `old` (evaluated
+        at entry), in evaluation order."""
         return [
-            (id(n) in old, a)
-            for n in nodes
-            if isinstance(n, ast.Qualified)
+            a
+            for n, f in _own(self.memo, e)[1]
+            if isinstance(n, ast.Qualified) and isinstance(f, F.OldSym) == under_old
             for a in self._deref(n.receiver, n.attr)
         ]
 
@@ -364,14 +378,12 @@ class _FeatureVCs:
         """The dereference and, when checked, overflow assertions of
         evaluating exprs."""
         out = []
-        lo, hi = self.opts.overflow_bounds
+        lo, hi = map(F.Lit, self.opts.overflow_bounds)
         for e in exprs:
-            out.extend(a for _, a in self._deref_asserts(e))
-            if self.opts.check_overflow:
-                for node in ast.arith_postorder(e):
-                    lowered = _lower(node)
-                    bounds = F.And((F.Cmp(">=", lowered, F.Lit(lo)), F.Cmp("<=", lowered, F.Lit(hi))))
-                    out.append((OVERFLOW, expr_text(node), bounds))
+            out += self._derefs(e)
+            for n, f in _own(self.memo, e)[1] if self.opts.check_overflow else ():
+                if isinstance(n, ast.Binary):
+                    out.append((OVERFLOW, expr_text(n), F.And((F.Cmp(">=", f, lo), F.Cmp("<=", f, hi)))))
         return out
 
     # -- obligation generation --------------------------------------------------
@@ -400,25 +412,19 @@ class _FeatureVCs:
         feat, info = self.feat, self.info
         kinds = ((POSTCONDITION, feat.ensure), (INVARIANT_MAINTENANCE, info.decl.invariant))
         goals = [
-            (kind, clause.label, _lower(clause.expr))
+            (kind, clause.label, f)
             for kind, clauses in kinds
             for clause in clauses
-            if not mentions_creation(clause.expr)
+            if (f := _own(self.memo, clause.expr)[0]) is not None
         ]
         for q in info.frame(feat):
             ty = info.attributes[q]
             goals.append((FRAME, q, F.Cmp("=", F.Sym(q, ty), F.OldSym(q, ty))))
         # a clause holding a creation expression is Unsupported and
         # dereferences nothing
-        entry = [
-            a for clause in feat.require if not mentions_creation(clause.expr)
-            for _, a in self._deref_asserts(clause.expr)
-        ]
-        at_exit = []
-        for clause in feat.ensure:
-            if not mentions_creation(clause.expr):
-                for under_old, a in self._deref_asserts(clause.expr):
-                    (entry if under_old else at_exit).append(a)
+        entry = [a for clause in feat.require for a in self._derefs(clause.expr)]
+        entry += [a for clause in feat.ensure for a in self._derefs(clause.expr, under_old=True)]
+        at_exit = [a for clause in feat.ensure for a in self._derefs(clause.expr)]
         pulled = self.pull(feat.body, goals + at_exit)
         n = len(pulled) - len(goals) - len(at_exit)
         body, goals, at_exit = pulled[:n], pulled[n : n + len(goals)], pulled[n + len(goals) :]
@@ -426,7 +432,7 @@ class _FeatureVCs:
             self.emit(kind, provenance, entry_f)
         checks = [s for s in ast.walk_statements(feat.body) if isinstance(s, ast.CheckStmt)]
         for labelled in (*feat.require, *feat.ensure, *checks):
-            if mentions_creation(labelled.expr):
+            if _own(self.memo, labelled.expr)[0] is None:
                 self.emit(UNSUPPORTED, labelled.label, F.TRUE)
         return self.out
 
@@ -475,9 +481,10 @@ def generate_obligations(checked: CheckedProgram, opts: VerifyOptions) -> list[O
     for cls in checked.program.classes:
         info = checked.info(cls.name)
         lifted = _lifted_invariants(checked, info.attributes.items())
+        memo: dict = {}
         for feat in cls.features:
-            obligations.extend(_FeatureVCs(checked, info, feat, opts, lifted).generate())
+            obligations.extend(_FeatureVCs(checked, info, feat, opts, lifted, memo).generate())
         for i, clause in enumerate(cls.invariant):
-            if mentions_creation(clause.expr):
+            if _own(memo, clause.expr)[0] is None:
                 obligations.append(_obligation(cls.name, "invariant", UNSUPPORTED, i, F.TRUE, clause.label))
     return obligations

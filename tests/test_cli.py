@@ -73,7 +73,9 @@ def test_verify_deep_nesting_exits_three_without_traceback(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-def _verify_process(tmp_path, body: str, launcher=("-m", "miniproof.cli")) -> subprocess.CompletedProcess:
+def _verify_process(
+    tmp_path, body: str, launcher=("-m", "miniproof.cli"), options=()
+) -> subprocess.CompletedProcess:
     program = tmp_path / "shape.ccl"
     program.write_text(
         "class C\ncreate make\nfeature\n  x : INTEGER\n  make\n    do\n"
@@ -81,7 +83,7 @@ def _verify_process(tmp_path, body: str, launcher=("-m", "miniproof.cli")) -> su
         encoding="utf-8",
     )
     return subprocess.run(
-        [sys.executable, *launcher, "verify", str(program)],
+        [sys.executable, *launcher, "verify", str(program), *options],
         capture_output=True,
         text=True,
     )
@@ -113,8 +115,16 @@ def test_verify_400_sequential_ifs(tmp_path):
     assert proc.stdout.strip().endswith("1 obligations: 1 discharged (100%), 0 failed (0%), 0 errors (0%)")
 
 
-# the formula walks recurse about once per sequential statement, so under
-# a recursion limit of 300 a body of a few hundred statements is too long
+def test_verify_600_sequential_assignments(tmp_path):
+    proc = _verify_process(tmp_path, "      x := x + 1\n" * 600)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    assert proc.stdout.strip().endswith("1 obligations: 1 discharged (100%), 0 failed (0%), 0 errors (0%)")
+
+
+# folding recurses about once per sequential `if`, and printing an
+# obligation once per sequential assignment, so under a recursion limit
+# of 300 a body of a few hundred of either is too long
 _LOW_RECURSION_LIMIT = (
     "-c",
     "import sys, miniproof.cli; sys.setrecursionlimit(300); sys.exit(miniproof.cli.main(sys.argv[1:]))",
@@ -122,12 +132,13 @@ _LOW_RECURSION_LIMIT = (
 
 
 @pytest.mark.parametrize(
-    "body",
-    ["      if x < 5 then\n        x := x + 1\n      end\n" * 400, "      x := x + 1\n" * 200],
-    ids=["400_sequential_ifs", "200_sequential_assignments"],
+    "body, emit",
+    [("      if x < 5 then\n        x := x + 1\n      end\n" * 400, False), ("      x := x + 1\n" * 200, True)],
+    ids=["400_sequential_ifs", "200_sequential_assignments_emitted"],
 )
-def test_verify_too_long_body_exits_three_without_traceback(tmp_path, body):
-    proc = _verify_process(tmp_path, body, _LOW_RECURSION_LIMIT)
+def test_verify_too_long_body_exits_three_without_traceback(tmp_path, body, emit):
+    options = ("--emit-obligations", str(tmp_path / "obligations.json")) if emit else ()
+    proc = _verify_process(tmp_path, body, _LOW_RECURSION_LIMIT, options)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "miniproof: program too deeply nested or too long to process\n"
@@ -422,6 +433,55 @@ def test_replay_impossible_counterexample_exits_two(capsys, tmp_path, noguard_re
     )
     assert code == 2
     assert "replay impossible" in err
+
+
+_PARAMETER_SUBSTITUTED_AWAY = """
+class A
+create make
+feature
+  acc : INTEGER
+  make
+    do
+    end
+  f (p : INTEGER)
+    do
+      acc := p + 1
+      acc := 5
+    ensure
+      six: acc = 6
+    end
+end
+"""
+
+
+def test_replay_counterexample_that_leaves_out_a_parameter(capsys, tmp_path):
+    """p is substituted away, so the Failed row's counterexample is empty;
+    the replay runs f with p at its default and breaks the same clause."""
+    program = tmp_path / "a.ccl"
+    program.write_text(_PARAMETER_SUBSTITUTED_AWAY, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(program), "--format", "json")
+    assert code == 1
+    (row,) = [r for r in json.loads(out)["rows"] if r["id"] == "A.f.postcondition.0"]
+    assert (row["verdict"], row["counterexample"]) == ("Failed", {})
+    report = tmp_path / "a.json"
+    report.write_text(out, encoding="utf-8")
+    code, out, err = run_cli(capsys, "replay", str(program), "A.f.postcondition.0", "--report", str(report))
+    assert (code, out, err) == (0, "A.f.postcondition.0: reproduced; runtime violation of 'six'\n", "")
+
+
+def test_replay_null_counterexample_runs_from_the_defaults(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "verify", "corpus:account", "--format", "json")
+    doctored = json.loads(out)
+    for row in doctored["rows"]:
+        if row["id"] == "ACCOUNT.withdraw.postcondition.0":
+            row["verdict"], row["counterexample"] = "Failed", None
+    report = tmp_path / "null.json"
+    report.write_text(json.dumps(doctored), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "replay", "corpus:account", "ACCOUNT.withdraw.postcondition.0", "--report", str(report)
+    )
+    # withdrawing 0 from a balance of 0 breaks nothing
+    assert (code, out, err) == (1, "ACCOUNT.withdraw.postcondition.0: not reproduced\n", "")
 
 
 _VOID_ROOT = """

@@ -2,8 +2,9 @@
 wp of an assignment agrees with operational substitution, printing is
 parse-stable, enumeration visits minimums first, the search finds the
 first falsifier of enumeration however its hypotheses narrow the domains,
-a pin's lazy domain lookup agrees with the built domain, and delayed
-substitution reads exactly as eager substitution."""
+a pin's lazy domain lookup agrees with the built domain, delayed
+substitution reads exactly as eager substitution, and the monitor's
+evaluator agrees with the formula evaluator on lowered expressions."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -20,7 +21,8 @@ from miniproof.discharge import (
     enumerate_environments,
     symbol_domain,
 )
-from miniproof.vcgen import Obligation, wp
+from miniproof.runtime import RuntimeObject, eval_expr
+from miniproof.vcgen import Obligation, _lower, wp
 
 X = F.Sym("x", T_INT)
 Y = F.Sym("y", T_INT)
@@ -494,3 +496,64 @@ def test_delayed_substitution_reads_as_eager_substitution(formula, steps, partia
         )
 
     assert discharge(obligation(lazy), LET_DOMAINS) == discharge(obligation(eager), LET_DOMAINS)
+
+
+# one attribute of each value type, read by name and through the
+# reference r, as the analyzer types them
+AGREE_TYPES = {"i": T_INT, "b": T_BOOL, "s": T_STRING, "t": T_SET}
+
+
+def _reads(name: str):
+    ty = AGREE_TYPES[name]
+    return st.sampled_from([ast.Name(name, ty=ty), ast.Qualified("r", name, ty=ty)])
+
+
+AGREE_STRINGS = st.one_of(
+    st.sampled_from(["a", "b"]).map(ast.StrLit), st.builds(ast.VoidLit), _reads("s")
+)
+AGREE_SETS = st.one_of(
+    st.lists(st.sampled_from(["a", "b"]), max_size=2, unique=True).map(lambda items: ast.SetLit(tuple(items))),
+    _reads("t"),
+)
+AGREE_INTS = st.recursive(
+    st.one_of(st.integers(-5, 5).map(ast.IntLit), _reads("i")),
+    lambda sub: st.builds(ast.Binary, st.sampled_from(["+", "-", "*"]), sub, sub),
+    max_leaves=6,
+)
+AGREE_BOOLS = st.recursive(
+    st.one_of(
+        st.booleans().map(ast.BoolLit),
+        _reads("b"),
+        st.builds(ast.Binary, st.sampled_from(["=", "/=", "<", "<=", ">", ">="]), AGREE_INTS, AGREE_INTS),
+        st.builds(ast.Binary, st.sampled_from(["=", "/="]), AGREE_STRINGS, AGREE_STRINGS),
+        st.builds(ast.Binary, st.sampled_from(["=", "/="]), AGREE_SETS, AGREE_SETS),
+        st.builds(ast.Has, AGREE_SETS, AGREE_STRINGS),
+    ),
+    lambda sub: st.one_of(
+        sub.map(lambda e: ast.Unary("not", e)),
+        st.builds(ast.Binary, st.sampled_from(["and", "or", "implies", "=", "/="]), sub, sub),
+    ),
+    max_leaves=6,
+)
+AGREE_VALUES = st.fixed_dictionaries(
+    {
+        "i": st.integers(-8, 8),
+        "b": st.booleans(),
+        "s": st.sampled_from(["a", "b", "c", None]),
+        "t": st.frozensets(st.sampled_from(["a", "b", "c"])),
+    }
+)
+
+
+@settings(max_examples=300)
+@given(
+    expr=st.one_of(AGREE_INTS, AGREE_BOOLS, AGREE_STRINGS, AGREE_SETS),
+    own=AGREE_VALUES,
+    through_r=AGREE_VALUES,
+)
+def test_monitor_and_formula_evaluators_agree(expr, own, through_r):
+    """The monitor evaluates an expression; vcgen lowers it to a formula
+    over path symbols, which the formula evaluator reads."""
+    env = {**own, "r": RuntimeObject("R", dict(through_r))}
+    paths = {**own, **{f"r.{name}": value for name, value in through_r.items()}}
+    assert eval_expr(expr, env) == F.evaluate(_lower(expr), paths)

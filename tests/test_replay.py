@@ -99,6 +99,39 @@ def test_every_failed_row_in_every_manifest_replays(
             ), f"{name}: {row.id}"
 
 
+_ONE_OF_EACH = """
+class A
+create make
+feature
+  acc : INTEGER
+  make
+    do
+    end
+  f (p : INTEGER; q : BOOLEAN; s : STRING; t : SET_OF_STRING)
+    do
+      acc := p + 1
+      acc := 5
+    ensure
+      six: acc = 6
+    end
+end
+"""
+
+
+def test_parameters_a_counterexample_leaves_out_start_at_their_defaults():
+    """The postcondition mentions no parameter, so its counterexample is
+    empty; every parameter starts at its type's default, as attributes
+    do, and the replay breaks the same clause."""
+    checked = analyze(parse(_ONE_OF_EACH))
+    opts = VerifyOptions()
+    obligation = obligation_by_id(checked, opts, "A.f.postcondition.0")
+    assert F.free_syms(obligation.formula) == {}
+    obj, args = synthesize_entry_state(checked, obligation, {})
+    assert args == [0, False, None, frozenset()]
+    assert obj.fields == {"acc": 0}
+    assert replay_counterexample(checked, obligation, {}, opts)
+
+
 def test_synthesis_orders_paths_shallow_first(checked_programs, entries):
     checked = checked_programs["tokeneer_noprecond_mutant"]
     opts = entries["tokeneer_noprecond_mutant"].options

@@ -611,3 +611,36 @@ def test_each_call_and_creation_rule_is_built_once(checked_programs, monkeypatch
     monkeypatch.setattr(vcgen._FeatureVCs, "_call_rule", counted)
     generate_obligations(checked_programs["tokeneer_enrolment"], VerifyOptions())
     assert len(calls) == len({id(s) for s in calls}) == 6
+
+
+def _straight_line_creator(n: int) -> str:
+    return (
+        "class C\ncreate make\nfeature\n  x : INTEGER\n  make\n    do\n"
+        + "      x := x + 1\n" * n
+        + "    ensure\n      x >= 0\n    end\nend\n"
+    )
+
+
+def test_substitution_calls_grow_linearly_with_straight_line_code(monkeypatch):
+    """Each assignment wraps the post in one Let, whatever came before it;
+    composing a Let's mappings re-substituted every earlier bind."""
+    calls = []
+    subst = F.subst
+
+    def counted(f, mapping):
+        calls.append(f)
+        return subst(f, mapping)
+
+    monkeypatch.setattr(F, "subst", counted)
+    counts = []
+    for n in (100, 400):
+        calls.clear()
+        generate_obligations(analyze(parse(_straight_line_creator(n))), VerifyOptions())
+        counts.append(len(calls))
+    assert counts[1] <= 4.5 * counts[0]
+
+
+def test_obligations_of_2000_assignments_in_a_row():
+    (obligation,) = generate_obligations(analyze(parse(_straight_line_creator(2000))), VerifyOptions())
+    assert obligation.id == "C.make.postcondition.0"
+    assert F.fold(obligation.formula) == F.TRUE
