@@ -393,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"miniproof: replay impossible: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the formula walks recurse once per statement or so
+        # `fold` still recurses about once per sequential `if`
         print("miniproof: program too deeply nested or too long to process", file=sys.stderr)
         return 3
 

@@ -256,8 +256,8 @@ def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool
 
 
 # generated source nests a bracket or two per formula level and Python's
-# parser rejects deeply nested source, so deeper subformulas become
-# functions of their own
+# parser rejects deeply nested source, so a subformula this deep becomes a
+# function of its own, which ``_compile``'s loop compiles in turn
 _MAX_INLINE_DEPTH = 50
 
 
@@ -267,6 +267,7 @@ def _compile(g: F.Formula, names: list[str]):
     params = ", ".join(f"s{i}" for i in range(len(names)))
     arg = {name: f"s{i}" for i, name in enumerate(names)}
     consts: dict[str, object] = {}
+    pending = [g]  # the formula of each function f<index>; src adds deeper pieces
 
     def const(value) -> str:
         key = f"k{len(consts)}"
@@ -275,7 +276,8 @@ def _compile(g: F.Formula, names: list[str]):
 
     def src(f: F.Formula, depth: int) -> str:
         if depth == _MAX_INLINE_DEPTH:
-            return f"{const(_compile(f, names))}({params})"
+            pending.append(f)
+            return f"f{len(pending) - 1}({params})"
         depth += 1
         if isinstance(f, F.Sym):
             return arg[f.name]
@@ -294,7 +296,9 @@ def _compile(g: F.Formula, names: list[str]):
             return f"({src(f.item, depth)} in {src(f.set_expr, depth)})"
         raise TypeError(f"unexpected formula node {f!r}")
 
-    return eval(f"lambda {params}: {src(g, 0)}", consts)
+    for i, f in enumerate(pending):
+        consts[f"f{i}"] = eval(f"lambda {params}: {src(f, 0)}", consts)
+    return consts["f0"]
 
 
 def verify_program(checked: CheckedProgram, opts: VerifyOptions) -> "Report":

@@ -17,8 +17,10 @@ formula, so each substitution costs the same however many came before
 it. Weakest preconditions can then share one postcondition between both
 branches of an ``if``, so a formula is a DAG whose size grows linearly
 with the program. Every consumer reads a ``Let`` as the formula it
-stands for: ``expand`` carries the substitutions out, and ``to_text``
-prints that.
+stands for, and every walk takes it the same way, in a loop: merge the
+binds into its environment, then go on with the body. ``expand`` carries
+the substitutions out; ``to_text`` prints the text of the expanded
+formula without building it, each bind printed once.
 
 This module also holds what vcgen, discharge and the runtime monitor
 share about values and obligations: the verification options, the
@@ -55,13 +57,8 @@ class Formula(ast.Node, frozen=True):
 
 
 class Sym(Formula):
-    __slots__ = ("name", "ty")
-
-
-class OldSym(Formula):
-    """Entry-state value of a path, produced while lowering ensure
-    clauses; replaced by a plain Sym once weakest preconditions reach
-    the entry point."""
+    """The one leaf class, keyed by its name: a path, or ``OLD`` and a
+    path for its entry-state value until ``unify_old``."""
 
     __slots__ = ("name", "ty")
 
@@ -100,9 +97,9 @@ class HasF(Formula):
 
 class Let(Formula):
     """The delayed simultaneous substitution subst(body, binds). A bind's
-    key is a leaf key (see ``_key``), so it may replace an OldSym too.
-    ``subst`` binds only keys the body mentions. The body may be a Let:
-    n assignments in a row give n nested Lets."""
+    key is a leaf's name, ``old`` ones included (see ``Sym``). ``subst``
+    binds only keys the body mentions. The body may be a Let: n
+    assignments in a row give n nested Lets."""
 
     __slots__ = ("binds", "body")
 
@@ -242,13 +239,9 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-_OLD = "old "
-
-
-def _key(leaf: Sym | OldSym) -> str:
-    """A Sym is keyed by its name, an OldSym by ``old`` and its name;
-    names hold no spaces, so the two never clash."""
-    return leaf.name if isinstance(leaf, Sym) else _OLD + leaf.name
+# the prefix of an entry-state leaf's name; paths hold no spaces, so an
+# old name never clashes with a path
+OLD = "old "
 
 
 def _leaves(f: Formula) -> dict[str, ast.Type]:
@@ -258,8 +251,8 @@ def _leaves(f: Formula) -> dict[str, ast.Type]:
     try:
         return f._leafkeys
     except AttributeError:
-        if isinstance(f, (Sym, OldSym)):
-            return {_key(f): f.ty}
+        if isinstance(f, Sym):
+            return {f.name: f.ty}
         if isinstance(f, Lit):
             return {}
     stack = [f]
@@ -275,7 +268,7 @@ def _leaves(f: Formula) -> dict[str, ast.Type]:
     return f._leafkeys
 
 
-_ATOMS = (Sym, OldSym, Lit)
+_ATOMS = (Sym, Lit)
 
 
 def _own_leaves(g: Formula, kids) -> dict[str, ast.Type]:
@@ -293,8 +286,6 @@ def _own_leaves(g: Formula, kids) -> dict[str, ast.Type]:
         cls = type(c)
         if cls is Sym:
             found[c.name] = c.ty
-        elif cls is OldSym:
-            found[_OLD + c.name] = c.ty
         elif cls is not Lit:
             found.update(c._leafkeys)
     return found
@@ -302,11 +293,11 @@ def _own_leaves(g: Formula, kids) -> dict[str, ast.Type]:
 
 def free_syms(f: Formula) -> dict[str, ast.Type]:
     """Symbols of the formula keyed by name, in sorted-name order."""
-    return dict(sorted((k, ty) for k, ty in _leaves(f).items() if not k.startswith(_OLD)))
+    return dict(sorted((k, ty) for k, ty in _leaves(f).items() if not k.startswith(OLD)))
 
 
 def old_syms(f: Formula) -> dict[str, ast.Type]:
-    return dict(sorted((k[len(_OLD):], ty) for k, ty in _leaves(f).items() if k.startswith(_OLD)))
+    return dict(sorted((k[len(OLD):], ty) for k, ty in _leaves(f).items() if k.startswith(OLD)))
 
 
 # -- substitution and folding ---------------------------------------------------
@@ -331,13 +322,13 @@ def _rebuild(f: Formula, parts: list[Formula]) -> Formula:
 
 
 def subst(f: Formula, mapping: dict[str, Formula]) -> Formula:
-    """Replace the leaves whose keys the mapping has, simultaneously. A
-    plain name keys a Sym, so OldSym leaves are left alone unless the key
-    is ``old`` and a name (see ``_key``). Nothing is copied: a compound
-    formula, a Let included, is wrapped in a Let of the keys it mentions,
-    so each substitution costs the same however many came before it."""
-    if isinstance(f, (Sym, OldSym)):
-        return mapping.get(_key(f), f)
+    """Replace the leaves whose keys the mapping has, simultaneously; a
+    path's key leaves its ``old`` leaf alone (see ``Sym``). Nothing is
+    copied: a compound formula, a Let included, is wrapped in a Let of
+    the keys it mentions, so each substitution costs the same however
+    many came before it."""
+    if isinstance(f, Sym):
+        return mapping.get(f.name, f)
     if isinstance(f, Lit):
         return f
     leaves = _leaves(f)
@@ -346,21 +337,22 @@ def subst(f: Formula, mapping: dict[str, Formula]) -> Formula:
 
 
 def unify_old(f: Formula) -> Formula:
-    """Turn every OldSym into the plain Sym of the same path: at the
-    entry point the current value is the old value."""
-    return subst(f, {_OLD + name: Sym(name, ty) for name, ty in old_syms(f).items()})
+    """Turn every entry-state leaf into the symbol of the same path: at
+    the entry point the current value is the old value."""
+    return subst(f, {OLD + name: Sym(name, ty) for name, ty in old_syms(f).items()})
 
 
 def expand(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
     """The Let-free formula f stands for, every substitution carried out
     (env: leaf keys to formulas already expanded). Exponential in the
-    number of shared posts; for printing and tests."""
-    if isinstance(f, (Sym, OldSym)):
-        return env.get(_key(f), f) if env else f
+    number of shared posts; for tests and ``wp``."""
+    while isinstance(f, Let):
+        env = {**(env or {}), **{k: expand(v, env) for k, v in f.binds}}
+        f = f.body
+    if isinstance(f, Sym):
+        return env.get(f.name, f) if env else f
     if isinstance(f, Lit):
         return f
-    if isinstance(f, Let):
-        return expand(f.body, {**(env or {}), **{k: expand(v, env) for k, v in f.binds}})
     return _rebuild(f, [expand(c, env) for c in children(f)])
 
 
@@ -377,8 +369,8 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
     connective that its smart constructor rebuilds from the very same
     operands."""
     while True:
-        if isinstance(f, (Sym, OldSym)):
-            return env.get(_key(f), f) if env else f
+        if isinstance(f, Sym):
+            return env.get(f.name, f) if env else f
         if isinstance(f, Lit):
             return f
         if isinstance(f, Let):
@@ -433,16 +425,13 @@ def specialize(f: Formula, env: dict[str, Value]) -> Formula:
 
 def evaluate(f: Formula, env: dict[str, Value]) -> Value:
     """Total evaluation; every free symbol must be bound."""
+    while isinstance(f, Let):
+        env = {**env, **{k: evaluate(v, env) for k, v in f.binds}}
+        f = f.body
     if isinstance(f, Sym):
         return env[f.name]
-    if isinstance(f, OldSym):
-        if _OLD + f.name in env:  # bound by an enclosing Let
-            return env[_OLD + f.name]
-        raise ValueError(f"old symbol {f.name} survived to evaluation")
     if isinstance(f, Lit):
         return f.value
-    if isinstance(f, Let):
-        return evaluate(f.body, {**env, **{k: evaluate(v, env) for k, v in f.binds}})
     if isinstance(f, Not):
         return not evaluate(f.operand, env)
     if isinstance(f, And):
@@ -510,34 +499,38 @@ def fits(raw, ty: ast.Type) -> bool:
 
 
 def to_text(f: Formula) -> str:
-    text, _ = _text(expand(f))
-    return text
+    return _text(f)[0]
 
 
-def _text(f: Formula) -> tuple[str, int]:
+def _text(f: Formula, env: dict[str, tuple[str, int]] | None = None) -> tuple[str, int]:
+    """The text and precedence of ``expand(f)``, env binding leaf keys to
+    those of their values."""
+    while isinstance(f, Let):
+        env = {**(env or {}), **{k: _text(v, env) for k, v in f.binds}}
+        f = f.body
     if isinstance(f, Sym):
-        return f.name, ast.ATOM_PREC
-    if isinstance(f, OldSym):
-        return f"old {f.name}", ast.UNARY_PREC
+        if env and f.name in env:
+            return env[f.name]
+        return f.name, ast.UNARY_PREC if f.name.startswith(OLD) else ast.ATOM_PREC
     if isinstance(f, Lit):
         return value_text(f.value), ast.ATOM_PREC
     if isinstance(f, Not):
-        return f"not {_wrap(f.operand, ast.UNARY_PREC)}", ast.UNARY_PREC
+        return f"not {_wrap(f.operand, ast.UNARY_PREC, env)}", ast.UNARY_PREC
     if isinstance(f, (And, Or)):
         op = "and" if isinstance(f, And) else "or"
         prec = ast.BINARY_PREC[op]
-        return f" {op} ".join(_wrap(c, prec) for c in f.items), prec
+        return f" {op} ".join(_wrap(c, prec, env) for c in f.items), prec
     if isinstance(f, (Implies, Cmp, Arith)):
         op = "implies" if isinstance(f, Implies) else f.op
         left, right = ast.operand_precs(op)
-        return f"{_wrap(f.left, left)} {op} {_wrap(f.right, right)}", ast.BINARY_PREC[op]
+        return f"{_wrap(f.left, left, env)} {op} {_wrap(f.right, right, env)}", ast.BINARY_PREC[op]
     if isinstance(f, HasF):
-        return f"{_wrap(f.set_expr, ast.ATOM_PREC)}.has({_text(f.item)[0]})", ast.ATOM_PREC
+        return f"{_wrap(f.set_expr, ast.ATOM_PREC, env)}.has({_text(f.item, env)[0]})", ast.ATOM_PREC
     raise TypeError(f"unexpected formula node {f!r}")
 
 
-def _wrap(f: Formula, min_prec: int) -> str:
-    text, prec = _text(f)
+def _wrap(f: Formula, min_prec: int, env) -> str:
+    text, prec = _text(f, env)
     if prec < min_prec:
         return f"({text})"
     return text

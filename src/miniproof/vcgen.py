@@ -110,7 +110,7 @@ def _lower(e: ast.Expr, read=None, in_old: bool = False, sites: list | None = No
         return F.Lit(frozenset(e.items))
     if isinstance(e, (ast.Name, ast.Qualified)):
         path = e.name if isinstance(e, ast.Name) else f"{e.receiver}.{e.attr}"
-        f = read(e, in_old) if read else (F.OldSym if in_old else F.Sym)(path, e.ty)
+        f = read(e, in_old) if read else F.Sym(F.OLD + path if in_old else path, e.ty)
         if sites is not None and isinstance(e, ast.Qualified):
             sites.append((e, f))
         return f
@@ -370,7 +370,7 @@ class _FeatureVCs:
         return [
             a
             for n, f in _own(self.memo, e)[1]
-            if isinstance(n, ast.Qualified) and isinstance(f, F.OldSym) == under_old
+            if isinstance(n, ast.Qualified) and f.name.startswith(F.OLD) == under_old
             for a in self._deref(n.receiver, n.attr)
         ]
 
@@ -419,7 +419,7 @@ class _FeatureVCs:
         ]
         for q in info.frame(feat):
             ty = info.attributes[q]
-            goals.append((FRAME, q, F.Cmp("=", F.Sym(q, ty), F.OldSym(q, ty))))
+            goals.append((FRAME, q, F.Cmp("=", F.Sym(q, ty), F.Sym(F.OLD + q, ty))))
         # a clause holding a creation expression is Unsupported and
         # dereferences nothing
         entry = [a for clause in feat.require for a in self._derefs(clause.expr)]

@@ -122,9 +122,9 @@ def test_verify_600_sequential_assignments(tmp_path):
     assert proc.stdout.strip().endswith("1 obligations: 1 discharged (100%), 0 failed (0%), 0 errors (0%)")
 
 
-# folding recurses about once per sequential `if`, and printing an
-# obligation once per sequential assignment, so under a recursion limit
-# of 300 a body of a few hundred of either is too long
+# `fold` is the one formula walk that still recurses with the length of a
+# body, about once per sequential `if`, so under a recursion limit of 300
+# a body of a few hundred of them is too long
 _LOW_RECURSION_LIMIT = (
     "-c",
     "import sys, miniproof.cli; sys.setrecursionlimit(300); sys.exit(miniproof.cli.main(sys.argv[1:]))",
@@ -132,16 +132,46 @@ _LOW_RECURSION_LIMIT = (
 
 
 @pytest.mark.parametrize(
-    "body, emit",
-    [("      if x < 5 then\n        x := x + 1\n      end\n" * 400, False), ("      x := x + 1\n" * 200, True)],
-    ids=["400_sequential_ifs", "200_sequential_assignments_emitted"],
+    "body", ["      if x < 5 then\n        x := x + 1\n      end\n" * 400], ids=["400_sequential_ifs"]
 )
-def test_verify_too_long_body_exits_three_without_traceback(tmp_path, body, emit):
-    options = ("--emit-obligations", str(tmp_path / "obligations.json")) if emit else ()
-    proc = _verify_process(tmp_path, body, _LOW_RECURSION_LIMIT, options)
+def test_verify_too_long_body_exits_three_without_traceback(tmp_path, body):
+    proc = _verify_process(tmp_path, body, _LOW_RECURSION_LIMIT)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "miniproof: program too deeply nested or too long to process\n"
+
+
+@pytest.mark.parametrize(
+    "n, launcher", [(200, _LOW_RECURSION_LIMIT), (2000, ("-m", "miniproof.cli"))], ids=["200_at_limit_300", "2000"]
+)
+def test_verify_emits_the_obligations_of_sequential_assignments(tmp_path, n, launcher):
+    """Printing an obligation reads each nested substitution in a loop,
+    so its depth does not grow with the number of assignments."""
+    dump = tmp_path / "obligations.json"
+    proc = _verify_process(tmp_path, "      x := x + 1\n" * n, launcher, ("--emit-obligations", str(dump)))
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    [obligation] = json.loads(dump.read_text(encoding="utf-8"))
+    assert obligation["formula-as-text"] == "0" + " + 1" * n + " >= 0"
+
+
+def test_verify_2000_sequential_parameter_sums(tmp_path):
+    """The residual `acc + p + ... + p` is 2000 levels deep; discharge
+    compiles it in pieces without recursing once per piece."""
+    program = tmp_path / "sums.ccl"
+    program.write_text(
+        "class A\ncreate make\nfeature\n  acc : INTEGER\n  make\n    do\n    end\n"
+        "  step (p : INTEGER)\n    do\n" + "      acc := acc + p\n" * 2000
+        + "    ensure\n      grown: acc >= old acc\n    end\nend\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "miniproof.cli", "verify", str(program)], capture_output=True, text=True
+    )
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    assert "A.step.postcondition.0  Postcondition  Failed  acc = -8, p = -8\n" in proc.stdout
+    assert proc.stdout.strip().endswith("1 obligations: 0 discharged (0%), 1 failed (100%), 0 errors (0%)")
 
 
 def test_verify_semantic_error_exits_three(capsys, tmp_path):

@@ -169,7 +169,7 @@ def test_pruned_search_agrees_with_naive_enumeration(checked_programs, entries):
 
 
 def test_unresolved_old_is_an_error():
-    formula = F.Cmp("=", F.Sym("x", T_INT), F.OldSym("x", T_INT))
+    formula = F.Cmp("=", F.Sym("x", T_INT), F.Sym("old x", T_INT))
     verdict = discharge(_obligation_over(formula), Domains((-1, 1), ()))
     assert verdict.status == ERROR
     assert verdict.reason == "entry snapshot left unresolved"
@@ -220,6 +220,29 @@ def test_deep_residual_is_compiled_in_pieces():
     verdict = discharge(obligation, domains)
     assert verdict.status == FAILED
     assert verdict.counterexample == naive == {"i": 0, "j": 3}
+
+
+def test_compiled_deep_residual_agrees_with_evaluate():
+    """A residual several times deeper than one generated function may
+    nest is compiled in pieces, and each piece reads as F.evaluate does."""
+    from miniproof.discharge import _MAX_INLINE_DEPTH, _compile
+
+    i, j = F.Sym("i", T_INT), F.Sym("j", T_INT)
+    term = F.Arith("+", i, j)
+    for k in range(80):
+        term = F.Arith("-" if k % 2 else "+", term, j if k % 3 else i)
+    formula = F.Cmp("<", term, F.Lit(4))
+    for k in range(80):
+        side = F.Cmp("<=", i, F.Lit(k % 5 - 2))
+        formula = (F.Not(formula), F.And((side, formula)), F.Or((formula, side)), F.Implies(side, formula))[k % 4]
+
+    def depth(f):
+        return 1 + max(map(depth, F.children(f)), default=0)
+
+    assert depth(formula) > 120 > 2 * _MAX_INLINE_DEPTH
+    test = _compile(formula, ["i", "j"])
+    for a, b in itertools.product(range(-3, 4), repeat=2):
+        assert test(a, b) == F.evaluate(formula, {"i": a, "j": b}), (a, b)
 
 
 def test_a_pin_in_one_branch_stays_out_of_the_next():

@@ -72,8 +72,8 @@ def test_frozen_nodes_hash_by_value():
     x = F.Sym("x", T_INT)
     assert F.Cmp("=", x, F.Lit(1)) == F.Cmp("=", F.Sym("x", T_INT), F.Lit(1))
     assert hash(F.Cmp("=", x, F.Lit(1))) == hash(F.Cmp("=", F.Sym("x", T_INT), F.Lit(1)))
-    assert len({F.Sym("x", T_INT), F.Sym("x", T_INT), F.OldSym("x", T_INT)}) == 2
-    assert F.Sym("x", T_INT) != F.OldSym("x", T_INT)
+    assert len({F.Sym("x", T_INT), F.Sym("x", T_INT), F.Sym("old x", T_INT)}) == 2
+    assert F.Sym("x", T_INT) != F.Sym("old x", T_INT)
     assert {Pos(1, 2): "p"}[Pos(1, 2)] == "p"
     assert Token("IDENT", "x", 1, 1) == Token("IDENT", "x", 1, 1)
 
@@ -123,8 +123,6 @@ def _walked_leaves(f: F.Formula) -> dict:
         g = stack.pop()
         if isinstance(g, F.Sym):
             found[g.name] = g.ty
-        elif isinstance(g, F.OldSym):
-            found["old " + g.name] = g.ty
         stack.extend(F.children(g))
     return found
 
@@ -140,7 +138,7 @@ def test_cached_leaf_keys_equal_a_fresh_walk(entries, overflow):
             stack, seen = [o.formula], set()
             while stack:
                 g = stack.pop()
-                if id(g) not in seen and not isinstance(g, (F.Sym, F.OldSym, F.Lit)):
+                if id(g) not in seen and not isinstance(g, (F.Sym, F.Lit)):
                     seen.add(id(g))
                     assert g._leafkeys == _walked_leaves(g), o.id
                     stack.extend(F.children(g))

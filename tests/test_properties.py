@@ -376,7 +376,7 @@ LET_DOMAINS = Domains((-2, 2), ())
 def _eager(f: F.Formula, leaf) -> F.Formula:
     """Copy f with every leaf replaced by leaf(leaf node), as substitution
     worked before it was delayed."""
-    if isinstance(f, (F.Sym, F.OldSym, F.Lit)):
+    if isinstance(f, (F.Sym, F.Lit)):
         return leaf(f)
     if isinstance(f, F.Not):
         return F.Not(_eager(f.operand, leaf))
@@ -400,12 +400,17 @@ def eager_subst(f: F.Formula, mapping: dict) -> F.Formula:
 
 
 def eager_unify_old(f: F.Formula) -> F.Formula:
-    return _eager(f, lambda leaf: F.Sym(leaf.name, leaf.ty) if isinstance(leaf, F.OldSym) else leaf)
+    def unified(leaf):
+        if isinstance(leaf, F.Sym) and leaf.name.startswith("old "):
+            return F.Sym(leaf.name[len("old "):], leaf.ty)
+        return leaf
+
+    return _eager(f, unified)
 
 
 LET_INT_LEAVES = st.one_of(
     st.sampled_from(list(LET_INTS.values())),
-    st.sampled_from([F.OldSym("x", T_INT), F.OldSym("y", T_INT)]),
+    st.sampled_from([F.Sym("old x", T_INT), F.Sym("old y", T_INT)]),
     st.integers(-3, 3).map(F.Lit),
 )
 LET_INT_TERMS = st.one_of(
@@ -414,7 +419,7 @@ LET_INT_TERMS = st.one_of(
 )
 LET_ATOMS = st.one_of(
     st.builds(F.Cmp, st.sampled_from(["=", "/=", "<", "<=", ">", ">="]), LET_INT_TERMS, LET_INT_TERMS),
-    st.sampled_from([LET_BOOL, F.OldSym("b", T_BOOL), F.TRUE, F.FALSE]),
+    st.sampled_from([LET_BOOL, F.Sym("old b", T_BOOL), F.TRUE, F.FALSE]),
 )
 LET_FORMULAS = st.recursive(
     LET_ATOMS,

@@ -40,7 +40,7 @@ SOURCE = (
 CHECKED = analyze(parse(SOURCE))
 
 BALANCE = F.Sym("balance", T_INT)
-OLD_BALANCE = F.OldSym("balance", T_INT)
+OLD_BALANCE = F.Sym("old balance", T_INT)
 AMOUNT = F.Sym("amount", T_INT)
 
 
