@@ -25,6 +25,8 @@ the work, and none of them can change which falsifier comes first:
    (Mackworth 1977), which generalises the unit propagation of DPLL.
 4. Once at most three symbols are live, compile the residual to a Python
    function and scan its leaves, over the narrowed domains, in order.
+   Code is compiled once per generated source per ``Domains``: residuals
+   of one shape, whatever their literals and symbol names, share it.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class Domains(ast.Node, frozen=True):
         if hi - lo + 1 < 2:
             raise ValueError(f"int_range [{lo}, {hi}] must span at least two values")
         # per type, its domain values, built when first searched; per
-        # hypothesis and input values, the values it keeps (see _narrow)
+        # hypothesis and input values, the values it keeps (see _narrow);
+        # per generated source, its compiled code (see _compile)
         object.__setattr__(self, "_built", {})
 
 
@@ -187,7 +190,7 @@ def _walk(g: F.Formula, domains: Domains, bound: dict, narrowed: dict) -> dict |
         return _walk(F.specialize(g, pins), domains, {**bound, **pins}, narrowed)
     if len(live) <= COMPILE_AT:
         lists = [narrowed.get(n) or symbol_domain(ty, domains) for n, ty in live.items()]
-        hit = next(_leaves_where(g, list(live), lists, False), None)
+        hit = next(_leaves_where(g, list(live), lists, False, domains), None)
         return None if hit is None else {**bound, **dict(zip(live, hit))}
     name = next(iter(live))
     for v in narrowed.get(name) or symbol_domain(live[name], domains):
@@ -221,7 +224,7 @@ def _narrow(h: F.Formula, name: str, ty: ast.Type, values, domains: Domains) -> 
     key, memo = (h, id(values)), domains._built
     if key not in memo:
         source = values or symbol_domain(ty, domains)
-        kept = tuple(v for (v,) in _leaves_where(h, [name], [source], True))
+        kept = tuple(v for (v,) in _leaves_where(h, [name], [source], True, domains))
         # the input stays alive with the result, so its id is not reused;
         # an input that h leaves whole is returned as it is
         memo[key] = (values, values if values and len(kept) == len(values) else kept)
@@ -243,10 +246,10 @@ def _member(lit, ty: ast.Type, domains: Domains) -> tuple:
     return (lit,) if lit is None or lit in others else ()
 
 
-def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool):
+def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool, domains: Domains):
     """Each tuple of values of the named symbols, in enumeration order,
     under which g, compiled, is truth."""
-    test = _compile(g, names)
+    test = _compile(g, names, domains)
     for values in product(*value_lists):
         result = test(*values)
         if result is truth:
@@ -257,17 +260,24 @@ def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool
 
 # generated source nests a bracket or two per formula level and Python's
 # parser rejects deeply nested source, so a subformula this deep becomes a
-# function of its own, which ``_compile``'s loop compiles in turn
+# piece of its own, computed into a local before the pieces that read it
 _MAX_INLINE_DEPTH = 50
 
 
-def _compile(g: F.Formula, names: list[str]):
+def _compile(g: F.Formula, names: list[str], domains: Domains):
     """g as a Python function of the named symbols with F.fold's meaning
-    on well-typed formulas: connectives over booleans, has as `in`."""
+    on well-typed formulas: connectives over booleans, has as `in`. The
+    source names symbols and literals by position, and the function binds
+    the literals through its globals, so residuals of one shape share one
+    code object, compiled once per Domains. A residual deeper than
+    ``_MAX_INLINE_DEPTH`` is cut into pieces that the one function works
+    out deepest first, so calling it takes one frame however deep g is; a
+    piece under a short-circuit is then worked out regardless, which on a
+    well-typed formula costs time only."""
     params = ", ".join(f"s{i}" for i in range(len(names)))
     arg = {name: f"s{i}" for i, name in enumerate(names)}
     consts: dict[str, object] = {}
-    pending = [g]  # the formula of each function f<index>; src adds deeper pieces
+    pieces = [g]  # src appends each deeper piece, which piece p<index> holds
 
     def const(value) -> str:
         key = f"k{len(consts)}"
@@ -276,8 +286,8 @@ def _compile(g: F.Formula, names: list[str]):
 
     def src(f: F.Formula, depth: int) -> str:
         if depth == _MAX_INLINE_DEPTH:
-            pending.append(f)
-            return f"f{len(pending) - 1}({params})"
+            pieces.append(f)
+            return f"p{len(pieces) - 1}"
         depth += 1
         if isinstance(f, F.Sym):
             return arg[f.name]
@@ -296,9 +306,17 @@ def _compile(g: F.Formula, names: list[str]):
             return f"({src(f.item, depth)} in {src(f.set_expr, depth)})"
         raise TypeError(f"unexpected formula node {f!r}")
 
-    for i, f in enumerate(pending):
-        consts[f"f{i}"] = eval(f"lambda {params}: {src(f, 0)}", consts)
-    return consts["f0"]
+    texts = []
+    for f in pieces:
+        texts.append(src(f, 0))
+    # a piece reads only pieces found after it
+    steps = "".join(f" p{i} = {texts[i]}\n" for i in range(len(texts) - 1, 0, -1))
+    source = f"def test({params}):\n{steps} return {texts[0]}"
+    code = domains._built.get(source)
+    if code is None:
+        code = domains._built[source] = compile(source, "<residual>", "exec")
+    exec(code, consts)
+    return consts["test"]
 
 
 def verify_program(checked: CheckedProgram, opts: VerifyOptions) -> "Report":

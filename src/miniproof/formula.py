@@ -22,6 +22,12 @@ binds into its environment, then go on with the body. ``expand`` carries
 the substitutions out; ``to_text`` prints the text of the expanded
 formula without building it, each bind printed once.
 
+Every node keeps the keys of its free leaves, worked out when it is
+built from its children's (see ``_leaves``), so ``subst``, ``free_syms``
+and ``old_syms`` read them without a walk. A node that adds no key to
+one child's shares that child's dict, so ``not X`` or ``x < 3`` costs
+no dict of its own.
+
 This module also holds what vcgen, discharge and the runtime monitor
 share about values and obligations: the verification options, the
 obligation kinds, each type's default value, and the one JSON encoding
@@ -50,10 +56,15 @@ Value = Union[int, bool, str, frozenset, Ref, None]
 
 
 class Formula(ast.Node, frozen=True):
-    # the keys of the free leaves below a compound node, once worked out
-    # (see ``_leaves``)
+    # the keys of the free leaves of the formula this node stands for,
+    # with their types, set when the node is built (see ``_leaves``);
+    # nodes share these dicts, so none is ever changed
     __slots__ = ("_leafkeys",)
     _fields = ()
+
+
+_set_leafkeys = Formula._leafkeys.__set__
+_NO_LEAVES: dict = {}
 
 
 class Sym(Formula):
@@ -62,37 +73,64 @@ class Sym(Formula):
 
     __slots__ = ("name", "ty")
 
+    def __post_init__(self):
+        _set_leafkeys(self, {self.name: self.ty})
+
 
 class Lit(Formula):
     __slots__ = ("value",)
+
+    def __post_init__(self):
+        _set_leafkeys(self, _NO_LEAVES)
 
 
 class Not(Formula):
     __slots__ = ("operand",)
 
+    def __post_init__(self):
+        _set_leafkeys(self, self.operand._leafkeys)
+
 
 class And(Formula):
     __slots__ = ("items",)
+
+    def __post_init__(self):
+        _set_leafkeys(self, _union([c._leafkeys for c in self.items]))
 
 
 class Or(Formula):
     __slots__ = ("items",)
 
+    def __post_init__(self):
+        _set_leafkeys(self, _union([c._leafkeys for c in self.items]))
+
 
 class Implies(Formula):
     __slots__ = ("left", "right")
+
+    def __post_init__(self):
+        _set_leafkeys(self, _union((self.left._leafkeys, self.right._leafkeys)))
 
 
 class Cmp(Formula):
     __slots__ = ("op", "left", "right")  # op: = /= < <= > >=
 
+    def __post_init__(self):
+        _set_leafkeys(self, _union((self.left._leafkeys, self.right._leafkeys)))
+
 
 class Arith(Formula):
     __slots__ = ("op", "left", "right")  # op: + - *
 
+    def __post_init__(self):
+        _set_leafkeys(self, _union((self.left._leafkeys, self.right._leafkeys)))
+
 
 class HasF(Formula):
     __slots__ = ("set_expr", "item")
+
+    def __post_init__(self):
+        _set_leafkeys(self, _union((self.set_expr._leafkeys, self.item._leafkeys)))
 
 
 class Let(Formula):
@@ -102,6 +140,9 @@ class Let(Formula):
     assignments in a row give n nested Lets."""
 
     __slots__ = ("binds", "body")
+
+    def __post_init__(self):
+        _set_leafkeys(self, _own_leaves(self))
 
 
 TRUE = Lit(True)
@@ -245,49 +286,40 @@ OLD = "old "
 
 
 def _leaves(f: Formula) -> dict[str, ast.Type]:
-    """Keys of the free leaves of f with their types. A compound node
-    works its keys out once, from its children's, and keeps them in its
-    ``_leafkeys`` slot, so no subtree is walked twice."""
-    try:
-        return f._leafkeys
-    except AttributeError:
-        if isinstance(f, Sym):
-            return {f.name: f.ty}
-        if isinstance(f, Lit):
-            return {}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is tuple:  # a node and its children, each done
-            g, kids = g
-            object.__setattr__(g, "_leafkeys", _own_leaves(g, kids))
-        elif not hasattr(g, "_leafkeys"):  # a shared node may be done already
-            kids = children(g)
-            stack.append((g, kids))
-            stack += [c for c in kids if type(c) not in _ATOMS]
+    """Keys of the free leaves of f with their types, worked out once, when
+    f was built, from its children's: a literal has none, a symbol its
+    name, ``not X`` those of X, a Let those of ``_own_leaves``, and any
+    other node those of its children (see ``_union``)."""
     return f._leafkeys
 
 
-_ATOMS = (Sym, Lit)
+def _union(parts: list[dict] | tuple[dict, ...]) -> dict[str, ast.Type]:
+    """The leaf keys of a node whose children have the given keys: the
+    child's dict that holds all the others, shared, and a new dict only
+    when none does, so a node whose other children are literals or
+    mention nothing new costs no dict. A dict made here is extended in
+    place, so a wide conjunction is merged in one pass."""
+    out, fresh = _NO_LEAVES, False
+    for keys in parts:
+        if out.keys() >= keys.keys():
+            continue
+        if keys.keys() >= out.keys():
+            out, fresh = keys, False
+        elif fresh:
+            out.update(keys)
+        else:
+            out, fresh = {**out, **keys}, True
+    return out
 
 
-def _own_leaves(g: Formula, kids) -> dict[str, ast.Type]:
-    """The leaf keys of a compound node whose children know theirs. A
-    Let has those of its body that it does not bind, and those of each
-    bind, since ``subst`` binds only keys the body mentions."""
-    if isinstance(g, Let):
-        bound = {k for k, _ in g.binds}
-        found = {k: ty for k, ty in _leaves(g.body).items() if k not in bound}
-        for _, value in g.binds:
-            found.update(_leaves(value))
-        return found
-    found = {}
-    for c in kids:
-        cls = type(c)
-        if cls is Sym:
-            found[c.name] = c.ty
-        elif cls is not Lit:
-            found.update(c._leafkeys)
+def _own_leaves(g: Let) -> dict[str, ast.Type]:
+    """The leaf keys of a Let: those of its body that it does not bind,
+    and those of each bind, since ``subst`` binds only keys the body
+    mentions."""
+    bound = {k for k, _ in g.binds}
+    found = {k: ty for k, ty in g.body._leafkeys.items() if k not in bound}
+    for _, value in g.binds:
+        found.update(value._leafkeys)
     return found
 
 

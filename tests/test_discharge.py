@@ -240,9 +240,52 @@ def test_compiled_deep_residual_agrees_with_evaluate():
         return 1 + max(map(depth, F.children(f)), default=0)
 
     assert depth(formula) > 120 > 2 * _MAX_INLINE_DEPTH
-    test = _compile(formula, ["i", "j"])
+    test = _compile(formula, ["i", "j"], Domains((-3, 3), ()))
     for a, b in itertools.product(range(-3, 4), repeat=2):
         assert test(a, b) == F.evaluate(formula, {"i": a, "j": b}), (a, b)
+
+
+def test_compiled_residual_runs_in_one_frame_however_deep():
+    """``i + j + ... + j >= 0``, 60,000 levels deep: more pieces of
+    ``_MAX_INLINE_DEPTH`` levels than the recursion limit allows frames,
+    so they must be worked out in one call, not one call per piece.
+    F.evaluate recurses once per level, so the expected value is
+    computed here."""
+    import sys
+
+    from miniproof.discharge import _MAX_INLINE_DEPTH, _compile
+
+    i, j = F.Sym("i", T_INT), F.Sym("j", T_INT)
+    levels = 60_000
+    term = F.Arith("+", i, j)
+    for _ in range(levels - 1):
+        term = F.Arith("+", term, j)
+    assert levels > sys.getrecursionlimit() * _MAX_INLINE_DEPTH
+    test = _compile(F.Cmp(">=", term, F.Lit(0)), ["i", "j"], Domains((-3, 3), ()))
+    for a, b in itertools.product((-3, 0, 3), (-1, 0, 1)):
+        assert test(a, b) is (a + levels * b >= 0), (a, b)
+
+
+def test_residuals_of_one_shape_share_code_but_not_literals():
+    """Code is compiled once per source per Domains, and each residual
+    binds its own literals and symbols: ``i + j < 3`` and ``a + b < -2``
+    share a code object and each gets its own first falsifier."""
+    domains = Domains((-3, 3), ())
+    assert domains._built == {}
+    found = []
+    for x, y, bound in (("i", "j", 3), ("a", "b", -2)):
+        formula = F.Cmp("<", F.Arith("+", F.Sym(x, T_INT), F.Sym(y, T_INT)), F.Lit(bound))
+        obligation = _obligation_over(formula)
+        naive = next(
+            env
+            for env in enumerate_environments(obligation, domains)
+            if F.evaluate(formula, env) is not True
+        )
+        assert discharge(obligation, domains).counterexample == naive
+        found.append(naive)
+    assert found == [{"i": 0, "j": 3}, {"a": -3, "b": 1}]
+    assert len([key for key in domains._built if isinstance(key, str)]) == 1
+    assert Domains((-3, 3), ())._built == {}
 
 
 def test_a_pin_in_one_branch_stays_out_of_the_next():

@@ -6,7 +6,7 @@ import pytest
 from miniproof import analyze, ast, parse
 from miniproof import formula as F
 from miniproof.ast import T_BOOL, T_INT, Pos
-from miniproof.discharge import Verdict
+from miniproof.discharge import Verdict, derive_domains, symbol_domain
 from miniproof.formula import VerifyOptions
 from miniproof.lexer import Token, tokenize
 from miniproof.vcgen import generate_obligations
@@ -129,18 +129,26 @@ def _walked_leaves(f: F.Formula) -> dict:
 
 @pytest.mark.parametrize("overflow", [False, True], ids=["manifest", "width8"])
 def test_cached_leaf_keys_equal_a_fresh_walk(entries, overflow):
+    """Every node, leaves included, keeps the keys of what it stands for:
+    in each obligation, and in the residuals a search builds from it, by
+    folding it and then specializing it on its first free symbol."""
     checked_obligations = 0
     for entry in entries.values():
         opts = entry.options.replace(check_overflow=True, overflow_width=8) if overflow else entry.options
-        for o in generate_obligations(analyze(parse(entry.source)), opts):
-            assert F._leaves(o.formula) == _walked_leaves(o.formula), o.id
-            # every compound node below keeps the keys of what it stands for
-            stack, seen = [o.formula], set()
+        checked = analyze(parse(entry.source))
+        domains = derive_domains(checked, opts)
+        for o in generate_obligations(checked, opts):
+            residuals = [o.formula, F.fold(o.formula)]
+            live = F.free_syms(residuals[-1])
+            if live:
+                name, ty = next(iter(live.items()))
+                residuals.append(F.specialize(residuals[-1], {name: symbol_domain(ty, domains)[0]}))
+            stack, seen = residuals, set()
             while stack:
                 g = stack.pop()
-                if id(g) not in seen and not isinstance(g, (F.Sym, F.Lit)):
+                if id(g) not in seen:
                     seen.add(id(g))
-                    assert g._leafkeys == _walked_leaves(g), o.id
+                    assert F._leaves(g) == _walked_leaves(g), o.id
                     stack.extend(F.children(g))
             checked_obligations += 1
     assert checked_obligations > 100
