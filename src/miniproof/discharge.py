@@ -23,10 +23,12 @@ the work, and none of them can change which falsifier comes first:
    domain that make it true, in domain order. Symbols left with one value
    are bound together, and the step repeats. This is node consistency
    (Mackworth 1977), which generalises the unit propagation of DPLL.
-4. Once at most three symbols are live, compile the residual to a Python
-   function and scan its leaves, over the narrowed domains, in order.
-   Code is compiled once per generated source per ``Domains``: residuals
-   of one shape, whatever their literals and symbol names, share it.
+4. Once at most three symbols are live, compile the residual into one
+   generated loop nest, a loop per live symbol over its narrowed domain
+   with the residual inlined in the innermost loop, that scans the leaves
+   in order. Code is compiled once per generated source per ``Domains``:
+   residuals of one shape, whatever their literals and symbol names,
+   share it.
 """
 
 from __future__ import annotations
@@ -167,16 +169,16 @@ def _walk(g: F.Formula, domains: Domains, bound: dict, narrowed: dict) -> dict |
     domain. A module function rather than a closure: a recursive closure
     is a reference cycle, which would keep the domains alive until the
     cyclic garbage collector runs."""
-    if g == F.TRUE:
+    if type(g) is F.Lit and g.value == F.TRUE.value:
         return None
-    if g == F.FALSE:
+    if type(g) is F.Lit and g.value == F.FALSE.value:
         return dict(bound)
     live = F.free_syms(g)
     if not live:
         raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
     pins = {}
     for h in _hypotheses(g):
-        syms = F.free_syms(h)
+        syms = F._leaves(h)
         if len(syms) == 1 and next(iter(syms)) not in pins:
             ((name, ty),) = syms.items()
             values = _narrow(h, name, ty, narrowed.get(name), domains)
@@ -248,14 +250,11 @@ def _member(lit, ty: ast.Type, domains: Domains) -> tuple:
 
 def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool, domains: Domains):
     """Each tuple of values of the named symbols, in enumeration order,
-    under which g, compiled, is truth."""
-    test = _compile(g, names, domains)
-    for values in product(*value_lists):
-        result = test(*values)
-        if result is truth:
-            yield values
-        elif result is not (not truth):
+    under which g is truth, found by g's compiled scan."""
+    for values in _compile(g, names, truth, domains)(*value_lists):
+        if values is None:
             raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
+        yield values
 
 
 # generated source nests a bracket or two per formula level and Python's
@@ -264,17 +263,20 @@ def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool
 _MAX_INLINE_DEPTH = 50
 
 
-def _compile(g: F.Formula, names: list[str], domains: Domains):
-    """g as a Python function of the named symbols with F.fold's meaning
-    on well-typed formulas: connectives over booleans, has as `in`. The
-    source names symbols and literals by position, and the function binds
-    the literals through its globals, so residuals of one shape share one
+def _compile(g: F.Formula, names: list[str], truth: bool, domains: Domains):
+    """The scan of g over the named symbols: a generator function of one
+    sequence of values per symbol, a loop nest in the order of names with g
+    inlined in the innermost loop, with F.fold's meaning on well-typed
+    formulas (connectives over booleans, has as `in`). It yields each
+    tuple of values under which g is truth, in enumeration order, and
+    None for one under which g is not a boolean. The source names
+    symbols and literals by position, and the function binds the
+    literals through its globals, so residuals of one shape share one
     code object, compiled once per Domains. A residual deeper than
-    ``_MAX_INLINE_DEPTH`` is cut into pieces that the one function works
-    out deepest first, so calling it takes one frame however deep g is; a
-    piece under a short-circuit is then worked out regardless, which on a
-    well-typed formula costs time only."""
-    params = ", ".join(f"s{i}" for i in range(len(names)))
+    ``_MAX_INLINE_DEPTH`` is cut into pieces that the innermost loop
+    works out deepest first, so a scan takes one frame however deep g
+    is; a piece under a short-circuit is then worked out regardless,
+    which on a well-typed formula costs time only."""
     arg = {name: f"s{i}" for i, name in enumerate(names)}
     consts: dict[str, object] = {}
     pieces = [g]  # src appends each deeper piece, which piece p<index> holds
@@ -309,14 +311,20 @@ def _compile(g: F.Formula, names: list[str], domains: Domains):
     texts = []
     for f in pieces:
         texts.append(src(f, 0))
-    # a piece reads only pieces found after it
-    steps = "".join(f" p{i} = {texts[i]}\n" for i in range(len(texts) - 1, 0, -1))
-    source = f"def test({params}):\n{steps} return {texts[0]}"
+    n, inner = len(names), " " * (len(names) + 1)
+    # a piece reads only pieces found after it, so p0, g itself, comes last
+    steps = "".join(f"{inner}p{i} = {texts[i]}\n" for i in reversed(range(len(texts))))
+    source = (
+        f"def scan({', '.join(f'l{i}' for i in range(n))}):\n"
+        + "".join(f"{' ' * (i + 1)}for s{i} in l{i}:\n" for i in range(n))
+        + f"{steps}{inner}if p0 is not {not truth}:\n"
+        + f"{inner} yield ({''.join(f's{i}, ' for i in range(n))}) if p0 is {truth} else None"
+    )
     code = domains._built.get(source)
     if code is None:
         code = domains._built[source] = compile(source, "<residual>", "exec")
     exec(code, consts)
-    return consts["test"]
+    return consts["scan"]
 
 
 def verify_program(checked: CheckedProgram, opts: VerifyOptions) -> "Report":

@@ -222,13 +222,11 @@ def _flatten(cls: type, unit: Lit, zero: Lit, items) -> Formula:
     in, the unit dropped, and the zero deciding the whole."""
     flat: list[Formula] = []
     for f in items:
-        if isinstance(f, cls):
+        if type(f) is cls:
             flat.extend(f.items)
-        elif f == unit:
-            continue
-        elif f == zero:
+        elif type(f) is Lit and f.value == zero.value:
             return zero
-        else:
+        elif type(f) is not Lit or f.value != unit.value:
             flat.append(f)
     if not flat:
         return unit
@@ -246,19 +244,19 @@ def disj(*items: Formula) -> Formula:
 
 
 def neg(f: Formula) -> Formula:
-    if isinstance(f, Lit) and isinstance(f.value, bool):
-        return Lit(not f.value)
-    if isinstance(f, Not):
+    if type(f) is Lit and isinstance(f.value, bool):
+        return FALSE if f.value else TRUE
+    if type(f) is Not:
         return f.operand
     return Not(f)
 
 
 def implies(left: Formula, right: Formula) -> Formula:
-    if left == TRUE:
+    if type(left) is Lit and left.value == TRUE.value:
         return right
-    if left == FALSE or right == TRUE:
+    if type(left) is Lit and left.value == FALSE.value or type(right) is Lit and right.value == TRUE.value:
         return TRUE
-    if right == FALSE:
+    if type(right) is Lit and right.value == FALSE.value:
         return neg(left)
     return Implies(left, right)
 
@@ -395,58 +393,68 @@ def fold(f: Formula, env: dict[str, Formula] | None = None) -> Formula:
     formula can fold to a literal while some symbols are still unbound,
     and the operands after the deciding one are never folded. A Let's
     body and an implication's consequent are folded in the same frame,
-    so a closed chain of `if`s costs about one Python frame per `if`. A
-    comparison, arithmetic or has node whose operands fold to themselves
-    is returned as it is, with the leaf keys it keeps, and so is a
-    connective that its smart constructor rebuilds from the very same
-    operands."""
+    so a closed chain of `if`s costs about one Python frame per `if`.
+    Any node whose parts fold to themselves, and which its smart
+    constructor would keep as it is, is returned as it is, with the leaf
+    keys it keeps, without building a node: an ``and`` or ``or`` of two
+    or more items, none a literal or of its own class, an implication
+    with no literal side, a negation of neither a literal nor a
+    negation, and any comparison, arithmetic or has node. A comparison
+    or has of two literals folds to the shared TRUE or FALSE."""
     while True:
-        if isinstance(f, Sym):
+        t = type(f)
+        if t is Sym:
             return env.get(f.name, f) if env else f
-        if isinstance(f, Lit):
+        if t is Cmp or t is Arith:
+            left, right = fold(f.left, env), fold(f.right, env)
+            if type(left) is Lit and type(right) is Lit:
+                value = OPS[f.op][0](left.value, right.value)
+                return Lit(value) if t is Arith else TRUE if value else FALSE
+            if t is Cmp and type(left) is type(right) and left == right:
+                # reflexivity: values are total, x = x regardless of binding
+                return TRUE if f.op in ("=", "<=", ">=") else FALSE
+            return f if left is f.left and right is f.right else t(f.op, left, right)
+        if t is Lit:
             return f
-        if isinstance(f, Let):
+        if t is And or t is Or:
+            unit, decides = (TRUE, FALSE) if t is And else (FALSE, TRUE)
+            parts, keep = [], len(f.items) > 1
+            for c in f.items:
+                part = fold(c, env)
+                if type(part) is Lit:
+                    if part.value == decides.value:
+                        return decides
+                    keep = False
+                elif part is not c or type(part) is t:
+                    keep = False
+                parts.append(part)
+            return f if keep else _flatten(t, unit, decides, parts)
+        if t is Implies:
+            left = fold(f.left, env)
+            if type(left) is Lit:
+                if left.value == FALSE.value:
+                    return TRUE
+                if left.value == TRUE.value:
+                    f = f.right
+                    continue
+            right = fold(f.right, env)
+            if left is f.left and right is f.right and type(left) is not Lit and type(right) is not Lit:
+                return f
+            return implies(left, right)
+        if t is HasF:
+            s, item = fold(f.set_expr, env), fold(f.item, env)
+            if type(s) is Lit and type(item) is Lit:
+                return TRUE if item.value in s.value else FALSE
+            return f if s is f.set_expr and item is f.item else HasF(s, item)
+        if t is Let:
             env = {**(env or {}), **{k: fold(v, env) for k, v in f.binds}}
             f = f.body
             continue
-        if isinstance(f, Not):
+        if t is Not:
             operand = fold(f.operand, env)
-            out = neg(operand)
-            return f if operand is f.operand and out == f else out
-        if isinstance(f, (And, Or)):
-            unit, decides = (TRUE, FALSE) if isinstance(f, And) else (FALSE, TRUE)
-            parts, same = [], True
-            for c in f.items:
-                part = fold(c, env)
-                if type(part) is Lit and part == decides:
-                    return decides
-                parts.append(part)
-                same = same and part is c
-            out = _flatten(type(f), unit, decides, parts)
-            return f if same and out == f else out
-        if isinstance(f, Implies):
-            left = fold(f.left, env)
-            if left == FALSE:
-                return TRUE
-            if left == TRUE:
-                f = f.right
-                continue
-            right = fold(f.right, env)
-            out = implies(left, right)
-            return f if left is f.left and right is f.right and out == f else out
-        if isinstance(f, (Cmp, Arith)):
-            left, right = fold(f.left, env), fold(f.right, env)
-            if isinstance(left, Lit) and isinstance(right, Lit):
-                return Lit(OPS[f.op][0](left.value, right.value))
-            if isinstance(f, Cmp) and left == right:
-                # reflexivity: values are total, x = x regardless of binding
-                return TRUE if f.op in ("=", "<=", ">=") else FALSE
-            return f if left is f.left and right is f.right else type(f)(f.op, left, right)
-        if isinstance(f, HasF):
-            s, item = fold(f.set_expr, env), fold(f.item, env)
-            if isinstance(s, Lit) and isinstance(item, Lit):
-                return Lit(item.value in s.value)
-            return f if s is f.set_expr and item is f.item else HasF(s, item)
+            if operand is f.operand and type(operand) is not Lit and type(operand) is not Not:
+                return f
+            return neg(operand)
         raise TypeError(f"unexpected formula node {f!r}")
 
 

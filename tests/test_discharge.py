@@ -15,6 +15,7 @@ from miniproof.discharge import (
     ERROR,
     FAILED,
     Domains,
+    Verdict,
     build_report,
     derive_domains,
     discharge,
@@ -224,8 +225,9 @@ def test_deep_residual_is_compiled_in_pieces():
 
 def test_compiled_deep_residual_agrees_with_evaluate():
     """A residual several times deeper than one generated function may
-    nest is compiled in pieces, and each piece reads as F.evaluate does."""
-    from miniproof.discharge import _MAX_INLINE_DEPTH, _compile
+    nest is compiled in pieces, and its scan finds the leaves where it
+    holds, and those where it fails, as F.evaluate does."""
+    from miniproof.discharge import _MAX_INLINE_DEPTH, _leaves_where
 
     i, j = F.Sym("i", T_INT), F.Sym("j", T_INT)
     term = F.Arith("+", i, j)
@@ -240,20 +242,24 @@ def test_compiled_deep_residual_agrees_with_evaluate():
         return 1 + max(map(depth, F.children(f)), default=0)
 
     assert depth(formula) > 120 > 2 * _MAX_INLINE_DEPTH
-    test = _compile(formula, ["i", "j"], Domains((-3, 3), ()))
-    for a, b in itertools.product(range(-3, 4), repeat=2):
-        assert test(a, b) == F.evaluate(formula, {"i": a, "j": b}), (a, b)
+    domains, values = Domains((-3, 3), ()), range(-3, 4)
+    for truth in (True, False):
+        found = list(_leaves_where(formula, ["i", "j"], [values, values], truth, domains))
+        expected = [
+            (a, b) for a, b in itertools.product(values, repeat=2) if F.evaluate(formula, {"i": a, "j": b}) is truth
+        ]
+        assert found == expected, truth
 
 
 def test_compiled_residual_runs_in_one_frame_however_deep():
     """``i + j + ... + j >= 0``, 60,000 levels deep: more pieces of
     ``_MAX_INLINE_DEPTH`` levels than the recursion limit allows frames,
-    so they must be worked out in one call, not one call per piece.
-    F.evaluate recurses once per level, so the expected value is
-    computed here."""
+    so the scan must work them out in its one frame, not one call per
+    piece. F.evaluate recurses once per level, so the expected leaves
+    are computed here."""
     import sys
 
-    from miniproof.discharge import _MAX_INLINE_DEPTH, _compile
+    from miniproof.discharge import _MAX_INLINE_DEPTH, _leaves_where
 
     i, j = F.Sym("i", T_INT), F.Sym("j", T_INT)
     levels = 60_000
@@ -261,15 +267,16 @@ def test_compiled_residual_runs_in_one_frame_however_deep():
     for _ in range(levels - 1):
         term = F.Arith("+", term, j)
     assert levels > sys.getrecursionlimit() * _MAX_INLINE_DEPTH
-    test = _compile(F.Cmp(">=", term, F.Lit(0)), ["i", "j"], Domains((-3, 3), ()))
-    for a, b in itertools.product((-3, 0, 3), (-1, 0, 1)):
-        assert test(a, b) is (a + levels * b >= 0), (a, b)
+    lists = [(-3, 0, 3), (-1, 0, 1)]
+    found = list(_leaves_where(F.Cmp(">=", term, F.Lit(0)), ["i", "j"], lists, True, Domains((-3, 3), ())))
+    assert found == [(a, b) for a, b in itertools.product(*lists) if a + levels * b >= 0]
 
 
 def test_residuals_of_one_shape_share_code_but_not_literals():
     """Code is compiled once per source per Domains, and each residual
     binds its own literals and symbols: ``i + j < 3`` and ``a + b < -2``
-    share a code object and each gets its own first falsifier."""
+    share the code object of one scan and each gets its own first
+    falsifier."""
     domains = Domains((-3, 3), ())
     assert domains._built == {}
     found = []
@@ -284,8 +291,31 @@ def test_residuals_of_one_shape_share_code_but_not_literals():
         assert discharge(obligation, domains).counterexample == naive
         found.append(naive)
     assert found == [{"i": 0, "j": 3}, {"a": -3, "b": 1}]
-    assert len([key for key in domains._built if isinstance(key, str)]) == 1
+    sources = [key for key in domains._built if isinstance(key, str)]
+    assert len(sources) == 1 and sources[0].startswith("def scan(")
     assert Domains((-3, 3), ())._built == {}
+
+
+def test_scan_nests_its_loops_in_symbol_order():
+    """``a + 2 * b + 4 * c < 7`` over -1..1 fails only at the last leaf of
+    the nest, a = b = c = 1, which the scan of three live symbols must
+    reach; and the leaves where it holds come out in enumeration order,
+    the first symbol's loop outermost."""
+    from miniproof.discharge import _leaves_where
+
+    a, b, c = (F.Sym(n, T_INT) for n in "abc")
+    weighted = F.Arith("+", F.Arith("+", a, F.Arith("*", F.Lit(2), b)), F.Arith("*", F.Lit(4), c))
+    formula = F.Cmp("<", weighted, F.Lit(7))
+    obligation = _obligation_over(formula)
+    domains = Domains((-1, 1), ())
+    envs = list(enumerate_environments(obligation, domains))
+    falsifiers = [env for env in envs if F.evaluate(formula, env) is not True]
+    assert falsifiers == [envs[-1]] == [{"a": 1, "b": 1, "c": 1}]
+    assert discharge(obligation, domains) == Verdict(FAILED, counterexample=falsifiers[0])
+    assert [key for key in domains._built if isinstance(key, str) and key.startswith("def scan(l0, l1, l2)")]
+    values = [symbol_domain(T_INT, domains)] * 3
+    holds = list(_leaves_where(formula, ["a", "b", "c"], values, True, domains))
+    assert holds == [tuple(env.values()) for env in envs[:-1]]
 
 
 def test_a_pin_in_one_branch_stays_out_of_the_next():

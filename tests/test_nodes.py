@@ -152,3 +152,29 @@ def test_cached_leaf_keys_equal_a_fresh_walk(entries, overflow):
                     stack.extend(F.children(g))
             checked_obligations += 1
     assert checked_obligations > 100
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["manifest", "width8"])
+def test_folding_a_folded_formula_builds_no_node(entries, overflow, monkeypatch):
+    """F.fold returns a node whose parts it keeps as it is: folding each
+    corpus obligation's folded formula again gives back that very formula
+    and constructs no node of any formula class on the way."""
+    folded = []
+    for entry in entries.values():
+        opts = entry.options.replace(check_overflow=True, overflow_width=8) if overflow else entry.options
+        folded += [F.fold(o.formula) for o in generate_obligations(analyze(parse(entry.source)), opts)]
+    built = []
+
+    def counting(original):
+        def __post_init__(self):
+            built.append(type(self).__name__)
+            original(self)
+
+        return __post_init__
+
+    for cls in F.Formula.__subclasses__():
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
+    assert len(folded) > 100
+    for g in folded:
+        assert F.fold(g) is g, F.to_text(g)
+    assert built == []

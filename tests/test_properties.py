@@ -73,6 +73,12 @@ def test_fold_preserves_meaning(formula, env):
     assert F.evaluate(F.fold(formula), env) == F.evaluate(formula, env)
 
 
+@given(formula=bool_terms(3))
+def test_folding_a_folded_formula_returns_it(formula):
+    folded = F.fold(formula)
+    assert F.fold(folded) is folded
+
+
 @given(formula=bool_terms(2), env=ENVS, replacement=int_terms(1))
 def test_substitution_then_evaluation_commutes(formula, env, replacement):
     substituted = F.subst(formula, {"x": replacement})
