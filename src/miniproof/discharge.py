@@ -10,7 +10,7 @@ Any other exception is a bug in miniproof and propagates.
 The search binds one symbol at a time and constant-folds the residual. A
 residual that folds to true holds on its whole subtree; one that folds to
 false makes every leaf below it a falsifier, so the first is the current
-prefix with each unbound symbol at its first domain value. Four rules cut
+prefix with each unbound symbol at its first domain value. Five rules cut
 the work, and none of them can change which falsifier comes first:
 
 1. Branch only on symbols the folded residual still mentions. Every value
@@ -29,6 +29,12 @@ the work, and none of them can change which falsifier comes first:
    in order. Code is compiled once per generated source per ``Domains``:
    residuals of one shape, whatever their literals and symbol names,
    share it.
+5. Settle a goal its hypotheses already state, first at every step: when
+   each conjunct of the residual's final consequent is structurally equal
+   to one of its hypotheses (see ``_equal``), every assignment that
+   satisfies the hypotheses satisfies the goal, so nothing is narrowed,
+   branched on or compiled. This is the syntactic entailment a simplifier
+   such as Frama-C's Qed (Correnson, NFM 2014) drops before a prover runs.
 """
 
 from __future__ import annotations
@@ -173,11 +179,14 @@ def _walk(g: F.Formula, domains: Domains, bound: dict, narrowed: dict) -> dict |
         return None
     if type(g) is F.Lit and g.value == F.FALSE.value:
         return dict(bound)
-    live = F.free_syms(g)
+    live = F._leaves(g)  # folded residuals hold no old leaf (see discharge)
     if not live:
         raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
+    hypotheses, goal = _split(g)
+    if _entailed(hypotheses, goal):
+        return None
     pins = {}
-    for h in _hypotheses(g):
+    for h in hypotheses:
         syms = F._leaves(h)
         if len(syms) == 1 and next(iter(syms)) not in pins:
             ((name, ty),) = syms.items()
@@ -191,10 +200,11 @@ def _walk(g: F.Formula, domains: Domains, bound: dict, narrowed: dict) -> dict |
     if pins:  # bound together, then narrowed again
         return _walk(F.specialize(g, pins), domains, {**bound, **pins}, narrowed)
     if len(live) <= COMPILE_AT:
-        lists = [narrowed.get(n) or symbol_domain(ty, domains) for n, ty in live.items()]
-        hit = next(_leaves_where(g, list(live), lists, False, domains), None)
-        return None if hit is None else {**bound, **dict(zip(live, hit))}
-    name = next(iter(live))
+        names = sorted(live)
+        lists = [narrowed.get(n) or symbol_domain(live[n], domains) for n in names]
+        hit = next(_leaves_where(g, names, lists, False, domains), None)
+        return None if hit is None else {**bound, **dict(zip(names, hit))}
+    name = min(live)
     for v in narrowed.get(name) or symbol_domain(live[name], domains):
         bound[name] = v
         hit = _walk(F.specialize(g, {name: v}), domains, bound, narrowed)
@@ -204,15 +214,59 @@ def _walk(g: F.Formula, domains: Domains, bound: dict, narrowed: dict) -> dict |
     return None
 
 
-def _hypotheses(g: F.Formula):
-    """Conjuncts that every falsifier of g satisfies: those of each
-    antecedent along an implication chain, and those of X when g is
-    ``not X``."""
-    while isinstance(g, F.Implies):
-        yield from g.left.items if isinstance(g.left, F.And) else (g.left,)
+def _split(g: F.Formula) -> tuple[list, F.Formula]:
+    """The conjuncts that every falsifier of g satisfies, and what g then
+    asserts of them: along an implication chain, the conjuncts of each
+    antecedent and the final consequent; for ``not X``, those of X and
+    false."""
+    hypotheses = []
+    while type(g) is F.Implies:
+        hypotheses.extend(g.left.items if type(g.left) is F.And else (g.left,))
         g = g.right
-    if isinstance(g, F.Not):
-        yield from g.operand.items if isinstance(g.operand, F.And) else (g.operand,)
+    if type(g) is F.Not:
+        hypotheses.extend(g.operand.items if type(g.operand) is F.And else (g.operand,))
+        g = F.FALSE
+    return hypotheses, g
+
+
+def _entailed(hypotheses: list, goal: F.Formula) -> bool:
+    """Whether every conjunct of goal is one of the hypotheses: then every
+    assignment that satisfies the hypotheses satisfies the goal, and the
+    residual has no falsifier."""
+    return all(
+        any(h is c or type(h) is type(c) and _equal(h, c) for h in hypotheses)
+        for c in (goal.items if type(goal) is F.And else (goal,))
+    )
+
+
+def _equal(a: F.Formula, b: F.Formula) -> bool:
+    """a == b for the Let-free formulas fold returns, worked through a stack
+    of pairs: folding rebuilds each occurrence of a subformula it binds in,
+    so a hypothesis and a goal can hold two copies of one residual as deep
+    as the routine is long, too deep for the generated ``__eq__``, which
+    recurses."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if a is b:
+            continue
+        t = type(a)
+        if t is not type(b):
+            return False
+        if t is F.Sym or t is F.Lit:
+            if a != b:
+                return False
+            continue
+        if t is F.Cmp or t is F.Arith:
+            if a.op != b.op:
+                return False
+            pairs += ((a.left, b.left), (a.right, b.right))
+            continue
+        left, right = F.children(a), F.children(b)
+        if len(left) != len(right):
+            return False
+        pairs += zip(left, right)
+    return True
 
 
 def _narrow(h: F.Formula, name: str, ty: ast.Type, values, domains: Domains) -> tuple:

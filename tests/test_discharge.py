@@ -355,6 +355,68 @@ def test_tokeneer_search_builds_no_set_domain(checked_programs, entries):
         assert T_SET not in domains._built, name
 
 
+def test_a_goal_its_hypotheses_state_is_settled_without_a_scan(checked_programs, entries, monkeypatch):
+    """``update_screen`` maintains an invariant it never touches: once
+    folded, every conjunct of the consequent is one of the hypotheses, so
+    the obligation is Discharged before any scan is compiled."""
+    from miniproof import discharge as discharge_module
+
+    compiled = []
+    original = discharge_module._compile
+
+    def counting(*args):
+        compiled.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(discharge_module, "_compile", counting)
+    checked, opts = checked_programs["tokeneer_enrolment"], entries["tokeneer_enrolment"].options
+    (obligation,) = [
+        o
+        for o in generate_obligations(checked, opts)
+        if o.id == "ID_STATION.update_screen.invariant_maintenance.0"
+    ]
+    assert discharge(obligation, derive_domains(checked, opts)) == Verdict(DISCHARGED)
+    assert compiled == []
+
+
+def test_a_goal_that_restates_only_some_hypotheses_is_searched():
+    """``x >= 0 and y < x implies (x >= 0 and x + y <= 1)``: the first
+    conjunct of the goal, rebuilt as a new node, is a hypothesis, the
+    second is not, so the search goes on and finds enumeration's first
+    falsifier, x = 2 and y = 0."""
+    x, y = F.Sym("x", T_INT), F.Sym("y", T_INT)
+    restated = F.Cmp(">=", F.Sym("x", T_INT), F.Lit(0))
+    hypotheses = F.And((F.Cmp(">=", x, F.Lit(0)), F.Cmp("<", y, x)))
+    formula = F.Implies(hypotheses, F.And((restated, F.Cmp("<=", F.Arith("+", x, y), F.Lit(1)))))
+    assert restated in hypotheses.items and all(restated is not h for h in hypotheses.items)
+    obligation = _obligation_over(formula)
+    domains = Domains((-2, 2), ())
+    naive = next(
+        env
+        for env in enumerate_environments(obligation, domains)
+        if F.evaluate(formula, env) is not True
+    )
+    assert naive == {"x": 2, "y": 0}
+    assert discharge(obligation, domains) == Verdict(FAILED, counterexample=naive)
+
+
+def test_deep_copies_of_one_residual_compare_equal_in_one_frame():
+    """Folding rebuilds each occurrence of a subformula it binds in, so a
+    hypothesis and a goal can hold two copies of a chain as deep as the
+    routine is long; they compare without recursing, and a copy that
+    differs at the bottom does not match."""
+    from miniproof.discharge import _entailed
+
+    def chain(bottom):
+        f = F.Sym(bottom, T_INT)
+        for _ in range(5000):
+            f = F.Arith("+", f, F.Sym("p", T_INT))
+        return F.Cmp(">=", f, F.Lit(0))
+
+    assert _entailed([chain("acc")], chain("acc"))
+    assert not _entailed([chain("acc")], chain("old_acc"))
+
+
 def test_overflow_failure_bounds(checked_programs):
     opts = VerifyOptions(int_range=(-128, 127), check_overflow=True, overflow_width=8)
     checked = checked_programs["account"]

@@ -1,10 +1,11 @@
 """Property-based checks: constant folding and substitution preserve meaning,
 wp of an assignment agrees with operational substitution, printing is
 parse-stable, enumeration visits minimums first, the search finds the
-first falsifier of enumeration however its hypotheses narrow the domains,
-a pin's lazy domain lookup agrees with the built domain, delayed
-substitution reads exactly as eager substitution, and the monitor's
-evaluator agrees with the formula evaluator on lowered expressions."""
+first falsifier of enumeration however its hypotheses narrow the domains
+or restate its goal, a pin's lazy domain lookup agrees with the built
+domain, delayed substitution reads exactly as eager substitution, and the
+monitor's evaluator agrees with the formula evaluator on lowered
+expressions."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -292,6 +293,28 @@ def _hypothesis_and(narrows, rest):
     return F.And((*narrows, rest))
 
 
+def _fresh_leaf(f: F.Formula) -> F.Formula:
+    """A new leaf equal to f: copied with it (see ``_eager``), a formula
+    shares no node with the original."""
+    return F.Sym(f.name, f.ty) if isinstance(f, F.Sym) else F.Lit(f.value)
+
+
+def _all(items) -> F.Formula:
+    return items[0] if len(items) == 1 else F.And(tuple(items))
+
+
+def _restating(conjuncts, cut, picks, others):
+    """``A implies C``, or ``A implies (B implies C)`` with the conjuncts
+    cut in two, whose consequent C restates the picked conjuncts, rebuilt
+    from fresh nodes, followed by the other formulas, which it need not
+    restate."""
+    goal = _all([_eager(conjuncts[i % len(conjuncts)], _fresh_leaf) for i in picks] + others)
+    cut %= len(conjuncts) + 1
+    if 0 < cut < len(conjuncts):
+        return F.Implies(_all(conjuncts[:cut]), F.Implies(_all(conjuncts[cut:]), goal))
+    return F.Implies(_all(conjuncts), goal)
+
+
 SEARCH_FORMULAS = st.recursive(
     SEARCH_ATOMS,
     lambda sub: st.one_of(
@@ -316,6 +339,14 @@ SEARCH_FORMULAS = st.recursive(
         ),
         # not (A and B), what A implies false folds to
         st.builds(_hypothesis_and, st.lists(NARROWS, min_size=1, max_size=3), sub).map(F.Not),
+        # a consequent that restates all or some of the hypotheses
+        st.builds(
+            _restating,
+            st.lists(st.one_of(NARROWS, sub), min_size=1, max_size=3),
+            st.integers(0, 3),
+            st.lists(st.integers(0, 2), min_size=1, max_size=3),
+            st.lists(sub, max_size=2),
+        ),
     ),
     max_leaves=10,
 )
