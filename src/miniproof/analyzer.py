@@ -4,6 +4,12 @@ analyze collects every problem it can find and raises one SemanticError
 carrying the full list; on success it returns a CheckedProgram whose
 symbol tables downstream stages share. Re-analyzing the same AST yields
 identical tables.
+
+Typing sets each expression's ``ty``. It dispatches once per node on the
+node's class, through ``_TYPE_RULES``; the scope an expression is typed
+in (class, feature, whether ``old`` and creation expressions are legal)
+is held by the analysis while one top-level expression is typed, not
+passed down to every node.
 """
 
 from __future__ import annotations
@@ -26,8 +32,11 @@ class ClassInfo(ast.Node):
 
     def name_type(self, name: str, feat: ast.Feature | None) -> ast.Type | None:
         """The type of a name inside feat: its parameter, else the attribute."""
-        param = next((p for p in feat.params if p.name == name), None) if feat else None
-        return param.ty if param else self.attributes.get(name)
+        if feat is not None:
+            for p in feat.params:
+                if p.name == name:
+                    return p.ty
+        return self.attributes.get(name)
 
     def frame(self, feat: ast.Feature) -> tuple[str, ...]:
         """The model queries feat must leave unchanged: those outside its
@@ -60,6 +69,8 @@ class _Analysis:
         self.program = program
         self.issues: list[tuple[str, str]] = []
         self.classes: dict[str, ClassInfo] = {}
+        # the scope of the expression being typed (see expr_type)
+        self.info, self.feat, self.old_ok, self.contract = None, None, False, False
 
     def error(self, pos: ast.Pos | None, message: str):
         self.issues.append((str(pos) if pos else "?", message))
@@ -243,61 +254,62 @@ class _Analysis:
         old_ok: bool,
         contract: bool,
     ) -> ast.Type:
-        ty = self._expr_type(e, info, feat, old_ok=old_ok, contract=contract)
-        e.ty = ty
+        """The type of e in feat of info (None in an invariant), set as the
+        ty of e and of each of its subexpressions; old_ok and contract say
+        whether ``old`` and creation expressions are legal there."""
+        self.info, self.feat, self.old_ok, self.contract = info, feat, old_ok, contract
+        return self.type_of(e)
+
+    def type_of(self, e: ast.Expr) -> ast.Type:
+        """expr_type of e in the scope of the current one: one dispatch on
+        the node's class (see _TYPE_RULES), whose rule types the children."""
+        ty = e.ty = _TYPE_RULES[type(e)](self, e)
         return ty
 
-    def _expr_type(self, e, info, feat, *, old_ok, contract) -> ast.Type:
-        recurse = lambda x, **kw: self.expr_type(x, info, feat, old_ok=old_ok, contract=contract, **kw)
-        if isinstance(e, ast.IntLit):
-            return ast.T_INT
-        if isinstance(e, ast.BoolLit):
+    def type_name(self, e: ast.Name) -> ast.Type:
+        return self.resolve_name(e.name, self.info, self.feat, e.pos) or ast.T_VOID
+
+    def type_qualified(self, e: ast.Qualified) -> ast.Type:
+        return self.resolve_attribute(e.receiver, e.attr, self.info, self.feat, e.pos) or ast.T_VOID
+
+    def type_old(self, e: ast.Old) -> ast.Type:
+        if not self.old_ok:
+            self.error(e.pos, "old is only legal inside ensure clauses")
+        return self.type_of(e.expr)
+
+    def type_not(self, e: ast.Unary) -> ast.Type:
+        self.require_boolean(self.type_of(e.expr), e.pos, "not operand")
+        return ast.T_BOOL
+
+    def type_has(self, e: ast.Has) -> ast.Type:
+        if self.type_of(e.receiver).kind != ast.SET_OF_STRING:
+            self.error(e.pos, "has() requires a string-set receiver")
+        if self.type_of(e.item).kind not in (ast.STRING, ast.VOID_TYPE):
+            self.error(e.pos, "has() takes a string argument")
+        return ast.T_BOOL
+
+    def type_create(self, e: ast.CreateExpr) -> ast.Type:
+        if not self.contract:
+            self.error(e.pos, "creation expressions are only representable in contract clauses")
+        if e.class_name not in self.classes:
+            self.error(e.pos, f"unknown class {e.class_name}")
+        return ast.ref(e.class_name)
+
+    def type_binary(self, e: ast.Binary) -> ast.Type:
+        lt = self.type_of(e.left)
+        rt = self.type_of(e.right)
+        op = e.op
+        if op in ast.BOOL_OPS:
+            self.require_boolean(lt, e.pos, f"{op} operand")
+            self.require_boolean(rt, e.pos, f"{op} operand")
             return ast.T_BOOL
-        if isinstance(e, ast.StrLit):
-            return ast.T_STRING
-        if isinstance(e, ast.VoidLit):
-            return ast.T_VOID
-        if isinstance(e, ast.SetLit):
-            return ast.T_SET
-        if isinstance(e, ast.Name):
-            return self.resolve_name(e.name, info, feat, e.pos) or ast.T_VOID
-        if isinstance(e, ast.Qualified):
-            return self.resolve_attribute(e.receiver, e.attr, info, feat, e.pos) or ast.T_VOID
-        if isinstance(e, ast.Old):
-            if not old_ok:
-                self.error(e.pos, "old is only legal inside ensure clauses")
-            return recurse(e.expr)
-        if isinstance(e, ast.Unary):
-            ty = recurse(e.expr)
-            self.require_boolean(ty, e.pos, "not operand")
+        if op == "=" or op == "/=":
+            if not self.comparable(lt, rt):
+                self.error(e.pos, f"cannot compare {lt} with {rt}")
             return ast.T_BOOL
-        if isinstance(e, ast.Has):
-            recv_ty = recurse(e.receiver)
-            if recv_ty.kind != ast.SET_OF_STRING:
-                self.error(e.pos, "has() requires a string-set receiver")
-            item_ty = recurse(e.item)
-            if item_ty.kind not in (ast.STRING, ast.VOID_TYPE):
-                self.error(e.pos, "has() takes a string argument")
-            return ast.T_BOOL
-        if isinstance(e, ast.CreateExpr):
-            if not contract:
-                self.error(e.pos, "creation expressions are only representable in contract clauses")
-            if e.class_name not in self.classes:
-                self.error(e.pos, f"unknown class {e.class_name}")
-            return ast.ref(e.class_name)
-        if isinstance(e, ast.Binary):
-            lt = recurse(e.left)
-            rt = recurse(e.right)
-            if e.op in ast.BOOL_OPS:
-                self.require_boolean(lt, e.pos, f"{e.op} operand")
-                self.require_boolean(rt, e.pos, f"{e.op} operand")
-            elif e.op in ("=", "/="):
-                if not self.comparable(lt, rt):
-                    self.error(e.pos, f"cannot compare {lt} with {rt}")
-            elif lt.kind != ast.INTEGER or rt.kind != ast.INTEGER:
-                self.error(e.pos, f"{e.op} requires integer operands")
-            return ast.T_INT if e.op in ast.ARITH_OPS else ast.T_BOOL
-        raise TypeError(f"unexpected expression node {e!r}")
+        if lt.kind != ast.INTEGER or rt.kind != ast.INTEGER:
+            self.error(e.pos, f"{op} requires integer operands")
+        return ast.T_INT if op in ast.ARITH_OPS else ast.T_BOOL
 
     @staticmethod
     def comparable(a: ast.Type, b: ast.Type) -> bool:
@@ -326,6 +338,23 @@ class _Analysis:
             return
         if target.kind != value.kind:
             self.error(pos, f"{what}: expected {target}, got {value}")
+
+
+# each expression class's typing rule; a literal's type is its class's
+_TYPE_RULES = {
+    ast.IntLit: lambda self, e: ast.T_INT,
+    ast.BoolLit: lambda self, e: ast.T_BOOL,
+    ast.StrLit: lambda self, e: ast.T_STRING,
+    ast.VoidLit: lambda self, e: ast.T_VOID,
+    ast.SetLit: lambda self, e: ast.T_SET,
+    ast.Name: _Analysis.type_name,
+    ast.Qualified: _Analysis.type_qualified,
+    ast.Old: _Analysis.type_old,
+    ast.Unary: _Analysis.type_not,
+    ast.Has: _Analysis.type_has,
+    ast.CreateExpr: _Analysis.type_create,
+    ast.Binary: _Analysis.type_binary,
+}
 
 
 def analyze(program: ast.Program) -> CheckedProgram:

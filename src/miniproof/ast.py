@@ -1,5 +1,6 @@
 """Syntax tree for the contract class language, and ``Node``, the base
-of every tree node and record in miniproof.
+of every tree node and record in miniproof but two: a source position
+(``Pos``) and a token (``lexer.Token``) are tuples.
 
 Expression and statement nodes compare structurally; source positions and
 analyzer annotations are excluded from equality so that a program and its
@@ -7,6 +8,8 @@ pretty-printed reparse are equal.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 
 def _refuse(self, name, value=None):
@@ -97,8 +100,12 @@ def _derive(cls, name: str):
     return scope[name]
 
 
-class Pos(Node, frozen=True):
-    __slots__ = ("line", "col")
+class Pos(namedtuple("Pos", "line col")):
+    """A source position. An immutable record that compares and hashes by
+    value, like a frozen Node, but a tuple, so that the parser can build
+    one with no Python-level call."""
+
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.line}:{self.col}"

@@ -92,8 +92,8 @@ class Domains(ast.Node, frozen=True):
         if hi - lo + 1 < 2:
             raise ValueError(f"int_range [{lo}, {hi}] must span at least two values")
         # per type, its domain values, built when first searched; per
-        # hypothesis and input values, the values it keeps (see _narrow);
-        # per generated source, its compiled code (see _compile)
+        # hypothesis object and input values, the values it keeps (see
+        # _narrow); per generated source, its compiled code (see _compile)
         object.__setattr__(self, "_built", {})
 
 
@@ -273,18 +273,19 @@ def _narrow(h: F.Formula, name: str, ty: ast.Type, values, domains: Domains) -> 
     """The values of name, from values or else from its whole domain, that
     make h, a hypothesis over name alone, true, in domain order. ``name =
     literal`` is looked up without building the domain; any other h is
-    compiled once per Domains and input."""
+    scanned once per Domains, h object and input."""
     if isinstance(h, F.Cmp) and h.op == "=" and {type(h.left), type(h.right)} == {F.Sym, F.Lit}:
         found = _member((h.left if type(h.left) is F.Lit else h.right).value, ty, domains)
         return tuple(v for v in found if values is None or v in values)
-    key, memo = (h, id(values)), domains._built
+    # keyed by identity: hashing h would walk it, recursively
+    key, memo = (id(h), id(values)), domains._built
     if key not in memo:
         source = values or symbol_domain(ty, domains)
         kept = tuple(v for (v,) in _leaves_where(h, [name], [source], True, domains))
-        # the input stays alive with the result, so its id is not reused;
-        # an input that h leaves whole is returned as it is
-        memo[key] = (values, values if values and len(kept) == len(values) else kept)
-    return memo[key][1]
+        # h and the input stay alive with the result, so their ids are not
+        # reused; an input that h leaves whole is returned as it is
+        memo[key] = (h, values, values if values and len(kept) == len(values) else kept)
+    return memo[key][2]
 
 
 def _member(lit, ty: ast.Type, domains: Domains) -> tuple:
@@ -519,4 +520,52 @@ def report_payload(report: Report) -> dict:
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(report_payload(report), indent=2)
+    """``json.dumps(report_payload(report), indent=2)``, written by
+    ``_json`` but for the rows, which are many and all of one layout, so
+    one template writes each. With an indent the json module encodes in
+    pure Python; here each string goes through its C encoder."""
+    payload = report_payload(report)
+    rows = ",\n".join(
+        "    {\n"
+        f'      "id": {_string(row["id"])},\n'
+        f'      "kind": {_string(row["kind"])},\n'
+        f'      "class": {_string(row["class"])},\n'
+        f'      "feature": {_string(row["feature"])},\n'
+        f'      "provenance": {_string(row["provenance"])},\n'
+        f'      "verdict": {_string(row["verdict"])},\n'
+        f'      "counterexample": {_json(row["counterexample"], "      ")},\n'
+        f'      "reason": {_json(row["reason"], "      ")}\n'
+        "    }"
+        for row in payload["rows"]
+    )
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "summary": {_json(payload["summary"], "  ")},\n  "rows": {rows},\n'
+        f'  "domains": {_json(payload["domains"], "  ")},\n  "duration_ms": {_json(payload["duration_ms"], "  ")}\n}}'
+    )
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value written at indentation
+    pad, made of dicts with string keys, lists, strings, ints, booleans
+    and None."""
+    t = type(value)
+    if t is str:
+        return _string(value)
+    if t is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if t is bool:
+        return "true" if value else "false"
+    if not value:
+        return "{}" if t is dict else "[]"
+    inner = pad + "  "
+    if t is dict:
+        items = ",\n".join(f"{inner}{_string(k)}: {_json(v, inner)}" for k, v in value.items())
+        return f"{{\n{items}\n{pad}}}"
+    items = ",\n".join(inner + _json(v, inner) for v in value)
+    return f"[\n{items}\n{pad}]"

@@ -11,13 +11,20 @@ non-chaining comparison the loop accepts only looser operators, so
 ``a = b = c`` is an error. The program's string pool is the set of its
 STRING tokens. Parsing stops at the first lexical or syntax error and
 reports it with line and column.
+
+The parser reads each token in place, as ``tokens[i]``, and tests its
+kind and value there; only taking a token that must be there (``expect``,
+``ident``) is a call, since it raises on a mismatch. A node's position is
+the token's line and column sliced into a ``Pos`` tuple.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import ast
 from .errors import ParseError
-from .lexer import Token, tokenize
+from .lexer import KEYWORDS, SYMBOLS, Token, tokenize
 
 # keywords that terminate a clause or statement list
 _CLAUSE_STOP = {"do", "modify", "end", "ensure", "invariant", "feature", "then", "else"}
@@ -32,62 +39,45 @@ MAX_NESTING = 50
 _PREC, _ASSOC = ast.BINARY_PREC, ast.BINARY_ASSOC
 _TIGHTEST = len(ast.BINARY_LEVELS)
 
+# the kind of each keyword and symbol token, by its spelling
+_KIND = {**dict.fromkeys(KEYWORDS, "KEYWORD"), **dict.fromkeys(SYMBOLS, "SYMBOL")}
+
+# a token's line and col, tok[2:], as a Pos, built with no Python-level call
+_pos = partial(tuple.__new__, ast.Pos)
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens + tokens[-1:]  # a second EOF, so that peek(1) needs no bounds check
+        # a second EOF, so that the token after the current one is always there
+        self.tokens = tokens + tokens[-1:]
         self.i = 0
         self.nesting = 0
         self.blocks = 0
 
-    # -- token helpers ----------------------------------------------------
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.i + ahead]
-
-    def next(self) -> Token:
+    def expect(self, word: str) -> Token:
+        """Take the current token, which must be the keyword or symbol word."""
         tok = self.tokens[self.i]
-        if tok.kind != "EOF":
-            self.i += 1
-        return tok
-
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "KEYWORD" and tok.value in words
-
-    def at_symbol(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYMBOL" and tok.value == sym
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.next()
-        if tok.kind != "KEYWORD" or tok.value != word:
+        if tok.value != word or tok.kind != _KIND[word]:
             raise ParseError(f"expected '{word}', found {tok.value!r}", tok.line, tok.col)
+        self.i += 1
         return tok
 
-    def expect_symbol(self, sym: str) -> Token:
-        tok = self.next()
-        if tok.kind != "SYMBOL" or tok.value != sym:
-            raise ParseError(f"expected '{sym}', found {tok.value!r}", tok.line, tok.col)
-        return tok
-
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.next()
+    def ident(self, what: str = "identifier") -> Token:
+        """Take the current token, which must be an identifier."""
+        tok = self.tokens[self.i]
         if tok.kind != "IDENT":
             raise ParseError(f"expected {what}, found {tok.value!r}", tok.line, tok.col)
+        self.i += 1
         return tok
-
-    @staticmethod
-    def pos(tok: Token) -> ast.Pos:
-        return ast.Pos(tok.line, tok.col)
 
     # -- program ----------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
         classes = [self.parse_class()]
-        while self.at_keyword("class"):
+        tok = self.tokens[self.i]
+        while tok.value == "class" and tok.kind == "KEYWORD":
             classes.append(self.parse_class())
-        tok = self.peek()
+            tok = self.tokens[self.i]
         if tok.kind != "EOF":
             raise ParseError(f"expected 'class' or end of input, found {tok.value!r}", tok.line, tok.col)
         # a parsed program holds every string token in a literal
@@ -95,31 +85,37 @@ class _Parser:
         return ast.Program(classes=classes, string_pool=tuple(sorted(pool)))
 
     def parse_class(self) -> ast.ClassDecl:
-        start = self.expect_keyword("class")
-        name = self.expect_ident("class name").value
+        tokens = self.tokens
+        start = self.expect("class")
+        name = self.ident("class name").value
         model_note = None
-        if self.at_keyword("note"):
-            self.next()
-            key = self.expect_ident("note key")
+        tok = tokens[self.i]
+        if tok.value == "note" and tok.kind == "KEYWORD":
+            self.i += 1
+            key = self.ident("note key")
             if key.value != "model":
                 raise ParseError(f"unknown class note {key.value!r}", key.line, key.col)
-            self.expect_symbol(":")
+            self.expect(":")
             model_note = self.parse_name_list()
         create_name = None
-        if self.at_keyword("create"):
-            self.next()
-            create_name = self.expect_ident("creation feature name").value
+        tok = tokens[self.i]
+        if tok.value == "create" and tok.kind == "KEYWORD":
+            self.i += 1
+            create_name = self.ident("creation feature name").value
         attributes: list[ast.Attribute] = []
         features: list[ast.Feature] = []
-        while self.at_keyword("feature"):
-            self.next()
-            while not self.at_keyword("feature", "invariant", "end"):
+        tok = tokens[self.i]
+        while tok.value == "feature" and tok.kind == "KEYWORD":
+            self.i += 1
+            tok = tokens[self.i]
+            while not (tok.kind == "KEYWORD" and tok.value in ("feature", "invariant", "end")):
                 self.parse_member(attributes, features)
+                tok = tokens[self.i]
         invariant: list[ast.Clause] = []
-        if self.at_keyword("invariant"):
-            self.next()
+        if tok.value == "invariant" and tok.kind == "KEYWORD":
+            self.i += 1
             invariant = self.parse_clauses("invariant")
-        self.expect_keyword("end")
+        self.expect("end")
         if create_name is not None:
             for feat in features:
                 if feat.name == create_name:
@@ -131,73 +127,83 @@ class _Parser:
             attributes=attributes,
             features=features,
             invariant=invariant,
-            pos=self.pos(start),
+            pos=_pos(start[2:]),
         )
 
     def parse_name_list(self) -> list[str]:
-        names = [self.expect_ident().value]
-        while self.at_symbol(","):
-            self.next()
-            names.append(self.expect_ident().value)
+        names = [self.ident().value]
+        tok = self.tokens[self.i]
+        while tok.value == "," and tok.kind == "SYMBOL":
+            self.i += 1
+            names.append(self.ident().value)
+            tok = self.tokens[self.i]
         return names
 
     # -- class members ----------------------------------------------------
 
     def parse_member(self, attributes: list[ast.Attribute], features: list[ast.Feature]):
-        name = self.expect_ident("feature or attribute name")
-        if self.at_symbol(":"):
-            self.next()
+        name = self.ident("feature or attribute name")
+        tok = self.tokens[self.i]
+        if tok.value == ":" and tok.kind == "SYMBOL":
+            self.i += 1
             ty = self.parse_type()
-            attributes.append(ast.Attribute(name.value, ty, pos=self.pos(name)))
+            attributes.append(ast.Attribute(name.value, ty, pos=_pos(name[2:])))
             return
         features.append(self.parse_routine(name))
 
     def parse_type(self) -> ast.Type:
-        tok = self.expect_ident("type name")
+        tok = self.ident("type name")
         if tok.value in ast.BUILTIN_TYPES:
             return ast.Type(tok.value)
         return ast.ref(tok.value)
 
     def parse_routine(self, name: Token) -> ast.Feature:
+        tokens = self.tokens
         params: list[ast.Param] = []
-        if self.at_symbol("("):
-            self.next()
+        tok = tokens[self.i]
+        if tok.value == "(" and tok.kind == "SYMBOL":
+            self.i += 1
             while True:
-                pname = self.expect_ident("parameter name")
-                self.expect_symbol(":")
+                pname = self.ident("parameter name")
+                self.expect(":")
                 pty = self.parse_type()
-                params.append(ast.Param(pname.value, pty, pos=self.pos(pname)))
-                if self.at_symbol(";") or self.at_symbol(","):
-                    self.next()
+                params.append(ast.Param(pname.value, pty, pos=_pos(pname[2:])))
+                tok = tokens[self.i]
+                if tok.value in (";", ",") and tok.kind == "SYMBOL":
+                    self.i += 1
                     continue
                 break
-            self.expect_symbol(")")
+            self.expect(")")
         is_creator = False
-        if self.at_keyword("note"):
-            self.next()
-            key = self.expect_ident("note key")
+        tok = tokens[self.i]
+        if tok.value == "note" and tok.kind == "KEYWORD":
+            self.i += 1
+            key = self.ident("note key")
             if key.value != "status":
                 raise ParseError(f"unknown feature note {key.value!r}", key.line, key.col)
-            self.expect_symbol(":")
-            status = self.expect_ident("status value")
+            self.expect(":")
+            status = self.ident("status value")
             if status.value != "creator":
                 raise ParseError(f"unknown status {status.value!r}", status.line, status.col)
             is_creator = True
         require: list[ast.Clause] = []
-        if self.at_keyword("require"):
-            self.next()
+        tok = tokens[self.i]
+        if tok.value == "require" and tok.kind == "KEYWORD":
+            self.i += 1
             require = self.parse_clauses("require")
         modify: list[str] | None = None
-        if self.at_keyword("modify"):
-            self.next()
-            modify = self.parse_name_list() if self.peek().kind == "IDENT" else []
-        self.expect_keyword("do")
+        tok = tokens[self.i]
+        if tok.value == "modify" and tok.kind == "KEYWORD":
+            self.i += 1
+            modify = self.parse_name_list() if tokens[self.i].kind == "IDENT" else []
+        self.expect("do")
         body = self.parse_statements()
         ensure: list[ast.Clause] = []
-        if self.at_keyword("ensure"):
-            self.next()
+        tok = tokens[self.i]
+        if tok.value == "ensure" and tok.kind == "KEYWORD":
+            self.i += 1
             ensure = self.parse_clauses("ensure")
-        self.expect_keyword("end")
+        self.expect("end")
         return ast.Feature(
             name=name.value,
             params=params,
@@ -206,100 +212,106 @@ class _Parser:
             modify=modify,
             body=body,
             ensure=ensure,
-            pos=self.pos(name),
+            pos=_pos(name[2:]),
         )
 
     def parse_clauses(self, section: str) -> list[ast.Clause]:
+        tokens = self.tokens
         clauses: list[ast.Clause] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                break
-            if tok.kind == "KEYWORD" and tok.value in _CLAUSE_STOP:
-                break
-            label = None
-            if tok.kind == "IDENT" and self.peek(1).kind == "SYMBOL" and self.peek(1).value == ":":
-                label = self.next().value
-                self.next()
-            expr = self.parse_expr()
-            if label is None:
-                clauses.append(
-                    ast.Clause(f"{section}_{len(clauses) + 1}", expr, synthesized=True, pos=self.pos(tok))
-                )
+            tok = tokens[self.i]
+            if tok.kind == "EOF" or tok.kind == "KEYWORD" and tok.value in _CLAUSE_STOP:
+                return clauses
+            after = tokens[self.i + 1]
+            if tok.kind == "IDENT" and after.value == ":" and after.kind == "SYMBOL":
+                self.i += 2
+                clauses.append(ast.Clause(tok.value, self.parse_expr(), pos=_pos(tok[2:])))
             else:
-                clauses.append(ast.Clause(label, expr, pos=self.pos(tok)))
-        return clauses
+                label = f"{section}_{len(clauses) + 1}"
+                clauses.append(ast.Clause(label, self.parse_expr(), synthesized=True, pos=_pos(tok[2:])))
 
     # -- statements -------------------------------------------------------
 
     def parse_statements(self) -> list[ast.Statement]:
+        tokens = self.tokens
         stmts: list[ast.Statement] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "KEYWORD" and tok.value in ("end", "else", "ensure"):
-                break
-            if tok.kind == "EOF":
-                break
+            tok = tokens[self.i]
+            if tok.kind == "KEYWORD" and tok.value in ("end", "else", "ensure") or tok.kind == "EOF":
+                return stmts
             stmts.append(self.parse_statement())
-        return stmts
 
     def parse_statement(self) -> ast.Statement:
-        tok = self.peek()
-        if self.at_keyword("create"):
-            self.next()
-            target = self.expect_ident("creation target").value
-            creator = None
-            if self.at_symbol("."):
-                self.next()
-                creator = self.expect_ident("creator name").value
-            return ast.CreateStmt(target, creator, pos=self.pos(tok))
-        if self.at_keyword("if"):
-            if self.blocks == MAX_NESTING:
-                raise ParseError(f"statements nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
-            self.blocks += 1
-            self.next()
-            cond = self.parse_expr()
-            self.expect_keyword("then")
-            then_branch = self.parse_statements()
-            else_branch: list[ast.Statement] = []
-            if self.at_keyword("else"):
-                self.next()
-                else_branch = self.parse_statements()
-            self.expect_keyword("end")
-            self.blocks -= 1
-            return ast.IfStmt(cond, then_branch, else_branch, pos=self.pos(tok))
-        if self.at_keyword("check"):
-            self.next()
-            label = "check_1"
-            synthesized = True
-            if self.peek().kind == "IDENT" and self.peek(1).kind == "SYMBOL" and self.peek(1).value == ":":
-                label = self.next().value
-                self.next()
-                synthesized = False
-            expr = self.parse_expr()
-            self.expect_keyword("end")
-            return ast.CheckStmt(label, expr, synthesized=synthesized, pos=self.pos(tok))
-        name = self.expect_ident("statement")
-        if self.at_symbol(":="):
-            self.next()
-            return ast.Assign(name.value, self.parse_expr(), pos=self.pos(name))
-        if self.at_symbol("."):
-            self.next()
-            member = self.expect_ident("feature or attribute name").value
-            if self.at_symbol(":="):
-                self.next()
-                return ast.QualifiedAssign(name.value, member, self.parse_expr(), pos=self.pos(name))
-            args: list[ast.Expr] = []
-            if self.at_symbol("("):
-                self.next()
-                if not self.at_symbol(")"):
-                    args.append(self.parse_expr())
-                    while self.at_symbol(","):
-                        self.next()
-                        args.append(self.parse_expr())
-                self.expect_symbol(")")
-            return ast.CallStmt(name.value, member, args, pos=self.pos(name))
+        tokens = self.tokens
+        tok = tokens[self.i]
+        if tok.kind == "KEYWORD":
+            if tok.value == "create":
+                self.i += 1
+                target = self.ident("creation target").value
+                creator = None
+                dot = tokens[self.i]
+                if dot.value == "." and dot.kind == "SYMBOL":
+                    self.i += 1
+                    creator = self.ident("creator name").value
+                return ast.CreateStmt(target, creator, pos=_pos(tok[2:]))
+            if tok.value == "if":
+                if self.blocks == MAX_NESTING:
+                    raise ParseError(f"statements nested more than {MAX_NESTING} levels deep", tok.line, tok.col)
+                self.blocks += 1
+                self.i += 1
+                cond = self.parse_expr()
+                self.expect("then")
+                then_branch = self.parse_statements()
+                else_branch: list[ast.Statement] = []
+                word = tokens[self.i]
+                if word.value == "else" and word.kind == "KEYWORD":
+                    self.i += 1
+                    else_branch = self.parse_statements()
+                self.expect("end")
+                self.blocks -= 1
+                return ast.IfStmt(cond, then_branch, else_branch, pos=_pos(tok[2:]))
+            if tok.value == "check":
+                self.i += 1
+                label, synthesized = "check_1", True
+                first, after = tokens[self.i], tokens[self.i + 1]
+                if first.kind == "IDENT" and after.value == ":" and after.kind == "SYMBOL":
+                    label, synthesized = first.value, False
+                    self.i += 2
+                expr = self.parse_expr()
+                self.expect("end")
+                return ast.CheckStmt(label, expr, synthesized=synthesized, pos=_pos(tok[2:]))
+        name = self.ident("statement")
+        after = tokens[self.i]
+        if after.kind == "SYMBOL":
+            if after.value == ":=":
+                self.i += 1
+                return ast.Assign(name.value, self.parse_expr(), pos=_pos(name[2:]))
+            if after.value == ".":
+                self.i += 1
+                return self.parse_qualified_statement(name)
         raise ParseError(f"expected statement, found {name.value!r}", name.line, name.col)
+
+    def parse_qualified_statement(self, name: Token) -> ast.Statement:
+        """The rest of ``name.member := value`` or ``name.member (args)``."""
+        tokens = self.tokens
+        member = self.ident("feature or attribute name").value
+        tok = tokens[self.i]
+        if tok.value == ":=" and tok.kind == "SYMBOL":
+            self.i += 1
+            return ast.QualifiedAssign(name.value, member, self.parse_expr(), pos=_pos(name[2:]))
+        args: list[ast.Expr] = []
+        if tok.value == "(" and tok.kind == "SYMBOL":
+            self.i += 1
+            tok = tokens[self.i]
+            if not (tok.value == ")" and tok.kind == "SYMBOL"):
+                args.append(self.parse_expr())
+                tok = tokens[self.i]
+                while tok.value == "," and tok.kind == "SYMBOL":
+                    self.i += 1
+                    args.append(self.parse_expr())
+                    tok = tokens[self.i]
+            self.expect(")")
+        return ast.CallStmt(name.value, member, args, pos=_pos(name[2:]))
 
     # -- expressions --------------------------------------------------------
 
@@ -328,8 +340,9 @@ class _Parser:
         operand."""
         left = self.parse_unary()
         limit = _TIGHTEST  # the tightest level the next operator may have
+        tokens = self.tokens
         while True:
-            tok = self.tokens[self.i]
+            tok = tokens[self.i]
             # the string literal "and" is no operator, hence the kind test
             prec = _PREC.get(tok.value, 0) if tok.kind != "STRING" else 0
             if not min_prec <= prec <= limit:
@@ -340,84 +353,94 @@ class _Parser:
                 right = self.nested(tok, self.parse_binary, prec)
             else:
                 right = self.parse_binary(prec + 1)
-            left = ast.Binary(tok.value, left, right, pos=self.pos(tok))
+            left = ast.Binary(tok.value, left, right, pos=_pos(tok[2:]))
             # the right operand took every tighter operator; a left operator
             # may be followed by one of its own level, a comparison does not
             # chain, and the right operand of implies took all of its level
             limit = prec if assoc == "left" else prec - 1
 
     def parse_unary(self) -> ast.Expr:
-        tok = self.tokens[self.i]
-        if tok.kind == "KEYWORD":
-            if tok.value == "not":
-                self.i += 1
-                return ast.Unary("not", self.nested(tok, self.parse_unary), pos=self.pos(tok))
-            if tok.value == "old":
-                self.i += 1
-                return ast.Old(self.nested(tok, self.parse_unary), pos=self.pos(tok))
-        elif tok.value == "-" and tok.kind == "SYMBOL":
-            self.i += 1
-            operand = self.nested(tok, self.parse_unary)
-            if isinstance(operand, ast.IntLit):
-                return ast.IntLit(-operand.value, pos=self.pos(tok))
-            raise ParseError("unary minus applies to integer literals only", tok.line, tok.col)
-        expr = self.parse_atom()
-        while self.at_symbol("."):
-            dot = self.peek()
-            if self.peek(1).kind == "IDENT" and self.peek(1).value == "has":
-                self.i += 2
-                item = self.nested(self.expect_symbol("("), self.parse_expr)
-                self.expect_symbol(")")
-                expr = ast.Has(expr, item, pos=self.pos(dot))
-                continue
-            raise ParseError(
-                "only one level of qualification is supported (receiver.attr or set.has(..))",
-                dot.line,
-                dot.col,
-            )
-        return expr
-
-    def parse_atom(self) -> ast.Expr:
-        tok = self.next()
+        """Parse a prefix operator with its operand, or an atom with the
+        ``.has`` calls after it."""
+        tokens = self.tokens
+        tok = tokens[self.i]
+        self.i += 1
         kind, value = tok.kind, tok.value
         if kind == "IDENT":
-            if self.at_symbol(".") and self.peek(1).kind == "IDENT" and self.peek(1).value != "has":
-                self.i += 1
-                attr = self.expect_ident().value
-                return ast.Qualified(value, attr, pos=self.pos(tok))
-            return ast.Name(value, pos=self.pos(tok))
-        if kind == "INT":
-            return ast.IntLit(int(value), pos=self.pos(tok))
-        if kind == "STRING":
-            return ast.StrLit(value, pos=self.pos(tok))
+            dot, attr = tokens[self.i], tokens[self.i + 1]
+            if dot.value == "." and dot.kind == "SYMBOL" and attr.kind == "IDENT" and attr.value != "has":
+                self.i += 2
+                expr = ast.Qualified(value, attr.value, pos=_pos(tok[2:]))
+            else:
+                expr = ast.Name(value, pos=_pos(tok[2:]))
+        elif kind == "INT":
+            expr = ast.IntLit(int(value), pos=_pos(tok[2:]))
+        elif kind == "STRING":
+            expr = ast.StrLit(value, pos=_pos(tok[2:]))
+        elif kind == "KEYWORD" and value == "not":
+            return ast.Unary("not", self.nested(tok, self.parse_unary), pos=_pos(tok[2:]))
+        elif kind == "KEYWORD" and value == "old":
+            return ast.Old(self.nested(tok, self.parse_unary), pos=_pos(tok[2:]))
+        elif kind == "SYMBOL" and value == "-":
+            operand = self.nested(tok, self.parse_unary)
+            if isinstance(operand, ast.IntLit):
+                return ast.IntLit(-operand.value, pos=_pos(tok[2:]))
+            raise ParseError("unary minus applies to integer literals only", tok.line, tok.col)
+        else:
+            expr = self.parse_atom(tok)
+        dot = tokens[self.i]
+        while dot.value == "." and dot.kind == "SYMBOL":
+            has = tokens[self.i + 1]
+            if not (has.kind == "IDENT" and has.value == "has"):
+                raise ParseError(
+                    "only one level of qualification is supported (receiver.attr or set.has(..))",
+                    dot.line,
+                    dot.col,
+                )
+            self.i += 2
+            item = self.nested(self.expect("("), self.parse_expr)
+            self.expect(")")
+            expr = ast.Has(expr, item, pos=_pos(dot[2:]))
+            dot = tokens[self.i]
+        return expr
+
+    def parse_atom(self, tok: Token) -> ast.Expr:
+        """The atom that tok, already taken, opens, other than a name, an
+        integer or a string."""
+        kind, value = tok.kind, tok.value
         if kind == "KEYWORD":
             if value == "true" or value == "false":
-                return ast.BoolLit(value == "true", pos=self.pos(tok))
+                return ast.BoolLit(value == "true", pos=_pos(tok[2:]))
             if value == "Void":
-                return ast.VoidLit(pos=self.pos(tok))
+                return ast.VoidLit(pos=_pos(tok[2:]))
             if value == "create":
-                cname = self.expect_ident("class name").value
-                return ast.CreateExpr(cname, pos=self.pos(tok))
+                return ast.CreateExpr(self.ident("class name").value, pos=_pos(tok[2:]))
         elif kind == "SYMBOL":
             if value == "(":
                 inner = self.nested(tok, self.parse_expr)
-                self.expect_symbol(")")
+                self.expect(")")
                 return inner
             if value == "{":
-                items: list[str] = []
-                if not self.at_symbol("}"):
-                    while True:
-                        item = self.next()
-                        if item.kind != "STRING":
-                            raise ParseError("set displays hold string literals only", item.line, item.col)
-                        items.append(item.value)
-                        if self.at_symbol(","):
-                            self.next()
-                            continue
-                        break
-                self.expect_symbol("}")
-                return ast.SetLit(tuple(items), pos=self.pos(tok))
+                return self.parse_set(tok)
         raise ParseError(f"expected expression, found {value!r}", tok.line, tok.col)
+
+    def parse_set(self, brace: Token) -> ast.SetLit:
+        tokens = self.tokens
+        items: list[str] = []
+        tok = tokens[self.i]
+        if not (tok.value == "}" and tok.kind == "SYMBOL"):
+            while True:
+                if tok.kind != "STRING":
+                    raise ParseError("set displays hold string literals only", tok.line, tok.col)
+                items.append(tok.value)
+                self.i += 1
+                tok = tokens[self.i]
+                if not (tok.value == "," and tok.kind == "SYMBOL"):
+                    break
+                self.i += 1
+                tok = tokens[self.i]
+        self.expect("}")
+        return ast.SetLit(tuple(items), pos=_pos(brace[2:]))
 
 
 def _depth(e: ast.Expr) -> int:

@@ -1,10 +1,14 @@
-"""Shared fixtures: parsed corpus entries and cached verification reports.
+"""Shared fixtures: parsed corpus entries, cached verification reports,
+and the benchmark's generator of vc_scaling programs.
 
 Reports at an entry's pinned options are computed once per session and
 shared.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +41,14 @@ def pinned_reports(entries, checked_programs):
         return cache[name]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def vc_scaling_programs():
+    """The benchmark's generator of vc_scaling programs
+    (``benchmarks/programs.py``), loaded from its file."""
+    path = Path(__file__).parents[1] / "benchmarks" / "programs.py"
+    spec = importlib.util.spec_from_file_location("vc_scaling_programs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,11 +1,15 @@
 """Bounded exhaustive discharge: enumeration order and size, verdicts with
-first-falsifier counterexamples, Error verdicts, and report arithmetic.
+first-falsifier counterexamples, Error verdicts, report arithmetic, and the
+JSON report writer.
 
 Counterexample expectations are computed by independent brute-force loops
 inside this file, not by re-running the engine under test.
 """
 
 import itertools
+import json
+
+import pytest
 
 from miniproof import analyze, parse
 from miniproof import formula as F
@@ -20,12 +24,14 @@ from miniproof.discharge import (
     derive_domains,
     discharge,
     enumerate_environments,
+    render_json,
     render_text,
+    report_payload,
     summary_line,
     symbol_domain,
     verify_program,
 )
-from miniproof.vcgen import VerifyOptions, generate_obligations
+from miniproof.vcgen import Obligation, VerifyOptions, generate_obligations
 
 
 def oracle_noguard_falsifier():
@@ -48,8 +54,6 @@ assert oracle_noguard_falsifier() == {"amount": -8, "balance": 0}
 
 
 def _obligation_over(formula):
-    from miniproof.vcgen import Obligation
-
     return Obligation(
         id="T.f.postcondition.0",
         kind="Postcondition",
@@ -417,6 +421,25 @@ def test_deep_copies_of_one_residual_compare_equal_in_one_frame():
     assert not _entailed([chain("acc")], chain("old_acc"))
 
 
+def test_a_pinned_routine_600_assignments_long_gets_its_verdict():
+    """``step`` pins p and q to 0 and adds p to acc 600 times, so its check
+    ``acc >= 1`` fails at the one leaf left. Narrowing meets each pinning
+    hypothesis, a node as deep as the routine is long, and looks it up in
+    its memo by identity; hashing it would recurse through the node."""
+    body = "            acc := acc + p\n" * 600
+    source = (
+        "class A\ncreate\n    make\nfeature\n    acc : INTEGER\n    make\n        do\n            acc := 0\n"
+        "        end\n    step (p : INTEGER; q : INTEGER)\n        require\n            p = 0\n            q = 0\n"
+        f"        do\n{body}            if acc >= q then\n                check c: acc >= 1 end\n            end\n"
+        "        end\nend\n"
+    )
+    report = verify_program(analyze(parse(source)), VerifyOptions())
+    assert [(r.id, r.verdict) for r in report.rows] == [
+        ("A.step.check_assertion.0", Verdict(FAILED, counterexample={"acc": 0, "p": 0, "q": 0}))
+    ]
+    assert report.exit_status == 1
+
+
 def test_overflow_failure_bounds(checked_programs):
     opts = VerifyOptions(int_range=(-128, 127), check_overflow=True, overflow_width=8)
     checked = checked_programs["account"]
@@ -450,6 +473,54 @@ def test_empty_report_renders_zero_percentages():
     )
     assert render_text(report).endswith("(0%)")
     assert report.exit_status == 0
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["manifest", "width8"])
+def test_json_report_is_the_indented_dump_of_its_payload_for_the_corpus(checked_programs, entries, overflow):
+    for name, entry in entries.items():
+        opts = entry.options.replace(check_overflow=True, overflow_width=8) if overflow else entry.options
+        report = verify_program(checked_programs[name], opts)
+        assert render_json(report) == json.dumps(report_payload(report), indent=2), name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_json_report_is_the_indented_dump_of_its_payload_for_vc_scaling(seed, vc_scaling_programs):
+    opts = VerifyOptions(int_range=vc_scaling_programs.INT_RANGE)
+    for program in vc_scaling_programs.generate(seed):
+        report = verify_program(analyze(parse(program.source)), opts)
+        assert render_json(report) == json.dumps(report_payload(report), indent=2), program.name
+
+
+def test_json_report_writes_every_value_encoding_as_the_indented_dump():
+    """Sets (empty too), references, Void, booleans, negative integers and
+    strings that need escaping in a counterexample; an empty counterexample;
+    an Error row's reason; an empty report."""
+    formula = F.Cmp("=", F.Sym("x", T_INT), F.Lit(0))
+
+    def row(oid, verdict):
+        return Obligation(oid, "Postcondition", "C", "f", formula, 'q"uote'), verdict
+
+    values = {
+        "n": -7,
+        "b": True,
+        "f": False,
+        "s": 'a "quoted" \\ line\n\u00e9\u2603\x01',
+        "v": None,
+        "set": frozenset({"welcome", "blank"}),
+        "empty": frozenset(),
+        "r": F.Ref("CELL"),
+    }
+    pairs = [
+        row("C.f.postcondition.0", Verdict(FAILED, counterexample=values)),
+        row("C.f.postcondition.1", Verdict(FAILED, counterexample={})),
+        row("C.f.postcondition.2", Verdict(DISCHARGED)),
+        row("C.f.postcondition.3", Verdict(ERROR, reason="unsupported \u00ab construct \u00bb")),
+    ]
+    for report in (
+        build_report(pairs, Domains((-3, 4), ("blank", "welcome", "\u00e9t\u00e9")), duration_ms=12),
+        build_report([], Domains((-8, 8), ()), duration_ms=0),
+    ):
+        assert render_json(report) == json.dumps(report_payload(report), indent=2)
 
 
 def test_report_rows_are_ordered_and_counts_add_up(checked_programs, entries):

@@ -1,7 +1,8 @@
 """Lexing and parsing: token stream shape, program structure, synthesized
 clause labels, and syntax-error positions; token streams, trees and
-error texts pinned with their positions; and the printer round trip of
-seeded generated programs."""
+error texts pinned with their positions, and the analyzer's types and
+issues pinned alike; and the printer round trip of seeded generated
+programs."""
 
 import hashlib
 import json
@@ -11,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from miniproof import ast, parse, program_text
-from miniproof.errors import ParseError
+from miniproof import analyze, ast, parse, program_text
+from miniproof.errors import ParseError, SemanticError
 from miniproof.lexer import KEYWORDS, tokenize
 
 
@@ -643,6 +644,145 @@ def test_generated_programs_round_trip_through_the_printer():
 
 def test_corpus_front_end_pins_cover_every_entry(entries):
     assert sorted(FRONT_END_DIGESTS) == sorted(entries)
+
+
+# The analyzer's output, pinned the same way: the repr of an analyzed
+# program shows the type it set on each expression (``ty``), and the issues
+# follow it. The generated programs never reach typing, as each one fails
+# in its tables (no creator, unknown types), so they pin issue texts and
+# positions; the corpus entries and the vc_scaling programs pin types.
+
+
+def analyzed_digest(source: str) -> str:
+    program = parse(source)
+    try:
+        analyze(program)
+        issues = []
+    except SemanticError as exc:
+        issues = exc.issues
+    text = repr(program) + "\n" + json.dumps(issues, ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+ANALYZED_DIGESTS = {
+    "account": "1e0fdc0fe1a2118dde7727dee7234a0129905b14fd6ab2fae53e340092887c47",
+    "account_noguard_mutant": "d4eb616f94baf0d119b6a4d66dfdcafa60af91371736b79bd130326d144fd465",
+    "account_overflow_mutant": "7b174342c53ada413338943380571140dc6bd3116ee9f98aa4fc5e13f99f0fcd",
+    "tokeneer_enrolment": "2edb8ea0fa379855eafb75a5415f657a1fa1f557110621c27cfac78e7d4627ac",
+    "tokeneer_noprecond_mutant": "4ef70da83042af4aa828818db1615b5f23a41785f895960a944ed07927aafb60",
+    "tokeneer_frame_mutant": "fff2557d5364e3853596696e44a5cd2cd0495c5d08de07ea9b4599d604c2ad9a",
+    "contract_creation_error": "24db372f0793f499997e95f4ff5d752944ed9ce88ca6dc8afa4c0f16f54a036a",
+}
+
+GENERATED_ANALYZED_DIGESTS = {
+    0: "16e93a03449e2ff5e188e6037322e1d4fadcfa4e56ee89a738bd54de5c57eabc",
+    1: "e30d43197040d8af83a6771d198a7cb37a5250e6c7dfe6054794cd97179d3ee5",
+    2: "abde2ffe486f89219a231718d54dee0095b57f48135255fe551615280b8fcbf1",
+    3: "a6c8147172b638c86f305331ddcbc171c4d7c1f2b59c726804fb2f47d4ec08a8",
+    4: "be5913323a1a8a2543287b9305bb657704cb846d372df9bb03e2a75cc486da20",
+    5: "e1c2b1a40545ea4f62db19c0fef058959785962d6cfdfaa4241398b1e85c23f0",
+    6: "f01bbd2fd7580d259022956a6b6f4e86b4da382cfe269535805f4b74e96c247c",
+    7: "4b6bcd5e3d8580535a278af511a3c59ea05483c2312520cb75bfb2b8cfc6de84",
+}
+
+# one digest over the digests of a seed's vc_scaling programs, in order
+VC_SCALING_ANALYZED_DIGESTS = {
+    1: "4632c516ca93e468a8a7fae9cc34334f53eb2679f5816017fa791daa59da00df",
+    2: "f0093e7f93c8d564b9ed933dcd291398ba09e52bbf0ee734da2092fd3c52f61b",
+}
+
+
+# a program that analyzes and holds every form of expression and every
+# operator, with old and has over each type they take
+EVERY_FORM = """\
+class CELL
+create
+    make
+feature
+    v : INTEGER
+    make
+        do
+            v := 0
+        end
+    bump (d : INTEGER)
+        do
+            v := v + d
+        ensure
+            v = old v + d
+        end
+end
+
+class ALL
+create
+    make
+feature
+    n : INTEGER
+    b : BOOLEAN
+    s : STRING
+    pool : SET_OF_STRING
+    r : CELL
+    make
+        do
+            n := 0
+            b := false
+            s := Void
+            pool := {}
+            create r.make
+        end
+    step (k : INTEGER; t : STRING)
+        require
+            k_small: k * 2 <= 10 and k >= -3
+            known: pool.has (t) or t = Void
+            alive: r /= Void
+        modify n, b, s
+        do
+            n := n + k * 2 - 1
+            b := not b or n > 3 implies s = "x"
+            s := t
+            if r.v < n then
+                r.bump (k)
+            else
+                check positive: n >= 0 end
+            end
+        ensure
+            grows: n = old n + k * 2 - 1
+            same_pool: pool = old pool
+            kept: r.v >= old r.v
+            fresh: create CELL /= Void
+            str: s = t
+            flag: b = (not old b or n > 3 implies old s = "x")
+        end
+invariant
+    pool_known: pool.has ("a") or not pool.has ("b")
+end
+"""
+
+EVERY_FORM_ANALYZED_DIGEST = "b331b8c3243a3272da59a78074dde7ff4b3a4c8433b60f39b1f90532d69e621a"
+
+
+def test_analyzer_output_on_every_form_is_pinned():
+    analyze(parse(EVERY_FORM))  # no issues: every expression gets its type
+    assert analyzed_digest(EVERY_FORM) == EVERY_FORM_ANALYZED_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZED_DIGESTS))
+def test_corpus_analyzer_output_is_pinned(name, entries):
+    assert analyzed_digest(entries[name].source) == ANALYZED_DIGESTS[name]
+
+
+def test_corpus_analyzer_pins_cover_every_entry(entries):
+    assert sorted(ANALYZED_DIGESTS) == sorted(entries)
+
+
+@pytest.mark.parametrize("seed", sorted(GENERATED_ANALYZED_DIGESTS))
+def test_generated_analyzer_output_is_pinned(seed):
+    assert analyzed_digest(generated_source(seed)) == GENERATED_ANALYZED_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(VC_SCALING_ANALYZED_DIGESTS))
+def test_vc_scaling_analyzer_output_is_pinned(seed, vc_scaling_programs):
+    digests = "".join(analyzed_digest(p.source) for p in vc_scaling_programs.generate(seed))
+    assert hashlib.sha256(digests.encode()).hexdigest() == VC_SCALING_ANALYZED_DIGESTS[seed]
 
 
 # (id, source, message, line, col) of the first error in each malformed

@@ -1,11 +1,14 @@
 """Property-based checks: constant folding and substitution preserve meaning,
 wp of an assignment agrees with operational substitution, printing is
-parse-stable, enumeration visits minimums first, the search finds the
+parse-stable, the JSON report writer matches the indented dump of the
+report's payload, enumeration visits minimums first, the search finds the
 first falsifier of enumeration however its hypotheses narrow the domains
 or restate its goal, a pin's lazy domain lookup agrees with the built
 domain, delayed substitution reads exactly as eager substitution, and the
 monitor's evaluator agrees with the formula evaluator on lowered
 expressions."""
+
+import json
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -15,11 +18,16 @@ from miniproof import formula as F
 from miniproof.ast import T_BOOL, T_INT, T_SET, T_STRING, ref
 from miniproof.discharge import (
     DISCHARGED,
+    ERROR,
     FAILED,
     Domains,
+    Verdict,
     _member,
+    build_report,
     discharge,
     enumerate_environments,
+    render_json,
+    report_payload,
     symbol_domain,
 )
 from miniproof.runtime import RuntimeObject, eval_expr
@@ -205,6 +213,50 @@ def test_encode_decode_round_trip(values):
 
     for value in values:
         assert decode_value(encode_value(value)) == value
+
+
+# -- the JSON report writer -------------------------------------------------------
+# Any text, so strings that need escaping: quotes, backslashes, control
+# characters and characters outside ASCII.
+
+REPORT_TEXT = st.text(max_size=6)
+REPORT_VALUES = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.booleans(),
+    st.none(),
+    REPORT_TEXT,
+    st.frozensets(REPORT_TEXT, max_size=3),
+    REPORT_TEXT.map(F.Ref),
+)
+REPORT_VERDICTS = st.one_of(
+    st.just(Verdict(DISCHARGED)),
+    st.dictionaries(REPORT_TEXT, REPORT_VALUES, max_size=4).map(lambda cx: Verdict(FAILED, counterexample=cx)),
+    REPORT_TEXT.map(lambda reason: Verdict(ERROR, reason=reason)),
+)
+REPORT_ROWS = st.lists(
+    st.tuples(
+        st.builds("{}.{}".format, REPORT_TEXT, st.integers(0, 99)),
+        REPORT_TEXT,
+        REPORT_TEXT,
+        REPORT_TEXT,
+        REPORT_TEXT,
+        REPORT_VERDICTS,
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=200)
+@given(
+    rows=REPORT_ROWS,
+    pool=st.lists(REPORT_TEXT, max_size=3, unique=True),
+    lo=st.integers(-50, 0),
+    duration=st.integers(0, 10**6),
+)
+def test_json_report_is_the_indented_dump_of_its_payload(rows, pool, lo, duration):
+    pairs = [(Obligation(oid, kind, cls, feat, F.TRUE, prov), v) for oid, kind, cls, feat, prov, v in rows]
+    report = build_report(pairs, Domains((lo, lo + 5), tuple(pool)), duration)
+    assert render_json(report) == json.dumps(report_payload(report), indent=2)
 
 
 # -- discharge against the naive oracle --------------------------------------------
