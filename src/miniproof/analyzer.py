@@ -55,9 +55,9 @@ class CheckedProgram(ast.Node):
     _fields = ("program", "classes")
 
     def __post_init__(self):
-        # (class, feature) -> runtime.MonitorPlan, filled lazily by the
-        # monitor; a plan derives from the feature alone, so caching it
-        # here is safe
+        # (class, feature) -> runtime.MonitorPlan, with the feature's
+        # compiled code, filled lazily by the monitor; a plan derives from
+        # the feature alone, so caching it here is safe
         self.monitor_plans = {}
 
     def info(self, class_name: str) -> ClassInfo:

@@ -38,7 +38,6 @@ of values (``encode_value``/``decode_value``) with its type check
 from __future__ import annotations
 
 import operator
-from typing import Union
 
 from . import ast
 
@@ -52,7 +51,10 @@ class Ref(ast.Node, frozen=True):
         return f"<{self.class_name}>"
 
 
-Value = Union[int, bool, str, frozenset, Ref, None]
+# read only in annotations, which are never evaluated; a typing.Union here
+# would be kept in typing's cache with this import's Ref, and through it
+# this module and ast, after the package is imported again
+Value = "int | bool | str | frozenset[str] | Ref | None"
 
 
 class Formula(ast.Node, frozen=True):

@@ -7,11 +7,16 @@ the frame condition, and the class invariant on exit. The invariant is
 checked after creation and after every call, including nested ones.
 Calls nest at most MAX_CALL_DEPTH deep.
 
-One evaluator, ``eval_expr``, serves contracts and bodies, with the
-operator meanings of ``formula.OPS``. Body expressions pass the overflow
-bounds when overflow monitoring is on, so every arithmetic result in an
-assignment value, `if` condition or call argument is bounds-checked;
-contract clauses and `check` instructions pass none.
+The monitor compiles each feature to Python closures on its first
+monitored call: every require, ensure and invariant clause, every `old`
+operand and every body statement. Operators take their meanings from
+``formula.OPS``, operands are evaluated left to right, and each name is
+bound at compile time to the parameter dict or to the receiver's fields,
+since no parameter shadows a feature. Body expressions carry the
+overflow bounds when overflow monitoring is on, so every arithmetic
+result in an assignment value, `if` condition or call argument is
+bounds-checked; contract clauses and `check` instructions carry none.
+``eval_expr`` compiles one expression over a flat env and evaluates it.
 
 Replay turns a discharge counterexample back into a concrete execution:
 it materializes the described entry state, invokes the owning feature
@@ -24,11 +29,12 @@ What monitoring needs from a feature's text is computed once per
 analyzed program, in a MonitorPlan built on the feature's first
 monitored call: the distinct `old` operands to snapshot and the text key
 of every `old` node, the label of every arithmetic body node, the
-arithmetic labels each Overflow provenance accepts on replay, and the
-model queries the frame condition compares. A plan depends only on the
-feature, and a CheckedProgram never changes after analysis, so the plan
-is cached on the CheckedProgram and shared by every Interpreter and
-every replay over it.
+arithmetic labels each Overflow provenance accepts on replay, the model
+queries the frame condition compares, and the compiled code, once per
+overflow-bounds value. A plan depends only on the feature, and a
+CheckedProgram never changes after analysis, so the plan and its code
+are cached on the CheckedProgram and shared by every Interpreter and
+every replay over it; nothing is cached at module level.
 
 The monitor reads the verification options, the obligation kinds and
 the value encoding from ``formula``; it imports neither vcgen nor
@@ -41,7 +47,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import ChainMap
 from typing import TYPE_CHECKING, Mapping
 
 from . import ast
@@ -99,81 +104,145 @@ def blank_object(info: ClassInfo) -> RuntimeObject:
     )
 
 
-# -- expression evaluation ------------------------------------------------------
+# -- compiled expressions -----------------------------------------------------------
 
 
 class _Overflow(Exception):
-    """An arithmetic result outside the monitored bounds; node is the
-    innermost arithmetic expression that left them."""
+    """An arithmetic result outside the monitored bounds; label is the
+    text of the innermost arithmetic expression that left them."""
 
-    def __init__(self, node: ast.Binary):
-        self.node = node
+    def __init__(self, label: str):
+        self.label = label
 
 
-def eval_expr(
-    expr: ast.Expr,
-    env: Mapping,
-    old_env: Mapping | None = None,
-    bounds: tuple[int, int] | None = None,
-    old_keys: Mapping[int, str] | None = None,
-):
-    """Strict evaluation of a contract or body expression. env maps
-    parameter and attribute names to values; old_env maps the source
-    text of each `old` operand to its entry snapshot, and old_keys, when
-    given, maps id() of each `old` node to that text so it need not be
-    rendered again. With bounds (lo, hi), every arithmetic result
-    outside them raises _Overflow: the dynamic mirror of Overflow
-    obligations."""
-    if isinstance(expr, ast.Binary):
-        op = expr.op
+class _Compiler:
+    """Compiles the expressions of one scope to closures. An expression
+    compiles to ``ev(p, f, o)`` over the parameter dict p, the receiver's
+    fields f and the `old` snapshot o (None outside postconditions),
+    evaluated left to right. A name is read from p if it is one of params,
+    else from f: the analyzer lets no parameter shadow a feature, so the
+    choice is made here, once. old_keys maps id() of each `old` node to
+    the text its snapshot is keyed by. With bounds (lo, hi), every
+    arithmetic result outside them raises _Overflow with the node's text
+    from labels (id() -> text)."""
+
+    def __init__(self, params, old_keys, bounds=None, labels=None):
+        self.params, self.old_keys, self.bounds, self.labels = params, old_keys, bounds, labels
+
+    def expr(self, e: ast.Expr):
+        rule = _EXPR_RULES.get(type(e))
+        if rule is None:
+            raise TypeError(f"unexpected expression {e!r}")
+        return rule(self, e)
+
+    def reader(self, name: str):
+        if name in self.params:
+            return lambda p, f, o: p[name]
+        return lambda p, f, o: f[name]
+
+    def constant(self, e):
+        if isinstance(e, ast.VoidLit):
+            value = None
+        elif isinstance(e, ast.SetLit):
+            value = frozenset(e.items)
+        else:
+            value = e.value
+        return lambda p, f, o: value
+
+    def name(self, e: ast.Name):
+        return self.reader(e.name)
+
+    def qualified(self, e: ast.Qualified):
+        receiver, attr, path = self.reader(e.receiver), e.attr, f"{e.receiver}.{e.attr}"
+
+        def read(p, f, o):
+            obj = receiver(p, f, o)
+            if obj is None:
+                raise VoidDereference(path)
+            return obj.fields[attr]
+
+        return read
+
+    def old(self, e: ast.Old):
+        key = self.old_keys[id(e)]
+
+        def read(p, f, o):
+            if o is None:
+                raise ValueError("old outside a postcondition context")
+            return o[key]
+
+        return read
+
+    def negation(self, e: ast.Unary):
+        operand = self.expr(e.expr)
+        return lambda p, f, o: not operand(p, f, o)
+
+    def has(self, e: ast.Has):
+        receiver, item = self.expr(e.receiver), self.expr(e.item)
+
+        def member(p, f, o):
+            value = item(p, f, o)
+            return value in receiver(p, f, o)
+
+        return member
+
+    def binary(self, e: ast.Binary):
+        left, right, op = self.expr(e.left), self.expr(e.right), e.op
         if op == "and":
-            return eval_expr(expr.left, env, old_env, bounds, old_keys) and eval_expr(
-                expr.right, env, old_env, bounds, old_keys
-            )
+            return lambda p, f, o: left(p, f, o) and right(p, f, o)
         if op == "or":
-            return eval_expr(expr.left, env, old_env, bounds, old_keys) or eval_expr(
-                expr.right, env, old_env, bounds, old_keys
-            )
+            return lambda p, f, o: left(p, f, o) or right(p, f, o)
         if op == "implies":
-            return (not eval_expr(expr.left, env, old_env, bounds, old_keys)) or bool(
-                eval_expr(expr.right, env, old_env, bounds, old_keys)
-            )
-        value = F.OPS[op][0](
-            eval_expr(expr.left, env, old_env, bounds, old_keys),
-            eval_expr(expr.right, env, old_env, bounds, old_keys),
-        )
-        if bounds is not None and op in ast.ARITH_OPS and not bounds[0] <= value <= bounds[1]:
-            raise _Overflow(expr)
-        return value
-    if isinstance(expr, (ast.IntLit, ast.BoolLit, ast.StrLit)):
-        return expr.value
-    if isinstance(expr, ast.VoidLit):
-        return None
-    if isinstance(expr, ast.SetLit):
-        return frozenset(expr.items)
-    if isinstance(expr, ast.Name):
-        return env[expr.name]
-    if isinstance(expr, ast.Qualified):
-        receiver = env[expr.receiver]
-        if receiver is None:
-            raise VoidDereference(f"{expr.receiver}.{expr.attr}")
-        return receiver.fields[expr.attr]
-    if isinstance(expr, ast.Old):
-        if old_env is None:
-            raise ValueError("old outside a postcondition context")
-        key = old_keys[id(expr)] if old_keys is not None else expr_text(expr.expr)
-        return old_env[key]
-    if isinstance(expr, ast.Unary):
-        return not eval_expr(expr.expr, env, old_env, bounds, old_keys)
-    if isinstance(expr, ast.Has):
-        item = eval_expr(expr.item, env, old_env, bounds, old_keys)
-        return item in eval_expr(expr.receiver, env, old_env, bounds, old_keys)
-    if isinstance(expr, ast.CreateExpr):
-        raise UnsupportedInContract(f"creation expression create {expr.class_name}")
-    raise TypeError(f"unexpected expression {expr!r}")
+            return lambda p, f, o: (not left(p, f, o)) or bool(right(p, f, o))
+        fn = F.OPS[op][0]
+        if self.bounds is None or op not in ast.ARITH_OPS:
+            return lambda p, f, o: fn(left(p, f, o), right(p, f, o))
+        lo, hi = self.bounds
+        label = self.labels[id(e)]
+
+        def bounded(p, f, o):
+            value = fn(left(p, f, o), right(p, f, o))
+            if lo <= value <= hi:
+                return value
+            raise _Overflow(label)
+
+        return bounded
+
+    def creation(self, e: ast.CreateExpr):
+        message = f"creation expression create {e.class_name}"
+
+        def refuse(p, f, o):
+            raise UnsupportedInContract(message)
+
+        return refuse
 
 
-# -- monitor plans ----------------------------------------------------------------
+_EXPR_RULES = {
+    ast.IntLit: _Compiler.constant,
+    ast.BoolLit: _Compiler.constant,
+    ast.StrLit: _Compiler.constant,
+    ast.VoidLit: _Compiler.constant,
+    ast.SetLit: _Compiler.constant,
+    ast.Name: _Compiler.name,
+    ast.Qualified: _Compiler.qualified,
+    ast.Old: _Compiler.old,
+    ast.Unary: _Compiler.negation,
+    ast.Has: _Compiler.has,
+    ast.Binary: _Compiler.binary,
+    ast.CreateExpr: _Compiler.creation,
+}
+
+
+def eval_expr(expr: ast.Expr, env: Mapping, old_env: Mapping | None = None):
+    """Strict evaluation of one contract expression, compiled as the
+    monitor compiles it, over one flat env of parameter and attribute
+    names; old_env maps the source text of each `old` operand to its
+    entry snapshot."""
+    old_keys = {id(n): expr_text(n.expr) for n in ast.walk_expr(expr) if isinstance(n, ast.Old)}
+    return _Compiler((), old_keys).expr(expr)(env, env, old_env)
+
+
+# -- monitor plans and compiled features ------------------------------------------
 
 
 class MonitorPlan(ast.Node):
@@ -184,13 +253,26 @@ class MonitorPlan(ast.Node):
     # olds: the distinct `old` operands, first occurrence first; old_keys:
     # every `old` node -> its operand's text; arith_labels: every
     # arithmetic body node -> its text; frame_queries: the model queries
-    # the frame condition compares
-    __slots__ = ("olds", "old_keys", "arith_labels", "labels_by_provenance", "frame_queries")
+    # the frame condition compares; code: overflow bounds (None when
+    # overflow is not monitored) -> the feature compiled to closures, a
+    # FeatureCode, built on the first monitored call with those bounds
+    __slots__ = ("olds", "old_keys", "arith_labels", "labels_by_provenance", "frame_queries", "code")
+    _defaults = {"code": {}}
 
     def overflow_labels(self, provenance: str) -> frozenset[str]:
         """Texts of the arithmetic node named by an Overflow obligation and
         of every arithmetic node nested inside it."""
         return self.labels_by_provenance.get(provenance) or frozenset((provenance,))
+
+
+class FeatureCode(ast.Node):
+    """A feature compiled to closures (see ``_Compiler``): the parameter
+    names, (label, test) of each require and ensure clause and of each
+    invariant clause of the class, (text key, operand) of each `old`
+    snapshot, the frame queries, and the body as a list of statement
+    closures ``st(interpreter, p, f)``."""
+
+    __slots__ = ("params", "require", "olds", "frame_queries", "body", "ensure", "invariant")
 
 
 def monitor_plan(checked: CheckedProgram, class_name: str, feat: ast.Feature) -> MonitorPlan:
@@ -200,6 +282,18 @@ def monitor_plan(checked: CheckedProgram, class_name: str, feat: ast.Feature) ->
     if plan is None:
         plan = checked.monitor_plans[key] = _build_plan(checked.info(class_name), feat)
     return plan
+
+
+def feature_code(
+    checked: CheckedProgram, info: ClassInfo, feat: ast.Feature, bounds: tuple[int, int] | None
+) -> FeatureCode:
+    """The compiled code of a feature for one overflow-bounds value, built
+    on first use and cached on the feature's plan."""
+    plan = monitor_plan(checked, info.name, feat)
+    code = plan.code.get(bounds)
+    if code is None:
+        code = plan.code[bounds] = _compile_feature(info, feat, plan, bounds)
+    return code
 
 
 def _build_plan(info: ClassInfo, feat: ast.Feature) -> MonitorPlan:
@@ -223,10 +317,91 @@ def _build_plan(info: ClassInfo, feat: ast.Feature) -> MonitorPlan:
     return MonitorPlan(tuple(olds.items()), old_keys, labels, by_provenance, info.frame(feat))
 
 
+def _compile_feature(
+    info: ClassInfo, feat: ast.Feature, plan: MonitorPlan, bounds: tuple[int, int] | None
+) -> FeatureCode:
+    params = tuple(p.name for p in feat.params)
+    # contracts and `check` are not bounds-checked; body expressions are
+    contract = _Compiler(params, plan.old_keys)
+    body = _Compiler(params, plan.old_keys, bounds, plan.arith_labels)
+
+    def clauses(items):
+        return tuple((c.label, contract.expr(c.expr)) for c in items)
+
+    def block(stmts):
+        return [statement(s) for s in stmts]
+
+    def statement(s):
+        if isinstance(s, ast.Assign):
+            target, value = s.target, body.expr(s.value)
+
+            def assign(interp, p, f):
+                f[target] = value(p, f, None)
+
+            return assign
+        if isinstance(s, ast.QualifiedAssign):
+            value, receiver = body.expr(s.value), body.reader(s.receiver)
+            attr, path = s.attr, f"{s.receiver}.{s.attr}"
+
+            def assign_through(interp, p, f):
+                v = value(p, f, None)
+                obj = receiver(p, f, None)
+                if obj is None:
+                    raise VoidDereference(path)
+                obj.fields[attr] = v
+
+            return assign_through
+        if isinstance(s, ast.CreateStmt):
+            target, class_name = s.target, info.attributes[s.target].class_name
+
+            def create(interp, p, f):
+                f[target] = interp._new(class_name)
+
+            return create
+        if isinstance(s, ast.CallStmt):
+            receiver, args = body.reader(s.receiver), tuple(body.expr(a) for a in s.args)
+            feature, path = s.feature, f"{s.receiver}.{s.feature}"
+
+            def call(interp, p, f):
+                obj = receiver(p, f, None)
+                if obj is None:
+                    raise VoidCall(path)
+                values = [a(p, f, None) for a in args]
+                interp._invoke(obj, interp.checked.info(obj.class_name).routines[feature], values)
+
+            return call
+        if isinstance(s, ast.IfStmt):
+            cond, then_branch, else_branch = body.expr(s.cond), block(s.then_branch), block(s.else_branch)
+
+            def branch(interp, p, f):
+                interp._run(then_branch if cond(p, f, None) else else_branch, p, f)
+
+            return branch
+        if isinstance(s, ast.CheckStmt):
+            test, label = contract.expr(s.expr), s.label
+
+            def check(interp, p, f):
+                if not test(p, f, None):
+                    raise ContractViolation("check", label, info.name, feat.name, {**f, **p})
+
+            return check
+        raise TypeError(f"unexpected statement {s!r}")
+
+    return FeatureCode(
+        params,
+        clauses(feat.require),
+        tuple((key, contract.expr(operand)) for key, operand in plan.olds),
+        plan.frame_queries,
+        block(feat.body),
+        clauses(feat.ensure),
+        clauses(info.decl.invariant),
+    )
+
+
 def _violation(
     kind: str, label: str, info: ClassInfo, feat: ast.Feature, obj: RuntimeObject, params: dict
 ) -> ContractViolation:
-    # the keys and values of dict(ChainMap(params, obj.fields)), built directly
+    # parameters and attributes in one dict; no parameter shadows an attribute
     return ContractViolation(kind, label, info.name, feat.name, {**obj.fields, **params})
 
 
@@ -245,7 +420,7 @@ class Interpreter:
         self.step_budget = step_budget
         self._bounds = self.options.overflow_bounds if self.options.check_overflow else None
         self._steps_left = 0
-        self._frames: list[tuple[str, str]] = []  # (class, feature) call stack
+        self._depth = 0  # monitored calls in progress
 
     # entry points: each top-level create/call gets a fresh step budget
 
@@ -274,81 +449,48 @@ class Interpreter:
         return obj
 
     def _invoke(self, obj: RuntimeObject, feat: ast.Feature, args: list):
-        if len(self._frames) == MAX_CALL_DEPTH:
+        if self._depth == MAX_CALL_DEPTH:
             raise StepBudgetExceeded(f"call depth limit of {MAX_CALL_DEPTH} nested calls exceeded")
         info = self.checked.info(obj.class_name)
-        plan = monitor_plan(self.checked, info.name, feat)
-        params = {p.name: v for p, v in zip(feat.params, args)}
-        env = ChainMap(params, obj.fields)
+        code = feature_code(self.checked, info, feat, self._bounds)
+        params = dict(zip(code.params, args))
+        fields = obj.fields
 
-        for clause in feat.require:
-            if not eval_expr(clause.expr, env):
-                raise _violation("precondition", clause.label, info, feat, obj, params)
+        for label, test in code.require:
+            if not test(params, fields, None):
+                raise _violation("precondition", label, info, feat, obj, params)
 
-        old_env = {key: eval_expr(operand, env) for key, operand in plan.olds}
-        entry_queries = [obj.fields[q] for q in plan.frame_queries]
+        old = {key: operand(params, fields, None) for key, operand in code.olds}
+        entry_queries = [fields[q] for q in code.frame_queries]
 
-        self._frames.append((info.name, feat.name))
+        self._depth += 1
         try:
-            self._exec_block(obj, env, feat.body)
+            self._run(code.body, params, fields)
         except _Overflow as exc:
             # only body expressions are bounds-checked; contracts are not
-            label = plan.arith_labels[id(exc.node)]
-            raise _violation("overflow", label, info, feat, obj, params) from None
+            raise _violation("overflow", exc.label, info, feat, obj, params) from None
         finally:
-            self._frames.pop()
+            self._depth -= 1
 
-        for clause in feat.ensure:
-            if not eval_expr(clause.expr, env, old_env, None, plan.old_keys):
-                raise _violation("postcondition", clause.label, info, feat, obj, params)
-        for q, before in zip(plan.frame_queries, entry_queries):
-            if obj.fields[q] != before:
+        for label, test in code.ensure:
+            if not test(params, fields, old):
+                raise _violation("postcondition", label, info, feat, obj, params)
+        for q, before in zip(code.frame_queries, entry_queries):
+            if fields[q] != before:
                 raise _violation("frame", q, info, feat, obj, params)
-        for clause in info.decl.invariant:
-            if not eval_expr(clause.expr, env):
-                raise _violation("invariant", clause.label, info, feat, obj, params)
+        for label, test in code.invariant:
+            if not test(params, fields, None):
+                raise _violation("invariant", label, info, feat, obj, params)
 
-    # body execution
-
-    def _exec_block(self, obj: RuntimeObject, env, stmts: list[ast.Statement]):
-        for s in stmts:
-            self._exec(obj, env, s)
-
-    def _exec(self, obj: RuntimeObject, env, s: ast.Statement):
-        if self._steps_left <= 0:
-            raise StepBudgetExceeded(
-                f"step budget of {self.step_budget} statements exceeded"
-            )
-        self._steps_left -= 1
-        if isinstance(s, ast.Assign):
-            obj.fields[s.target] = eval_expr(s.value, env, None, self._bounds)
-        elif isinstance(s, ast.QualifiedAssign):
-            value = eval_expr(s.value, env, None, self._bounds)
-            receiver = env[s.receiver]
-            if receiver is None:
-                raise VoidDereference(f"{s.receiver}.{s.attr}")
-            receiver.fields[s.attr] = value
-        elif isinstance(s, ast.CreateStmt):
-            target_class = self.checked.info(obj.class_name).attributes[s.target].class_name
-            obj.fields[s.target] = self._new(target_class)
-        elif isinstance(s, ast.CallStmt):
-            receiver = env[s.receiver]
-            if receiver is None:
-                raise VoidCall(f"{s.receiver}.{s.feature}")
-            arg_values = [eval_expr(a, env, None, self._bounds) for a in s.args]
-            callee_info = self.checked.info(receiver.class_name)
-            self._invoke(receiver, callee_info.routines[s.feature], arg_values)
-        elif isinstance(s, ast.IfStmt):
-            if eval_expr(s.cond, env, None, self._bounds):
-                self._exec_block(obj, env, s.then_branch)
-            else:
-                self._exec_block(obj, env, s.else_branch)
-        elif isinstance(s, ast.CheckStmt):
-            if not eval_expr(s.expr, env):
-                cls, feat = self._frames[-1]
-                raise ContractViolation("check", s.label, cls, feat, dict(env))
-        else:
-            raise TypeError(f"unexpected statement {s!r}")
+    def _run(self, block: list, params: dict, fields: dict):
+        """Execute compiled statements in order, one step each."""
+        for statement in block:
+            if self._steps_left <= 0:
+                raise StepBudgetExceeded(
+                    f"step budget of {self.step_budget} statements exceeded"
+                )
+            self._steps_left -= 1
+            statement(self, params, fields)
 
 
 # -- scenarios ------------------------------------------------------------------
@@ -356,9 +498,10 @@ class Interpreter:
 
 class Command(ast.Node):
     # kind: "create" | "call"; target: class name for create, feature name
-    # for call; expect: ("ok",) or ("violation", label)
+    # for call; args: a tuple of literals; expect: ("ok",) or
+    # ("violation", label); a scenario shares equal args and expectations
     __slots__ = ("kind", "var", "target", "args", "expect", "line")
-    _defaults = {"args": [], "expect": None, "line": 0}
+    _defaults = {"args": (), "expect": None, "line": 0}
 
     @property
     def text(self) -> str:
@@ -400,6 +543,10 @@ def _split_unquoted(text: str, sep: str) -> list[str]:
 
 def parse_scenario(text: str) -> Scenario:
     commands: list[Command] = []
+    # one tuple per argument text and one expectation per label, so that
+    # long scenarios that repeat a call hold its arguments once
+    shared_args: dict[str, tuple] = {}
+    violations: dict[str, tuple[str, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = (_split_unquoted(raw, "#")[0] if "#" in raw else raw).strip()
         if not line:
@@ -420,9 +567,11 @@ def parse_scenario(text: str) -> Scenario:
             if not dot or not var or not feature:
                 raise ParseError("expected: call <var>.<feature>(<args>)", line_no, 1)
             arg_text = arg_text[:-1].strip()
-            args = (
-                [_parse_literal(t, line_no) for t in _split_unquoted(arg_text, ",")] if arg_text else []
-            )
+            args = shared_args.get(arg_text)
+            if args is None:
+                args = shared_args[arg_text] = (
+                    tuple([_parse_literal(t, line_no) for t in _split_unquoted(arg_text, ",")]) if arg_text else ()
+                )
             var, feature = sys.intern(var), sys.intern(feature)
             commands.append(Command("call", var, feature, args, line=line_no))
         elif head in ("expect_violation", "expect_ok"):
@@ -433,7 +582,10 @@ def parse_scenario(text: str) -> Scenario:
             elif not rest:
                 raise ParseError("expected: expect_violation <label>", line_no, 1)
             else:
-                commands[-1].expect = ("violation", rest)
+                expect = violations.get(rest)
+                if expect is None:
+                    expect = violations[rest] = ("violation", sys.intern(rest))
+                commands[-1].expect = expect
         else:
             raise ParseError(f"unknown scenario command {head!r}", line_no, 1)
     return Scenario(commands)
@@ -558,8 +710,70 @@ def trace_payload(trace: Trace) -> dict:
     }
 
 
+_STEP = (
+    '    {\n      "command": %s,\n      "expected": %s,\n      "outcome": %s,\n      "matched": %s\n    }'
+)
+_JSON_STR = json.encoder.encode_basestring_ascii
+_JSON_CONST = {True: "true", False: "false", None: "null"}
+
+
+class _Unshaped(Exception):
+    """A trace value outside the shapes ``trace_json`` writes itself."""
+
+
+def _str_json(value) -> str:
+    if type(value) is str:
+        return _JSON_STR(value)
+    raise _Unshaped
+
+
+def _leaf_json(value) -> str:
+    kind = type(value)
+    if kind is str:
+        return _JSON_STR(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _JSON_CONST[value]
+    raise _Unshaped
+
+
+def _field_json(value) -> str:
+    """A field value's encoding as ``json.dumps`` writes it at depth 3."""
+    if isinstance(value, RuntimeObject):
+        return '{\n        "ref": %s\n      }' % _leaf_json(value.class_name)
+    if type(value) is frozenset:
+        if not value:
+            return "[]"
+        return "[\n        " + ",\n        ".join(map(_leaf_json, sorted(value))) + "\n      ]"
+    return _leaf_json(value)
+
+
 def trace_json(trace: Trace) -> str:
-    return json.dumps(trace_payload(trace), indent=2)
+    """Exactly ``json.dumps(trace_payload(trace), indent=2)``, written
+    through templates of the trace's fixed two-level shape with the C
+    string encoder. A value outside that shape falls back to the dump."""
+    try:
+        steps = ",\n".join(
+            _STEP % (_str_json(s.command), _str_json(s.expected), _str_json(s.outcome), _leaf_json(s.matched))
+            for s in trace.steps
+        )
+        objects = []
+        for var, obj in trace.objects.items():
+            fields = ",\n".join(
+                f"      {_str_json(name)}: {_field_json(value)}" for name, value in obj.fields.items()
+            )
+            objects.append(f"    {_str_json(var)}: " + ("{\n" + fields + "\n    }" if fields else "{}"))
+        ok = _leaf_json(trace.ok)
+    except _Unshaped:
+        return json.dumps(trace_payload(trace), indent=2)
+    return (
+        '{\n  "steps": '
+        + ("[\n" + steps + "\n  ]" if steps else "[]")
+        + ',\n  "objects": '
+        + ("{\n" + ",\n".join(objects) + "\n  }" if objects else "{}")
+        + f',\n  "ok": {ok}\n}}'
+    )
 
 
 # -- counterexample replay -------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared fixtures: parsed corpus entries, cached verification reports,
-and the benchmark's generator of vc_scaling programs.
+the benchmark's generator of vc_scaling programs and its workloads.
 
 Reports at an entry's pinned options are computed once per session and
 shared.
@@ -8,6 +8,7 @@ shared.
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,16 @@ def vc_scaling_programs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def benchmark_workloads():
+    """The benchmark's workloads module (``benchmarks/workloads.py``),
+    which imports its sibling modules by their bare names."""
+    bench = str(Path(__file__).parents[1] / "benchmarks")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return workloads

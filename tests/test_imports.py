@@ -214,3 +214,23 @@ def test_discharge_reexports_the_value_decoder():
 
     assert decode_value is formula.decode_value
     assert "decode_value" in discharge.__all__
+
+
+def test_importing_the_package_again_frees_the_old_modules():
+    """A benchmark imports the package afresh for each run. Nothing may
+    keep an earlier import alive, as a ``typing.Union`` over one import's
+    ``Ref`` in typing's cache once kept its ``formula`` and ``ast``."""
+    probe = (
+        "import gc, importlib, json, sys\n"
+        "for _ in range(4):\n"
+        "    for name in [n for n in sys.modules if n.split('.')[0] == 'miniproof']:\n"
+        "        del sys.modules[name]\n"
+        "    importlib.invalidate_caches()\n"
+        "    for name in ('runtime', 'vcgen', 'discharge', 'cli'):\n"
+        "        importlib.import_module('miniproof.' + name)\n"
+        "gc.collect()\n"
+        "names = [o['__name__'] for o in gc.get_objects()\n"
+        "         if type(o) is dict and '__builtins__' in o and str(o.get('__name__')).startswith('miniproof.')]\n"
+        "print(json.dumps({n: names.count(n) for n in ('miniproof.formula', 'miniproof.ast')}))\n"
+    )
+    assert json.loads(_fresh("-c", probe).stdout) == {"miniproof.formula": 1, "miniproof.ast": 1}

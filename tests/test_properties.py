@@ -1,12 +1,12 @@
 """Property-based checks: constant folding and substitution preserve meaning,
 wp of an assignment agrees with operational substitution, printing is
-parse-stable, the JSON report writer matches the indented dump of the
-report's payload, enumeration visits minimums first, the search finds the
+parse-stable, the JSON report and trace writers match the indented dumps
+of their payloads, enumeration visits minimums first, the search finds the
 first falsifier of enumeration however its hypotheses narrow the domains
 or restate its goal, a pin's lazy domain lookup agrees with the built
 domain, delayed substitution reads exactly as eager substitution, and the
-monitor's evaluator agrees with the formula evaluator on lowered
-expressions."""
+monitor's compiled evaluator agrees with the formula evaluator on lowered
+expressions, `old` included."""
 
 import json
 
@@ -30,7 +30,8 @@ from miniproof.discharge import (
     report_payload,
     symbol_domain,
 )
-from miniproof.runtime import RuntimeObject, eval_expr
+from miniproof.pretty import expr_text
+from miniproof.runtime import RuntimeObject, Step, Trace, eval_expr, trace_json, trace_payload
 from miniproof.vcgen import Obligation, _lower, wp
 
 X = F.Sym("x", T_INT)
@@ -257,6 +258,32 @@ def test_json_report_is_the_indented_dump_of_its_payload(rows, pool, lo, duratio
     pairs = [(Obligation(oid, kind, cls, feat, F.TRUE, prov), v) for oid, kind, cls, feat, prov, v in rows]
     report = build_report(pairs, Domains((lo, lo + 5), tuple(pool)), duration)
     assert render_json(report) == json.dumps(report_payload(report), indent=2)
+
+
+# -- the JSON trace writer ----------------------------------------------------------
+
+TRACE_TEXT = st.one_of(REPORT_TEXT, st.sampled_from(['say "hi"', "back\\slash", "\n\t\x00\x1f", "é€😀", ""]))
+TRACE_VALUES = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.booleans(),
+    st.none(),
+    TRACE_TEXT,
+    st.frozensets(TRACE_TEXT, max_size=3),
+    TRACE_TEXT.map(lambda class_name: RuntimeObject(class_name, {})),
+)
+TRACE_STEPS = st.lists(st.builds(Step, TRACE_TEXT, TRACE_TEXT, TRACE_TEXT, st.booleans()), max_size=3)
+TRACE_OBJECTS = st.dictionaries(
+    TRACE_TEXT,
+    st.builds(RuntimeObject, TRACE_TEXT, st.dictionaries(TRACE_TEXT, TRACE_VALUES, max_size=4)),
+    max_size=3,
+)
+
+
+@settings(max_examples=200)
+@given(steps=TRACE_STEPS, objects=TRACE_OBJECTS, ok=st.booleans())
+def test_json_trace_is_the_indented_dump_of_its_payload(steps, objects, ok):
+    trace = Trace(steps, objects, ok)
+    assert trace_json(trace) == json.dumps(trace_payload(trace), indent=2)
 
 
 # -- discharge against the naive oracle --------------------------------------------
@@ -602,33 +629,46 @@ def _reads(name: str):
     return st.sampled_from([ast.Name(name, ty=ty), ast.Qualified("r", name, ty=ty)])
 
 
-AGREE_STRINGS = st.one_of(
-    st.sampled_from(["a", "b"]).map(ast.StrLit), st.builds(ast.VoidLit), _reads("s")
-)
-AGREE_SETS = st.one_of(
-    st.lists(st.sampled_from(["a", "b"]), max_size=2, unique=True).map(lambda items: ast.SetLit(tuple(items))),
-    _reads("t"),
-)
-AGREE_INTS = st.recursive(
-    st.one_of(st.integers(-5, 5).map(ast.IntLit), _reads("i")),
-    lambda sub: st.builds(ast.Binary, st.sampled_from(["+", "-", "*"]), sub, sub),
-    max_leaves=6,
-)
-AGREE_BOOLS = st.recursive(
-    st.one_of(
-        st.booleans().map(ast.BoolLit),
-        _reads("b"),
-        st.builds(ast.Binary, st.sampled_from(["=", "/=", "<", "<=", ">", ">="]), AGREE_INTS, AGREE_INTS),
-        st.builds(ast.Binary, st.sampled_from(["=", "/="]), AGREE_STRINGS, AGREE_STRINGS),
-        st.builds(ast.Binary, st.sampled_from(["=", "/="]), AGREE_SETS, AGREE_SETS),
-        st.builds(ast.Has, AGREE_SETS, AGREE_STRINGS),
-    ),
-    lambda sub: st.one_of(
-        sub.map(lambda e: ast.Unary("not", e)),
-        st.builds(ast.Binary, st.sampled_from(["and", "or", "implies", "=", "/="]), sub, sub),
-    ),
-    max_leaves=6,
-)
+def _agree_families(plain=None):
+    """Strategies of (int, bool, string, set) expressions; given the plain
+    families, each family also has `old` of a plain expression of its type
+    among its leaves, so that no `old` nests inside another."""
+
+    def leaves(*options, family=None):
+        olds = [plain[family].map(ast.Old)] if plain else []
+        return st.one_of(*options, *olds)
+
+    strings = leaves(st.sampled_from(["a", "b"]).map(ast.StrLit), st.builds(ast.VoidLit), _reads("s"), family=2)
+    sets = leaves(
+        st.lists(st.sampled_from(["a", "b"]), max_size=2, unique=True).map(lambda items: ast.SetLit(tuple(items))),
+        _reads("t"),
+        family=3,
+    )
+    ints = st.recursive(
+        leaves(st.integers(-5, 5).map(ast.IntLit), _reads("i"), family=0),
+        lambda sub: st.builds(ast.Binary, st.sampled_from(["+", "-", "*"]), sub, sub),
+        max_leaves=6,
+    )
+    bools = st.recursive(
+        leaves(
+            st.booleans().map(ast.BoolLit),
+            _reads("b"),
+            st.builds(ast.Binary, st.sampled_from(["=", "/=", "<", "<=", ">", ">="]), ints, ints),
+            st.builds(ast.Binary, st.sampled_from(["=", "/="]), strings, strings),
+            st.builds(ast.Binary, st.sampled_from(["=", "/="]), sets, sets),
+            st.builds(ast.Has, sets, strings),
+            family=1,
+        ),
+        lambda sub: st.one_of(
+            sub.map(lambda e: ast.Unary("not", e)),
+            st.builds(ast.Binary, st.sampled_from(["and", "or", "implies", "=", "/="]), sub, sub),
+        ),
+        max_leaves=6,
+    )
+    return ints, bools, strings, sets
+
+
+AGREE_EXPRS = _agree_families(_agree_families())
 AGREE_VALUES = st.fixed_dictionaries(
     {
         "i": st.integers(-8, 8),
@@ -639,15 +679,31 @@ AGREE_VALUES = st.fixed_dictionaries(
 )
 
 
+def _agree_env(own: dict, through_r: dict) -> tuple[dict, dict]:
+    """The monitor's flat env and the formula evaluator's path values."""
+    env = {**own, "r": RuntimeObject("R", dict(through_r))}
+    return env, {**own, **{f"r.{name}": value for name, value in through_r.items()}}
+
+
 @settings(max_examples=300)
 @given(
-    expr=st.one_of(AGREE_INTS, AGREE_BOOLS, AGREE_STRINGS, AGREE_SETS),
+    expr=st.one_of(*AGREE_EXPRS),
     own=AGREE_VALUES,
     through_r=AGREE_VALUES,
+    entry_own=AGREE_VALUES,
+    entry_r=AGREE_VALUES,
 )
-def test_monitor_and_formula_evaluators_agree(expr, own, through_r):
-    """The monitor evaluates an expression; vcgen lowers it to a formula
-    over path symbols, which the formula evaluator reads."""
-    env = {**own, "r": RuntimeObject("R", dict(through_r))}
-    paths = {**own, **{f"r.{name}": value for name, value in through_r.items()}}
-    assert eval_expr(expr, env) == F.evaluate(_lower(expr), paths)
+def test_monitor_and_formula_evaluators_agree(expr, own, through_r, entry_own, entry_r):
+    """The monitor compiles and evaluates an expression, reading each `old`
+    operand from a snapshot taken in the entry state; vcgen lowers it to a
+    formula over path symbols and their entry-state symbols, which the
+    formula evaluator reads."""
+    env, paths = _agree_env(own, through_r)
+    entry_env, entry_paths = _agree_env(entry_own, entry_r)
+    snapshot = {
+        expr_text(node.expr): eval_expr(node.expr, entry_env)
+        for node in ast.walk_expr(expr)
+        if isinstance(node, ast.Old)
+    }
+    paths.update((F.OLD + name, value) for name, value in entry_paths.items())
+    assert eval_expr(expr, env, snapshot) == F.evaluate(_lower(expr), paths)

@@ -18,17 +18,20 @@ from miniproof.errors import (
     VoidCall,
     VoidDereference,
 )
+from miniproof import runtime
 from miniproof.runtime import (
     MAX_CALL_DEPTH,
     Interpreter,
     eval_expr,
     monitor_plan,
     parse_scenario,
+    replay_counterexample,
     run_scenario,
     trace_json,
+    trace_payload,
     trace_text,
 )
-from miniproof.vcgen import VerifyOptions
+from miniproof.vcgen import VerifyOptions, generate_obligations
 
 
 def checked_of(source: str):
@@ -336,7 +339,7 @@ def test_call_depth_is_limited_at_the_default_budget():
     interp = Interpreter(checked_of(source))
     with pytest.raises(StepBudgetExceeded, match=f"call depth limit of {MAX_CALL_DEPTH}"):
         interp.create("NODE")
-    assert interp._frames == []
+    assert interp._depth == 0
 
 
 REACH = (
@@ -460,7 +463,7 @@ def test_scenario_parse_shapes():
     kinds = [c.kind for c in scenario.commands]
     assert kinds == ["create", "call", "call"]
     assert scenario.commands[0].var == "acc"
-    assert scenario.commands[2].args == ["hi", True, None]
+    assert scenario.commands[2].args == ("hi", True, None)
     assert scenario.commands[2].expect == ("violation", "enough_balance")
 
 
@@ -549,7 +552,7 @@ def test_scenario_strings_keep_commas_and_hashes(line, stored):
     """A `,` or `#` inside a string literal neither splits the arguments
     nor starts a comment."""
     scenario = parse_scenario(f"create b : BOX\n{line}\nexpect_ok\n")
-    assert scenario.commands[1].args == [stored]
+    assert scenario.commands[1].args == (stored,)
     trace = run_scenario(checked_of(STRING_BOX), scenario)
     assert trace.ok
     assert trace.final_state("b")["item"] == stored
@@ -559,6 +562,18 @@ def test_scenario_names_are_interned():
     first, second = parse_scenario("create acc : ACCOUNT\ncall acc.deposit(1)\n").commands
     assert first.var is second.var
     assert first.target is sys.intern("ACCOUNT")
+
+
+def test_scenario_shares_equal_arguments_and_expectations():
+    commands = parse_scenario(
+        "create a : A\n"
+        "call a.f(1, \"x\")\nexpect_violation low\n"
+        "call a.f(1, \"x\")\nexpect_violation low\n"
+        "call a.f(true, \"x\")\n"
+    ).commands
+    assert commands[1].args == (1, "x") and commands[1].args is commands[2].args
+    assert commands[1].expect == ("violation", "low") and commands[1].expect is commands[2].expect
+    assert commands[3].args == (True, "x") and type(commands[3].args[0]) is bool
 
 
 def test_account_scenarios_from_corpus(entries):
@@ -617,12 +632,40 @@ def test_trace_renderings(entries):
     assert payload["objects"]["acc"]["balance"] == 30
 
 
+def _dumped(trace) -> str:
+    """The reference encoding that trace_json must write byte for byte."""
+    return json.dumps(trace_payload(trace), indent=2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_trace_json_writes_the_indented_dump_of_monitor_replay_scenarios(seed, benchmark_workloads):
+    workload = benchmark_workloads.MonitorReplay(seed)
+    checked, options = {}, {}
+    for scenario in workload.scenarios:
+        name = scenario.program
+        if name not in checked:
+            entry = load_builtin(name)
+            checked[name], options[name] = checked_of(entry.source), entry.options
+        trace = run_scenario(checked[name], parse_scenario(scenario.text), options[name])
+        assert trace_json(trace) == _dumped(trace)
+
+
+def test_trace_json_falls_back_to_the_dump_outside_its_shape():
+    checked = checked_of(ACCOUNT_LIKE)
+    trace = run_scenario(checked, parse_scenario("create acc : ACCOUNT\ncall acc.deposit(5)\n"))
+    for odd in (1.5, [1, "a"], {"ref": "ACCOUNT"}, True, None, frozenset()):
+        trace.objects["acc"].fields["balance"] = odd
+        assert trace_json(trace) == _dumped(trace), odd
+
+
 # -- monitor plans -------------------------------------------------------------------
 
 # SHA-256 of [[scenario, trace_text, trace_json], ...] over an entry's
 # built-in scenarios, at its manifest options and with width-8 overflow
 # monitoring, taken from the monitor that rendered every label on every
-# call: cached plans must not move a byte
+# call: cached plans and compiled code must not move a byte (every entry
+# with scenarios is here, so each trace_json is also checked against
+# the indented dump)
 _ACCOUNT_TRACES = "d862f3945d96082773fb88e743fc7233783ce1dc1024e20add21115c340b3d2a"
 _TOKENEER_TRACES = "93d5c4f943046b4b20948c4010650f7a6576cdaa9be610f48912c522f3c1dfb9"
 TRACE_DIGESTS = {
@@ -645,6 +688,7 @@ def test_builtin_scenario_traces_are_pinned(name, width8, entries, checked_progr
     parts = []
     for scenario, text in entry.scenarios.items():
         trace = run_scenario(checked_programs[name], parse_scenario(text), opts)
+        assert trace_json(trace) == _dumped(trace), scenario
         parts.append([scenario, trace_text(trace), trace_json(trace)])
     digest = hashlib.sha256(json.dumps(parts).encode("utf-8")).hexdigest()
     assert digest == TRACE_DIGESTS[name]
@@ -806,3 +850,60 @@ def test_programs_with_the_same_names_get_their_own_plans():
     assert labels == ["a + 1", "b * 3"]
     plans = [c.monitor_plans[("C", "bump")] for c in (first, second)]
     assert [[key for key, _ in p.olds] for p in plans] == [["a"], ["b"]]
+
+
+def _count_compiles(monkeypatch) -> list:
+    """Record (class, feature, bounds) of every feature compilation."""
+    compiled = []
+    real = runtime._compile_feature
+
+    def counting(info, feat, plan, bounds):
+        compiled.append((info.name, feat.name, bounds))
+        return real(info, feat, plan, bounds)
+
+    monkeypatch.setattr(runtime, "_compile_feature", counting)
+    return compiled
+
+
+def test_code_is_compiled_once_per_plan_and_shared(monkeypatch):
+    compiled = _count_compiles(monkeypatch)
+    checked = checked_of(ACCOUNT_LIKE)
+    first, second = Interpreter(checked), Interpreter(checked)
+    acc = first.create("ACCOUNT")
+    first.call(acc, "deposit", [5])
+    second.call(acc, "deposit", [5])
+    plan = checked.monitor_plans[("ACCOUNT", "deposit")]
+    code = plan.code[None]
+    obligation = next(
+        o for o in generate_obligations(checked, VerifyOptions()) if o.id == "ACCOUNT.deposit.postcondition.0"
+    )
+    assert replay_counterexample(checked, obligation, {"amount": 5, "balance": 0}) is False
+    assert plan.code == {None: code} and plan.code[None] is code
+    assert compiled == [("ACCOUNT", "make", None), ("ACCOUNT", "deposit", None)]
+
+    # a second program with the same names compiles its own code
+    other = checked_of(ACCOUNT_LIKE)
+    Interpreter(other).call(Interpreter(other).create("ACCOUNT"), "deposit", [5])
+    assert other.monitor_plans[("ACCOUNT", "deposit")].code[None] is not code
+    assert compiled[2:] == [("ACCOUNT", "make", None), ("ACCOUNT", "deposit", None)]
+
+
+def test_overflow_monitoring_gets_its_own_code(monkeypatch):
+    compiled = _count_compiles(monkeypatch)
+    checked = checked_of(_bump_program("a := a + 1", "a = old a + 1"))
+    width8 = VerifyOptions(check_overflow=True, overflow_width=8)
+    for opts in (None, width8, None, width8):
+        interp = Interpreter(checked, opts)
+        obj = interp.create("C")
+        interp.call(obj, "set", [127])
+        if opts is None:
+            interp.call(obj, "bump", [])
+            assert obj.fields["a"] == 128
+        else:
+            with pytest.raises(ContractViolation) as exc:
+                interp.call(obj, "bump", [])
+            assert (exc.value.kind, exc.value.label) == ("overflow", "a + 1")
+    plan = checked.monitor_plans[("C", "bump")]
+    assert sorted(plan.code, key=str) == [(-128, 127), None]
+    assert plan.code[None] is not plan.code[(-128, 127)]
+    assert [c for c in compiled if c[1] == "bump"] == [("C", "bump", None), ("C", "bump", (-128, 127))]
