@@ -250,13 +250,14 @@ class MonitorPlan(ast.Node):
     keyed by id(): the plan lives in the CheckedProgram whose AST holds
     the nodes, so the ids stay valid for the plan's life."""
 
-    # olds: the distinct `old` operands, first occurrence first; old_keys:
-    # every `old` node -> its operand's text; arith_labels: every
-    # arithmetic body node -> its text; frame_queries: the model queries
-    # the frame condition compares; code: overflow bounds (None when
-    # overflow is not monitored) -> the feature compiled to closures, a
-    # FeatureCode, built on the first monitored call with those bounds
-    __slots__ = ("olds", "old_keys", "arith_labels", "labels_by_provenance", "frame_queries", "code")
+    # params: the parameter names; olds: the distinct `old` operands,
+    # first occurrence first; old_keys: every `old` node -> its operand's
+    # text; arith_labels: every arithmetic body node -> its text;
+    # frame_queries: the model queries the frame condition compares;
+    # code: overflow bounds (None when overflow is not monitored) -> the
+    # feature compiled to closures, a FeatureCode, built by
+    # Interpreter._invoke on the first monitored call with those bounds
+    __slots__ = ("params", "olds", "old_keys", "arith_labels", "labels_by_provenance", "frame_queries", "code")
     _defaults = {"code": {}}
 
     def overflow_labels(self, provenance: str) -> frozenset[str]:
@@ -266,13 +267,12 @@ class MonitorPlan(ast.Node):
 
 
 class FeatureCode(ast.Node):
-    """A feature compiled to closures (see ``_Compiler``): the parameter
-    names, (label, test) of each require and ensure clause and of each
-    invariant clause of the class, (text key, operand) of each `old`
-    snapshot, the frame queries, and the body as a list of statement
-    closures ``st(interpreter, p, f)``."""
+    """A feature compiled to closures (see ``_Compiler``): (label, test)
+    of each require and ensure clause and of each invariant clause of the
+    class, (text key, operand) of each `old` snapshot, and the body as a
+    list of statement closures ``st(interpreter, p, f)``."""
 
-    __slots__ = ("params", "require", "olds", "frame_queries", "body", "ensure", "invariant")
+    __slots__ = ("require", "olds", "body", "ensure", "invariant")
 
 
 def monitor_plan(checked: CheckedProgram, class_name: str, feat: ast.Feature) -> MonitorPlan:
@@ -282,18 +282,6 @@ def monitor_plan(checked: CheckedProgram, class_name: str, feat: ast.Feature) ->
     if plan is None:
         plan = checked.monitor_plans[key] = _build_plan(checked.info(class_name), feat)
     return plan
-
-
-def feature_code(
-    checked: CheckedProgram, info: ClassInfo, feat: ast.Feature, bounds: tuple[int, int] | None
-) -> FeatureCode:
-    """The compiled code of a feature for one overflow-bounds value, built
-    on first use and cached on the feature's plan."""
-    plan = monitor_plan(checked, info.name, feat)
-    code = plan.code.get(bounds)
-    if code is None:
-        code = plan.code[bounds] = _compile_feature(info, feat, plan, bounds)
-    return code
 
 
 def _build_plan(info: ClassInfo, feat: ast.Feature) -> MonitorPlan:
@@ -314,16 +302,16 @@ def _build_plan(info: ClassInfo, feat: ast.Feature) -> MonitorPlan:
                 text = labels[id(node)] = expr_text(node)
                 if text not in by_provenance:
                     by_provenance[text] = frozenset(labels[id(n)] for n in ast.arith_postorder(node))
-    return MonitorPlan(tuple(olds.items()), old_keys, labels, by_provenance, info.frame(feat))
+    params = tuple(p.name for p in feat.params)
+    return MonitorPlan(params, tuple(olds.items()), old_keys, labels, by_provenance, info.frame(feat))
 
 
 def _compile_feature(
     info: ClassInfo, feat: ast.Feature, plan: MonitorPlan, bounds: tuple[int, int] | None
 ) -> FeatureCode:
-    params = tuple(p.name for p in feat.params)
     # contracts and `check` are not bounds-checked; body expressions are
-    contract = _Compiler(params, plan.old_keys)
-    body = _Compiler(params, plan.old_keys, bounds, plan.arith_labels)
+    contract = _Compiler(plan.params, plan.old_keys)
+    body = _Compiler(plan.params, plan.old_keys, bounds, plan.arith_labels)
 
     def clauses(items):
         return tuple((c.label, contract.expr(c.expr)) for c in items)
@@ -388,10 +376,8 @@ def _compile_feature(
         raise TypeError(f"unexpected statement {s!r}")
 
     return FeatureCode(
-        params,
         clauses(feat.require),
         tuple((key, contract.expr(operand)) for key, operand in plan.olds),
-        plan.frame_queries,
         block(feat.body),
         clauses(feat.ensure),
         clauses(info.decl.invariant),
@@ -452,8 +438,11 @@ class Interpreter:
         if self._depth == MAX_CALL_DEPTH:
             raise StepBudgetExceeded(f"call depth limit of {MAX_CALL_DEPTH} nested calls exceeded")
         info = self.checked.info(obj.class_name)
-        code = feature_code(self.checked, info, feat, self._bounds)
-        params = dict(zip(code.params, args))
+        plan = monitor_plan(self.checked, info.name, feat)
+        code = plan.code.get(self._bounds)
+        if code is None:
+            code = plan.code[self._bounds] = _compile_feature(info, feat, plan, self._bounds)
+        params = dict(zip(plan.params, args))
         fields = obj.fields
 
         for label, test in code.require:
@@ -461,7 +450,7 @@ class Interpreter:
                 raise _violation("precondition", label, info, feat, obj, params)
 
         old = {key: operand(params, fields, None) for key, operand in code.olds}
-        entry_queries = [fields[q] for q in code.frame_queries]
+        entry_queries = [fields[q] for q in plan.frame_queries]
 
         self._depth += 1
         try:
@@ -475,7 +464,7 @@ class Interpreter:
         for label, test in code.ensure:
             if not test(params, fields, old):
                 raise _violation("postcondition", label, info, feat, obj, params)
-        for q, before in zip(code.frame_queries, entry_queries):
+        for q, before in zip(plan.frame_queries, entry_queries):
             if fields[q] != before:
                 raise _violation("frame", q, info, feat, obj, params)
         for label, test in code.invariant:
@@ -543,10 +532,6 @@ def _split_unquoted(text: str, sep: str) -> list[str]:
 
 def parse_scenario(text: str) -> Scenario:
     commands: list[Command] = []
-    # one tuple per argument text and one expectation per label, so that
-    # long scenarios that repeat a call hold its arguments once
-    shared_args: dict[str, tuple] = {}
-    violations: dict[str, tuple[str, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = (_split_unquoted(raw, "#")[0] if "#" in raw else raw).strip()
         if not line:
@@ -567,11 +552,9 @@ def parse_scenario(text: str) -> Scenario:
             if not dot or not var or not feature:
                 raise ParseError("expected: call <var>.<feature>(<args>)", line_no, 1)
             arg_text = arg_text[:-1].strip()
-            args = shared_args.get(arg_text)
-            if args is None:
-                args = shared_args[arg_text] = (
-                    tuple([_parse_literal(t, line_no) for t in _split_unquoted(arg_text, ",")]) if arg_text else ()
-                )
+            args = (
+                tuple([_parse_literal(t, line_no) for t in _split_unquoted(arg_text, ",")]) if arg_text else ()
+            )
             var, feature = sys.intern(var), sys.intern(feature)
             commands.append(Command("call", var, feature, args, line=line_no))
         elif head in ("expect_violation", "expect_ok"):
@@ -582,10 +565,7 @@ def parse_scenario(text: str) -> Scenario:
             elif not rest:
                 raise ParseError("expected: expect_violation <label>", line_no, 1)
             else:
-                expect = violations.get(rest)
-                if expect is None:
-                    expect = violations[rest] = ("violation", sys.intern(rest))
-                commands[-1].expect = expect
+                commands[-1].expect = ("violation", sys.intern(rest))
         else:
             raise ParseError(f"unknown scenario command {head!r}", line_no, 1)
     return Scenario(commands)
@@ -717,16 +697,6 @@ _JSON_STR = json.encoder.encode_basestring_ascii
 _JSON_CONST = {True: "true", False: "false", None: "null"}
 
 
-class _Unshaped(Exception):
-    """A trace value outside the shapes ``trace_json`` writes itself."""
-
-
-def _str_json(value) -> str:
-    if type(value) is str:
-        return _JSON_STR(value)
-    raise _Unshaped
-
-
 def _leaf_json(value) -> str:
     kind = type(value)
     if kind is str:
@@ -735,7 +705,7 @@ def _leaf_json(value) -> str:
         return int.__repr__(value)
     if kind is bool or value is None:
         return _JSON_CONST[value]
-    raise _Unshaped
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _field_json(value) -> str:
@@ -752,27 +722,23 @@ def _field_json(value) -> str:
 def trace_json(trace: Trace) -> str:
     """Exactly ``json.dumps(trace_payload(trace), indent=2)``, written
     through templates of the trace's fixed two-level shape with the C
-    string encoder. A value outside that shape falls back to the dump."""
-    try:
-        steps = ",\n".join(
-            _STEP % (_str_json(s.command), _str_json(s.expected), _str_json(s.outcome), _leaf_json(s.matched))
-            for s in trace.steps
+    string encoder. A value outside that shape raises TypeError."""
+    steps = ",\n".join(
+        _STEP % (_JSON_STR(s.command), _JSON_STR(s.expected), _JSON_STR(s.outcome), _leaf_json(s.matched))
+        for s in trace.steps
+    )
+    objects = []
+    for var, obj in trace.objects.items():
+        fields = ",\n".join(
+            f"      {_JSON_STR(name)}: {_field_json(value)}" for name, value in obj.fields.items()
         )
-        objects = []
-        for var, obj in trace.objects.items():
-            fields = ",\n".join(
-                f"      {_str_json(name)}: {_field_json(value)}" for name, value in obj.fields.items()
-            )
-            objects.append(f"    {_str_json(var)}: " + ("{\n" + fields + "\n    }" if fields else "{}"))
-        ok = _leaf_json(trace.ok)
-    except _Unshaped:
-        return json.dumps(trace_payload(trace), indent=2)
+        objects.append(f"    {_JSON_STR(var)}: " + ("{\n" + fields + "\n    }" if fields else "{}"))
     return (
         '{\n  "steps": '
         + ("[\n" + steps + "\n  ]" if steps else "[]")
         + ',\n  "objects": '
         + ("{\n" + ",\n".join(objects) + "\n  }" if objects else "{}")
-        + f',\n  "ok": {ok}\n}}'
+        + f',\n  "ok": {_leaf_json(trace.ok)}\n}}'
     )
 
 

@@ -564,15 +564,15 @@ def test_scenario_names_are_interned():
     assert first.target is sys.intern("ACCOUNT")
 
 
-def test_scenario_shares_equal_arguments_and_expectations():
+def test_scenario_arguments_are_tuples_and_labels_interned():
     commands = parse_scenario(
         "create a : A\n"
         "call a.f(1, \"x\")\nexpect_violation low\n"
-        "call a.f(1, \"x\")\nexpect_violation low\n"
+        "call a.f()\nexpect_violation low\n"
         "call a.f(true, \"x\")\n"
     ).commands
-    assert commands[1].args == (1, "x") and commands[1].args is commands[2].args
-    assert commands[1].expect == ("violation", "low") and commands[1].expect is commands[2].expect
+    assert commands[1].args == (1, "x") and commands[2].args == ()
+    assert commands[1].expect == ("violation", "low") and commands[1].expect[1] is commands[2].expect[1]
     assert commands[3].args == (True, "x") and type(commands[3].args[0]) is bool
 
 
@@ -650,12 +650,16 @@ def test_trace_json_writes_the_indented_dump_of_monitor_replay_scenarios(seed, b
         assert trace_json(trace) == _dumped(trace)
 
 
-def test_trace_json_falls_back_to_the_dump_outside_its_shape():
+def test_trace_json_rejects_a_value_outside_the_trace_shape():
     checked = checked_of(ACCOUNT_LIKE)
     trace = run_scenario(checked, parse_scenario("create acc : ACCOUNT\ncall acc.deposit(5)\n"))
-    for odd in (1.5, [1, "a"], {"ref": "ACCOUNT"}, True, None, frozenset()):
+    for value in (True, None, frozenset(), frozenset({"b", "a"})):
+        trace.objects["acc"].fields["balance"] = value
+        assert trace_json(trace) == _dumped(trace), value
+    for odd in (1.5, [1, "a"], {"ref": "ACCOUNT"}, object()):
         trace.objects["acc"].fields["balance"] = odd
-        assert trace_json(trace) == _dumped(trace), odd
+        with pytest.raises(TypeError):
+            trace_json(trace)
 
 
 # -- monitor plans -------------------------------------------------------------------
