@@ -37,7 +37,8 @@ class ContractViolation(Exception):
         self.label = label
         self.class_name = class_name
         self.feature = feature
-        self.environment = dict(environment or {})
+        # each raiser builds a fresh dict, so it is kept, not copied
+        self.environment = {} if environment is None else environment
         super().__init__(f"{kind} violation: {label} in {class_name}.{feature}")
 
 

@@ -23,18 +23,23 @@ it materializes the described entry state, invokes the owning feature
 under monitoring, and reports whether the violation named by the
 obligation fires. Every symbol path is walked by one rule: a reference
 bound to Void ends it, and an unset reference gets its class's
-representative object.
+representative object. The walk reads the values only in its Void tests
+and Ref leaves, so it is planned once per feature and tuple of
+counterexample keys (an EntryPlan: the paths in order, each resolved to
+its container, the keys whose Void binding ends it and the class of each
+representative) and each replay applies the plan to its values.
 
 What monitoring needs from a feature's text is computed once per
 analyzed program, in a MonitorPlan built on the feature's first
 monitored call: the distinct `old` operands to snapshot and the text key
 of every `old` node, the label of every arithmetic body node, the
 arithmetic labels each Overflow provenance accepts on replay, the model
-queries the frame condition compares, and the compiled code, once per
-overflow-bounds value. A plan depends only on the feature, and a
-CheckedProgram never changes after analysis, so the plan and its code
-are cached on the CheckedProgram and shared by every Interpreter and
-every replay over it; nothing is cached at module level.
+queries the frame condition compares, the compiled code, once per
+overflow-bounds value, and the entry plans of its replays, once per key
+tuple. A plan depends only on the feature, and a CheckedProgram never
+changes after analysis, so the plan, its code and its entry plans are
+cached on the CheckedProgram and shared by every Interpreter and every
+replay over it; nothing is cached at module level.
 
 The monitor reads the verification options, the obligation kinds and
 the value encoding from ``formula``; it imports neither vcgen nor
@@ -47,7 +52,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import ast
 from . import formula as F
@@ -256,9 +261,20 @@ class MonitorPlan(ast.Node):
     # frame_queries: the model queries the frame condition compares;
     # code: overflow bounds (None when overflow is not monitored) -> the
     # feature compiled to closures, a FeatureCode, built by
-    # Interpreter._invoke on the first monitored call with those bounds
-    __slots__ = ("params", "olds", "old_keys", "arith_labels", "labels_by_provenance", "frame_queries", "code")
-    _defaults = {"code": {}}
+    # Interpreter._invoke on the first monitored call with those bounds;
+    # replays: a counterexample's keys, in its order -> the EntryPlan that
+    # builds its entry state, built on the first replay with those keys
+    __slots__ = (
+        "params",
+        "olds",
+        "old_keys",
+        "arith_labels",
+        "labels_by_provenance",
+        "frame_queries",
+        "code",
+        "replays",
+    )
+    _defaults = {"code": {}, "replays": {}}
 
     def overflow_labels(self, provenance: str) -> frozenset[str]:
         """Texts of the arithmetic node named by an Overflow obligation and
@@ -355,7 +371,10 @@ def _compile_feature(
                 if obj is None:
                     raise VoidCall(path)
                 values = [a(p, f, None) for a in args]
-                interp._invoke(obj, interp.checked.info(obj.class_name).routines[feature], values)
+                callee_info = interp.checked.info(obj.class_name)
+                callee = callee_info.routines[feature]
+                callee_plan = monitor_plan(interp.checked, callee_info.name, callee)
+                interp._invoke(obj, callee, values, callee_info, callee_plan)
 
             return call
         if isinstance(s, ast.IfStmt):
@@ -405,7 +424,7 @@ class Interpreter:
         self.options = options or VerifyOptions()
         self.step_budget = step_budget
         self._bounds = self.options.overflow_bounds if self.options.check_overflow else None
-        self._steps_left = 0
+        self._steps_left = step_budget
         self._depth = 0  # monitored calls in progress
 
     # entry points: each top-level create/call gets a fresh step budget
@@ -420,10 +439,11 @@ class Interpreter:
         info = self.checked.info(obj.class_name)
         self.enter(obj, info.routines[feature_name], args)
 
-    def enter(self, obj: RuntimeObject, feat: ast.Feature, args: list) -> None:
+    def enter(self, obj: RuntimeObject, feat: ast.Feature, args: Sequence) -> None:
         """Invoke feat on obj as a top-level call, with a fresh step budget."""
+        info = self.checked.info(obj.class_name)
         self._steps_left = self.step_budget
-        self._invoke(obj, feat, args)
+        self._invoke(obj, feat, args, info, monitor_plan(self.checked, info.name, feat))
 
     # monitored invocation (shared by top-level and nested calls)
 
@@ -431,14 +451,15 @@ class Interpreter:
         """A blank object of the class, after its creator has run."""
         info = self.checked.info(class_name)
         obj = blank_object(info)
-        self._invoke(obj, info.routines[info.creator], [])
+        creator = info.routines[info.creator]
+        self._invoke(obj, creator, [], info, monitor_plan(self.checked, class_name, creator))
         return obj
 
-    def _invoke(self, obj: RuntimeObject, feat: ast.Feature, args: list):
+    def _invoke(self, obj: RuntimeObject, feat: ast.Feature, args: Sequence, info: ClassInfo, plan: MonitorPlan):
+        """Run feat on obj under monitoring; info is obj's class and plan
+        feat's, which every caller has looked up already."""
         if self._depth == MAX_CALL_DEPTH:
             raise StepBudgetExceeded(f"call depth limit of {MAX_CALL_DEPTH} nested calls exceeded")
-        info = self.checked.info(obj.class_name)
-        plan = monitor_plan(self.checked, info.name, feat)
         code = plan.code.get(self._bounds)
         if code is None:
             code = plan.code[self._bounds] = _compile_feature(info, feat, plan, self._bounds)
@@ -496,7 +517,8 @@ class Command(ast.Node):
     def text(self) -> str:
         if self.kind == "create":
             return f"create {self.var} : {self.target}"
-        rendered = ", ".join(F.value_text(a) for a in self.args)
+        # most arguments are integers; bool, also an int, stays true/false
+        rendered = ", ".join([str(a) if type(a) is int else F.value_text(a) for a in self.args])
         return f"call {self.var}.{self.target}({rendered})"
 
 
@@ -584,14 +606,15 @@ class Trace(ast.Node):
         return dict(self.objects[var].fields)
 
 
-def _check_command(checked: CheckedProgram, cmd: Command, objects: dict) -> None:
-    """Raise ParseError at the command's line when it names an unknown
-    variable, class or feature, or passes arguments that do not fit the
-    feature's parameters."""
+def _check_command(checked: CheckedProgram, cmd: Command, objects: dict) -> ast.Feature | None:
+    """The feature a call command calls (None for a create). Raise
+    ParseError at the command's line when it names an unknown variable,
+    class or feature, or passes arguments that do not fit the feature's
+    parameters."""
     if cmd.kind == "create":
         if cmd.target not in checked.classes:
             raise ParseError(f"unknown class {cmd.target}", cmd.line, 1)
-        return
+        return None
     obj = objects.get(cmd.var)
     if obj is None:
         raise ParseError(f"unknown scenario variable {cmd.var}", cmd.line, 1)
@@ -613,6 +636,7 @@ def _check_command(checked: CheckedProgram, cmd: Command, objects: dict) -> None
                 cmd.line,
                 1,
             )
+    return feat
 
 
 def run_scenario(
@@ -628,12 +652,12 @@ def run_scenario(
         expected = "ok" if cmd.expect is None or cmd.expect[0] == "ok" else cmd.expect[1]
         violation = None
         outcome = "ok"
-        _check_command(checked, cmd, objects)
+        feat = _check_command(checked, cmd, objects)
         try:
-            if cmd.kind == "create":
+            if feat is None:
                 objects[cmd.var] = interp.create(cmd.target)
             else:
-                interp.call(objects[cmd.var], cmd.target, list(cmd.args))
+                interp.enter(objects[cmd.var], feat, cmd.args)
         except ContractViolation as cv:
             violation = cv
             outcome = f"violation {cv.kind} {cv.label}"
@@ -754,6 +778,86 @@ _RUNTIME_KIND = {
 }
 
 
+class EntryPlan(ast.Node):
+    """How a counterexample with one tuple of keys becomes the entry
+    state of one feature, worked out from the keys alone (see
+    synthesize_entry_state). It holds no object and nothing a replay
+    changes: each replay copies params and makes its own objects."""
+
+    # params: each parameter -> its type's default; steps: one per
+    # non-havoc key, shallow paths first, each (key, whether the path
+    # starts at a parameter, walk, last segment, ReplayImpossible message
+    # or None); walk: (segment, the key whose Void binding ends the path
+    # there or None, ClassInfo of the representative) per reference the
+    # path crosses before its last segment or its impossible one
+    __slots__ = ("params", "steps")
+
+
+def _plan_entry_state(checked: CheckedProgram, info: ClassInfo, feat: ast.Feature, keys: tuple) -> EntryPlan:
+    param_types = {p.name: p.ty for p in feat.params}
+    steps = []
+    # in a fixed order, shallow paths first, so that paths meeting at one
+    # representative build the same state whatever the order of the keys
+    for name in sorted(keys, key=lambda k: (k.count("."), k)):
+        if "@" in name:
+            continue  # mid-body havoc value, not part of the entry state
+        segments = name.split(".")
+        in_params = segments[0] in param_types
+        types = param_types if in_params else info.attributes
+        walk, prefix, message = [], "", None
+        for seg in segments[:-1]:
+            ty = types.get(seg)
+            if ty is None:
+                message = f"counterexample symbol {name} is not in scope"
+                break
+            if ty.kind != ast.REF:
+                message = f"path {name} crosses non-reference {seg}"
+                break
+            prefix = f"{prefix}.{seg}" if prefix else seg
+            target = checked.info(ty.class_name)
+            walk.append((seg, prefix if prefix in keys else None, target))
+            types = target.attributes
+        else:
+            if segments[-1] not in types:
+                message = f"counterexample symbol {name} is not in scope"
+        steps.append((name, in_params, tuple(walk), segments[-1], message))
+    return EntryPlan({p.name: type_default(p.ty) for p in feat.params}, tuple(steps))
+
+
+def _entry_state(
+    checked: CheckedProgram, info: ClassInfo, feat: ast.Feature, plan: MonitorPlan, counterexample: dict
+) -> tuple[RuntimeObject, list]:
+    keys = tuple(counterexample)
+    entry = plan.replays.get(keys)
+    if entry is None:
+        entry = plan.replays[keys] = _plan_entry_state(checked, info, feat, keys)
+    params = dict(entry.params)
+    obj = blank_object(info)
+    representatives: dict[str, RuntimeObject] = {}
+
+    def representative(target: ClassInfo) -> RuntimeObject:
+        found = representatives.get(target.name)
+        if found is None:
+            found = representatives[target.name] = blank_object(target)
+        return found
+
+    for name, in_params, walk, attr, message in entry.steps:
+        fields = params if in_params else obj.fields
+        for seg, void_key, target in walk:
+            if void_key is not None and counterexample[void_key] is None:
+                break
+            current = fields.get(seg)
+            if current is None:
+                current = fields[seg] = representative(target)
+            fields = current.fields
+        else:
+            if message is not None:
+                raise ReplayImpossible(message)
+            value = counterexample[name]
+            fields[attr] = representative(checked.info(value.class_name)) if isinstance(value, F.Ref) else value
+    return obj, list(params.values())
+
+
 def synthesize_entry_state(
     checked: CheckedProgram, obligation: Obligation, counterexample: dict
 ) -> tuple[RuntimeObject, list]:
@@ -765,49 +869,19 @@ def synthesize_entry_state(
     path, so the values under it, which describe no state, are skipped;
     an unset reference gets its class's representative object. One
     shared representative realizes all non-Void references of a class,
-    matching the heap model the formulas were built on. Havoc symbols
-    (name@k) describe mid-body states and are skipped too. Raises
-    ReplayImpossible for a path through a non-reference or a name outside
-    the feature's scope."""
+    matching the heap model the formulas were built on; a Ref value names
+    the class its path is declared with, as every counterexample's does.
+    Havoc symbols (name@k) describe mid-body states and are skipped too.
+    Raises ReplayImpossible for a path through a non-reference or a name
+    outside the feature's scope, unless a Void reference ends it first.
+
+    The walk depends on the values only through the Void tests and the
+    Ref leaves, so its order and its segments are planned once per
+    feature and tuple of keys (an EntryPlan, cached on the feature's
+    MonitorPlan); each replay applies the plan to its values."""
     info = checked.info(obligation.class_name)
     feat = info.routines[obligation.feature_name]
-    param_types = {p.name: p.ty for p in feat.params}
-    params = {name: type_default(ty) for name, ty in param_types.items()}
-    obj = blank_object(info)
-    representatives: dict[str, RuntimeObject] = {}
-
-    def representative(class_name: str) -> RuntimeObject:
-        found = representatives.get(class_name)
-        if found is None:
-            found = representatives[class_name] = blank_object(checked.info(class_name))
-        return found
-
-    # in a fixed order, shallow paths first, so that paths meeting at one
-    # representative build the same state whatever the order of the keys
-    for name, value in sorted(counterexample.items(), key=lambda kv: (kv[0].count("."), kv[0])):
-        if "@" in name:
-            continue  # mid-body havoc value, not part of the entry state
-        segments = name.split(".")
-        fields, types = (params, param_types) if segments[0] in params else (obj.fields, info.attributes)
-        prefix = ""
-        for depth, seg in enumerate(segments, 1):
-            ty = types.get(seg)
-            if ty is None:
-                raise ReplayImpossible(f"counterexample symbol {name} is not in scope")
-            if depth == len(segments):
-                fields[seg] = representative(value.class_name) if isinstance(value, F.Ref) else value
-                break
-            if ty.kind != ast.REF:
-                raise ReplayImpossible(f"path {name} crosses non-reference {seg}")
-            prefix = f"{prefix}.{seg}" if prefix else seg
-            # a missing key reads False, so only a Void binding reads None
-            if counterexample.get(prefix, False) is None:
-                break
-            current = fields.get(seg)
-            if current is None:
-                current = fields[seg] = representative(ty.class_name)
-            fields, types = current.fields, checked.info(current.class_name).attributes
-    return obj, list(params.values())
+    return _entry_state(checked, info, feat, monitor_plan(checked, info.name, feat), counterexample)
 
 
 def replay_counterexample(
@@ -823,11 +897,13 @@ def replay_counterexample(
     cannot evaluate or exceeds the step budget or call depth."""
     if counterexample is None:
         return False
-    obj, args = synthesize_entry_state(checked, obligation, counterexample)
     info = checked.info(obligation.class_name)
     feat = info.routines[obligation.feature_name]
+    plan = monitor_plan(checked, info.name, feat)
+    obj, args = _entry_state(checked, info, feat, plan, counterexample)
     try:
-        Interpreter(checked, options).enter(obj, feat, args)
+        # a new Interpreter starts with a fresh step budget
+        Interpreter(checked, options)._invoke(obj, feat, args, info, plan)
     except ContractViolation as cv:
         expected_kind = _RUNTIME_KIND.get(obligation.kind)
         if cv.kind != expected_kind:
@@ -835,7 +911,6 @@ def replay_counterexample(
         if obligation.kind == OVERFLOW:
             # the monitor reports the innermost node that leaves the
             # bounds, which may be a subexpression of the obligation's
-            plan = monitor_plan(checked, info.name, feat)
             return cv.label in plan.overflow_labels(obligation.provenance)
         return cv.label == obligation.provenance
     except VoidDereference as exc:

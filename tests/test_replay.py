@@ -2,12 +2,20 @@
 the same clause, Discharged verdicts are no-ops, and impossible object
 states are reported rather than silently skipped."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from miniproof import analyze, parse
+from miniproof import analyze, ast, parse, runtime
 from miniproof import formula as F
 from miniproof.errors import ContractViolation, ReplayImpossible
-from miniproof.runtime import Interpreter, replay_counterexample, synthesize_entry_state
+from miniproof.runtime import (
+    Interpreter,
+    RuntimeObject,
+    blank_object,
+    replay_counterexample,
+    synthesize_entry_state,
+)
 from miniproof.vcgen import VerifyOptions, generate_obligations
 
 
@@ -211,6 +219,13 @@ feature
     do
       n := 1
     end
+
+  put (b: BOX)
+    require
+      pos: b.s /= Void
+    do
+      n := 2
+    end
 end
 """
 
@@ -245,6 +260,16 @@ def test_paths_outside_the_heap_are_impossible(paths_program, cx):
     checked, obligation = paths_program
     with pytest.raises(ReplayImpossible):
         synthesize_entry_state(checked, obligation, cx)
+
+
+@pytest.mark.parametrize(
+    "cx", [{"r": None, "r.t": 1}, {"r.s": None, "r.s.a.b": 1}, {"r": None, "r.s.a.b": 1}],
+    ids=["unknown-attribute", "inner-not-a-reference", "outer-void"],
+)
+def test_void_reference_before_a_bad_segment_ends_the_path(paths_program, cx):
+    checked, obligation = paths_program
+    obj, _ = synthesize_entry_state(checked, obligation, cx)
+    assert obj.fields["r"] is None or obj.fields["r"].fields["s"] is None
 
 
 def test_unknown_symbol_is_impossible(checked_programs, entries):
@@ -300,3 +325,211 @@ def test_overflow_replay_accepts_the_inner_node_the_monitor_reports(checked_prog
         assert obligation.provenance == provenance
         assert replay_counterexample(checked, obligation, cx, opts)
         assert not replay_counterexample(checked, obligation, {"amount": 1, "balance": 0}, opts)
+
+
+# -- planned entry states ------------------------------------------------------
+
+
+def _reference_entry_state(checked, obligation, counterexample):
+    """The entry-state walk as it was before it was planned per key
+    tuple: it sorts, splits and types the keys on every call. Kept as the
+    reference the planned synthesize_entry_state is compared against."""
+    info = checked.info(obligation.class_name)
+    feat = info.routines[obligation.feature_name]
+    param_types = {p.name: p.ty for p in feat.params}
+    params = {name: F.type_default(ty) for name, ty in param_types.items()}
+    obj = blank_object(info)
+    representatives = {}
+
+    def representative(class_name):
+        found = representatives.get(class_name)
+        if found is None:
+            found = representatives[class_name] = blank_object(checked.info(class_name))
+        return found
+
+    for name, value in sorted(counterexample.items(), key=lambda kv: (kv[0].count("."), kv[0])):
+        if "@" in name:
+            continue
+        segments = name.split(".")
+        fields, types = (params, param_types) if segments[0] in params else (obj.fields, info.attributes)
+        prefix = ""
+        for depth, seg in enumerate(segments, 1):
+            ty = types.get(seg)
+            if ty is None:
+                raise ReplayImpossible(f"counterexample symbol {name} is not in scope")
+            if depth == len(segments):
+                fields[seg] = representative(value.class_name) if isinstance(value, F.Ref) else value
+                break
+            if ty.kind != ast.REF:
+                raise ReplayImpossible(f"path {name} crosses non-reference {seg}")
+            prefix = f"{prefix}.{seg}" if prefix else seg
+            if counterexample.get(prefix, False) is None:
+                break
+            current = fields.get(seg)
+            if current is None:
+                current = fields[seg] = representative(ty.class_name)
+            fields, types = current.fields, checked.info(current.class_name).attributes
+    return obj, list(params.values())
+
+
+def _shape(obj, args):
+    """The state as nested lists: each object its class and fields on its
+    first visit and its visit number after that, so two states have one
+    shape only when they share their objects alike."""
+    seen = {}
+
+    def value(v):
+        if not isinstance(v, RuntimeObject):
+            return ("value", type(v).__name__, v)
+        if id(v) in seen:
+            return ("seen", seen[id(v)])
+        seen[id(v)] = len(seen)
+        return ("object", v.class_name, [(name, value(x)) for name, x in v.fields.items()])
+
+    return [value(obj), [value(a) for a in args]]
+
+
+def _objects(obj, args) -> set:
+    """id() of every object reachable from the state."""
+    found, stack = {}, [obj, *args]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, RuntimeObject) and id(v) not in found:
+            found[id(v)] = v
+            stack.extend(v.fields.values())
+    return set(found)
+
+
+def _outcome(synthesize, checked, obligation, counterexample):
+    try:
+        return synthesize(checked, obligation, counterexample)
+    except (ReplayImpossible, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _declared_type(checked, obligation, key):
+    """The type of the path key names, or None when it names none."""
+    info = checked.info(obligation.class_name)
+    types = {p.name: p.ty for p in info.routines[obligation.feature_name].params}
+    if key.split(".")[0] not in types:
+        types = info.attributes
+    ty = None
+    for seg in key.split("."):
+        if ty is not None:
+            if ty.kind != ast.REF:
+                return None
+            types = checked.info(ty.class_name).attributes
+        ty = types.get(seg)
+        if ty is None:
+            return None
+    return ty
+
+
+def _key_pool(keys) -> list:
+    """Keys and their prefixes, each also as a havoc name and with one
+    segment more (out of scope under a reference, across a non-reference
+    under anything else), and names out of scope."""
+    pool = {"ghost", "ghost.a"}
+    for key in keys:
+        segments = key.split(".")
+        for i in range(1, len(segments) + 1):
+            prefix = ".".join(segments[:i])
+            pool.update((prefix, f"{prefix}@1", f"{prefix}.zz"))
+    return sorted(pool)
+
+
+@pytest.fixture(scope="module")
+def entry_state_cases(paths_program, checked_programs, entries, pinned_reports):
+    """Obligation id -> (checked, obligation, key pool), over the two
+    features of the program above and every Failed row of every manifest."""
+    checked, _ = paths_program
+    cases = {}
+    for obligation in generate_obligations(checked, VerifyOptions()):  # one per feature
+        cases[obligation.id] = (checked, obligation, _key_pool(["r.s.a", "b.s.a", "n"]))
+    for name in entries:
+        for row in failed_rows(pinned_reports(name)):
+            program = checked_programs[name]
+            obligation = obligation_by_id(program, entries[name].options, row.id)
+            cases[row.id] = (program, obligation, _key_pool(row.verdict.counterexample))
+    return cases
+
+
+def test_every_failed_row_builds_the_reference_entry_state(checked_programs, entries, pinned_reports):
+    for name in entries:
+        checked = checked_programs[name]
+        for row in failed_rows(pinned_reports(name)):
+            obligation = obligation_by_id(checked, entries[name].options, row.id)
+            cx = row.verdict.counterexample
+            planned = synthesize_entry_state(checked, obligation, cx)
+            assert _shape(*planned) == _shape(*_reference_entry_state(checked, obligation, cx)), row.id
+
+
+_LEAF_VALUES = [None, 0, 1, -7, 300, True, "blank", frozenset({"a"})]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_planned_entry_state_matches_the_reference_walk(entry_state_cases, data):
+    """Any subset of keys in any order, with Void, Refs and other values:
+    the planned walk builds the reference's fields, sharing and
+    arguments, or raises its ReplayImpossible message. A second replay
+    with the same keys reuses the plan and shares no object with the
+    first."""
+    checked, obligation, pool = entry_state_cases[data.draw(st.sampled_from(sorted(entry_state_cases)))]
+    keys = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=8))
+    any_ref = F.Ref(sorted(checked.classes)[0])
+    cx = {}
+    for key in keys:
+        ty = _declared_type(checked, obligation, key)
+        if ty is not None and ty.kind == ast.REF:
+            choices = [None, F.Ref(ty.class_name)]
+        else:
+            choices = [*_LEAF_VALUES, any_ref]
+        cx[key] = data.draw(st.sampled_from(choices))
+    expected = _outcome(_reference_entry_state, checked, obligation, cx)
+    first = _outcome(synthesize_entry_state, checked, obligation, cx)
+    second = _outcome(synthesize_entry_state, checked, obligation, cx)
+    if isinstance(expected[0], str):
+        assert first == second == expected
+        return
+    assert _shape(*first) == _shape(*second) == _shape(*expected)
+    assert not _objects(*first) & _objects(*second)
+
+
+def _count_entry_plans(monkeypatch) -> list:
+    """Record (class, feature, keys) of every entry plan built."""
+    built = []
+    real = runtime._plan_entry_state
+
+    def counting(checked, info, feat, keys):
+        built.append((info.name, feat.name, keys))
+        return real(checked, info, feat, keys)
+
+    monkeypatch.setattr(runtime, "_plan_entry_state", counting)
+    return built
+
+
+def test_entry_plan_is_built_once_per_feature_and_key_tuple(monkeypatch):
+    built = _count_entry_plans(monkeypatch)
+    checked = analyze(parse(_PATHS))
+    obligation = next(o for o in generate_obligations(checked, VerifyOptions()) if o.feature_name == "get")
+    states = [
+        synthesize_entry_state(checked, obligation, {"r.s.a": a, "r": F.Ref("BOX"), "n": a}) for a in (1, 2, 3)
+    ]
+    assert replay_counterexample(checked, obligation, {"r.s.a": 4, "r": F.Ref("BOX"), "n": 4}) is False
+    plan = checked.monitor_plans[("H", "get")]
+    assert list(plan.replays) == [("r.s.a", "r", "n")]
+    assert built == [("H", "get", ("r.s.a", "r", "n"))]
+    assert [s[0].fields["n"] for s in states] == [1, 2, 3]
+
+    # another order of the same keys gets its own plan and the same state
+    swapped = synthesize_entry_state(checked, obligation, {"n": 1, "r": F.Ref("BOX"), "r.s.a": 1})
+    assert _shape(*swapped) == _shape(*states[0])
+    assert list(plan.replays) == [("r.s.a", "r", "n"), ("n", "r", "r.s.a")]
+
+    # a second program with the same names plans its own replays
+    other = analyze(parse(_PATHS))
+    synthesize_entry_state(other, obligation, {"r.s.a": 1, "r": F.Ref("BOX"), "n": 1})
+    assert other.monitor_plans[("H", "get")] is not plan
+    assert other.monitor_plans[("H", "get")].replays[("r.s.a", "r", "n")] is not plan.replays[("r.s.a", "r", "n")]
+    assert len(built) == 3
