@@ -554,6 +554,11 @@ def _split_unquoted(text: str, sep: str) -> list[str]:
 
 def parse_scenario(text: str) -> Scenario:
     commands: list[Command] = []
+    # equal argument texts share one tuple and equal labels one
+    # expectation: a long scenario repeats both, and it is kept as long as
+    # it may be run again
+    args_by_text: dict[str, tuple] = {}
+    expect_by_label: dict[str, tuple] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = (_split_unquoted(raw, "#")[0] if "#" in raw else raw).strip()
         if not line:
@@ -574,9 +579,11 @@ def parse_scenario(text: str) -> Scenario:
             if not dot or not var or not feature:
                 raise ParseError("expected: call <var>.<feature>(<args>)", line_no, 1)
             arg_text = arg_text[:-1].strip()
-            args = (
-                tuple([_parse_literal(t, line_no) for t in _split_unquoted(arg_text, ",")]) if arg_text else ()
-            )
+            args = args_by_text.get(arg_text)
+            if args is None:
+                args = args_by_text[arg_text] = (
+                    tuple([_parse_literal(t, line_no) for t in _split_unquoted(arg_text, ",")]) if arg_text else ()
+                )
             var, feature = sys.intern(var), sys.intern(feature)
             commands.append(Command("call", var, feature, args, line=line_no))
         elif head in ("expect_violation", "expect_ok"):
@@ -587,7 +594,10 @@ def parse_scenario(text: str) -> Scenario:
             elif not rest:
                 raise ParseError("expected: expect_violation <label>", line_no, 1)
             else:
-                commands[-1].expect = ("violation", sys.intern(rest))
+                expect = expect_by_label.get(rest)
+                if expect is None:
+                    expect = expect_by_label[rest] = ("violation", sys.intern(rest))
+                commands[-1].expect = expect
         else:
             raise ParseError(f"unknown scenario command {head!r}", line_no, 1)
     return Scenario(commands)

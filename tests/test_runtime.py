@@ -576,6 +576,20 @@ def test_scenario_arguments_are_tuples_and_labels_interned():
     assert commands[3].args == (True, "x") and type(commands[3].args[0]) is bool
 
 
+def test_equal_argument_texts_and_labels_share_one_tuple():
+    commands = parse_scenario(
+        "create a : A\n"
+        "call a.f(1, 2)\nexpect_violation low\n"
+        "call a.f(1, 2)\nexpect_violation low\n"
+        "call a.f(1)\nexpect_violation high\n"
+        "call a.f(true)\n"
+    ).commands
+    assert commands[1].args is commands[2].args and commands[1].expect is commands[2].expect
+    assert commands[3].expect == ("violation", "high")
+    # (1,) == (True,), so sharing by value would turn one into the other
+    assert type(commands[3].args[0]) is int and type(commands[4].args[0]) is bool
+
+
 def test_account_scenarios_from_corpus(entries):
     checked = checked_of(entries["account"].source)
     ok = run_scenario(
