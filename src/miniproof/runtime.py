@@ -669,7 +669,9 @@ def run_scenario(
             else:
                 interp.enter(objects[cmd.var], feat, cmd.args)
         except ContractViolation as cv:
-            violation = cv
+            # the step keeps the violation, not the frames it passed through
+            violation = cv.with_traceback(None)
+            violation.__context__ = None
             outcome = f"violation {cv.kind} {cv.label}"
         except (VoidDereference, StepBudgetExceeded, UnsupportedInContract) as exc:
             outcome = f"error {type(exc).__name__}: {exc}"

@@ -740,6 +740,27 @@ def test_overflow_scenario_trace_is_pinned(entries, checked_programs):
     ]
 
 
+def test_recorded_violations_keep_no_frames(entries, checked_programs):
+    """A step keeps its violation but not the traceback or the overflow
+    it was raised from, whose frames would stay alive with the trace."""
+    scenario = parse_scenario(
+        "create acc : ACCOUNT\n"
+        "call acc.deposit(50)\n"
+        "call acc.deposit(40)\n"
+        "expect_violation balance + amount + amount\n"
+        "call acc.withdraw(200)\n"
+        "expect_violation enough_balance\n"
+    )
+    name = "account_overflow_mutant"
+    trace = run_scenario(checked_programs[name], scenario, entries[name].options)
+    violations = [s.violation for s in trace.steps if s.violation]
+    assert [(v.kind, v.label) for v in violations] == [
+        ("overflow", "balance + amount + amount"),
+        ("precondition", "enough_balance"),
+    ]
+    assert all(v.__traceback__ is None and v.__context__ is None for v in violations)
+
+
 def _first_match_labels(feat, provenance):
     """Reference search: the first arithmetic body node whose text is the
     provenance, statement by statement, expression by expression, in
