@@ -52,6 +52,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from array import array
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import ast
@@ -509,9 +510,10 @@ class Interpreter:
 class Command(ast.Node):
     # kind: "create" | "call"; target: class name for create, feature name
     # for call; args: a tuple of literals; expect: ("ok",) or
-    # ("violation", label); a scenario shares equal args and expectations
-    __slots__ = ("kind", "var", "target", "args", "expect", "line")
-    _defaults = {"args": (), "expect": None, "line": 0}
+    # ("violation", label). A parsed scenario shares one Command among
+    # its equal commands, so a command holds no line number
+    __slots__ = ("kind", "var", "target", "args", "expect")
+    _defaults = {"args": (), "expect": None}
 
     @property
     def text(self) -> str:
@@ -523,7 +525,8 @@ class Command(ast.Node):
 
 
 class Scenario(ast.Node):
-    __slots__ = ("commands",)
+    # commands in order, and the source line of each (an array of ints)
+    __slots__ = ("commands", "lines")
 
 
 def _parse_literal(token: str, line_no: int):
@@ -554,6 +557,7 @@ def _split_unquoted(text: str, sep: str) -> list[str]:
 
 def parse_scenario(text: str) -> Scenario:
     commands: list[Command] = []
+    lines = array("I")
     # equal argument texts share one tuple and equal labels one
     # expectation: a long scenario repeats both, and it is kept as long as
     # it may be run again
@@ -570,7 +574,8 @@ def parse_scenario(text: str) -> Scenario:
             if not sep or not var.strip() or not class_name.strip():
                 raise ParseError("expected: create <var> : <class>", line_no, 1)
             var, class_name = sys.intern(var.strip()), sys.intern(class_name.strip())
-            commands.append(Command("create", var, class_name, line=line_no))
+            commands.append(Command("create", var, class_name))
+            lines.append(line_no)
         elif head == "call":
             target, paren, arg_text = rest.partition("(")
             if not paren or not arg_text.endswith(")"):
@@ -585,7 +590,8 @@ def parse_scenario(text: str) -> Scenario:
                     tuple([_parse_literal(t, line_no) for t in _split_unquoted(arg_text, ",")]) if arg_text else ()
                 )
             var, feature = sys.intern(var), sys.intern(feature)
-            commands.append(Command("call", var, feature, args, line=line_no))
+            commands.append(Command("call", var, feature, args))
+            lines.append(line_no)
         elif head in ("expect_violation", "expect_ok"):
             if not commands or commands[-1].expect is not None:
                 raise ParseError("expectation must follow a command", line_no, 1)
@@ -600,7 +606,11 @@ def parse_scenario(text: str) -> Scenario:
                 commands[-1].expect = expect
         else:
             raise ParseError(f"unknown scenario command {head!r}", line_no, 1)
-    return Scenario(commands)
+    # equal commands share one object; args are shared per text, so their
+    # identity stands for the text, where equality would take (1,) for (True,)
+    shared: dict[tuple, Command] = {}
+    commands = [shared.setdefault((c.kind, c.var, c.target, id(c.args), c.expect), c) for c in commands]
+    return Scenario(commands, lines)
 
 
 class Step(ast.Node):
@@ -616,26 +626,26 @@ class Trace(ast.Node):
         return dict(self.objects[var].fields)
 
 
-def _check_command(checked: CheckedProgram, cmd: Command, objects: dict) -> ast.Feature | None:
+def _check_command(checked: CheckedProgram, cmd: Command, line: int, objects: dict) -> ast.Feature | None:
     """The feature a call command calls (None for a create). Raise
     ParseError at the command's line when it names an unknown variable,
     class or feature, or passes arguments that do not fit the feature's
     parameters."""
     if cmd.kind == "create":
         if cmd.target not in checked.classes:
-            raise ParseError(f"unknown class {cmd.target}", cmd.line, 1)
+            raise ParseError(f"unknown class {cmd.target}", line, 1)
         return None
     obj = objects.get(cmd.var)
     if obj is None:
-        raise ParseError(f"unknown scenario variable {cmd.var}", cmd.line, 1)
+        raise ParseError(f"unknown scenario variable {cmd.var}", line, 1)
     info = checked.info(obj.class_name)
     feat = info.routines.get(cmd.target)
     if feat is None:
-        raise ParseError(f"unknown feature {info.name}.{cmd.target}", cmd.line, 1)
+        raise ParseError(f"unknown feature {info.name}.{cmd.target}", line, 1)
     if len(cmd.args) != len(feat.params):
         raise ParseError(
             f"{info.name}.{feat.name} takes {len(feat.params)} argument(s), got {len(cmd.args)}",
-            cmd.line,
+            line,
             1,
         )
     for param, value in zip(feat.params, cmd.args):
@@ -643,7 +653,7 @@ def _check_command(checked: CheckedProgram, cmd: Command, objects: dict) -> ast.
             raise ParseError(
                 f"argument {param.name} of {info.name}.{feat.name} is {param.ty}, "
                 f"got {F.value_text(value)}",
-                cmd.line,
+                line,
                 1,
             )
     return feat
@@ -658,11 +668,11 @@ def run_scenario(
     objects: dict[str, RuntimeObject] = {}
     steps: list[Step] = []
     ok = True
-    for cmd in scenario.commands:
+    for cmd, line in zip(scenario.commands, scenario.lines):
         expected = "ok" if cmd.expect is None or cmd.expect[0] == "ok" else cmd.expect[1]
         violation = None
         outcome = "ok"
-        feat = _check_command(checked, cmd, objects)
+        feat = _check_command(checked, cmd, line, objects)
         try:
             if feat is None:
                 objects[cmd.var] = interp.create(cmd.target)
@@ -759,23 +769,27 @@ def trace_json(trace: Trace) -> str:
     """Exactly ``json.dumps(trace_payload(trace), indent=2)``, written
     through templates of the trace's fixed two-level shape with the C
     string encoder. A value outside that shape raises TypeError."""
-    steps = ",\n".join(
-        _STEP % (_JSON_STR(s.command), _JSON_STR(s.expected), _JSON_STR(s.outcome), _leaf_json(s.matched))
-        for s in trace.steps
-    )
     objects = []
     for var, obj in trace.objects.items():
         fields = ",\n".join(
             f"      {_JSON_STR(name)}: {_field_json(value)}" for name, value in obj.fields.items()
         )
         objects.append(f"    {_JSON_STR(var)}: " + ("{\n" + fields + "\n    }" if fields else "{}"))
-    return (
-        '{\n  "steps": '
-        + ("[\n" + steps + "\n  ]" if steps else "[]")
-        + ',\n  "objects": '
+    tail = (
+        ',\n  "objects": '
         + ("{\n" + ",\n".join(objects) + "\n  }" if objects else "{}")
         + f',\n  "ok": {_leaf_json(trace.ok)}\n}}'
     )
+    steps = [
+        _STEP % (_JSON_STR(s.command), _JSON_STR(s.expected), _JSON_STR(s.outcome), _leaf_json(s.matched))
+        for s in trace.steps
+    ]
+    if not steps:
+        return '{\n  "steps": []' + tail
+    # the text is allocated once, by the join, as long traces are kept
+    steps[0] = '{\n  "steps": [\n' + steps[0]
+    steps[-1] += "\n  ]" + tail
+    return ",\n".join(steps)
 
 
 # -- counterexample replay -------------------------------------------------------

@@ -576,18 +576,29 @@ def test_scenario_arguments_are_tuples_and_labels_interned():
     assert commands[3].args == (True, "x") and type(commands[3].args[0]) is bool
 
 
-def test_equal_argument_texts_and_labels_share_one_tuple():
-    commands = parse_scenario(
-        "create a : A\n"
-        "call a.f(1, 2)\nexpect_violation low\n"
-        "call a.f(1, 2)\nexpect_violation low\n"
-        "call a.f(1)\nexpect_violation high\n"
-        "call a.f(true)\n"
-    ).commands
-    assert commands[1].args is commands[2].args and commands[1].expect is commands[2].expect
-    assert commands[3].expect == ("violation", "high")
+def test_equal_commands_share_one_object_and_keep_their_lines():
+    scenario = parse_scenario(
+        "create a : ACCOUNT\n"
+        "call a.withdraw(5)\nexpect_violation enough_balance\n"
+        "call a.withdraw(5)\nexpect_violation enough_balance\n"
+        "\n"
+        "call a.deposit(5)\n"
+        "call a.deposit(5)\nexpect_ok\n"
+        "call b.deposit(5)\n"
+    )
+    commands = scenario.commands
+    assert commands[1] is commands[2]
+    assert commands[3] is not commands[4] and commands[3].args is commands[4].args is commands[1].args
+    assert list(scenario.lines) == [1, 2, 4, 7, 8, 10]
+    with pytest.raises(ParseError) as exc:
+        run_scenario(checked_of(ACCOUNT_LIKE), scenario)
+    assert exc.value.line == 10
+
+
+def test_equal_argument_texts_share_one_tuple_of_their_own_type():
+    commands = parse_scenario("create a : A\ncall a.f(1)\ncall a.f(true)\n").commands
     # (1,) == (True,), so sharing by value would turn one into the other
-    assert type(commands[3].args[0]) is int and type(commands[4].args[0]) is bool
+    assert type(commands[1].args[0]) is int and type(commands[2].args[0]) is bool
 
 
 def test_account_scenarios_from_corpus(entries):
