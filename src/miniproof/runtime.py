@@ -679,7 +679,9 @@ def run_scenario(
             else:
                 interp.enter(objects[cmd.var], feat, cmd.args)
         except ContractViolation as cv:
-            # the step keeps the violation, not the frames it passed through
+            # the step keeps the violation but not the frames it passed
+            # through (nor an overflow it replaced): they include this one,
+            # whose steps hold the step, a cycle only the collector frees
             violation = cv.with_traceback(None)
             violation.__context__ = None
             outcome = f"violation {cv.kind} {cv.label}"
