@@ -26,9 +26,9 @@ the work, and none of them can change which falsifier comes first:
 4. Once at most three symbols are live, compile the residual into one
    generated loop nest, a loop per live symbol over its narrowed domain
    with the residual inlined in the innermost loop, that scans the leaves
-   in order. Code is compiled once per generated source per ``Domains``:
-   residuals of one shape, whatever their literals and symbol names,
-   share it.
+   in order. Code is compiled once per generated source per process, in a
+   bounded cache (see ``_scan_code``): residuals of one shape, whatever
+   their literals and symbol names, share it, in every run.
 5. Settle a goal its hypotheses already state, first at every step: when
    each conjunct of the residual's final consequent is structurally equal
    to one of its hypotheses (see ``_equal``), every assignment that
@@ -39,6 +39,7 @@ the work, and none of them can change which falsifier comes first:
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from itertools import product
@@ -93,7 +94,8 @@ class Domains(ast.Node, frozen=True):
             raise ValueError(f"int_range [{lo}, {hi}] must span at least two values")
         # per type, its domain values, built when first searched; per
         # hypothesis object and input values, the values it keeps (see
-        # _narrow); per generated source, its compiled code (see _compile)
+        # _narrow). Compiled scans hold no value and outlive a run, so
+        # they are kept per process (see _scan_code)
         object.__setattr__(self, "_built", {})
 
 
@@ -151,19 +153,19 @@ def enumerate_environments(obligation: Obligation, domains: Domains):
 def discharge(obligation: Obligation, domains: Domains) -> Verdict:
     if obligation.kind == UNSUPPORTED:
         return Verdict(ERROR, reason=UNSUPPORTED_REASON)
-    if F.old_syms(obligation.formula):
+    if F.has_old(obligation.formula):
         return Verdict(ERROR, reason="entry snapshot left unresolved")
     return _search(obligation.formula, domains)
 
 
 def _search(f: F.Formula, domains: Domains) -> Verdict:
-    syms = F.free_syms(f)
     hit = _walk(F.fold(f), domains, {}, {})
     if hit is None:
         return Verdict(DISCHARGED)
+    # every symbol of f, in sorted-name order, the first falsifier's order
     counterexample = {
         name: hit[name] if name in hit else next(iter(_domain_values(ty, domains)))
-        for name, ty in syms.items()
+        for name, ty in F.free_syms(f).items()
     }
     return Verdict(FAILED, counterexample=counterexample)
 
@@ -202,7 +204,7 @@ def _walk(g: F.Formula, domains: Domains, bound: dict, narrowed: dict) -> dict |
     if len(live) <= COMPILE_AT:
         names = sorted(live)
         lists = [narrowed.get(n) or symbol_domain(live[n], domains) for n in names]
-        hit = next(_leaves_where(g, names, lists, False, domains), None)
+        hit = next(_leaves_where(g, names, lists, False), None)
         return None if hit is None else {**bound, **dict(zip(names, hit))}
     name = min(live)
     for v in narrowed.get(name) or symbol_domain(live[name], domains):
@@ -281,7 +283,7 @@ def _narrow(h: F.Formula, name: str, ty: ast.Type, values, domains: Domains) -> 
     key, memo = (id(h), id(values)), domains._built
     if key not in memo:
         source = values or symbol_domain(ty, domains)
-        kept = tuple(v for (v,) in _leaves_where(h, [name], [source], True, domains))
+        kept = tuple(v for (v,) in _leaves_where(h, [name], [source], True))
         # h and the input stay alive with the result, so their ids are not
         # reused; an input that h leaves whole is returned as it is
         memo[key] = (h, values, values if values and len(kept) == len(values) else kept)
@@ -303,10 +305,11 @@ def _member(lit, ty: ast.Type, domains: Domains) -> tuple:
     return (lit,) if lit is None or lit in others else ()
 
 
-def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool, domains: Domains):
+def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool, domains=None):
     """Each tuple of values of the named symbols, in enumeration order,
-    under which g is truth, found by g's compiled scan."""
-    for values in _compile(g, names, truth, domains)(*value_lists):
+    under which g is truth, found by g's compiled scan. domains is not
+    read: a scan's code is kept per process (see ``_scan_code``)."""
+    for values in _compile(g, names, truth)(*value_lists):
         if values is None:
             raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
         yield values
@@ -317,8 +320,19 @@ def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool
 # piece of its own, computed into a local before the pieces that read it
 _MAX_INLINE_DEPTH = 50
 
+# the most scan sources kept compiled. A source holds no value of a run,
+# so all runs of a process share its code: the corpus's scans have 14
+# sources, a vc_scaling seed's 8 to 11, and the corpus and two seeds 31.
+# The bound caps what a long-lived process keeps.
+_SCAN_CACHE_SIZE = 256
 
-def _compile(g: F.Formula, names: list[str], truth: bool, domains: Domains):
+
+@functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _scan_code(source: str):
+    return compile(source, "<residual>", "exec")
+
+
+def _compile(g: F.Formula, names: list[str], truth: bool):
     """The scan of g over the named symbols: a generator function of one
     sequence of values per symbol, a loop nest in the order of names with g
     inlined in the innermost loop, with F.fold's meaning on well-typed
@@ -327,11 +341,12 @@ def _compile(g: F.Formula, names: list[str], truth: bool, domains: Domains):
     None for one under which g is not a boolean. The source names
     symbols and literals by position, and the function binds the
     literals through its globals, so residuals of one shape share one
-    code object, compiled once per Domains. A residual deeper than
-    ``_MAX_INLINE_DEPTH`` is cut into pieces that the innermost loop
-    works out deepest first, so a scan takes one frame however deep g
-    is; a piece under a short-circuit is then worked out regardless,
-    which on a well-typed formula costs time only."""
+    code object, compiled once per process (see ``_scan_code``). A
+    residual deeper than ``_MAX_INLINE_DEPTH`` is cut into pieces that
+    the innermost loop works out deepest first, so a scan takes one
+    frame however deep g is; a piece under a short-circuit is then
+    worked out regardless, which on a well-typed formula costs time
+    only."""
     arg = {name: f"s{i}" for i, name in enumerate(names)}
     consts: dict[str, object] = {}
     pieces = [g]  # src appends each deeper piece, which piece p<index> holds
@@ -375,10 +390,7 @@ def _compile(g: F.Formula, names: list[str], truth: bool, domains: Domains):
         + f"{steps}{inner}if p0 is not {not truth}:\n"
         + f"{inner} yield ({''.join(f's{i}, ' for i in range(n))}) if p0 is {truth} else None"
     )
-    code = domains._built.get(source)
-    if code is None:
-        code = domains._built[source] = compile(source, "<residual>", "exec")
-    exec(code, consts)
+    exec(_scan_code(source), consts)
     return consts["scan"]
 
 

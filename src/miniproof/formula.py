@@ -23,8 +23,8 @@ the substitutions out; ``to_text`` prints the text of the expanded
 formula without building it, each bind printed once.
 
 Every node keeps the keys of its free leaves, worked out when it is
-built from its children's (see ``_leaves``), so ``subst``, ``free_syms``
-and ``old_syms`` read them without a walk. A node that adds no key to
+built from its children's (see ``_leaves``), so ``subst``, ``free_syms``,
+``old_syms`` and ``has_old`` read them without a walk. A node that adds no key to
 one child's shares that child's dict, so ``not X`` or ``x < 3`` costs
 no dict of its own.
 
@@ -330,6 +330,11 @@ def free_syms(f: Formula) -> dict[str, ast.Type]:
 
 def old_syms(f: Formula) -> dict[str, ast.Type]:
     return dict(sorted((k[len(OLD):], ty) for k, ty in _leaves(f).items() if k.startswith(OLD)))
+
+
+def has_old(f: Formula) -> bool:
+    """Whether f has an entry-state leaf: ``old_syms(f)`` is not empty."""
+    return any(k.startswith(OLD) for k in _leaves(f))
 
 
 # -- substitution and folding ---------------------------------------------------

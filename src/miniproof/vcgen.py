@@ -243,12 +243,15 @@ class _FeatureVCs:
         }
         hyps = (_own(self.memo, e)[0] for e in (*invariant, *(c.expr for c in feat.require)))
         self.hyps = [h for h in hyps if h is not None]
-        self.hyp_syms = {name for h in self.hyps for name in F.free_syms(h)}
+        self.hyp_syms = {name for h in self.hyps for name in F._leaves(h)}
         if lifted is None:
             lifted = _lifted_invariants(checked, info.attributes.items())
         params = _lifted_invariants(checked, [(p.name, p.ty) for p in feat.params])
         # nor the invariants of the objects it references
         self.lifted = [] if feat.is_creator else sorted(lifted + params, key=itemgetter(0))
+        # per tuple of the indices of the lifted invariants an obligation
+        # takes, the conjunction of its hypotheses, shared (see _close)
+        self.hyp_conj: dict[tuple[int, ...], F.Formula] = {}
         self.defaults = {name: F.Lit(type_default(ty)) for name, ty in info.attributes.items()}
 
     def receiver_class(self, name: str) -> ClassInfo:
@@ -396,13 +399,18 @@ class _FeatureVCs:
     def _close(self, goal: F.Formula) -> F.Formula:
         """Unify entry snapshots, attach the hypotheses and the lifted
         invariants in the goal's scope, and for creators replace
-        attribute symbols by their default values."""
-        goal = F.unify_old(goal)
-        hyps = self.hyps
+        attribute symbols by their default values. Obligations that take
+        the same lifted invariants share one hypothesis node."""
+        if F.has_old(goal):
+            goal = F.unify_old(goal)
+        taken = ()
         if self.lifted:
-            scope = self.hyp_syms.union(F.free_syms(goal))
-            hyps = hyps + [g for r, syms, g in self.lifted if r in scope and syms <= scope]
-        closed = F.implies(F.conj(*hyps), goal)
+            scope = self.hyp_syms.union(F._leaves(goal))
+            taken = tuple(i for i, (r, syms, _) in enumerate(self.lifted) if r in scope and syms <= scope)
+        hyp = self.hyp_conj.get(taken)
+        if hyp is None:
+            hyp = self.hyp_conj[taken] = F.conj(*self.hyps, *(self.lifted[i][2] for i in taken))
+        closed = F.implies(hyp, goal)
         return F.subst(closed, self.defaults) if self.feat.is_creator else closed
 
     def generate(self) -> list[Obligation]:
@@ -468,7 +476,7 @@ def _lifted_invariants(checked: CheckedProgram, names) -> list[tuple[str, set[st
         invariant = checked.info(ty.class_name).decl.invariant
         for _, lifted in _lowered(invariant, _through(r, {}, lambda p: p)):
             guarded = F.disj(F.Cmp("=", F.Sym(r, ty), F.Lit(None)), lifted)
-            out.append((r, set(F.free_syms(lifted)), guarded))
+            out.append((r, set(F._leaves(lifted)), guarded))
     return out
 
 

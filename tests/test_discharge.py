@@ -276,11 +276,29 @@ def test_compiled_residual_runs_in_one_frame_however_deep():
     assert found == [(a, b) for a, b in itertools.product(*lists) if a + levels * b >= 0]
 
 
-def test_residuals_of_one_shape_share_code_but_not_literals():
-    """Code is compiled once per source per Domains, and each residual
+def _record_scans(monkeypatch) -> list:
+    """(source, code) of each scan compiled or fetched from the process
+    cache from now on."""
+    from miniproof import discharge as discharge_module
+
+    scans = []
+    real = discharge_module._scan_code
+
+    def recording(source):
+        code = real(source)
+        scans.append((source, code))
+        return code
+
+    monkeypatch.setattr(discharge_module, "_scan_code", recording)
+    return scans
+
+
+def test_residuals_of_one_shape_share_code_but_not_literals(monkeypatch):
+    """Code is compiled once per source per process, and each residual
     binds its own literals and symbols: ``i + j < 3`` and ``a + b < -2``
     share the code object of one scan and each gets its own first
-    falsifier."""
+    falsifier. The Domains keeps no code."""
+    scans = _record_scans(monkeypatch)
     domains = Domains((-3, 3), ())
     assert domains._built == {}
     found = []
@@ -295,18 +313,21 @@ def test_residuals_of_one_shape_share_code_but_not_literals():
         assert discharge(obligation, domains).counterexample == naive
         found.append(naive)
     assert found == [{"i": 0, "j": 3}, {"a": -3, "b": 1}]
-    sources = [key for key in domains._built if isinstance(key, str)]
-    assert len(sources) == 1 and sources[0].startswith("def scan(")
+    sources = {source for source, _ in scans}
+    assert len(sources) == 1 and sources.pop().startswith("def scan(")
+    assert len(scans) == 2 and scans[0][1] is scans[1][1]
+    assert list(domains._built) == [T_INT]
     assert Domains((-3, 3), ())._built == {}
 
 
-def test_scan_nests_its_loops_in_symbol_order():
+def test_scan_nests_its_loops_in_symbol_order(monkeypatch):
     """``a + 2 * b + 4 * c < 7`` over -1..1 fails only at the last leaf of
     the nest, a = b = c = 1, which the scan of three live symbols must
     reach; and the leaves where it holds come out in enumeration order,
     the first symbol's loop outermost."""
     from miniproof.discharge import _leaves_where
 
+    scans = _record_scans(monkeypatch)
     a, b, c = (F.Sym(n, T_INT) for n in "abc")
     weighted = F.Arith("+", F.Arith("+", a, F.Arith("*", F.Lit(2), b)), F.Arith("*", F.Lit(4), c))
     formula = F.Cmp("<", weighted, F.Lit(7))
@@ -316,10 +337,53 @@ def test_scan_nests_its_loops_in_symbol_order():
     falsifiers = [env for env in envs if F.evaluate(formula, env) is not True]
     assert falsifiers == [envs[-1]] == [{"a": 1, "b": 1, "c": 1}]
     assert discharge(obligation, domains) == Verdict(FAILED, counterexample=falsifiers[0])
-    assert [key for key in domains._built if isinstance(key, str) and key.startswith("def scan(l0, l1, l2)")]
+    assert [source for source, _ in scans if source.startswith("def scan(l0, l1, l2)")]
     values = [symbol_domain(T_INT, domains)] * 3
     holds = list(_leaves_where(formula, ["a", "b", "c"], values, True, domains))
     assert holds == [tuple(env.values()) for env in envs[:-1]]
+
+
+def test_two_runs_share_the_code_of_one_shape(monkeypatch):
+    """Each run has its own Domains, and a shape's code outlives it: the
+    second run's scan of ``i + j < 3`` is the first run's code object."""
+    scans = _record_scans(monkeypatch)
+    formula = F.Cmp("<", F.Arith("+", F.Sym("i", T_INT), F.Sym("j", T_INT)), F.Lit(3))
+    for _ in range(2):
+        domains = Domains((-3, 3), ())
+        verdict = discharge(_obligation_over(formula), domains)
+        assert verdict == Verdict(FAILED, counterexample={"i": 0, "j": 3})
+    assert len(scans) == 2 and scans[0] == scans[1] and scans[0][1] is scans[1][1]
+
+
+def test_more_scan_shapes_than_the_process_keeps():
+    """``i op j op j ... < 1``, its operators spelled by the bits of a
+    number, gives a shape per number: more of them than the cache of
+    compiled scans holds, then the first ones again, once evicted. Each
+    verdict and first falsifier is enumeration's, and the cache never
+    holds more than its bound."""
+    from miniproof.discharge import _SCAN_CACHE_SIZE, _scan_code
+
+    count = _SCAN_CACHE_SIZE + 40
+    i, j = F.Sym("i", T_INT), F.Sym("j", T_INT)
+    shapes = []
+    for n in range(count):
+        term = i
+        for bit in range(count.bit_length()):
+            term = F.Arith("-" if n >> bit & 1 else "+", term, j)
+        shapes.append(F.Cmp("<", term, F.Lit(1)))
+    domains = Domains((-2, 2), ())
+    misses = _scan_code.cache_info().misses
+    for formula in shapes + shapes[:40]:
+        obligation = _obligation_over(formula)
+        naive = next(
+            (env for env in enumerate_environments(obligation, domains) if F.evaluate(formula, env) is not True),
+            None,
+        )
+        expected = Verdict(DISCHARGED) if naive is None else Verdict(FAILED, counterexample=naive)
+        assert discharge(obligation, domains) == expected
+        assert _scan_code.cache_info().currsize <= _SCAN_CACHE_SIZE
+    # every shape compiled, and the first 40 again after their eviction
+    assert _scan_code.cache_info().misses - misses == count + 40
 
 
 def test_a_pin_in_one_branch_stays_out_of_the_next():
@@ -489,6 +553,48 @@ def test_json_report_is_the_indented_dump_of_its_payload_for_vc_scaling(seed, vc
     for program in vc_scaling_programs.generate(seed):
         report = verify_program(analyze(parse(program.source)), opts)
         assert render_json(report) == json.dumps(report_payload(report), indent=2), program.name
+
+
+def _masked(report) -> dict:
+    payload = report_payload(report)
+    del payload["duration_ms"]
+    return payload
+
+
+def _assert_runs_match_fresh_domains(checked, opts, label):
+    """Two runs in one process report what discharging each obligation in
+    a Domains of its own, from an empty cache of compiled scans, reports,
+    and each Failed counterexample lists every free symbol of its formula
+    in sorted-name order."""
+    from miniproof.discharge import _scan_code
+
+    obligations = generate_obligations(checked, opts)
+    by_id = {o.id: o for o in obligations}
+    _scan_code.cache_clear()
+    fresh = build_report(
+        [(o, discharge(o, derive_domains(checked, opts))) for o in obligations], derive_domains(checked, opts)
+    )
+    for run in (1, 2):
+        report = verify_program(checked, opts)
+        assert _masked(report) == _masked(fresh), (label, run)
+        for row in report.rows:
+            if row.verdict.status == FAILED:
+                names = sorted(F.free_syms(by_id[row.id].formula))
+                assert list(row.verdict.counterexample) == names, (label, run, row.id)
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["manifest", "width8"])
+def test_runs_in_one_process_carry_nothing_over_for_the_corpus(checked_programs, entries, overflow):
+    for name, entry in entries.items():
+        opts = entry.options.replace(check_overflow=True, overflow_width=8) if overflow else entry.options
+        _assert_runs_match_fresh_domains(checked_programs[name], opts, name)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_runs_in_one_process_carry_nothing_over_for_vc_scaling(seed, vc_scaling_programs):
+    opts = VerifyOptions(int_range=vc_scaling_programs.INT_RANGE)
+    for program in vc_scaling_programs.generate(seed):
+        _assert_runs_match_fresh_domains(analyze(parse(program.source)), opts, program.name)
 
 
 def test_json_report_writes_every_value_encoding_as_the_indented_dump():

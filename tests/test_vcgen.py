@@ -1,6 +1,9 @@
 """Obligation generation: the frozen ACCOUNT obligation list, one obligation
 per clause-kind occurrence, provenance labels, and determinism."""
 
+import hashlib
+import json
+
 import pytest
 
 from miniproof import analyze, parse
@@ -644,3 +647,57 @@ def test_obligations_of_2000_assignments_in_a_row():
     (obligation,) = generate_obligations(analyze(parse(_straight_line_creator(2000))), VerifyOptions())
     assert obligation.id == "C.make.postcondition.0"
     assert F.fold(obligation.formula) == F.TRUE
+
+
+# SHA-256 of the JSON list of [id, kind, provenance, formula text] of each
+# corpus entry's obligations at --check-overflow --overflow-width 8, and of
+# [program, id, kind, provenance, formula text] over a vc_scaling seed's
+# programs. Obligations share their hypothesis node and skip unify_old when
+# the goal has no `old` leaf; neither may change an obligation's text.
+WIDTH8_DIGESTS = {
+    "account": "ed0be455916d9951761bcf709cd7658ce609e073b5b8f068b1549c0e0da66527",
+    "account_noguard_mutant": "45b3bd9a65188b2d7c74ea7c3dddbef4a0c3fab992297e7ac1bec27996fa9f06",
+    "account_overflow_mutant": "1d13966cbd4e095a09b2edb538d874c61e84f9bec465e97ddb2f5c8878847238",
+    "tokeneer_enrolment": "398d38b45159151aecdc7b9bb662e4f5f4f6b95ffd8463b0c6cea72c5496def6",
+    "tokeneer_noprecond_mutant": "f633a839d805ea1254690e6ce2cd7e993a2be06984c3353b6db9b76e52febda1",
+    "tokeneer_frame_mutant": "4e1d05fc61410591ba978e7a6fe9e9f9ca7e996f66bab1ab696190af2fca10d8",
+    "contract_creation_error": "568c8d73bdfbd0f80d4986bb52bc611ac6b56049e4e523af2437392a7e3771bf",
+}
+VC_SCALING_DIGESTS = {
+    1: "af61e34e8108dfb485892502cd82bbe8af7c0e23f816472aef7c3e7bcb61d655",
+    2: "98d78a2f56756c150bd85c49fe752e16c86012f6bbbbeb6d34147467a953c9cf",
+    3: "6ead59a0edead7d9b87a702070dcbc096b937cdf94d5f2c429c5671cb2dc7b2b",
+    4: "c36d069cfa33d8f018b9d401c07b5df7f0d0053ce7573f7875a5255f1beffe8d",
+}
+
+
+def _digest(rows: list) -> str:
+    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH8_DIGESTS))
+def test_obligation_texts_at_width_8_are_pinned(name, entries, checked_programs):
+    opts = entries[name].options.replace(check_overflow=True, overflow_width=8)
+    obligations = generate_obligations(checked_programs[name], opts)
+    rows = [[o.id, o.kind, o.provenance, F.to_text(o.formula)] for o in obligations]
+    assert _digest(rows) == WIDTH8_DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed", sorted(VC_SCALING_DIGESTS))
+def test_vc_scaling_obligation_texts_are_pinned(seed, vc_scaling_programs):
+    opts = VerifyOptions(int_range=vc_scaling_programs.INT_RANGE)
+    rows = [
+        [program.name, o.id, o.kind, o.provenance, F.to_text(o.formula)]
+        for program in vc_scaling_programs.generate(seed)
+        for o in generate_obligations(analyze(parse(program.source)), opts)
+    ]
+    assert _digest(rows) == VC_SCALING_DIGESTS[seed]
+
+
+def test_obligations_of_a_feature_share_their_hypotheses(checked_programs):
+    """``withdraw`` assumes the invariant and its precondition in each of
+    its obligations, through one node."""
+    obligations = generate(checked_programs, "account", check_overflow=True, overflow_width=8)
+    withdraw = [o.formula for o in obligations if o.feature_name == "withdraw"]
+    assert len(withdraw) > 2 and all(type(f) is F.Implies for f in withdraw)
+    assert type(withdraw[0].left) is F.And and all(f.left is withdraw[0].left for f in withdraw)
