@@ -162,7 +162,7 @@ def _search(f: F.Formula, domains: Domains) -> Verdict:
     hit = _walk(F.fold(f), domains, {}, {})
     if hit is None:
         return Verdict(DISCHARGED)
-    # every symbol of f, in sorted-name order, the first falsifier's order
+    # the counterexample names every symbol of f, in sorted-name order
     counterexample = {
         name: hit[name] if name in hit else next(iter(_domain_values(ty, domains)))
         for name, ty in F.free_syms(f).items()

@@ -24,9 +24,9 @@ formula without building it, each bind printed once.
 
 Every node keeps the keys of its free leaves, worked out when it is
 built from its children's (see ``_leaves``), so ``subst``, ``free_syms``,
-``old_syms`` and ``has_old`` read them without a walk. A node that adds no key to
-one child's shares that child's dict, so ``not X`` or ``x < 3`` costs
-no dict of its own.
+``old_syms`` and ``has_old`` read them without a walk. A node that adds
+no key to one child's shares that child's dict, so ``not X`` or
+``x < 3`` costs no dict of its own.
 
 This module also holds what vcgen, discharge and the runtime monitor
 share about values and obligations: the verification options, the
