@@ -28,7 +28,8 @@ the work, and none of them can change which falsifier comes first:
    with the residual inlined in the innermost loop, that scans the leaves
    in order. Code is compiled once per generated source per process, in a
    bounded cache (see ``_scan_code``): residuals of one shape, whatever
-   their literals and symbol names, share it, in every run.
+   their literals and symbol names, share it, in every run. A source
+   longer than ``_MAX_CACHED_SOURCE`` is compiled for its residual alone.
 5. Settle a goal its hypotheses already state, first at every step: when
    each conjunct of the residual's final consequent is structurally equal
    to one of its hypotheses (see ``_equal``), every assignment that
@@ -305,10 +306,9 @@ def _member(lit, ty: ast.Type, domains: Domains) -> tuple:
     return (lit,) if lit is None or lit in others else ()
 
 
-def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool, domains=None):
+def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool):
     """Each tuple of values of the named symbols, in enumeration order,
-    under which g is truth, found by g's compiled scan. domains is not
-    read: a scan's code is kept per process (see ``_scan_code``)."""
+    under which g is truth, found by g's compiled scan."""
     for values in _compile(g, names, truth)(*value_lists):
         if values is None:
             raise InternalError(f"formula did not fold under a total assignment: {F.to_text(g)}")
@@ -326,6 +326,11 @@ _MAX_INLINE_DEPTH = 50
 # The bound caps what a long-lived process keeps.
 _SCAN_CACHE_SIZE = 256
 
+# the longest scan source kept compiled, a longer one being compiled for its
+# residual alone: the corpus's and vc_scaling's run to about 1,100
+# characters, while a 60,000-level residual's 458,721 compile to 53 MiB
+_MAX_CACHED_SOURCE = 4096
+
 
 @functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
 def _scan_code(source: str):
@@ -341,7 +346,8 @@ def _compile(g: F.Formula, names: list[str], truth: bool):
     None for one under which g is not a boolean. The source names
     symbols and literals by position, and the function binds the
     literals through its globals, so residuals of one shape share one
-    code object, compiled once per process (see ``_scan_code``). A
+    code object, compiled once per process (see ``_scan_code``) unless
+    its source is longer than ``_MAX_CACHED_SOURCE``. A
     residual deeper than ``_MAX_INLINE_DEPTH`` is cut into pieces that
     the innermost loop works out deepest first, so a scan takes one
     frame however deep g is; a piece under a short-circuit is then
@@ -390,7 +396,8 @@ def _compile(g: F.Formula, names: list[str], truth: bool):
         + f"{steps}{inner}if p0 is not {not truth}:\n"
         + f"{inner} yield ({''.join(f's{i}, ' for i in range(n))}) if p0 is {truth} else None"
     )
-    exec(_scan_code(source), consts)
+    code = _scan_code(source) if len(source) <= _MAX_CACHED_SOURCE else compile(source, "<residual>", "exec")
+    exec(code, consts)
     return consts["scan"]
 
 

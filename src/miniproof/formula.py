@@ -29,7 +29,8 @@ no key to one child's shares that child's dict, so ``not X`` or
 ``x < 3`` costs no dict of its own.
 
 This module also holds what vcgen, discharge and the runtime monitor
-share about values and obligations: the verification options, the
+share: the one lowering of expressions (``lower``: vcgen proves its
+formulas, the monitor compiles them), the verification options, the
 obligation kinds, each type's default value, and the one JSON encoding
 of values (``encode_value``/``decode_value``) with its type check
 (``fits``).
@@ -335,6 +336,58 @@ def old_syms(f: Formula) -> dict[str, ast.Type]:
 def has_old(f: Formula) -> bool:
     """Whether f has an entry-state leaf: ``old_syms(f)`` is not empty."""
     return any(k.startswith(OLD) for k in _leaves(f))
+
+
+# -- lowering analyzed expressions ----------------------------------------------
+
+
+class Creation(Exception):
+    """Raised, with the name of the class created, when lowering meets a
+    creation expression, which no formula stands for."""
+
+
+def lower(e: ast.Expr, read=None, in_old: bool = False, sites: list | None = None) -> Formula:
+    """Lower an analyzed expression, or raise Creation. read(leaf,
+    in_old), when given, lowers each Name and Qualified leaf. Without it,
+    the expression belongs to the feature it is read in: its reads become
+    path symbols, and under `old` entry-state symbols. sites, when given,
+    collects each qualified read and each arithmetic node with its
+    formula, in evaluation order."""
+    if isinstance(e, (ast.IntLit, ast.BoolLit, ast.StrLit)):
+        return Lit(e.value)
+    if isinstance(e, ast.VoidLit):
+        return Lit(None)
+    if isinstance(e, ast.SetLit):
+        return Lit(frozenset(e.items))
+    if isinstance(e, (ast.Name, ast.Qualified)):
+        path = e.name if isinstance(e, ast.Name) else f"{e.receiver}.{e.attr}"
+        f = read(e, in_old) if read else Sym(OLD + path if in_old else path, e.ty)
+        if sites is not None and isinstance(e, ast.Qualified):
+            sites.append((e, f))
+        return f
+    if isinstance(e, ast.Old):
+        return lower(e.expr, read, True, sites)
+    if isinstance(e, ast.Unary):
+        return Not(lower(e.expr, read, in_old, sites))
+    if isinstance(e, ast.Has):
+        return HasF(lower(e.receiver, read, in_old, sites), lower(e.item, read, in_old, sites))
+    if isinstance(e, ast.Binary):
+        left, right = lower(e.left, read, in_old, sites), lower(e.right, read, in_old, sites)
+        if e.op in ast.ARITH_OPS:
+            f = Arith(e.op, left, right)
+            if sites is not None:
+                sites.append((e, f))
+            return f
+        if e.op in ast.COMPARISON_OPS:
+            return Cmp(e.op, left, right)
+        if e.op == "and":
+            return And((left, right))
+        if e.op == "or":
+            return Or((left, right))
+        return Implies(left, right)
+    if isinstance(e, ast.CreateExpr):
+        raise Creation(e.class_name)
+    raise TypeError(f"unexpected expression {e!r}")
 
 
 # -- substitution and folding ---------------------------------------------------

@@ -1,22 +1,27 @@
 """Runtime contract monitoring.
 
 The interpreter executes features under full monitoring: preconditions
-in declaration order on entry, entry snapshots of every `old` operand
-and every model query, a step budget over the body, then postconditions,
-the frame condition, and the class invariant on exit. The invariant is
-checked after creation and after every call, including nested ones.
-Calls nest at most MAX_CALL_DEPTH deep.
+in declaration order on entry, entry snapshots of every path read under
+`old` and of every model query, a step budget over the body, then
+postconditions, the frame condition, and the class invariant on exit.
+The invariant is checked after creation and after every call, including
+nested ones. Calls nest at most MAX_CALL_DEPTH deep.
 
 The monitor compiles each feature to Python closures on its first
-monitored call: every require, ensure and invariant clause, every `old`
-operand and every body statement. Operators take their meanings from
-``formula.OPS``, operands are evaluated left to right, and each name is
-bound at compile time to the parameter dict or to the receiver's fields,
-since no parameter shadows a feature. Body expressions carry the
-overflow bounds when overflow monitoring is on, so every arithmetic
-result in an assignment value, `if` condition or call argument is
-bounds-checked; contract clauses and `check` instructions carry none.
-``eval_expr`` compiles one expression over a flat env and evaluates it.
+monitored call: every require, ensure and invariant clause and every
+body statement, as the formulas ``formula.lower`` builds, which vcgen
+proves. So verify, run and replay read one lowering: an `old` symbol
+reads the entry snapshot of its path, taken in vcgen's entry-dereference
+order, and a clause holding a creation expression, which vcgen marks
+Unsupported as a whole, refuses to evaluate. Operators take their
+meanings from ``formula.OPS``, operands are evaluated left to right, and
+each name is bound at compile time to the parameter dict or to the
+receiver's fields, since no parameter shadows a feature. Body
+expressions carry the overflow bounds when overflow monitoring is on, so
+every arithmetic result in an assignment value, `if` condition or call
+argument is bounds-checked; contract clauses and `check` instructions
+carry none. ``eval_expr`` compiles one expression over a flat env and
+evaluates it.
 
 Replay turns a discharge counterexample back into a concrete execution:
 it materializes the described entry state, invokes the owning feature
@@ -31,24 +36,24 @@ representative) and each replay applies the plan to its values.
 
 What monitoring needs from a feature's text is computed once per
 analyzed program, in a MonitorPlan built on the feature's first
-monitored call: the distinct `old` operands to snapshot and the text key
-of every `old` node, the label of every arithmetic body node, the
-arithmetic labels each Overflow provenance accepts on replay, the model
-queries the frame condition compares, the compiled code, once per
-overflow-bounds value, and the entry plans of its replays, once per key
-tuple. A plan depends only on the feature, and a CheckedProgram never
-changes after analysis, so the plan, its code and its entry plans are
-cached on the CheckedProgram and shared by every Interpreter and every
-replay over it; nothing is cached at module level.
+monitored call: the paths to snapshot for `old`, the label of every
+arithmetic body node, the arithmetic labels each Overflow provenance
+accepts on replay, the model queries the frame condition compares, the
+compiled code, once per overflow-bounds value, and the entry plans of
+its replays, once per key tuple. A plan depends only on the feature, and
+a CheckedProgram never changes after analysis, so the plan, its code and
+its entry plans are cached on the CheckedProgram and shared by every
+Interpreter and every replay over it; nothing is cached at module level.
 
-The monitor reads the verification options, the obligation kinds and
-the value encoding from ``formula``; it imports neither vcgen nor
-discharge, so running a scenario never loads them. Replay takes the
+The monitor reads the lowering, the verification options, the obligation
+kinds and the value encoding from ``formula``; it imports neither vcgen
+nor discharge, so running a scenario never loads them. Replay takes the
 Obligation that vcgen made, but needs only its fields.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import sys
@@ -122,44 +127,45 @@ class _Overflow(Exception):
 
 
 class _Compiler:
-    """Compiles the expressions of one scope to closures. An expression
-    compiles to ``ev(p, f, o)`` over the parameter dict p, the receiver's
-    fields f and the `old` snapshot o (None outside postconditions),
-    evaluated left to right. A name is read from p if it is one of params,
-    else from f: the analyzer lets no parameter shadow a feature, so the
-    choice is made here, once. old_keys maps id() of each `old` node to
-    the text its snapshot is keyed by. With bounds (lo, hi), every
-    arithmetic result outside them raises _Overflow with the node's text
-    from labels (id() -> text)."""
+    """Compiles the expressions of one scope to closures over the
+    formulas ``formula.lower`` builds, the ones vcgen proves. An
+    expression compiles to ``ev(p, f, o)`` over the parameter dict p, the
+    receiver's fields f and the `old` snapshot o (path -> entry value;
+    None outside postconditions). A path's first name is read from p if
+    it is one of params, else from f: the analyzer lets no parameter
+    shadow a feature, so the choice is made here, once; ``r.a`` raises
+    VoidDereference when r is Void. With bounds (lo, hi), each arithmetic
+    result outside them raises _Overflow with its AST node's text from
+    labels (id() -> text). An expression holding a creation does not
+    lower, and raises UnsupportedInContract whenever it is evaluated."""
 
-    def __init__(self, params, old_keys, bounds=None, labels=None):
-        self.params, self.old_keys, self.bounds, self.labels = params, old_keys, bounds, labels
+    def __init__(self, params, bounds=None, labels=None):
+        self.params, self.bounds, self.labels = params, bounds, labels
 
     def expr(self, e: ast.Expr):
-        rule = _EXPR_RULES.get(type(e))
-        if rule is None:
-            raise TypeError(f"unexpected expression {e!r}")
-        return rule(self, e)
+        sites: list = []
+        try:
+            g = F.lower(e, sites=sites)
+        except F.Creation as exc:
+            message = f"creation expression create {exc.args[0]}"
+
+            def refuse(p, f, o):
+                raise UnsupportedInContract(message)
+
+            return refuse
+        bounded = {id(h): self.labels[id(n)] for n, h in sites if type(h) is F.Arith} if self.bounds else {}
+        return self.formula(g, bounded)
 
     def reader(self, name: str):
         if name in self.params:
             return lambda p, f, o: p[name]
         return lambda p, f, o: f[name]
 
-    def constant(self, e):
-        if isinstance(e, ast.VoidLit):
-            value = None
-        elif isinstance(e, ast.SetLit):
-            value = frozenset(e.items)
-        else:
-            value = e.value
-        return lambda p, f, o: value
-
-    def name(self, e: ast.Name):
-        return self.reader(e.name)
-
-    def qualified(self, e: ast.Qualified):
-        receiver, attr, path = self.reader(e.receiver), e.attr, f"{e.receiver}.{e.attr}"
+    def path(self, path: str):
+        name, dot, attr = path.partition(".")
+        receiver = self.reader(name)
+        if not dot:
+            return receiver
 
         def read(p, f, o):
             obj = receiver(p, f, o)
@@ -169,83 +175,52 @@ class _Compiler:
 
         return read
 
-    def old(self, e: ast.Old):
-        key = self.old_keys[id(e)]
-
-        def read(p, f, o):
-            if o is None:
-                raise ValueError("old outside a postcondition context")
-            return o[key]
-
-        return read
-
-    def negation(self, e: ast.Unary):
-        operand = self.expr(e.expr)
-        return lambda p, f, o: not operand(p, f, o)
-
-    def has(self, e: ast.Has):
-        receiver, item = self.expr(e.receiver), self.expr(e.item)
-
-        def member(p, f, o):
-            value = item(p, f, o)
-            return value in receiver(p, f, o)
-
-        return member
-
-    def binary(self, e: ast.Binary):
-        left, right, op = self.expr(e.left), self.expr(e.right), e.op
-        if op == "and":
+    def formula(self, g: F.Formula, bounded: dict):
+        """The closure of a lowered formula; bounded maps id() of each
+        bounds-checked Arith node to its label."""
+        t = type(g)
+        if t is F.Sym:
+            if not g.name.startswith(F.OLD):
+                return self.path(g.name)
+            key = g.name[len(F.OLD) :]
+            return lambda p, f, o: o[key]
+        if t is F.Lit:
+            value = g.value
+            return lambda p, f, o: value
+        if t is F.Not:
+            operand = self.formula(g.operand, bounded)
+            return lambda p, f, o: not operand(p, f, o)
+        if t is F.HasF:
+            receiver, item = self.formula(g.set_expr, bounded), self.formula(g.item, bounded)
+            return lambda p, f, o: item(p, f, o) in receiver(p, f, o)  # the item first
+        # the lowering builds every connective with two items
+        left, right = (self.formula(c, bounded) for c in F.children(g))
+        if t is F.And:
             return lambda p, f, o: left(p, f, o) and right(p, f, o)
-        if op == "or":
+        if t is F.Or:
             return lambda p, f, o: left(p, f, o) or right(p, f, o)
-        if op == "implies":
+        if t is F.Implies:
             return lambda p, f, o: (not left(p, f, o)) or bool(right(p, f, o))
-        fn = F.OPS[op][0]
-        if self.bounds is None or op not in ast.ARITH_OPS:
+        fn = F.OPS[g.op][0]
+        label = bounded.get(id(g))
+        if label is None:
             return lambda p, f, o: fn(left(p, f, o), right(p, f, o))
         lo, hi = self.bounds
-        label = self.labels[id(e)]
 
-        def bounded(p, f, o):
+        def checked(p, f, o):
             value = fn(left(p, f, o), right(p, f, o))
             if lo <= value <= hi:
                 return value
             raise _Overflow(label)
 
-        return bounded
-
-    def creation(self, e: ast.CreateExpr):
-        message = f"creation expression create {e.class_name}"
-
-        def refuse(p, f, o):
-            raise UnsupportedInContract(message)
-
-        return refuse
-
-
-_EXPR_RULES = {
-    ast.IntLit: _Compiler.constant,
-    ast.BoolLit: _Compiler.constant,
-    ast.StrLit: _Compiler.constant,
-    ast.VoidLit: _Compiler.constant,
-    ast.SetLit: _Compiler.constant,
-    ast.Name: _Compiler.name,
-    ast.Qualified: _Compiler.qualified,
-    ast.Old: _Compiler.old,
-    ast.Unary: _Compiler.negation,
-    ast.Has: _Compiler.has,
-    ast.Binary: _Compiler.binary,
-    ast.CreateExpr: _Compiler.creation,
-}
+        return checked
 
 
 def eval_expr(expr: ast.Expr, env: Mapping, old_env: Mapping | None = None):
     """Strict evaluation of one contract expression, compiled as the
     monitor compiles it, over one flat env of parameter and attribute
-    names; old_env maps the source text of each `old` operand to its
-    entry snapshot."""
-    old_keys = {id(n): expr_text(n.expr) for n in ast.walk_expr(expr) if isinstance(n, ast.Old)}
-    return _Compiler((), old_keys).expr(expr)(env, env, old_env)
+    names; old_env maps each path read under `old` to its entry value."""
+    return _Compiler(()).expr(expr)(env, env, old_env)
 
 
 # -- monitor plans and compiled features ------------------------------------------
@@ -256,9 +231,9 @@ class MonitorPlan(ast.Node):
     keyed by id(): the plan lives in the CheckedProgram whose AST holds
     the nodes, so the ids stay valid for the plan's life."""
 
-    # params: the parameter names; olds: the distinct `old` operands,
-    # first occurrence first; old_keys: every `old` node -> its operand's
-    # text; arith_labels: every arithmetic body node -> its text;
+    # params: the parameter names; olds: the distinct paths the lowered
+    # ensure clauses read under `old`, in vcgen's entry-dereference order;
+    # arith_labels: every arithmetic body node -> its text;
     # frame_queries: the model queries the frame condition compares;
     # code: overflow bounds (None when overflow is not monitored) -> the
     # feature compiled to closures, a FeatureCode, built by
@@ -268,7 +243,6 @@ class MonitorPlan(ast.Node):
     __slots__ = (
         "params",
         "olds",
-        "old_keys",
         "arith_labels",
         "labels_by_provenance",
         "frame_queries",
@@ -286,7 +260,7 @@ class MonitorPlan(ast.Node):
 class FeatureCode(ast.Node):
     """A feature compiled to closures (see ``_Compiler``): (label, test)
     of each require and ensure clause and of each invariant clause of the
-    class, (text key, operand) of each `old` snapshot, and the body as a
+    class, (path, reader) of each `old` snapshot, and the body as a
     list of statement closures ``st(interpreter, p, f)``."""
 
     __slots__ = ("require", "olds", "body", "ensure", "invariant")
@@ -301,14 +275,23 @@ def monitor_plan(checked: CheckedProgram, class_name: str, feat: ast.Feature) ->
     return plan
 
 
+def _old_paths(clauses) -> tuple[str, ...]:
+    """The distinct paths the clauses that lower read under `old`, in the
+    order of their formulas' leaves."""
+    paths: dict[str, None] = {}
+    stack = []
+    for clause in reversed(clauses):
+        with contextlib.suppress(F.Creation):  # else the clause reads nothing
+            stack.append(F.lower(clause.expr))
+    while stack:
+        g = stack.pop()
+        stack.extend(reversed(F.children(g)))
+        if type(g) is F.Sym and g.name.startswith(F.OLD):
+            paths[g.name[len(F.OLD) :]] = None
+    return tuple(paths)
+
+
 def _build_plan(info: ClassInfo, feat: ast.Feature) -> MonitorPlan:
-    olds: dict[str, ast.Expr] = {}
-    old_keys: dict[int, str] = {}
-    for clause in feat.ensure:
-        for node in ast.walk_expr(clause.expr):
-            if isinstance(node, ast.Old):
-                key = old_keys[id(node)] = expr_text(node.expr)
-                olds.setdefault(key, node.expr)
     # an Overflow provenance names the first node with its text, searched
     # statement by statement, expression by expression, in postorder
     labels: dict[int, str] = {}
@@ -320,15 +303,15 @@ def _build_plan(info: ClassInfo, feat: ast.Feature) -> MonitorPlan:
                 if text not in by_provenance:
                     by_provenance[text] = frozenset(labels[id(n)] for n in ast.arith_postorder(node))
     params = tuple(p.name for p in feat.params)
-    return MonitorPlan(params, tuple(olds.items()), old_keys, labels, by_provenance, info.frame(feat))
+    return MonitorPlan(params, _old_paths(feat.ensure), labels, by_provenance, info.frame(feat))
 
 
 def _compile_feature(
     info: ClassInfo, feat: ast.Feature, plan: MonitorPlan, bounds: tuple[int, int] | None
 ) -> FeatureCode:
     # contracts and `check` are not bounds-checked; body expressions are
-    contract = _Compiler(plan.params, plan.old_keys)
-    body = _Compiler(plan.params, plan.old_keys, bounds, plan.arith_labels)
+    contract = _Compiler(plan.params)
+    body = _Compiler(plan.params, bounds, plan.arith_labels)
 
     def clauses(items):
         return tuple((c.label, contract.expr(c.expr)) for c in items)
@@ -397,7 +380,7 @@ def _compile_feature(
 
     return FeatureCode(
         clauses(feat.require),
-        tuple((key, contract.expr(operand)) for key, operand in plan.olds),
+        tuple((path, contract.path(path)) for path in plan.olds),
         block(feat.body),
         clauses(feat.ensure),
         clauses(info.decl.invariant),
@@ -471,7 +454,7 @@ class Interpreter:
             if not test(params, fields, None):
                 raise _violation("precondition", label, info, feat, obj, params)
 
-        old = {key: operand(params, fields, None) for key, operand in code.olds}
+        old = {path: read(params, fields, None) for path, read in code.olds}
         entry_queries = [fields[q] for q in plan.frame_queries]
 
         self._depth += 1

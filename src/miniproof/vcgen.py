@@ -31,8 +31,9 @@ paths, not objects, so two paths to one object are independent symbols
 asserts its receiver attached through one function, ``_deref``, unless
 the class invariant guarantees it.
 
-One function, ``_lower``, lowers every contract and body expression to
-a formula. Only the reading of Name and Qualified leaves varies: the
+One function, ``formula.lower``, lowers every contract and body
+expression to a formula; the runtime monitor compiles the same
+formulas. Only the reading of Name and Qualified leaves varies: the
 feature's own expressions read its paths, and the clauses of a callee
 or of a created object read through the receiver path (``_through``).
 A class's own expressions are lowered once each (``_own``); the one
@@ -88,66 +89,18 @@ def _obligation(class_name: str, feature_name: str, kind: str, index: int, formu
     return Obligation(oid, kind, class_name, feature_name, formula, provenance)
 
 
-class _Creation(Exception):
-    """Raised when lowering hits a creation expression."""
-
-
 # -- lowering expressions to formulas ------------------------------------------
 
 
-def _lower(e: ast.Expr, read=None, in_old: bool = False, sites: list | None = None) -> F.Formula:
-    """Lower an analyzed expression. read(leaf, in_old), when given,
-    lowers each Name and Qualified leaf (see ``_through``). Without it,
-    the expression belongs to the feature under verification: its reads
-    become path symbols, and under `old` entry-snapshot symbols. sites,
-    when given, collects each qualified read and each arithmetic node
-    with its formula, in evaluation order."""
-    if isinstance(e, (ast.IntLit, ast.BoolLit, ast.StrLit)):
-        return F.Lit(e.value)
-    if isinstance(e, ast.VoidLit):
-        return F.Lit(None)
-    if isinstance(e, ast.SetLit):
-        return F.Lit(frozenset(e.items))
-    if isinstance(e, (ast.Name, ast.Qualified)):
-        path = e.name if isinstance(e, ast.Name) else f"{e.receiver}.{e.attr}"
-        f = read(e, in_old) if read else F.Sym(F.OLD + path if in_old else path, e.ty)
-        if sites is not None and isinstance(e, ast.Qualified):
-            sites.append((e, f))
-        return f
-    if isinstance(e, ast.Old):
-        return _lower(e.expr, read, True, sites)
-    if isinstance(e, ast.Unary):
-        return F.Not(_lower(e.expr, read, in_old, sites))
-    if isinstance(e, ast.Has):
-        return F.HasF(_lower(e.receiver, read, in_old, sites), _lower(e.item, read, in_old, sites))
-    if isinstance(e, ast.Binary):
-        left, right = _lower(e.left, read, in_old, sites), _lower(e.right, read, in_old, sites)
-        if e.op in ast.ARITH_OPS:
-            f = F.Arith(e.op, left, right)
-            if sites is not None:
-                sites.append((e, f))
-            return f
-        if e.op in ast.COMPARISON_OPS:
-            return F.Cmp(e.op, left, right)
-        if e.op == "and":
-            return F.And((left, right))
-        if e.op == "or":
-            return F.Or((left, right))
-        return F.Implies(left, right)
-    if isinstance(e, ast.CreateExpr):
-        raise _Creation
-    raise TypeError(f"unexpected expression {e!r}")
-
-
 def _own(memo: dict, e: ast.Expr) -> tuple[F.Formula | None, list]:
-    """The formula and sites (see ``_lower``) of one of a class's own
+    """The formula and sites (see ``formula.lower``) of one of a class's own
     contract or body expressions, lowered once into memo (keyed by node
     id); formula None, and no sites, if it holds a creation expression."""
     if id(e) not in memo:
         sites: list = []
         try:
-            memo[id(e)] = _lower(e, sites=sites), sites
-        except _Creation:
+            memo[id(e)] = F.lower(e, sites=sites), sites
+        except F.Creation:
             memo[id(e)] = None, []
     return memo[id(e)]
 
@@ -159,8 +112,8 @@ def _lowered(clauses, read, in_old: bool = False) -> list[tuple[ast.Clause, F.Fo
     out = []
     for clause in clauses:
         try:
-            out.append((clause, _lower(clause.expr, read, in_old)))
-        except _Creation:
+            out.append((clause, F.lower(clause.expr, read, in_old)))
+        except F.Creation:
             pass
     return out
 
@@ -192,8 +145,8 @@ def _through(
         else:
             if in_old and old_to_default is not None:
                 # the receiver defaults to Void in a fresh object; its
-                # fields have no defined entry value
-                raise _Creation
+                # fields have no defined entry value: no lowering
+                raise F.Creation(old_to_default.name)
             path = f"{prefix}.{e.receiver}.{e.attr}"
         return F.Sym(path if in_old else rename_post(path), e.ty)
 

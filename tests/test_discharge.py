@@ -246,13 +246,25 @@ def test_compiled_deep_residual_agrees_with_evaluate():
         return 1 + max(map(depth, F.children(f)), default=0)
 
     assert depth(formula) > 120 > 2 * _MAX_INLINE_DEPTH
-    domains, values = Domains((-3, 3), ()), range(-3, 4)
+    values = range(-3, 4)
     for truth in (True, False):
-        found = list(_leaves_where(formula, ["i", "j"], [values, values], truth, domains))
+        found = list(_leaves_where(formula, ["i", "j"], [values, values], truth))
         expected = [
             (a, b) for a, b in itertools.product(values, repeat=2) if F.evaluate(formula, {"i": a, "j": b}) is truth
         ]
         assert found == expected, truth
+
+
+_DEEP_LEVELS = 60_000
+
+
+def _deep_sum() -> F.Formula:
+    """``i + j + ... + j >= 0``, ``_DEEP_LEVELS`` levels deep."""
+    i, j = F.Sym("i", T_INT), F.Sym("j", T_INT)
+    term = F.Arith("+", i, j)
+    for _ in range(_DEEP_LEVELS - 1):
+        term = F.Arith("+", term, j)
+    return F.Cmp(">=", term, F.Lit(0))
 
 
 def test_compiled_residual_runs_in_one_frame_however_deep():
@@ -265,15 +277,22 @@ def test_compiled_residual_runs_in_one_frame_however_deep():
 
     from miniproof.discharge import _MAX_INLINE_DEPTH, _leaves_where
 
-    i, j = F.Sym("i", T_INT), F.Sym("j", T_INT)
-    levels = 60_000
-    term = F.Arith("+", i, j)
-    for _ in range(levels - 1):
-        term = F.Arith("+", term, j)
-    assert levels > sys.getrecursionlimit() * _MAX_INLINE_DEPTH
+    assert _DEEP_LEVELS > sys.getrecursionlimit() * _MAX_INLINE_DEPTH
     lists = [(-3, 0, 3), (-1, 0, 1)]
-    found = list(_leaves_where(F.Cmp(">=", term, F.Lit(0)), ["i", "j"], lists, True, Domains((-3, 3), ())))
-    assert found == [(a, b) for a, b in itertools.product(*lists) if a + levels * b >= 0]
+    found = list(_leaves_where(_deep_sum(), ["i", "j"], lists, True))
+    assert found == [(a, b) for a, b in itertools.product(*lists) if a + _DEEP_LEVELS * b >= 0]
+
+
+def test_a_long_scan_source_is_not_kept():
+    """The 60,000-level residual's source is far longer than
+    ``_MAX_CACHED_SOURCE``: it is compiled for its scan alone, and the
+    process cache of compiled scans neither grows nor is consulted."""
+    from miniproof.discharge import _leaves_where, _scan_code
+
+    before = _scan_code.cache_info()
+    found = list(_leaves_where(_deep_sum(), ["i", "j"], [(0,), (-1, 0)], True))
+    assert found == [(0, 0)]
+    assert _scan_code.cache_info() == before
 
 
 def _record_scans(monkeypatch) -> list:
@@ -339,7 +358,7 @@ def test_scan_nests_its_loops_in_symbol_order(monkeypatch):
     assert discharge(obligation, domains) == Verdict(FAILED, counterexample=falsifiers[0])
     assert [source for source, _ in scans if source.startswith("def scan(l0, l1, l2)")]
     values = [symbol_domain(T_INT, domains)] * 3
-    holds = list(_leaves_where(formula, ["a", "b", "c"], values, True, domains))
+    holds = list(_leaves_where(formula, ["a", "b", "c"], values, True))
     assert holds == [tuple(env.values()) for env in envs[:-1]]
 
 

@@ -30,9 +30,8 @@ from miniproof.discharge import (
     report_payload,
     symbol_domain,
 )
-from miniproof.pretty import expr_text
-from miniproof.runtime import RuntimeObject, Step, Trace, eval_expr, trace_json, trace_payload
-from miniproof.vcgen import Obligation, _lower, wp
+from miniproof.runtime import RuntimeObject, Step, Trace, _Compiler, eval_expr, trace_json, trace_payload
+from miniproof.vcgen import Obligation, wp
 
 X = F.Sym("x", T_INT)
 Y = F.Sym("y", T_INT)
@@ -694,16 +693,13 @@ def _agree_env(own: dict, through_r: dict) -> tuple[dict, dict]:
     entry_r=AGREE_VALUES,
 )
 def test_monitor_and_formula_evaluators_agree(expr, own, through_r, entry_own, entry_r):
-    """The monitor compiles and evaluates an expression, reading each `old`
-    operand from a snapshot taken in the entry state; vcgen lowers it to a
-    formula over path symbols and their entry-state symbols, which the
-    formula evaluator reads."""
+    """The monitor compiles and evaluates an expression, reading each path
+    under `old` from a snapshot its path reader took in the entry state,
+    keyed by path; the formula evaluator reads the lowered expression
+    over path symbols and their entry-state symbols."""
     env, paths = _agree_env(own, through_r)
     entry_env, entry_paths = _agree_env(entry_own, entry_r)
-    snapshot = {
-        expr_text(node.expr): eval_expr(node.expr, entry_env)
-        for node in ast.walk_expr(expr)
-        if isinstance(node, ast.Old)
-    }
+    lowered = F.lower(expr)
+    snapshot = {path: _Compiler(()).path(path)(entry_env, entry_env, None) for path in F.old_syms(lowered)}
     paths.update((F.OLD + name, value) for name, value in entry_paths.items())
-    assert eval_expr(expr, env, snapshot) == F.evaluate(_lower(expr), paths)
+    assert eval_expr(expr, env, snapshot) == F.evaluate(lowered, paths)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 
 from miniproof import analyze, ast, parse, runtime
 from miniproof import formula as F
-from miniproof.errors import ContractViolation, ReplayImpossible
+from miniproof.discharge import verify_program
+from miniproof.errors import ContractViolation, ReplayImpossible, UnsupportedInContract
 from miniproof.runtime import (
     Interpreter,
     RuntimeObject,
@@ -533,3 +534,60 @@ def test_entry_plan_is_built_once_per_feature_and_key_tuple(monkeypatch):
     assert other.monitor_plans[("H", "get")] is not plan
     assert other.monitor_plans[("H", "get")].replays[("r.s.a", "r", "n")] is not plan.replays[("r.s.a", "r", "n")]
     assert len(built) == 3
+
+
+def _cell_program(post: str) -> str:
+    """M reads the field a of its reference r, which starts Void, in the
+    postcondition of f."""
+    return (
+        "class CELL\ncreate make\nfeature\n  a : INTEGER\n  make\n    do\n    end\nend\n"
+        "class M\ncreate make\nfeature\n  r : CELL\n  x : INTEGER\n  make\n    do\n    end\n"
+        f"  f\n    do\n      x := x + 1\n    ensure\n      same: {post}\n    end\nend\n"
+    )
+
+
+def _void_read_replays(post: str) -> bool:
+    """Whether M.f.void_dereference.0 fails with r Void and replays."""
+    checked = analyze(parse(_cell_program(post)))
+    report = verify_program(checked, VerifyOptions())
+    (row,) = [r for r in report.rows if r.id == "M.f.void_dereference.0"]
+    assert row.provenance == "r.a"
+    assert (row.verdict.status, row.verdict.counterexample) == ("Failed", {"r": None})
+    obligation = obligation_by_id(checked, VerifyOptions(), row.id)
+    return replay_counterexample(checked, obligation, row.verdict.counterexample)
+
+
+def test_void_read_under_old_replays_as_its_entry_dereference():
+    """vcgen asserts every read under `old` attached at entry, whatever
+    guards it, and the monitor snapshots each path under `old` at entry,
+    so it reads r.a though `x > 0` is false there."""
+    assert _void_read_replays("old (x > 0 and r.a = 1) implies x > 1")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="vcgen asserts each qualified read of an ensure clause attached at exit, "
+    "whatever guards it, while the monitor short-circuits past r.a",
+)
+def test_guarded_void_read_at_exit_replays_as_its_dereference():
+    assert _void_read_replays("x > 5 implies r.a = 1")
+
+
+def test_a_clause_with_a_creation_refuses_to_evaluate_whatever_guards_it():
+    """vcgen marks such a clause Unsupported as a whole, so the monitor
+    refuses it even where its guard is false and the creation would not
+    be evaluated."""
+    source = (
+        "class HELPER\ncreate make\nfeature\n  make\n    do\n    end\nend\n"
+        "class C\ncreate make\nfeature\n  x : INTEGER\n  helper : HELPER\n  make\n    do\n    end\n"
+        "  bump\n    do\n      x := x + 1\n    ensure\n"
+        "      fresh: x > 5 implies helper = create HELPER\n    end\nend\n"
+    )
+    interp = Interpreter(analyze(parse(source)))
+    obj = interp.create("C")
+    with pytest.raises(UnsupportedInContract, match="^creation expression create HELPER$"):
+        interp.call(obj, "bump", [])
+    assert obj.fields["x"] == 1
+    (clause,) = interp.checked.info("C").routines["bump"].ensure
+    with pytest.raises(UnsupportedInContract, match="^creation expression create HELPER$"):
+        runtime.eval_expr(clause.expr, {"x": 0, "helper": None})

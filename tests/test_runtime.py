@@ -852,7 +852,7 @@ def test_plan_is_built_once_and_cached_on_the_program():
     acc = interp.create("ACCOUNT")
     interp.call(acc, "deposit", [5])
     plan = checked.monitor_plans[("ACCOUNT", "deposit")]
-    assert [key for key, _ in plan.olds] == ["balance"]
+    assert plan.olds == ("balance",)
     Interpreter(checked).call(acc, "deposit", [5])
     assert checked.monitor_plans[("ACCOUNT", "deposit")] is plan
     assert sorted(checked.monitor_plans) == [("ACCOUNT", "deposit"), ("ACCOUNT", "make")]
@@ -899,7 +899,7 @@ def test_programs_with_the_same_names_get_their_own_plans():
         labels.append(exc.value.label)
     assert labels == ["a + 1", "b * 3"]
     plans = [c.monitor_plans[("C", "bump")] for c in (first, second)]
-    assert [[key for key, _ in p.olds] for p in plans] == [["a"], ["b"]]
+    assert [p.olds for p in plans] == [("a",), ("b",)]
 
 
 def _count_compiles(monkeypatch) -> list:

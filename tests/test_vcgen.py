@@ -589,7 +589,7 @@ def test_pulling_goals_together_equals_pulling_each_alone():
     feat = info.routines["go"]
     pass_ = vcgen._FeatureVCs(checked, info, feat, VerifyOptions(check_overflow=True))
     clauses = [*feat.ensure, *info.decl.invariant]
-    goals = [(POSTCONDITION, c.label, vcgen._lower(c.expr)) for c in clauses]
+    goals = [(POSTCONDITION, c.label, F.lower(c.expr)) for c in clauses]
 
     def texts(items):
         return [(kind, prov, F.to_text(f)) for kind, prov, f in items]
