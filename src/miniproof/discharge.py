@@ -26,10 +26,10 @@ the work, and none of them can change which falsifier comes first:
 4. Once at most three symbols are live, compile the residual into one
    generated loop nest, a loop per live symbol over its narrowed domain
    with the residual inlined in the innermost loop, that scans the leaves
-   in order. Code is compiled once per generated source per process, in a
-   bounded cache (see ``_scan_code``): residuals of one shape, whatever
-   their literals and symbol names, share it, in every run. A source
-   longer than ``_MAX_CACHED_SOURCE`` is compiled for its residual alone.
+   in order. The residual is written by ``formula.emit``, the emitter the
+   runtime monitor compiles its checks with, and compiled by its one
+   rule (``formula.compile_source``): residuals of one shape, whatever
+   their literals and symbol names, share one code object, in every run.
 5. Settle a goal its hypotheses already state, first at every step: when
    each conjunct of the residual's final consequent is structurally equal
    to one of its hypotheses (see ``_equal``), every assignment that
@@ -40,7 +40,6 @@ the work, and none of them can change which falsifier comes first:
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from itertools import product
@@ -96,7 +95,7 @@ class Domains(ast.Node, frozen=True):
         # per type, its domain values, built when first searched; per
         # hypothesis object and input values, the values it keeps (see
         # _narrow). Compiled scans hold no value and outlive a run, so
-        # they are kept per process (see _scan_code)
+        # they are kept per process (see F.compile_source)
         object.__setattr__(self, "_built", {})
 
 
@@ -320,73 +319,34 @@ def _leaves_where(g: F.Formula, names: list[str], value_lists: list, truth: bool
 # piece of its own, computed into a local before the pieces that read it
 _MAX_INLINE_DEPTH = 50
 
-# the most scan sources kept compiled. A source holds no value of a run,
-# so all runs of a process share its code: the corpus's scans have 14
-# sources, a vc_scaling seed's 8 to 11, and the corpus and two seeds 31.
-# The bound caps what a long-lived process keeps.
-_SCAN_CACHE_SIZE = 256
-
-# the longest scan source kept compiled, a longer one being compiled for its
-# residual alone: the corpus's and vc_scaling's run to about 1,100
-# characters, while a 60,000-level residual's 458,721 compile to 53 MiB
-_MAX_CACHED_SOURCE = 4096
-
-
-@functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
-def _scan_code(source: str):
-    return compile(source, "<residual>", "exec")
-
 
 def _compile(g: F.Formula, names: list[str], truth: bool):
     """The scan of g over the named symbols: a generator function of one
     sequence of values per symbol, a loop nest in the order of names with g
-    inlined in the innermost loop, with F.fold's meaning on well-typed
-    formulas (connectives over booleans, has as `in`). It yields each
+    inlined in the innermost loop, written by ``F.emit``. It yields each
     tuple of values under which g is truth, in enumeration order, and
     None for one under which g is not a boolean. The source names
     symbols and literals by position, and the function binds the
     literals through its globals, so residuals of one shape share one
-    code object, compiled once per process (see ``_scan_code``) unless
-    its source is longer than ``_MAX_CACHED_SOURCE``. A
-    residual deeper than ``_MAX_INLINE_DEPTH`` is cut into pieces that
-    the innermost loop works out deepest first, so a scan takes one
-    frame however deep g is; a piece under a short-circuit is then
-    worked out regardless, which on a well-typed formula costs time
-    only."""
+    code object (see ``F.compile_source``). A residual deeper than
+    ``_MAX_INLINE_DEPTH`` is cut into pieces that the innermost loop
+    works out deepest first, so a scan takes one frame however deep g
+    is; a piece under a short-circuit is then worked out regardless,
+    which on a well-typed formula costs time only."""
     arg = {name: f"s{i}" for i, name in enumerate(names)}
     consts: dict[str, object] = {}
-    pieces = [g]  # src appends each deeper piece, which piece p<index> holds
+    pieces = [g]  # each deeper piece is appended, and p<index> holds it
 
     def const(value) -> str:
         key = f"k{len(consts)}"
         consts[key] = value
         return key
 
-    def src(f: F.Formula, depth: int) -> str:
-        if depth == _MAX_INLINE_DEPTH:
-            pieces.append(f)
-            return f"p{len(pieces) - 1}"
-        depth += 1
-        if isinstance(f, F.Sym):
-            return arg[f.name]
-        if isinstance(f, F.Lit):
-            return const(f.value)
-        if isinstance(f, F.Not):
-            return f"(not {src(f.operand, depth)})"
-        if isinstance(f, (F.And, F.Or)):
-            joiner = " and " if isinstance(f, F.And) else " or "
-            return "(" + joiner.join(src(c, depth) for c in f.items) + ")"
-        if isinstance(f, F.Implies):
-            return f"(not {src(f.left, depth)} or {src(f.right, depth)})"
-        if isinstance(f, (F.Cmp, F.Arith)):
-            return f"({src(f.left, depth)} {F.OPS[f.op][1]} {src(f.right, depth)})"
-        if isinstance(f, F.HasF):
-            return f"({src(f.item, depth)} in {src(f.set_expr, depth)})"
-        raise TypeError(f"unexpected formula node {f!r}")
+    def piece(f: F.Formula) -> str:
+        pieces.append(f)
+        return f"p{len(pieces) - 1}"
 
-    texts = []
-    for f in pieces:
-        texts.append(src(f, 0))
+    texts = [F.emit(f, lambda sym: arg[sym.name], const, cut=(_MAX_INLINE_DEPTH, piece)) for f in pieces]
     n, inner = len(names), " " * (len(names) + 1)
     # a piece reads only pieces found after it, so p0, g itself, comes last
     steps = "".join(f"{inner}p{i} = {texts[i]}\n" for i in reversed(range(len(texts))))
@@ -396,8 +356,7 @@ def _compile(g: F.Formula, names: list[str], truth: bool):
         + f"{steps}{inner}if p0 is not {not truth}:\n"
         + f"{inner} yield ({''.join(f's{i}, ' for i in range(n))}) if p0 is {truth} else None"
     )
-    code = _scan_code(source) if len(source) <= _MAX_CACHED_SOURCE else compile(source, "<residual>", "exec")
-    exec(code, consts)
+    exec(F.compile_source(source), consts)
     return consts["scan"]
 
 

@@ -30,14 +30,16 @@ no key to one child's shares that child's dict, so ``not X`` or
 
 This module also holds what vcgen, discharge and the runtime monitor
 share: the one lowering of expressions (``lower``: vcgen proves its
-formulas, the monitor compiles them), the verification options, the
-obligation kinds, each type's default value, and the one JSON encoding
-of values (``encode_value``/``decode_value``) with its type check
-(``fits``).
+formulas, the monitor compiles them), the one emitter of formulas as
+Python source (``emit``: discharge's scans, the monitor's checks) and
+its compile rule, the verification options, the obligation kinds, each
+type's default value, and the one JSON encoding of values
+(``encode_value``/``decode_value``) with its type check (``fits``).
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from . import ast
@@ -151,9 +153,9 @@ class Let(Formula):
 TRUE = Lit(True)
 FALSE = Lit(False)
 
-# the meaning of every comparison and arithmetic operator, for formulas
-# and for the runtime monitor alike: the function, and its Python spelling
-# for the code discharge compiles
+# the meaning of every comparison and arithmetic operator: the function,
+# which folding and evaluation apply, and its Python spelling, which
+# ``emit`` writes
 OPS = {
     "=": (operator.eq, "=="),
     "/=": (operator.ne, "!="),
@@ -545,6 +547,68 @@ def evaluate(f: Formula, env: dict[str, Value]) -> Value:
     if isinstance(f, HasF):
         return evaluate(f.item, env) in evaluate(f.set_expr, env)
     raise TypeError(f"unexpected formula node {f!r}")
+
+
+# -- compiling to Python --------------------------------------------------------
+
+
+def emit(f: Formula, leaf, const, arith=None, cut=None) -> str:
+    """The Python expression of the Let-free formula f, with ``fold``'s
+    meaning on well-typed formulas, operands left to right and has as
+    `in`, its item first. leaf(sym) is the text of a symbol, const(value)
+    the global name of a literal, and arith(node, text), when given, the
+    text of an Arith node from its bare ``left op right``. cut, when
+    given, is (depth, piece): a subformula that deep is named by
+    piece(subformula), as Python's parser refuses source nested 200 deep."""
+    limit, piece = cut or (None, None)
+
+    def src(f: Formula, depth: int) -> str:
+        if depth == limit:
+            return piece(f)
+        depth += 1
+        t = type(f)
+        if t is Sym:
+            return leaf(f)
+        if t is Lit:
+            return const(f.value)
+        if t is Not:
+            return f"(not {src(f.operand, depth)})"
+        if t is And or t is Or:
+            return "(" + (" and " if t is And else " or ").join([src(c, depth) for c in f.items]) + ")"
+        if t is Implies:
+            return f"(not {src(f.left, depth)} or {src(f.right, depth)})"
+        if t is HasF:
+            return f"({src(f.item, depth)} in {src(f.set_expr, depth)})"
+        if t is Cmp or t is Arith:
+            text = f"{src(f.left, depth)} {OPS[f.op][1]} {src(f.right, depth)}"
+            return arith(f, text) if arith and t is Arith else f"({text})"
+        raise TypeError(f"unexpected formula node {f!r}")
+
+    return src(f, 0)
+
+
+# the most sources kept compiled. A source names its literals by position
+# and holds no value of a run, so all runs of a process share its code:
+# the corpus's scans have 14 sources, a vc_scaling seed's 8 to 11, and the
+# monitor's 742 functions for every built-in scenario, with and without
+# overflow checks, 25. The bound caps what a long-lived process keeps.
+_SCAN_CACHE_SIZE = 256
+
+# the longest source kept compiled, a longer one being compiled for its
+# formula alone: the corpus's and vc_scaling's scans run to about 1,100
+# characters, while a 60,000-level residual's 458,721 compile to 53 MiB
+_MAX_CACHED_SOURCE = 4096
+
+
+@functools.lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _scan_code(source: str):
+    return compile(source, "<formula>", "exec")
+
+
+def compile_source(source: str):
+    """The code of source, written with ``emit``: compiled once per process
+    (``_scan_code``) unless it is longer than ``_MAX_CACHED_SOURCE``."""
+    return _scan_code(source) if len(source) <= _MAX_CACHED_SOURCE else compile(source, "<formula>", "exec")
 
 
 # -- rendering ----------------------------------------------------------------

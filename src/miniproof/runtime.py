@@ -7,21 +7,19 @@ postconditions, the frame condition, and the class invariant on exit.
 The invariant is checked after creation and after every call, including
 nested ones. Calls nest at most MAX_CALL_DEPTH deep.
 
-The monitor compiles each feature to Python closures on its first
-monitored call: every require, ensure and invariant clause and every
-body statement, as the formulas ``formula.lower`` builds, which vcgen
-proves. So verify, run and replay read one lowering: an `old` symbol
-reads the entry snapshot of its path, taken in vcgen's entry-dereference
-order, and a clause holding a creation expression, which vcgen marks
-Unsupported as a whole, refuses to evaluate. Operators take their
-meanings from ``formula.OPS``, operands are evaluated left to right, and
-each name is bound at compile time to the parameter dict or to the
-receiver's fields, since no parameter shadows a feature. Body
-expressions carry the overflow bounds when overflow monitoring is on, so
-every arithmetic result in an assignment value, `if` condition or call
-argument is bounds-checked; contract clauses and `check` instructions
-carry none. ``eval_expr`` compiles one expression over a flat env and
-evaluates it.
+The monitor compiles each feature on its first monitored call, as the
+formulas ``formula.lower`` builds, which vcgen proves: each clause, each
+body expression and the `old` snapshot become one function, written by
+``formula.emit`` as discharge's scans are, and each body statement a
+closure over them. So verify, run and replay read one lowering and one
+meaning of each operator: an `old` symbol reads the entry snapshot of
+its path, taken in vcgen's entry-dereference order, and a clause holding
+a creation expression, which vcgen marks Unsupported as a whole, refuses
+to evaluate. Body expressions carry the overflow bounds when overflow
+monitoring is on, so every arithmetic result in an assignment value,
+`if` condition or call argument is bounds-checked; contract clauses and
+`check` instructions carry none. ``eval_expr`` compiles one expression
+over a flat env and evaluates it.
 
 Replay turns a discharge counterexample back into a concrete execution:
 it materializes the described entry state, invokes the owning feature
@@ -39,11 +37,12 @@ analyzed program, in a MonitorPlan built on the feature's first
 monitored call: the paths to snapshot for `old`, the label of every
 arithmetic body node, the arithmetic labels each Overflow provenance
 accepts on replay, the model queries the frame condition compares, the
-compiled code, once per overflow-bounds value, and the entry plans of
-its replays, once per key tuple. A plan depends only on the feature, and
-a CheckedProgram never changes after analysis, so the plan, its code and
-its entry plans are cached on the CheckedProgram and shared by every
-Interpreter and every replay over it; nothing is cached at module level.
+compiled functions, once per overflow-bounds value, and the entry plans
+of its replays, once per key tuple. A plan depends only on the feature,
+and a CheckedProgram never changes after analysis, so the plan, its
+functions and its entry plans are cached on the CheckedProgram and
+shared by every Interpreter and every replay over it. Only code objects,
+which hold no value, are kept per process (``formula.compile_source``).
 
 The monitor reads the lowering, the verification options, the obligation
 kinds and the value encoding from ``formula``; it imports neither vcgen
@@ -126,23 +125,49 @@ class _Overflow(Exception):
         self.label = label
 
 
-class _Compiler:
-    """Compiles the expressions of one scope to closures over the
-    formulas ``formula.lower`` builds, the ones vcgen proves. An
-    expression compiles to ``ev(p, f, o)`` over the parameter dict p, the
-    receiver's fields f and the `old` snapshot o (path -> entry value;
-    None outside postconditions). A path's first name is read from p if
-    it is one of params, else from f: the analyzer lets no parameter
-    shadow a feature, so the choice is made here, once; ``r.a`` raises
-    VoidDereference when r is Void. With bounds (lo, hi), each arithmetic
+# emitted code raises through these; each builds its exception, as one
+# passed in would stay in its own frame, a reference cycle per raise
+def _void(path: str):
+    raise VoidDereference(path)
+
+
+def _overflow(label: str):
+    raise _Overflow(label)
+
+
+def _compile(params: tuple, e: ast.Expr | None = None, olds: tuple = (), bounds=None, labels=None):
+    """``ev(p, f, o)`` of the expression e, as the formula ``F.lower``
+    builds, the one vcgen proves, written by ``F.emit``; or without e, of
+    the dict of each path of olds to its value, over the parameter dict p,
+    the receiver's fields f and the `old` snapshot o (path -> entry value;
+    None outside postconditions). A name is read from p if it is one of
+    params, else from f, as no parameter shadows a feature; ``r.a`` raises
+    VoidDereference when r is Void. With bounds (lo, hi), an arithmetic
     result outside them raises _Overflow with its AST node's text from
-    labels (id() -> text). An expression holding a creation does not
-    lower, and raises UnsupportedInContract whenever it is evaluated."""
+    labels (id() -> text). An expression holding a creation raises
+    UnsupportedInContract whenever it is evaluated. Literals, names and
+    labels are globals named by position, so one shape shares code."""
+    consts: list = []
 
-    def __init__(self, params, bounds=None, labels=None):
-        self.params, self.bounds, self.labels = params, bounds, labels
+    def const(value) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
 
-    def expr(self, e: ast.Expr):
+    def leaf(sym: F.Sym) -> str:
+        if sym.name.startswith(F.OLD):
+            return f"o[{const(sym.name[len(F.OLD) :])}]"
+        name, dot, attr = sym.name.partition(".")
+        receiver = f"{'p' if name in params else 'f'}[{const(name)}]"
+        if not dot:
+            return receiver
+        return f"(_void({const(sym.name)}) if (t := {receiver}) is None else t.fields[{const(attr)}])"
+
+    def checked(h: F.Arith, text: str) -> str:
+        return f"(t if lo <= (t := {text}) <= hi else _overflow({const(bounded[id(h)])}))"
+
+    if e is None:
+        text = "{" + "".join(f"{const(path)}: {leaf(F.Sym(path, None))}, " for path in olds) + "}"
+    else:
         sites: list = []
         try:
             g = F.lower(e, sites=sites)
@@ -153,74 +178,20 @@ class _Compiler:
                 raise UnsupportedInContract(message)
 
             return refuse
-        bounded = {id(h): self.labels[id(n)] for n, h in sites if type(h) is F.Arith} if self.bounds else {}
-        return self.formula(g, bounded)
-
-    def reader(self, name: str):
-        if name in self.params:
-            return lambda p, f, o: p[name]
-        return lambda p, f, o: f[name]
-
-    def path(self, path: str):
-        name, dot, attr = path.partition(".")
-        receiver = self.reader(name)
-        if not dot:
-            return receiver
-
-        def read(p, f, o):
-            obj = receiver(p, f, o)
-            if obj is None:
-                raise VoidDereference(path)
-            return obj.fields[attr]
-
-        return read
-
-    def formula(self, g: F.Formula, bounded: dict):
-        """The closure of a lowered formula; bounded maps id() of each
-        bounds-checked Arith node to its label."""
-        t = type(g)
-        if t is F.Sym:
-            if not g.name.startswith(F.OLD):
-                return self.path(g.name)
-            key = g.name[len(F.OLD) :]
-            return lambda p, f, o: o[key]
-        if t is F.Lit:
-            value = g.value
-            return lambda p, f, o: value
-        if t is F.Not:
-            operand = self.formula(g.operand, bounded)
-            return lambda p, f, o: not operand(p, f, o)
-        if t is F.HasF:
-            receiver, item = self.formula(g.set_expr, bounded), self.formula(g.item, bounded)
-            return lambda p, f, o: item(p, f, o) in receiver(p, f, o)  # the item first
-        # the lowering builds every connective with two items
-        left, right = (self.formula(c, bounded) for c in F.children(g))
-        if t is F.And:
-            return lambda p, f, o: left(p, f, o) and right(p, f, o)
-        if t is F.Or:
-            return lambda p, f, o: left(p, f, o) or right(p, f, o)
-        if t is F.Implies:
-            return lambda p, f, o: (not left(p, f, o)) or bool(right(p, f, o))
-        fn = F.OPS[g.op][0]
-        label = bounded.get(id(g))
-        if label is None:
-            return lambda p, f, o: fn(left(p, f, o), right(p, f, o))
-        lo, hi = self.bounds
-
-        def checked(p, f, o):
-            value = fn(left(p, f, o), right(p, f, o))
-            if lo <= value <= hi:
-                return value
-            raise _Overflow(label)
-
-        return checked
+        bounded = {id(h): labels[id(n)] for n, h in sites if type(h) is F.Arith} if bounds else None
+        text = F.emit(g, leaf, const, checked if bounds else None)
+    lo, hi = bounds or (None, None)
+    namespace = {"_void": _void, "_overflow": _overflow, "lo": lo, "hi": hi}
+    namespace.update((f"k{i}", value) for i, value in enumerate(consts))
+    exec(F.compile_source(f"def ev(p, f, o):\n return {text}\n"), namespace)
+    return namespace["ev"]
 
 
 def eval_expr(expr: ast.Expr, env: Mapping, old_env: Mapping | None = None):
     """Strict evaluation of one contract expression, compiled as the
     monitor compiles it, over one flat env of parameter and attribute
     names; old_env maps each path read under `old` to its entry value."""
-    return _Compiler(()).expr(expr)(env, env, old_env)
+    return _compile((), expr)(env, env, old_env)
 
 
 # -- monitor plans and compiled features ------------------------------------------
@@ -236,7 +207,7 @@ class MonitorPlan(ast.Node):
     # arith_labels: every arithmetic body node -> its text;
     # frame_queries: the model queries the frame condition compares;
     # code: overflow bounds (None when overflow is not monitored) -> the
-    # feature compiled to closures, a FeatureCode, built by
+    # feature compiled, a FeatureCode, built by
     # Interpreter._invoke on the first monitored call with those bounds;
     # replays: a counterexample's keys, in its order -> the EntryPlan that
     # builds its entry state, built on the first replay with those keys
@@ -258,10 +229,10 @@ class MonitorPlan(ast.Node):
 
 
 class FeatureCode(ast.Node):
-    """A feature compiled to closures (see ``_Compiler``): (label, test)
-    of each require and ensure clause and of each invariant clause of the
-    class, (path, reader) of each `old` snapshot, and the body as a
-    list of statement closures ``st(interpreter, p, f)``."""
+    """A feature compiled (see ``_compile``): (label, test) of each
+    require and ensure clause and of each invariant clause of the class,
+    the function that takes the `old` snapshot, and the body as a list of
+    statement closures ``st(interpreter, p, f)``."""
 
     __slots__ = ("require", "olds", "body", "ensure", "invariant")
 
@@ -309,26 +280,28 @@ def _build_plan(info: ClassInfo, feat: ast.Feature) -> MonitorPlan:
 def _compile_feature(
     info: ClassInfo, feat: ast.Feature, plan: MonitorPlan, bounds: tuple[int, int] | None
 ) -> FeatureCode:
-    # contracts and `check` are not bounds-checked; body expressions are
-    contract = _Compiler(plan.params)
-    body = _Compiler(plan.params, bounds, plan.arith_labels)
+    params = plan.params
 
     def clauses(items):
-        return tuple((c.label, contract.expr(c.expr)) for c in items)
+        # contracts and `check` are not bounds-checked; body expressions are
+        return tuple((c.label, _compile(params, c.expr)) for c in items)
+
+    def body(e):
+        return _compile(params, e, bounds=bounds, labels=plan.arith_labels)
 
     def block(stmts):
         return [statement(s) for s in stmts]
 
     def statement(s):
         if isinstance(s, ast.Assign):
-            target, value = s.target, body.expr(s.value)
+            target, value = s.target, body(s.value)
 
             def assign(interp, p, f):
                 f[target] = value(p, f, None)
 
             return assign
         if isinstance(s, ast.QualifiedAssign):
-            value, receiver = body.expr(s.value), body.reader(s.receiver)
+            value, receiver = body(s.value), _compile(params, ast.Name(s.receiver))
             attr, path = s.attr, f"{s.receiver}.{s.attr}"
 
             def assign_through(interp, p, f):
@@ -347,8 +320,8 @@ def _compile_feature(
 
             return create
         if isinstance(s, ast.CallStmt):
-            receiver, args = body.reader(s.receiver), tuple(body.expr(a) for a in s.args)
-            feature, path = s.feature, f"{s.receiver}.{s.feature}"
+            receiver = _compile(params, ast.Name(s.receiver))
+            args, feature, path = tuple(body(a) for a in s.args), s.feature, f"{s.receiver}.{s.feature}"
 
             def call(interp, p, f):
                 obj = receiver(p, f, None)
@@ -362,14 +335,14 @@ def _compile_feature(
 
             return call
         if isinstance(s, ast.IfStmt):
-            cond, then_branch, else_branch = body.expr(s.cond), block(s.then_branch), block(s.else_branch)
+            cond, then_branch, else_branch = body(s.cond), block(s.then_branch), block(s.else_branch)
 
             def branch(interp, p, f):
                 interp._run(then_branch if cond(p, f, None) else else_branch, p, f)
 
             return branch
         if isinstance(s, ast.CheckStmt):
-            test, label = contract.expr(s.expr), s.label
+            test, label = _compile(params, s.expr), s.label
 
             def check(interp, p, f):
                 if not test(p, f, None):
@@ -380,7 +353,7 @@ def _compile_feature(
 
     return FeatureCode(
         clauses(feat.require),
-        tuple((path, contract.path(path)) for path in plan.olds),
+        _compile(params, olds=plan.olds),
         block(feat.body),
         clauses(feat.ensure),
         clauses(info.decl.invariant),
@@ -454,7 +427,7 @@ class Interpreter:
             if not test(params, fields, None):
                 raise _violation("precondition", label, info, feat, obj, params)
 
-        old = {path: read(params, fields, None) for path, read in code.olds}
+        old = code.olds(params, fields, None)
         entry_queries = [fields[q] for q in plan.frame_queries]
 
         self._depth += 1
@@ -612,7 +585,8 @@ class Trace(ast.Node):
 def _check_command(checked: CheckedProgram, cmd: Command, line: int, objects: dict) -> ast.Feature | None:
     """The feature a call command calls (None for a create). Raise
     ParseError at the command's line when it names an unknown variable,
-    class or feature, or passes arguments that do not fit the feature's
+    class or feature, calls a creator, which the analyzer refuses in
+    program text too, or passes arguments that do not fit the feature's
     parameters."""
     if cmd.kind == "create":
         if cmd.target not in checked.classes:
@@ -625,6 +599,8 @@ def _check_command(checked: CheckedProgram, cmd: Command, line: int, objects: di
     feat = info.routines.get(cmd.target)
     if feat is None:
         raise ParseError(f"unknown feature {info.name}.{cmd.target}", line, 1)
+    if feat.is_creator:
+        raise ParseError(f"creator {info.name}.{feat.name} cannot be called", line, 1)
     if len(cmd.args) != len(feat.params):
         raise ParseError(
             f"{info.name}.{feat.name} takes {len(feat.params)} argument(s), got {len(cmd.args)}",

@@ -355,6 +355,24 @@ def test_run_with_a_bad_program_and_a_bad_scenario_exits_three(capsys, tmp_path)
     assert "scenario" not in err
 
 
+def test_run_refuses_a_creator_call_as_the_analyzer_does(capsys, tmp_path):
+    """A scenario may not call a creator, as program text may not: the
+    creator's postcondition holds of a blank object only, so a second
+    run of it reports a violation that verify rules out."""
+    program = tmp_path / "a.ccl"
+    program.write_text(
+        "class A\ncreate make\nfeature\n  x : INTEGER\n  make\n    do\n      x := x + 1\n"
+        "    ensure\n      one: x = 1\n    end\nend\n",
+        encoding="utf-8",
+    )
+    scenario = tmp_path / "a.scn"
+    scenario.write_text("create a : A\ncall a.make()\n", encoding="utf-8")
+    assert run_cli(capsys, "verify", str(program))[0] == 0
+    code, out, err = run_cli(capsys, "run", str(program), str(scenario))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["miniproof: 2:1: creator A.make cannot be called"]
+
+
 # -- replay ----------------------------------------------------------------------
 
 

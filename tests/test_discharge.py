@@ -287,7 +287,8 @@ def test_a_long_scan_source_is_not_kept():
     """The 60,000-level residual's source is far longer than
     ``_MAX_CACHED_SOURCE``: it is compiled for its scan alone, and the
     process cache of compiled scans neither grows nor is consulted."""
-    from miniproof.discharge import _leaves_where, _scan_code
+    from miniproof.discharge import _leaves_where
+    from miniproof.formula import _scan_code
 
     before = _scan_code.cache_info()
     found = list(_leaves_where(_deep_sum(), ["i", "j"], [(0,), (-1, 0)], True))
@@ -298,17 +299,15 @@ def test_a_long_scan_source_is_not_kept():
 def _record_scans(monkeypatch) -> list:
     """(source, code) of each scan compiled or fetched from the process
     cache from now on."""
-    from miniproof import discharge as discharge_module
-
     scans = []
-    real = discharge_module._scan_code
+    real = F._scan_code
 
     def recording(source):
         code = real(source)
         scans.append((source, code))
         return code
 
-    monkeypatch.setattr(discharge_module, "_scan_code", recording)
+    monkeypatch.setattr(F, "_scan_code", recording)
     return scans
 
 
@@ -380,7 +379,7 @@ def test_more_scan_shapes_than_the_process_keeps():
     compiled scans holds, then the first ones again, once evicted. Each
     verdict and first falsifier is enumeration's, and the cache never
     holds more than its bound."""
-    from miniproof.discharge import _SCAN_CACHE_SIZE, _scan_code
+    from miniproof.formula import _SCAN_CACHE_SIZE, _scan_code
 
     count = _SCAN_CACHE_SIZE + 40
     i, j = F.Sym("i", T_INT), F.Sym("j", T_INT)
@@ -585,7 +584,7 @@ def _assert_runs_match_fresh_domains(checked, opts, label):
     a Domains of its own, from an empty cache of compiled scans, reports,
     and each Failed counterexample lists every free symbol of its formula
     in sorted-name order."""
-    from miniproof.discharge import _scan_code
+    from miniproof.formula import _scan_code
 
     obligations = generate_obligations(checked, opts)
     by_id = {o.id: o for o in obligations}

@@ -30,7 +30,8 @@ from miniproof.discharge import (
     report_payload,
     symbol_domain,
 )
-from miniproof.runtime import RuntimeObject, Step, Trace, _Compiler, eval_expr, trace_json, trace_payload
+from miniproof.pretty import expr_text
+from miniproof.runtime import RuntimeObject, Step, Trace, _compile, eval_expr, trace_json, trace_payload
 from miniproof.vcgen import Obligation, wp
 
 X = F.Sym("x", T_INT)
@@ -684,6 +685,18 @@ def _agree_env(own: dict, through_r: dict) -> tuple[dict, dict]:
     return env, {**own, **{f"r.{name}": value for name, value in through_r.items()}}
 
 
+def _agree_inputs(expr, own, through_r, entry_own, entry_r):
+    """The monitor's env and `old` snapshot, which its emitted snapshot
+    took in the entry state, keyed by path, and the formula evaluator's
+    values of the path symbols and their entry-state symbols."""
+    env, paths = _agree_env(own, through_r)
+    entry_env, entry_paths = _agree_env(entry_own, entry_r)
+    lowered = F.lower(expr)
+    snapshot = _compile((), olds=tuple(F.old_syms(lowered)))(entry_env, entry_env, None)
+    paths.update((F.OLD + name, value) for name, value in entry_paths.items())
+    return lowered, env, snapshot, paths
+
+
 @settings(max_examples=300)
 @given(
     expr=st.one_of(*AGREE_EXPRS),
@@ -693,13 +706,27 @@ def _agree_env(own: dict, through_r: dict) -> tuple[dict, dict]:
     entry_r=AGREE_VALUES,
 )
 def test_monitor_and_formula_evaluators_agree(expr, own, through_r, entry_own, entry_r):
-    """The monitor compiles and evaluates an expression, reading each path
-    under `old` from a snapshot its path reader took in the entry state,
-    keyed by path; the formula evaluator reads the lowered expression
-    over path symbols and their entry-state symbols."""
-    env, paths = _agree_env(own, through_r)
-    entry_env, entry_paths = _agree_env(entry_own, entry_r)
-    lowered = F.lower(expr)
-    snapshot = {path: _Compiler(()).path(path)(entry_env, entry_env, None) for path in F.old_syms(lowered)}
-    paths.update((F.OLD + name, value) for name, value in entry_paths.items())
+    """The monitor's emitted code evaluates an expression, reading each
+    path under `old` from the snapshot; the formula evaluator reads the
+    lowered expression over path symbols and their entry-state symbols."""
+    lowered, env, snapshot, paths = _agree_inputs(expr, own, through_r, entry_own, entry_r)
     assert eval_expr(expr, env, snapshot) == F.evaluate(lowered, paths)
+
+
+@settings(max_examples=300)
+@given(
+    expr=st.one_of(*AGREE_EXPRS),
+    own=AGREE_VALUES,
+    through_r=AGREE_VALUES,
+    entry_own=AGREE_VALUES,
+    entry_r=AGREE_VALUES,
+)
+def test_bounds_checked_monitor_and_formula_evaluators_agree(expr, own, through_r, entry_own, entry_r):
+    """As above, with every arithmetic result bounds-checked at width 128,
+    wider than any value drawn: six leaves, each at most 8 or the `old`
+    of six such, make less than 2**108. The inline range tests neither
+    fire nor change a value."""
+    lowered, env, snapshot, paths = _agree_inputs(expr, own, through_r, entry_own, entry_r)
+    labels = {id(node): expr_text(node) for node in ast.arith_postorder(expr)}
+    bounds = F.VerifyOptions(overflow_width=128).overflow_bounds
+    assert _compile((), expr, bounds=bounds, labels=labels)(env, env, snapshot) == F.evaluate(lowered, paths)

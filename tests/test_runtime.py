@@ -957,3 +957,116 @@ def test_overflow_monitoring_gets_its_own_code(monkeypatch):
     assert sorted(plan.code, key=str) == [(-128, 127), None]
     assert plan.code[None] is not plan.code[(-128, 127)]
     assert [c for c in compiled if c[1] == "bump"] == [("C", "bump", None), ("C", "bump", (-128, 127))]
+
+
+def _deep_program(guard_terms: int, sum_terms: int) -> str:
+    """``deep: p = 0 or r.x + ... + r.x > 0`` and ``x := p + ... + p``,
+    the chains as long as given."""
+    chain, total = " + ".join(["r.x"] * guard_terms), " + ".join(["p"] * sum_terms)
+    return (
+        "class CELL\ncreate make\nfeature\n  x : INTEGER\n  make\n    do\n    end\nend\n"
+        "class D\ncreate make\nfeature\n  r : CELL\n  x : INTEGER\n  make\n    do\n    end\n"
+        f"  guarded (p : INTEGER)\n    require\n      deep: p = 0 or {chain} > 0\n    do\n    end\n"
+        f"  sum (p : INTEGER)\n    do\n      x := {total}\n    end\nend\n"
+    )
+
+
+def test_the_deepest_expressions_are_compiled_whole():
+    """At the deepest expressions the parser accepts, the monitor's code
+    is not cut into pieces worked out eagerly: with r Void, ``p = 0``
+    skips the 49 Void reads after it, and at width 8 the 51-term sum
+    fits Python's bracket limit and names the innermost sum that leaves
+    [-128, 127], 43 times 3."""
+    with pytest.raises(ParseError):
+        parse(_deep_program(50, 51))
+    with pytest.raises(ParseError):
+        parse(_deep_program(49, 52))
+    interp = Interpreter(checked_of(_deep_program(49, 51)), VerifyOptions(check_overflow=True, overflow_width=8))
+    obj = interp.create("D")
+    interp.call(obj, "guarded", [0])
+    with pytest.raises(VoidDereference):
+        interp.call(obj, "guarded", [1])
+    interp.call(obj, "sum", [2])
+    assert obj.fields["x"] == 102
+    with pytest.raises(ContractViolation) as exc:
+        interp.call(obj, "sum", [3])
+    assert (exc.value.kind, exc.value.label) == ("overflow", " + ".join(["p"] * 43))
+
+
+def test_programs_of_one_shape_share_monitor_code_but_not_values():
+    """Clauses that differ only in names and literals compile to one code
+    object, and each function reads its own names and literals."""
+    first = checked_of(_bump_program("a := a + 1", "a = old a + 1"))
+    second = checked_of(_bump_program("b := b + 5", "b = old b + 5"))
+    codes = []
+    for checked, name, bumped in ((first, "a", 3), (second, "b", 7)):
+        interp = Interpreter(checked)
+        obj = interp.create("C")
+        interp.call(obj, "set", [2])
+        interp.call(obj, "bump", [])  # its postcondition holds
+        assert obj.fields[name] == bumped
+        codes.append(checked.monitor_plans[("C", "bump")].code[None])
+    (_, post_a), (_, post_b) = codes[0].ensure[0], codes[1].ensure[0]
+    assert post_a.__code__ is post_b.__code__ and codes[0].olds.__code__ is codes[1].olds.__code__
+    assert post_a({}, {"a": 3, "b": 3}, {"a": 2, "b": 2}) is True
+    assert post_b({}, {"a": 3, "b": 3}, {"a": 2, "b": 2}) is False
+    assert codes[0].olds({}, {"a": 1, "b": 2}, None) == {"a": 1}
+    assert codes[1].olds({}, {"a": 1, "b": 2}, None) == {"b": 2}
+
+
+LONG_CLAUSE = (
+    "class CELL\ncreate make\nfeature\n  x : INTEGER\n  y : INTEGER\n  make\n    do\n    end\nend\n"
+    "class L\ncreate make\nfeature\n  r : CELL\n  make\n    do\n      create r\n    end\n"
+    "  f\n    require\n"
+    f"      long: {' and '.join(['r.x = r.y'] * 40)}\n"
+    "      short: r.x = 0\n"
+    "    do\n    end\nend\n"
+)
+
+
+def test_a_long_monitor_source_is_compiled_for_its_clause_alone(monkeypatch):
+    """A clause whose source is longer than ``_MAX_CACHED_SOURCE`` is
+    compiled for its program alone, never through the process cache,
+    while a short clause's code is shared by both programs."""
+    from miniproof import formula as F
+
+    cached = []
+    real = F._scan_code
+    monkeypatch.setattr(F, "_scan_code", lambda source: cached.append(source) or real(source))
+    requires = []
+    for _ in range(2):
+        checked = checked_of(LONG_CLAUSE)
+        interp = Interpreter(checked)
+        interp.call(interp.create("L"), "f", [])
+        requires.append([test for _, test in checked.monitor_plans[("L", "f")].code[None].require])
+    (long_1, short_1), (long_2, short_2) = requires
+    assert long_1.__code__ is not long_2.__code__ and long_1.__code__.co_code == long_2.__code__.co_code
+    assert short_1.__code__ is short_2.__code__
+    assert cached and all(len(source) <= F._MAX_CACHED_SOURCE for source in cached)
+
+
+def test_monitored_failures_leave_no_reference_cycles():
+    """The overflow and the Void read that the monitor's code raises are
+    freed by reference counting once the run has recorded them, as a
+    replay raises one each: an exception kept in the frame it was raised
+    from would be a cycle per replay, which only the collector frees."""
+    import gc
+
+    checked = checked_of(_deep_program(49, 51))
+    label = " + ".join(["p"] * 43)
+    scenario = parse_scenario(f"create d : D\ncall d.sum(3)\nexpect_violation {label}\ncall d.guarded(1)\n")
+    width8 = VerifyOptions(check_overflow=True, overflow_width=8)
+    run_scenario(checked, scenario, width8)  # compiles the monitor's code
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            trace = run_scenario(checked, scenario, width8)
+            assert [s.outcome for s in trace.steps][1:] == [
+                f"violation overflow {label}",
+                "error VoidDereference: Void dereference at r.x",
+            ]
+            del trace
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
