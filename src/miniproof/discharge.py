@@ -40,7 +40,6 @@ the work, and none of them can change which falsifier comes first:
 
 from __future__ import annotations
 
-import json
 import time
 from itertools import product
 
@@ -48,7 +47,7 @@ from . import ast
 from . import formula as F
 from .analyzer import CheckedProgram
 from .errors import InternalError
-from .formula import UNSUPPORTED, VerifyOptions, decode_value, encode_value
+from .formula import UNSUPPORTED, VerifyOptions, decode_value, encode_value, json_string, json_text
 from .vcgen import Obligation, UNSUPPORTED_REASON, generate_obligations
 
 # the value encoding lives with the values in formula; reports are written
@@ -499,51 +498,25 @@ def report_payload(report: Report) -> dict:
 
 def render_json(report: Report) -> str:
     """``json.dumps(report_payload(report), indent=2)``, written by
-    ``_json`` but for the rows, which are many and all of one layout, so
-    one template writes each. With an indent the json module encodes in
-    pure Python; here each string goes through its C encoder."""
+    ``json_text`` but for the rows, which are many and all of one layout,
+    so one template writes each."""
     payload = report_payload(report)
     rows = ",\n".join(
         "    {\n"
-        f'      "id": {_string(row["id"])},\n'
-        f'      "kind": {_string(row["kind"])},\n'
-        f'      "class": {_string(row["class"])},\n'
-        f'      "feature": {_string(row["feature"])},\n'
-        f'      "provenance": {_string(row["provenance"])},\n'
-        f'      "verdict": {_string(row["verdict"])},\n'
-        f'      "counterexample": {_json(row["counterexample"], "      ")},\n'
-        f'      "reason": {_json(row["reason"], "      ")}\n'
+        f'      "id": {json_string(row["id"])},\n'
+        f'      "kind": {json_string(row["kind"])},\n'
+        f'      "class": {json_string(row["class"])},\n'
+        f'      "feature": {json_string(row["feature"])},\n'
+        f'      "provenance": {json_string(row["provenance"])},\n'
+        f'      "verdict": {json_string(row["verdict"])},\n'
+        f'      "counterexample": {json_text(row["counterexample"], "      ")},\n'
+        f'      "reason": {json_text(row["reason"], "      ")}\n'
         "    }"
         for row in payload["rows"]
     )
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     return (
-        f'{{\n  "summary": {_json(payload["summary"], "  ")},\n  "rows": {rows},\n'
-        f'  "domains": {_json(payload["domains"], "  ")},\n  "duration_ms": {_json(payload["duration_ms"], "  ")}\n}}'
+        f'{{\n  "summary": {json_text(payload["summary"], "  ")},\n  "rows": {rows},\n'
+        f'  "domains": {json_text(payload["domains"], "  ")},\n'
+        f'  "duration_ms": {json_text(payload["duration_ms"])}\n}}'
     )
-
-
-_string = json.encoder.encode_basestring_ascii
-
-
-def _json(value, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` for a value written at indentation
-    pad, made of dicts with string keys, lists, strings, ints, booleans
-    and None."""
-    t = type(value)
-    if t is str:
-        return _string(value)
-    if t is int:
-        return repr(value)
-    if value is None:
-        return "null"
-    if t is bool:
-        return "true" if value else "false"
-    if not value:
-        return "{}" if t is dict else "[]"
-    inner = pad + "  "
-    if t is dict:
-        items = ",\n".join(f"{inner}{_string(k)}: {_json(v, inner)}" for k, v in value.items())
-        return f"{{\n{items}\n{pad}}}"
-    items = ",\n".join(inner + _json(v, inner) for v in value)
-    return f"[\n{items}\n{pad}]"

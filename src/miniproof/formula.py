@@ -34,12 +34,14 @@ formulas, the monitor compiles them), the one emitter of formulas as
 Python source (``emit``: discharge's scans, the monitor's checks) and
 its compile rule, the verification options, the obligation kinds, each
 type's default value, and the one JSON encoding of values
-(``encode_value``/``decode_value``) with its type check (``fits``).
+(``encode_value``/``decode_value``) with its type check (``fits``) and
+its writer (``json_text``).
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import operator
 
 from . import ast
@@ -590,8 +592,9 @@ def emit(f: Formula, leaf, const, arith=None, cut=None) -> str:
 # the most sources kept compiled. A source names its literals by position
 # and holds no value of a run, so all runs of a process share its code:
 # the corpus's scans have 14 sources, a vc_scaling seed's 8 to 11, and the
-# monitor's 742 functions for every built-in scenario, with and without
-# overflow checks, 25. The bound caps what a long-lived process keeps.
+# monitor's 752 functions (drivers included) for every built-in scenario,
+# with and without overflow checks, 36. The bound caps what a long-lived
+# process keeps.
 _SCAN_CACHE_SIZE = 256
 
 # the longest source kept compiled, a longer one being compiled for its
@@ -631,12 +634,44 @@ def value_text(v: Value) -> str:
 
 
 def encode_value(v: Value):
-    """The one JSON encoding of a value, used by reports and traces."""
-    if isinstance(v, Ref):
-        return {"ref": v.class_name}
-    if isinstance(v, frozenset):
+    """The one JSON encoding of a value, used by reports and traces. Any
+    other object raises TypeError."""
+    t = type(v)
+    if t is int or t is bool or t is str or v is None:
+        return v
+    if t is frozenset:
         return sorted(v)
-    return v
+    if t is Ref:
+        return {"ref": v.class_name}
+    raise TypeError(f"Object of type {t.__name__} is not a value")
+
+
+json_string = json.encoder.encode_basestring_ascii
+
+
+def json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a value written at indentation
+    pad, made of dicts with string keys, lists, strings, ints, booleans
+    and None: the one writer of reports and traces. With an indent the
+    json module encodes in pure Python; here each string goes through its
+    C encoder."""
+    t = type(value)
+    if t is str:
+        return json_string(value)
+    if t is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if t is bool:
+        return "true" if value else "false"
+    if not value:
+        return "{}" if t is dict else "[]"
+    inner = pad + "  "
+    if t is dict:
+        items = ",\n".join(f"{inner}{json_string(k)}: {json_text(v, inner)}" for k, v in value.items())
+        return f"{{\n{items}\n{pad}}}"
+    items = ",\n".join(inner + json_text(v, inner) for v in value)
+    return f"[\n{items}\n{pad}]"
 
 
 def decode_value(raw) -> Value:

@@ -10,8 +10,11 @@ nested ones. Calls nest at most MAX_CALL_DEPTH deep.
 The monitor compiles each feature on its first monitored call, as the
 formulas ``formula.lower`` builds, which vcgen proves: each clause, each
 body expression and the `old` snapshot become one function, written by
-``formula.emit`` as discharge's scans are, and each body statement a
-closure over them. So verify, run and replay read one lowering and one
+``formula.emit`` as discharge's scans are, and the feature one generated
+driver that calls them in order, its body as straight-line code with a
+step of the budget before each statement. The clause functions stay
+apart from the driver so that clauses of one shape share one code object
+across programs. So verify, run and replay read one lowering and one
 meaning of each operator: an `old` symbol reads the entry snapshot of
 its path, taken in vcgen's entry-dereference order, and a clause holding
 a creation expression, which vcgen marks Unsupported as a whole, refuses
@@ -37,27 +40,27 @@ analyzed program, in a MonitorPlan built on the feature's first
 monitored call: the paths to snapshot for `old`, the label of every
 arithmetic body node, the arithmetic labels each Overflow provenance
 accepts on replay, the model queries the frame condition compares, the
-compiled functions, once per overflow-bounds value, and the entry plans
-of its replays, once per key tuple. A plan depends only on the feature,
-and a CheckedProgram never changes after analysis, so the plan, its
-functions and its entry plans are cached on the CheckedProgram and
+driver, once per overflow-bounds value, and the entry plans of its
+replays, once per key tuple. A plan depends only on the feature, and a
+CheckedProgram never changes after analysis, so the plan, its driver
+and its entry plans are cached on the CheckedProgram and
 shared by every Interpreter and every replay over it. Only code objects,
 which hold no value, are kept per process (``formula.compile_source``).
 
 The monitor reads the lowering, the verification options, the obligation
-kinds and the value encoding from ``formula``; it imports neither vcgen
-nor discharge, so running a scenario never loads them. Replay takes the
-Obligation that vcgen made, but needs only its fields.
+kinds, and the value encoding and its writer from ``formula``; it
+imports neither vcgen nor discharge, so running a scenario never loads
+them. Replay takes the Obligation that vcgen made, but needs only its
+fields.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import re
 import sys
 from array import array
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import ast
 from . import formula as F
@@ -81,6 +84,8 @@ from .formula import (
     VOID_DEREFERENCE,
     VerifyOptions,
     encode_value,
+    json_string,
+    json_text,
     type_default,
 )
 from .pretty import expr_text
@@ -207,8 +212,9 @@ class MonitorPlan(ast.Node):
     # arith_labels: every arithmetic body node -> its text;
     # frame_queries: the model queries the frame condition compares;
     # code: overflow bounds (None when overflow is not monitored) -> the
-    # feature compiled, a FeatureCode, built by
-    # Interpreter._invoke on the first monitored call with those bounds;
+    # feature's driver ``ev(interpreter, obj, args)`` (_compile_feature),
+    # built by Interpreter._invoke on the first monitored call with those
+    # bounds;
     # replays: a counterexample's keys, in its order -> the EntryPlan that
     # builds its entry state, built on the first replay with those keys
     __slots__ = (
@@ -226,15 +232,6 @@ class MonitorPlan(ast.Node):
         """Texts of the arithmetic node named by an Overflow obligation and
         of every arithmetic node nested inside it."""
         return self.labels_by_provenance.get(provenance) or frozenset((provenance,))
-
-
-class FeatureCode(ast.Node):
-    """A feature compiled (see ``_compile``): (label, test) of each
-    require and ensure clause and of each invariant clause of the class,
-    the function that takes the `old` snapshot, and the body as a list of
-    statement closures ``st(interpreter, p, f)``."""
-
-    __slots__ = ("require", "olds", "body", "ensure", "invariant")
 
 
 def monitor_plan(checked: CheckedProgram, class_name: str, feat: ast.Feature) -> MonitorPlan:
@@ -277,95 +274,123 @@ def _build_plan(info: ClassInfo, feat: ast.Feature) -> MonitorPlan:
     return MonitorPlan(params, _old_paths(feat.ensure), labels, by_provenance, info.frame(feat))
 
 
+# emitted drivers call these; each that raises builds its exception
+
+
+def _fail(kind: str, label: str, owner: str, feature: str, f: dict, p: dict):
+    # parameters and attributes in one dict; no parameter shadows an attribute
+    raise ContractViolation(kind, label, owner, feature, {**f, **p}) from None
+
+
+def _void_call(path: str):
+    raise VoidCall(path)
+
+
+def _step(i: Interpreter):
+    """Take one statement's step of i's budget."""
+    if i._steps_left <= 0:
+        raise StepBudgetExceeded(f"step budget of {i.step_budget} statements exceeded")
+    i._steps_left -= 1
+
+
+def _call(i: Interpreter, obj: RuntimeObject, feature: str, args: tuple):
+    info = i.checked.info(obj.class_name)
+    callee = info.routines[feature]
+    i._invoke(obj, callee, args, info, monitor_plan(i.checked, info.name, callee))
+
+
 def _compile_feature(
     info: ClassInfo, feat: ast.Feature, plan: MonitorPlan, bounds: tuple[int, int] | None
-) -> FeatureCode:
+) -> Callable:
+    """The driver ``ev(i, obj, args)`` that runs feat on obj under the
+    interpreter i: it binds the parameter dict p to args, checks each
+    precondition, takes the `old` snapshot o and the frame queries, runs
+    the body as straight-line code, one step of i's budget per statement
+    (an `if` takes one, then its branch taken), and checks each
+    postcondition, the frame and the invariant. Each clause, each body
+    expression and the snapshot is a function ``_compile`` makes, called
+    as a global named by position, as the driver's names and labels are,
+    so features of one shape share one code object."""
     params = plan.params
+    consts: list = []
 
-    def clauses(items):
-        # contracts and `check` are not bounds-checked; body expressions are
-        return tuple((c.label, _compile(params, c.expr)) for c in items)
+    def const(value) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
 
-    def body(e):
-        return _compile(params, e, bounds=bounds, labels=plan.arith_labels)
+    # contracts and `check` are not bounds-checked; body expressions are
+    def test(clause, o: str = "None") -> str:
+        return f"{const(_compile(params, clause.expr))}(p, f, {o})"
 
-    def block(stmts):
-        return [statement(s) for s in stmts]
+    def expr(e: ast.Expr) -> str:
+        return f"{const(_compile(params, e, bounds=bounds, labels=plan.arith_labels))}(p, f, None)"
 
-    def statement(s):
-        if isinstance(s, ast.Assign):
-            target, value = s.target, body(s.value)
+    def fail(kind: str, label: str) -> str:
+        return f"_fail({kind!r}, {label}, owner, feature, f, p)"
 
-            def assign(interp, p, f):
-                f[target] = value(p, f, None)
+    def check(kind: str, clauses, o: str = "None"):
+        lines.extend(f" if not {test(c, o)}: {fail(kind, const(c.label))}" for c in clauses)
 
-            return assign
-        if isinstance(s, ast.QualifiedAssign):
-            value, receiver = body(s.value), _compile(params, ast.Name(s.receiver))
-            attr, path = s.attr, f"{s.receiver}.{s.attr}"
+    def receiver(name: str, member: str, void: str) -> str:
+        # reads the receiver into t; void(path) raises when it is Void
+        read = f"{'p' if name in params else 'f'}[{const(name)}]"
+        return f"if (t := {read}) is None: {void}({const(f'{name}.{member}')})"
 
-            def assign_through(interp, p, f):
-                v = value(p, f, None)
-                obj = receiver(p, f, None)
-                if obj is None:
-                    raise VoidDereference(path)
-                obj.fields[attr] = v
+    def block(stmts, pad: str):
+        if not stmts:
+            lines.append(f"{pad}pass")
+        for s in stmts:
+            lines.append(f"{pad}_step(i)")
+            if isinstance(s, ast.Assign):
+                lines.append(f"{pad}f[{const(s.target)}] = {expr(s.value)}")
+            elif isinstance(s, ast.QualifiedAssign):
+                lines.append(f"{pad}v = {expr(s.value)}")
+                lines.append(pad + receiver(s.receiver, s.attr, "_void"))
+                lines.append(f"{pad}t.fields[{const(s.attr)}] = v")
+            elif isinstance(s, ast.CreateStmt):
+                class_name = info.attributes[s.target].class_name
+                lines.append(f"{pad}f[{const(s.target)}] = i._new({const(class_name)})")
+            elif isinstance(s, ast.CallStmt):
+                lines.append(pad + receiver(s.receiver, s.feature, "_void_call"))
+                args = "".join(f"{expr(a)}, " for a in s.args)
+                lines.append(f"{pad}_call(i, t, {const(s.feature)}, ({args}))")
+            elif isinstance(s, ast.IfStmt):
+                lines.append(f"{pad}if {expr(s.cond)}:")
+                block(s.then_branch, pad + " ")
+                if s.else_branch:
+                    lines.append(f"{pad}else:")
+                    block(s.else_branch, pad + " ")
+            elif isinstance(s, ast.CheckStmt):
+                lines.append(f"{pad}if not {test(s)}: {fail('check', const(s.label))}")
+            else:
+                raise TypeError(f"unexpected statement {s!r}")
 
-            return assign_through
-        if isinstance(s, ast.CreateStmt):
-            target, class_name = s.target, info.attributes[s.target].class_name
-
-            def create(interp, p, f):
-                f[target] = interp._new(class_name)
-
-            return create
-        if isinstance(s, ast.CallStmt):
-            receiver = _compile(params, ast.Name(s.receiver))
-            args, feature, path = tuple(body(a) for a in s.args), s.feature, f"{s.receiver}.{s.feature}"
-
-            def call(interp, p, f):
-                obj = receiver(p, f, None)
-                if obj is None:
-                    raise VoidCall(path)
-                values = [a(p, f, None) for a in args]
-                callee_info = interp.checked.info(obj.class_name)
-                callee = callee_info.routines[feature]
-                callee_plan = monitor_plan(interp.checked, callee_info.name, callee)
-                interp._invoke(obj, callee, values, callee_info, callee_plan)
-
-            return call
-        if isinstance(s, ast.IfStmt):
-            cond, then_branch, else_branch = body(s.cond), block(s.then_branch), block(s.else_branch)
-
-            def branch(interp, p, f):
-                interp._run(then_branch if cond(p, f, None) else else_branch, p, f)
-
-            return branch
-        if isinstance(s, ast.CheckStmt):
-            test, label = _compile(params, s.expr), s.label
-
-            def check(interp, p, f):
-                if not test(p, f, None):
-                    raise ContractViolation("check", label, info.name, feat.name, {**f, **p})
-
-            return check
-        raise TypeError(f"unexpected statement {s!r}")
-
-    return FeatureCode(
-        clauses(feat.require),
-        _compile(params, olds=plan.olds),
-        block(feat.body),
-        clauses(feat.ensure),
-        clauses(info.decl.invariant),
-    )
-
-
-def _violation(
-    kind: str, label: str, info: ClassInfo, feat: ast.Feature, obj: RuntimeObject, params: dict
-) -> ContractViolation:
-    # parameters and attributes in one dict; no parameter shadows an attribute
-    return ContractViolation(kind, label, info.name, feat.name, {**obj.fields, **params})
-
+    lines = ["def ev(i, obj, args):", f" p = dict(zip({const(params)}, args))", " f = obj.fields"]
+    check("precondition", feat.require)
+    if plan.olds:
+        lines.append(f" o = {const(_compile(params, olds=plan.olds))}(p, f, None)")
+    queries = [const(q) for q in plan.frame_queries]
+    lines.extend(f" q{j} = f[{k}]" for j, k in enumerate(queries))
+    if feat.body:
+        lines += [" i._depth += 1", " try:"]
+        block(feat.body, "  ")
+        lines += [" except _Overflow as exc:", "  " + fail("overflow", "exc.label"), " finally:", "  i._depth -= 1"]
+    check("postcondition", feat.ensure, "o" if plan.olds else "None")
+    lines.extend(f" if f[{k}] != q{j}: {fail('frame', k)}" for j, k in enumerate(queries))
+    check("invariant", info.decl.invariant)
+    namespace = {
+        "_step": _step,
+        "_call": _call,
+        "_fail": _fail,
+        "_void": _void,
+        "_void_call": _void_call,
+        "_Overflow": _Overflow,
+        "owner": info.name,
+        "feature": feat.name,
+    }
+    namespace.update((f"k{n}", value) for n, value in enumerate(consts))
+    exec(F.compile_source("\n".join(lines) + "\n"), namespace)
+    return namespace["ev"]
 
 # -- the monitored interpreter ---------------------------------------------------
 
@@ -413,52 +438,15 @@ class Interpreter:
         return obj
 
     def _invoke(self, obj: RuntimeObject, feat: ast.Feature, args: Sequence, info: ClassInfo, plan: MonitorPlan):
-        """Run feat on obj under monitoring; info is obj's class and plan
-        feat's, which every caller has looked up already."""
+        """Run feat on obj under monitoring, through its driver (see
+        ``_compile_feature``); info is obj's class and plan feat's, which
+        every caller has looked up already."""
         if self._depth == MAX_CALL_DEPTH:
             raise StepBudgetExceeded(f"call depth limit of {MAX_CALL_DEPTH} nested calls exceeded")
-        code = plan.code.get(self._bounds)
-        if code is None:
-            code = plan.code[self._bounds] = _compile_feature(info, feat, plan, self._bounds)
-        params = dict(zip(plan.params, args))
-        fields = obj.fields
-
-        for label, test in code.require:
-            if not test(params, fields, None):
-                raise _violation("precondition", label, info, feat, obj, params)
-
-        old = code.olds(params, fields, None)
-        entry_queries = [fields[q] for q in plan.frame_queries]
-
-        self._depth += 1
-        try:
-            self._run(code.body, params, fields)
-        except _Overflow as exc:
-            # only body expressions are bounds-checked; contracts are not
-            raise _violation("overflow", exc.label, info, feat, obj, params) from None
-        finally:
-            self._depth -= 1
-
-        for label, test in code.ensure:
-            if not test(params, fields, old):
-                raise _violation("postcondition", label, info, feat, obj, params)
-        for q, before in zip(plan.frame_queries, entry_queries):
-            if fields[q] != before:
-                raise _violation("frame", q, info, feat, obj, params)
-        for label, test in code.invariant:
-            if not test(params, fields, None):
-                raise _violation("invariant", label, info, feat, obj, params)
-
-    def _run(self, block: list, params: dict, fields: dict):
-        """Execute compiled statements in order, one step each."""
-        for statement in block:
-            if self._steps_left <= 0:
-                raise StepBudgetExceeded(
-                    f"step budget of {self.step_budget} statements exceeded"
-                )
-            self._steps_left -= 1
-            statement(self, params, fields)
-
+        driver = plan.code.get(self._bounds)
+        if driver is None:
+            driver = plan.code[self._bounds] = _compile_feature(info, feat, plan, self._bounds)
+        driver(self, obj, args)
 
 # -- scenarios ------------------------------------------------------------------
 
@@ -678,6 +666,13 @@ def _as_formula_value(v):
     return v
 
 
+def _objects_payload(trace: Trace) -> dict:
+    return {
+        var: {name: encode_value(_as_formula_value(value)) for name, value in obj.fields.items()}
+        for var, obj in trace.objects.items()
+    }
+
+
 def trace_payload(trace: Trace) -> dict:
     return {
         "steps": [
@@ -689,10 +684,7 @@ def trace_payload(trace: Trace) -> dict:
             }
             for s in trace.steps
         ],
-        "objects": {
-            var: {name: encode_value(_as_formula_value(value)) for name, value in obj.fields.items()}
-            for var, obj in trace.objects.items()
-        },
+        "objects": _objects_payload(trace),
         "ok": trace.ok,
     }
 
@@ -700,49 +692,16 @@ def trace_payload(trace: Trace) -> dict:
 _STEP = (
     '    {\n      "command": %s,\n      "expected": %s,\n      "outcome": %s,\n      "matched": %s\n    }'
 )
-_JSON_STR = json.encoder.encode_basestring_ascii
-_JSON_CONST = {True: "true", False: "false", None: "null"}
-
-
-def _leaf_json(value) -> str:
-    kind = type(value)
-    if kind is str:
-        return _JSON_STR(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool or value is None:
-        return _JSON_CONST[value]
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-def _field_json(value) -> str:
-    """A field value's encoding as ``json.dumps`` writes it at depth 3."""
-    if isinstance(value, RuntimeObject):
-        return '{\n        "ref": %s\n      }' % _leaf_json(value.class_name)
-    if type(value) is frozenset:
-        if not value:
-            return "[]"
-        return "[\n        " + ",\n        ".join(map(_leaf_json, sorted(value))) + "\n      ]"
-    return _leaf_json(value)
 
 
 def trace_json(trace: Trace) -> str:
-    """Exactly ``json.dumps(trace_payload(trace), indent=2)``, written
-    through templates of the trace's fixed two-level shape with the C
-    string encoder. A value outside that shape raises TypeError."""
-    objects = []
-    for var, obj in trace.objects.items():
-        fields = ",\n".join(
-            f"      {_JSON_STR(name)}: {_field_json(value)}" for name, value in obj.fields.items()
-        )
-        objects.append(f"    {_JSON_STR(var)}: " + ("{\n" + fields + "\n    }" if fields else "{}"))
-    tail = (
-        ',\n  "objects": '
-        + ("{\n" + ",\n".join(objects) + "\n  }" if objects else "{}")
-        + f',\n  "ok": {_leaf_json(trace.ok)}\n}}'
-    )
+    """Exactly ``json.dumps(trace_payload(trace), indent=2)``, written by
+    ``json_text`` but for the steps, which are many and all of one layout,
+    so one template writes each. A field holding anything but a value
+    raises TypeError (``encode_value``)."""
+    tail = f',\n  "objects": {json_text(_objects_payload(trace), "  ")},\n  "ok": {json_text(trace.ok)}\n}}'
     steps = [
-        _STEP % (_JSON_STR(s.command), _JSON_STR(s.expected), _JSON_STR(s.outcome), _leaf_json(s.matched))
+        _STEP % (json_string(s.command), json_string(s.expected), json_string(s.outcome), json_text(s.matched))
         for s in trace.steps
     ]
     if not steps:

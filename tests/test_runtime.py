@@ -10,6 +10,7 @@ import pytest
 
 from miniproof import analyze, ast, parse
 from miniproof.corpus import load_builtin
+from miniproof.parser import MAX_NESTING
 from miniproof.pretty import expr_text
 from miniproof.errors import (
     ContractViolation,
@@ -322,6 +323,36 @@ def test_step_budget_bounds_runaway_recursion():
     obj = interp.create("C")
     with pytest.raises(StepBudgetExceeded):
         interp.call(obj, "spin", [])
+
+
+STEP_COUNTED = (
+    "class CELL\ncreate make\nfeature\n  n : INTEGER\n  make\n    do\n    end\n"
+    "  inc\n    do\n      n := n + 1\n      n := n + 1\n    end\n"
+    "  idle\n    do\n    end\nend\n"
+    "class C\ncreate make\nfeature\n  c : CELL\n  x : INTEGER\n  make\n    do\n      create c\n    end\n"
+    "  go (p : INTEGER)\n    do\n"
+    "      if p > 0 then\n        x := 1\n        c.inc ()\n      else\n        x := 2\n        x := 3\n        x := 4\n      end\n"
+    "      if p > 5 then\n        x := 5\n      else\n      end\n"
+    "      c.idle ()\n"
+    "    end\nend\n"
+)
+
+
+@pytest.mark.parametrize("p, steps, x, n", [(0, 6, 4, 0), (1, 7, 1, 2), (6, 8, 5, 2)])
+def test_step_budget_counts_each_statement_run(p, steps, x, n):
+    """Each statement run takes one step: an `if` one, then only the
+    branch it takes, and a call one, then its callee's body. A budget of
+    exactly that many runs the call; one less stops it. An empty body and
+    an empty `else` take none."""
+    checked = checked_of(STEP_COUNTED)
+    interp = Interpreter(checked, step_budget=steps)
+    obj = interp.create("C")
+    interp.call(obj, "go", [p])
+    assert (obj.fields["x"], obj.fields["c"].fields["n"]) == (x, n)
+    short = Interpreter(checked, step_budget=steps - 1)
+    obj = short.create("C")
+    with pytest.raises(StepBudgetExceeded, match=f"^step budget of {steps - 1} statements exceeded$"):
+        short.call(obj, "go", [p])
 
 
 def test_call_depth_is_limited_at_the_default_budget():
@@ -959,15 +990,17 @@ def test_overflow_monitoring_gets_its_own_code(monkeypatch):
     assert [c for c in compiled if c[1] == "bump"] == [("C", "bump", None), ("C", "bump", (-128, 127))]
 
 
-def _deep_program(guard_terms: int, sum_terms: int) -> str:
+def _deep_program(guard_terms: int, sum_terms: int, nesting: int = 0) -> str:
     """``deep: p = 0 or r.x + ... + r.x > 0`` and ``x := p + ... + p``,
-    the chains as long as given."""
+    the chains as long as given, the assignment inside that many nested
+    ``if p > 0``."""
     chain, total = " + ".join(["r.x"] * guard_terms), " + ".join(["p"] * sum_terms)
+    body = "      if p > 0 then\n" * nesting + f"      x := {total}\n" + "      end\n" * nesting
     return (
         "class CELL\ncreate make\nfeature\n  x : INTEGER\n  make\n    do\n    end\nend\n"
         "class D\ncreate make\nfeature\n  r : CELL\n  x : INTEGER\n  make\n    do\n    end\n"
         f"  guarded (p : INTEGER)\n    require\n      deep: p = 0 or {chain} > 0\n    do\n    end\n"
-        f"  sum (p : INTEGER)\n    do\n      x := {total}\n    end\nend\n"
+        f"  sum (p : INTEGER)\n    do\n{body}    end\nend\n"
     )
 
 
@@ -976,42 +1009,73 @@ def test_the_deepest_expressions_are_compiled_whole():
     is not cut into pieces worked out eagerly: with r Void, ``p = 0``
     skips the 49 Void reads after it, and at width 8 the 51-term sum
     fits Python's bracket limit and names the innermost sum that leaves
-    [-128, 127], 43 times 3."""
+    [-128, 127], 43 times 3, also inside the deepest nest of `if`s, which
+    the feature's driver indents as deep."""
     with pytest.raises(ParseError):
         parse(_deep_program(50, 51))
     with pytest.raises(ParseError):
         parse(_deep_program(49, 52))
-    interp = Interpreter(checked_of(_deep_program(49, 51)), VerifyOptions(check_overflow=True, overflow_width=8))
+    with pytest.raises(ParseError):
+        parse(_deep_program(49, 51, MAX_NESTING + 1))
+    width8 = VerifyOptions(check_overflow=True, overflow_width=8)
+    interp = Interpreter(checked_of(_deep_program(49, 51)), width8)
     obj = interp.create("D")
     interp.call(obj, "guarded", [0])
     with pytest.raises(VoidDereference):
         interp.call(obj, "guarded", [1])
-    interp.call(obj, "sum", [2])
-    assert obj.fields["x"] == 102
-    with pytest.raises(ContractViolation) as exc:
-        interp.call(obj, "sum", [3])
-    assert (exc.value.kind, exc.value.label) == ("overflow", " + ".join(["p"] * 43))
+    for nesting in (0, MAX_NESTING):
+        interp = Interpreter(checked_of(_deep_program(49, 51, nesting)), width8)
+        obj = interp.create("D")
+        interp.call(obj, "sum", [2])
+        assert obj.fields["x"] == 102
+        with pytest.raises(ContractViolation) as exc:
+            interp.call(obj, "sum", [3])
+        assert (exc.value.kind, exc.value.label) == ("overflow", " + ".join(["p"] * 43))
 
 
-def test_programs_of_one_shape_share_monitor_code_but_not_values():
+def _record_compiles(monkeypatch) -> list:
+    """Record (expression or None, `old` paths, function) of every
+    function ``runtime._compile`` returns, as the drivers call them."""
+    compiled = []
+    real = runtime._compile
+
+    def recording(params, e=None, olds=(), bounds=None, labels=None):
+        ev = real(params, e, olds, bounds, labels)
+        compiled.append((e, olds, ev))
+        return ev
+
+    monkeypatch.setattr(runtime, "_compile", recording)
+    return compiled
+
+
+def _clause_function(compiled: list, clause):
+    return next(ev for e, _, ev in compiled if e is clause.expr)
+
+
+def test_programs_of_one_shape_share_monitor_code_but_not_values(monkeypatch):
     """Clauses that differ only in names and literals compile to one code
-    object, and each function reads its own names and literals."""
+    object, and so do the drivers of features that differ only in them;
+    each function reads its own names and literals."""
+    compiled = _record_compiles(monkeypatch)
     first = checked_of(_bump_program("a := a + 1", "a = old a + 1"))
     second = checked_of(_bump_program("b := b + 5", "b = old b + 5"))
-    codes = []
+    drivers, posts, olds = [], [], []
     for checked, name, bumped in ((first, "a", 3), (second, "b", 7)):
         interp = Interpreter(checked)
         obj = interp.create("C")
         interp.call(obj, "set", [2])
         interp.call(obj, "bump", [])  # its postcondition holds
         assert obj.fields[name] == bumped
-        codes.append(checked.monitor_plans[("C", "bump")].code[None])
-    (_, post_a), (_, post_b) = codes[0].ensure[0], codes[1].ensure[0]
-    assert post_a.__code__ is post_b.__code__ and codes[0].olds.__code__ is codes[1].olds.__code__
+        drivers.append(checked.monitor_plans[("C", "bump")].code[None])
+        posts.append(_clause_function(compiled, checked.info("C").routines["bump"].ensure[0]))
+        olds.append(next(ev for e, paths, ev in compiled if paths == (name,)))
+    assert drivers[0].__code__ is drivers[1].__code__
+    post_a, post_b = posts
+    assert post_a.__code__ is post_b.__code__ and olds[0].__code__ is olds[1].__code__
     assert post_a({}, {"a": 3, "b": 3}, {"a": 2, "b": 2}) is True
     assert post_b({}, {"a": 3, "b": 3}, {"a": 2, "b": 2}) is False
-    assert codes[0].olds({}, {"a": 1, "b": 2}, None) == {"a": 1}
-    assert codes[1].olds({}, {"a": 1, "b": 2}, None) == {"b": 2}
+    assert olds[0]({}, {"a": 1, "b": 2}, None) == {"a": 1}
+    assert olds[1]({}, {"a": 1, "b": 2}, None) == {"b": 2}
 
 
 LONG_CLAUSE = (
@@ -1033,12 +1097,13 @@ def test_a_long_monitor_source_is_compiled_for_its_clause_alone(monkeypatch):
     cached = []
     real = F._scan_code
     monkeypatch.setattr(F, "_scan_code", lambda source: cached.append(source) or real(source))
+    compiled = _record_compiles(monkeypatch)
     requires = []
     for _ in range(2):
         checked = checked_of(LONG_CLAUSE)
         interp = Interpreter(checked)
         interp.call(interp.create("L"), "f", [])
-        requires.append([test for _, test in checked.monitor_plans[("L", "f")].code[None].require])
+        requires.append([_clause_function(compiled, c) for c in checked.info("L").routines["f"].require])
     (long_1, short_1), (long_2, short_2) = requires
     assert long_1.__code__ is not long_2.__code__ and long_1.__code__.co_code == long_2.__code__.co_code
     assert short_1.__code__ is short_2.__code__
