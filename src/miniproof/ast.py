@@ -25,7 +25,11 @@ class Node:
     construction and hashes by value, also in subclasses; ``kw_only``
     names fields passed by keyword only; ``uncompared`` names fields that
     equality and hashing skip. Nodes are equal when of one class with
-    equal compared fields, and the repr shows every field by name."""
+    equal compared fields, and the repr shows every field by name. An
+    ``__init__`` written in a class's own body is kept (a formula node
+    writes its own, which sets its leaf keys in the same call); every
+    other class gets one derived from its fields, subclasses of such a
+    class included."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -41,8 +45,11 @@ class Node:
         cls._uncompared = base._uncompared + uncompared
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _refuse
-        # each class compiles its own on first use (see _derive)
-        cls.__init__, cls.__eq__ = _first_init, _first_eq
+        # each class compiles its own on first use (see _derive), but for
+        # an __init__ written in its body
+        if "__init__" not in own:
+            cls.__init__ = _first_init
+        cls.__eq__ = _first_eq
         cls.__hash__ = _first_hash if cls.__setattr__ is _refuse else None
 
     def __repr__(self):

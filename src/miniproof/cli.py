@@ -75,7 +75,7 @@ def _add_option_flags(sub: argparse.ArgumentParser, *, domains: bool) -> None:
         type=int,
         metavar="N",
         default=None,
-        help="machine width in bits for --check-overflow (default 32)",
+        help="machine width in bits for --check-overflow: a power of two, at least 2 (default 32)",
     )
 
 

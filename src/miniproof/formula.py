@@ -22,11 +22,13 @@ binds into its environment, then go on with the body. ``expand`` carries
 the substitutions out; ``to_text`` prints the text of the expanded
 formula without building it, each bind printed once.
 
-Every node keeps the keys of its free leaves, worked out when it is
-built from its children's (see ``_leaves``), so ``subst``, ``free_syms``,
-``old_syms`` and ``has_old`` read them without a walk. A node that adds
-no key to one child's shares that child's dict, so ``not X`` or
-``x < 3`` costs no dict of its own.
+Every node keeps the keys of its free leaves, worked out by its
+constructor from its children's (see ``_leaves``), so ``subst``,
+``free_syms``, ``old_syms`` and ``has_old`` read them without a walk. A
+node that adds no key to one child's shares that child's dict, so ``not
+X`` or ``x < 3`` costs no dict of its own; so does a Let of one bind
+whose value reads the bound key and nothing its body does not, as
+``x := x + 1`` gives, since its keys are then its body's.
 
 This module also holds what vcgen, discharge and the runtime monitor
 share: the one lowering of expressions (``lower``: vcgen proves its
@@ -64,8 +66,10 @@ Value = "int | bool | str | frozenset[str] | Ref | None"
 
 class Formula(ast.Node, frozen=True):
     # the keys of the free leaves of the formula this node stands for,
-    # with their types, set when the node is built (see ``_leaves``);
-    # nodes share these dicts, so none is ever changed
+    # with their types, set by the node's constructor (see ``_leaves``);
+    # nodes share these dicts, so none is ever changed. Each class writes
+    # its constructor out, which sets the fields and the leaf keys in one
+    # call through the slots' setters, as a frozen node refuses setattr.
     __slots__ = ("_leafkeys",)
     _fields = ()
 
@@ -80,77 +84,117 @@ class Sym(Formula):
 
     __slots__ = ("name", "ty")
 
-    def __post_init__(self):
-        _set_leafkeys(self, {self.name: self.ty})
+    def __init__(self, name, ty):
+        _sym_name(self, name)
+        _sym_ty(self, ty)
+        _set_leafkeys(self, {name: ty})
 
 
 class Lit(Formula):
     __slots__ = ("value",)
 
-    def __post_init__(self):
+    def __init__(self, value):
+        _lit_value(self, value)
         _set_leafkeys(self, _NO_LEAVES)
 
 
 class Not(Formula):
     __slots__ = ("operand",)
 
-    def __post_init__(self):
-        _set_leafkeys(self, self.operand._leafkeys)
+    def __init__(self, operand):
+        _not_operand(self, operand)
+        _set_leafkeys(self, operand._leafkeys)
 
 
 class And(Formula):
     __slots__ = ("items",)
 
-    def __post_init__(self):
-        _set_leafkeys(self, _union([c._leafkeys for c in self.items]))
+    def __init__(self, items):
+        _and_items(self, items)
+        _set_leafkeys(self, _union([c._leafkeys for c in items]))
 
 
 class Or(Formula):
     __slots__ = ("items",)
 
-    def __post_init__(self):
-        _set_leafkeys(self, _union([c._leafkeys for c in self.items]))
+    def __init__(self, items):
+        _or_items(self, items)
+        _set_leafkeys(self, _union([c._leafkeys for c in items]))
 
 
 class Implies(Formula):
     __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        _set_leafkeys(self, _union((self.left._leafkeys, self.right._leafkeys)))
+    def __init__(self, left, right):
+        _implies_left(self, left)
+        _implies_right(self, right)
+        _set_leafkeys(self, _pair(left._leafkeys, right._leafkeys))
 
 
 class Cmp(Formula):
     __slots__ = ("op", "left", "right")  # op: = /= < <= > >=
 
-    def __post_init__(self):
-        _set_leafkeys(self, _union((self.left._leafkeys, self.right._leafkeys)))
+    def __init__(self, op, left, right):
+        _cmp_op(self, op)
+        _cmp_left(self, left)
+        _cmp_right(self, right)
+        _set_leafkeys(self, _pair(left._leafkeys, right._leafkeys))
 
 
 class Arith(Formula):
     __slots__ = ("op", "left", "right")  # op: + - *
 
-    def __post_init__(self):
-        _set_leafkeys(self, _union((self.left._leafkeys, self.right._leafkeys)))
+    def __init__(self, op, left, right):
+        _arith_op(self, op)
+        _arith_left(self, left)
+        _arith_right(self, right)
+        _set_leafkeys(self, _pair(left._leafkeys, right._leafkeys))
 
 
 class HasF(Formula):
     __slots__ = ("set_expr", "item")
 
-    def __post_init__(self):
-        _set_leafkeys(self, _union((self.set_expr._leafkeys, self.item._leafkeys)))
+    def __init__(self, set_expr, item):
+        _has_set_expr(self, set_expr)
+        _has_item(self, item)
+        _set_leafkeys(self, _pair(set_expr._leafkeys, item._leafkeys))
 
 
 class Let(Formula):
     """The delayed simultaneous substitution subst(body, binds). A bind's
     key is a leaf's name, ``old`` ones included (see ``Sym``). ``subst``
     binds only keys the body mentions. The body may be a Let: n
-    assignments in a row give n nested Lets."""
+    assignments in a row give n nested Lets. Its leaf keys are those of
+    its body that it does not bind, and those of each bind: its body's
+    very dict when it has one bind whose value reads the key and nothing
+    the body does not."""
 
     __slots__ = ("binds", "body")
 
-    def __post_init__(self):
-        _set_leafkeys(self, _own_leaves(self))
+    def __init__(self, binds, body):
+        _let_binds(self, binds)
+        _let_body(self, body)
+        keys = body._leafkeys
+        if len(binds) == 1:
+            ((key, value),) = binds
+            if key in value._leafkeys and keys.keys() >= value._leafkeys.keys():
+                _set_leafkeys(self, keys)
+                return
+        bound = {k for k, _ in binds}
+        found = {k: ty for k, ty in keys.items() if k not in bound}
+        for _, value in binds:
+            found.update(value._leafkeys)
+        _set_leafkeys(self, found)
 
+
+_sym_name, _sym_ty = Sym.name.__set__, Sym.ty.__set__
+_lit_value, _not_operand = Lit.value.__set__, Not.operand.__set__
+_and_items, _or_items = And.items.__set__, Or.items.__set__
+_implies_left, _implies_right = Implies.left.__set__, Implies.right.__set__
+_cmp_op, _cmp_left, _cmp_right = Cmp.op.__set__, Cmp.left.__set__, Cmp.right.__set__
+_arith_op, _arith_left, _arith_right = Arith.op.__set__, Arith.left.__set__, Arith.right.__set__
+_has_set_expr, _has_item = HasF.set_expr.__set__, HasF.item.__set__
+_let_binds, _let_body = Let.binds.__set__, Let.body.__set__
 
 TRUE = Lit(True)
 FALSE = Lit(False)
@@ -203,7 +247,7 @@ class VerifyOptions(ast.Node, frozen=True):
         if not lo <= 0 <= hi:
             raise ValueError(f"int_range [{lo}, {hi}] must contain 0")
         if self.overflow_width < 2 or self.overflow_width & (self.overflow_width - 1):
-            raise ValueError(f"overflow_width {self.overflow_width} must be a power of two")
+            raise ValueError(f"overflow_width {self.overflow_width} must be a power of two, at least 2")
 
     @property
     def overflow_bounds(self) -> tuple[int, int]:
@@ -293,8 +337,8 @@ OLD = "old "
 def _leaves(f: Formula) -> dict[str, ast.Type]:
     """Keys of the free leaves of f with their types, worked out once, when
     f was built, from its children's: a literal has none, a symbol its
-    name, ``not X`` those of X, a Let those of ``_own_leaves``, and any
-    other node those of its children (see ``_union``)."""
+    name, ``not X`` those of X, a Let those ``Let`` gives, and any other
+    node those of its children (see ``_union``)."""
     return f._leafkeys
 
 
@@ -317,15 +361,13 @@ def _union(parts: list[dict] | tuple[dict, ...]) -> dict[str, ast.Type]:
     return out
 
 
-def _own_leaves(g: Let) -> dict[str, ast.Type]:
-    """The leaf keys of a Let: those of its body that it does not bind,
-    and those of each bind, since ``subst`` binds only keys the body
-    mentions."""
-    bound = {k for k, _ in g.binds}
-    found = {k: ty for k, ty in g.body._leafkeys.items() if k not in bound}
-    for _, value in g.binds:
-        found.update(value._leafkeys)
-    return found
+def _pair(a: dict, b: dict) -> dict[str, ast.Type]:
+    """``_union((a, b))``, for a node of two children."""
+    if not b or a is b:
+        return a
+    if not a:
+        return b
+    return a if a.keys() >= b.keys() else b if b.keys() >= a.keys() else {**a, **b}
 
 
 def free_syms(f: Formula) -> dict[str, ast.Type]:
@@ -356,42 +398,61 @@ def lower(e: ast.Expr, read=None, in_old: bool = False, sites: list | None = Non
     the expression belongs to the feature it is read in: its reads become
     path symbols, and under `old` entry-state symbols. sites, when given,
     collects each qualified read and each arithmetic node with its
-    formula, in evaluation order."""
-    if isinstance(e, (ast.IntLit, ast.BoolLit, ast.StrLit)):
-        return Lit(e.value)
-    if isinstance(e, ast.VoidLit):
-        return Lit(None)
-    if isinstance(e, ast.SetLit):
-        return Lit(frozenset(e.items))
-    if isinstance(e, (ast.Name, ast.Qualified)):
-        path = e.name if isinstance(e, ast.Name) else f"{e.receiver}.{e.attr}"
-        f = read(e, in_old) if read else Sym(OLD + path if in_old else path, e.ty)
-        if sites is not None and isinstance(e, ast.Qualified):
+    formula, in evaluation order. The rule is looked up by the class of
+    e, in ``_LOWER``."""
+    return _LOWER.get(type(e), _unexpected)(e, read, in_old, sites)
+
+
+def _unexpected(e, read, in_old, sites):
+    raise TypeError(f"unexpected expression {e!r}")
+
+
+def _lower_read(e, read, in_old, sites):
+    path = e.name if type(e) is ast.Name else f"{e.receiver}.{e.attr}"
+    f = read(e, in_old) if read else Sym(OLD + path if in_old else path, e.ty)
+    if sites is not None and type(e) is ast.Qualified:
+        sites.append((e, f))
+    return f
+
+
+def _lower_binary(e, read, in_old, sites):
+    left, right = lower(e.left, read, in_old, sites), lower(e.right, read, in_old, sites)
+    if e.op in ast.ARITH_OPS:
+        f = Arith(e.op, left, right)
+        if sites is not None:
             sites.append((e, f))
         return f
-    if isinstance(e, ast.Old):
-        return lower(e.expr, read, True, sites)
-    if isinstance(e, ast.Unary):
-        return Not(lower(e.expr, read, in_old, sites))
-    if isinstance(e, ast.Has):
-        return HasF(lower(e.receiver, read, in_old, sites), lower(e.item, read, in_old, sites))
-    if isinstance(e, ast.Binary):
-        left, right = lower(e.left, read, in_old, sites), lower(e.right, read, in_old, sites)
-        if e.op in ast.ARITH_OPS:
-            f = Arith(e.op, left, right)
-            if sites is not None:
-                sites.append((e, f))
-            return f
-        if e.op in ast.COMPARISON_OPS:
-            return Cmp(e.op, left, right)
-        if e.op == "and":
-            return And((left, right))
-        if e.op == "or":
-            return Or((left, right))
-        return Implies(left, right)
-    if isinstance(e, ast.CreateExpr):
-        raise Creation(e.class_name)
-    raise TypeError(f"unexpected expression {e!r}")
+    if e.op in ast.COMPARISON_OPS:
+        return Cmp(e.op, left, right)
+    if e.op == "and":
+        return And((left, right))
+    if e.op == "or":
+        return Or((left, right))
+    return Implies(left, right)
+
+
+def _lower_creation(e, read, in_old, sites):
+    raise Creation(e.class_name)
+
+
+def _lower_value(e, read, in_old, sites):
+    return Lit(e.value)
+
+
+_LOWER = {
+    ast.IntLit: _lower_value,
+    ast.BoolLit: _lower_value,
+    ast.StrLit: _lower_value,
+    ast.VoidLit: lambda e, read, in_old, sites: Lit(None),
+    ast.SetLit: lambda e, read, in_old, sites: Lit(frozenset(e.items)),
+    ast.Name: _lower_read,
+    ast.Qualified: _lower_read,
+    ast.Old: lambda e, read, in_old, sites: lower(e.expr, read, True, sites),
+    ast.Unary: lambda e, *rest: Not(lower(e.expr, *rest)),
+    ast.Binary: _lower_binary,
+    ast.Has: lambda e, *rest: HasF(lower(e.receiver, *rest), lower(e.item, *rest)),
+    ast.CreateExpr: _lower_creation,
+}
 
 
 # -- substitution and folding ---------------------------------------------------
@@ -421,13 +482,17 @@ def subst(f: Formula, mapping: dict[str, Formula]) -> Formula:
     copied: a compound formula, a Let included, is wrapped in a Let of
     the keys it mentions, so each substitution costs the same however
     many came before it."""
-    if isinstance(f, Sym):
+    t = type(f)
+    if t is Sym:
         return mapping.get(f.name, f)
-    if isinstance(f, Lit):
+    if t is Lit:
         return f
-    leaves = _leaves(f)
-    live = {k: value for k, value in mapping.items() if k in leaves}
-    return Let(tuple(live.items()), f) if live else f
+    leaves = f._leafkeys
+    if len(mapping) == 1:  # as an assignment's
+        [bind] = mapping.items()
+        return Let((bind,), f) if bind[0] in leaves else f
+    binds = tuple([(k, value) for k, value in mapping.items() if k in leaves])
+    return Let(binds, f) if binds else f
 
 
 def unify_old(f: Formula) -> Formula:

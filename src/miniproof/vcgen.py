@@ -39,8 +39,12 @@ or of a created object read through the receiver path (``_through``).
 A class's own expressions are lowered once each (``_own``); the one
 walk also collects the qualified reads, which assert dereferences, and
 the arithmetic nodes, which assert overflow bounds, and a creation
-expression stops it, making the clause Unsupported. The invariants of
-the objects a class's attributes reference are lowered once per class.
+expression stops it, making the clause Unsupported. What every feature
+of a class reads the same is built once per class in each
+``generate_obligations`` call (``_PerClass``): the invariants of the
+objects its attributes reference, the attributes its invariant
+guarantees attached, its attributes' default values and those
+lowerings.
 
 Substitution is delayed (``formula.Let``), so the two branches of an
 ``if`` share one postcondition object instead of two copies, and each
@@ -156,11 +160,31 @@ def _through(
 # -- the weakest-precondition pass ----------------------------------------------
 
 
+class _PerClass:
+    """What every feature of a class reads the same: ``_lifted_invariants``
+    of its attributes, the attributes a class-invariant clause `r /= Void`
+    (either way round) guarantees attached, each attribute's default
+    value, and the lowerings of the class's own expressions (see
+    ``_own``). Built once per class in each ``generate_obligations``
+    call, and dropped with it."""
+
+    def __init__(self, checked: CheckedProgram, info: ClassInfo):
+        self.lifted = _lifted_invariants(checked, info.attributes.items())
+        invariant, void = [clause.expr for clause in info.decl.invariant], ast.VoidLit()
+        self.attached = {
+            r
+            for r in info.attributes
+            if ast.Binary("/=", ast.Name(r), void) in invariant
+            or ast.Binary("/=", void, ast.Name(r)) in invariant
+        }
+        self.defaults = {name: F.Lit(type_default(ty)) for name, ty in info.attributes.items()}
+        self.memo: dict = {}
+
+
 class _FeatureVCs:
     """The weakest-precondition pass over one feature, and the
-    obligations generated from it. lifted, when given, is
-    ``_lifted_invariants`` of the class's attributes, and memo the
-    class's lowerings (see ``_own``)."""
+    obligations generated from it. per_class, when given, is the class's
+    ``_PerClass``."""
 
     def __init__(
         self,
@@ -168,14 +192,14 @@ class _FeatureVCs:
         info: ClassInfo,
         feat: ast.Feature,
         opts: VerifyOptions = VerifyOptions(),
-        lifted: list | None = None,
-        memo: dict | None = None,
+        per_class: _PerClass | None = None,
     ):
         self.checked = checked
         self.info = info
         self.feat = feat
         self.opts = opts
-        self.memo = {} if memo is None else memo
+        shared = per_class or _PerClass(checked, info)
+        self.memo = shared.memo
         # a stable index per statement so havoc symbols like r.a@3 are
         # identical across all obligations of the feature
         self.stmt_index = {
@@ -185,27 +209,17 @@ class _FeatureVCs:
         self.next_index: defaultdict[str, itertools.count] = defaultdict(itertools.count)
         # the creator cannot assume the invariant
         invariant = [] if feat.is_creator else [clause.expr for clause in info.decl.invariant]
-        # receivers a class-invariant clause `r /= Void`, either way
-        # round, guarantees attached
-        void = ast.VoidLit()
-        self.attached = {
-            r
-            for r in info.attributes
-            if ast.Binary("/=", ast.Name(r), void) in invariant
-            or ast.Binary("/=", void, ast.Name(r)) in invariant
-        }
+        self.attached = set() if feat.is_creator else shared.attached
         hyps = (_own(self.memo, e)[0] for e in (*invariant, *(c.expr for c in feat.require)))
         self.hyps = [h for h in hyps if h is not None]
         self.hyp_syms = {name for h in self.hyps for name in F._leaves(h)}
-        if lifted is None:
-            lifted = _lifted_invariants(checked, info.attributes.items())
         params = _lifted_invariants(checked, [(p.name, p.ty) for p in feat.params])
         # nor the invariants of the objects it references
-        self.lifted = [] if feat.is_creator else sorted(lifted + params, key=itemgetter(0))
+        self.lifted = [] if feat.is_creator else sorted(shared.lifted + params, key=itemgetter(0))
         # per tuple of the indices of the lifted invariants an obligation
         # takes, the conjunction of its hypotheses, shared (see _close)
         self.hyp_conj: dict[tuple[int, ...], F.Formula] = {}
-        self.defaults = {name: F.Lit(type_default(ty)) for name, ty in info.attributes.items()}
+        self.defaults = shared.defaults
 
     def receiver_class(self, name: str) -> ClassInfo:
         return self.checked.info(self.info.name_type(name, self.feat).class_name)
@@ -334,7 +348,8 @@ class _FeatureVCs:
         """The dereference and, when checked, overflow assertions of
         evaluating exprs."""
         out = []
-        lo, hi = map(F.Lit, self.opts.overflow_bounds)
+        # the bounds' literals, only when an obligation can read them
+        lo, hi = map(F.Lit, self.opts.overflow_bounds) if self.opts.check_overflow else (None, None)
         for e in exprs:
             out += self._derefs(e)
             for n, f in _own(self.memo, e)[1] if self.opts.check_overflow else ():
@@ -441,11 +456,10 @@ def generate_obligations(checked: CheckedProgram, opts: VerifyOptions) -> list[O
     obligations: list[Obligation] = []
     for cls in checked.program.classes:
         info = checked.info(cls.name)
-        lifted = _lifted_invariants(checked, info.attributes.items())
-        memo: dict = {}
+        per_class = _PerClass(checked, info)
         for feat in cls.features:
-            obligations.extend(_FeatureVCs(checked, info, feat, opts, lifted, memo).generate())
+            obligations.extend(_FeatureVCs(checked, info, feat, opts, per_class).generate())
         for i, clause in enumerate(cls.invariant):
-            if _own(memo, clause.expr)[0] is None:
+            if _own(per_class.memo, clause.expr)[0] is None:
                 obligations.append(_obligation(cls.name, "invariant", UNSUPPORTED, i, F.TRUE, clause.label))
     return obligations

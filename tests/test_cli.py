@@ -277,11 +277,15 @@ def test_bad_int_range_exits_three(capsys):
 
 
 def test_bad_overflow_width_exits_three(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "corpus:account", "--check-overflow", "--overflow-width", "3"
-    )
-    assert code == 3
-    assert "power of two" in err
+    """A width must be a power of two, and at least 2: 1 is 2**0, but a
+    1-bit signed integer holds only -1 and 0."""
+    for width in ("3", "1", "0", "12"):
+        code, out, err = run_cli(
+            capsys, "verify", "corpus:account", "--check-overflow", "--overflow-width", width
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"miniproof: overflow_width {width} must be a power of two, at least 2\n"
 
 
 def test_unknown_corpus_entry_exits_three(capsys):

@@ -46,6 +46,20 @@ def test_construction_by_position_and_keyword():
     first, second = ast.Feature("f"), ast.Feature("g")
     first.body.append(ast.Assign("x", ast.IntLit(1)))
     assert second.body == []
+    # an __init__ written in a class's body is kept; a subclass derives its own
+
+    class Pair(ast.Node):
+        __slots__ = ("a", "b")
+
+        def __init__(self, a):
+            self.a, self.b = a, 2 * a
+
+    class Triple(Pair):
+        __slots__ = ("c",)
+
+    assert (Pair(3).a, Pair(3).b) == (3, 6)
+    assert Triple(1, 5, 3) == Triple(a=1, b=5, c=3)
+    assert Triple(1, 5, 3).b == 5
 
 
 def test_ast_equality_ignores_positions_types_and_synthesis():
@@ -127,15 +141,65 @@ def _walked_leaves(f: F.Formula) -> dict:
     return found
 
 
+# assignments under `if`s that make each kind of Let: x := x + 1 shares
+# its body's leaf keys, x := 0 drops x, x := y replaces x by y, and the
+# call, which havocs both of CELL's attributes, binds two keys
+_LETS_PROGRAM = """\
+class CELL
+create make
+feature
+  a : INTEGER
+  b : INTEGER
+  make
+    do
+    end
+  bump
+    do
+      a := a + 1
+      b := b + 1
+    end
+end
+class M
+create make
+feature
+  c : CELL
+  x : INTEGER
+  y : INTEGER
+  make
+    do
+    end
+  f
+    do
+      if y > 0 then
+        x := x + 1
+      else
+        x := y
+      end
+      if x > 3 then
+        x := 0
+        c.bump ()
+      end
+    ensure
+      kept: x <= c.a + c.b
+    end
+invariant
+  attached: c /= Void
+end
+"""
+
+
 @pytest.mark.parametrize("overflow", [False, True], ids=["manifest", "width8"])
 def test_cached_leaf_keys_equal_a_fresh_walk(entries, overflow):
     """Every node, leaves included, keeps the keys of what it stands for:
     in each obligation, and in the residuals a search builds from it, by
-    folding it and then specializing it on its first free symbol."""
-    checked_obligations = 0
-    for entry in entries.values():
-        opts = entry.options.replace(check_overflow=True, overflow_width=8) if overflow else entry.options
-        checked = analyze(parse(entry.source))
+    folding it and then specializing it on its first free symbol. The
+    inputs are the corpus and ``_LETS_PROGRAM``, whose Let of x := x + 1
+    keeps its body's very dict."""
+    checked_obligations, lets = 0, []
+    inputs = [(entry.source, entry.options) for entry in entries.values()] + [(_LETS_PROGRAM, VerifyOptions())]
+    for source, opts in inputs:
+        opts = opts.replace(check_overflow=True, overflow_width=8) if overflow else opts
+        checked = analyze(parse(source))
         domains = derive_domains(checked, opts)
         for o in generate_obligations(checked, opts):
             residuals = [o.formula, F.fold(o.formula)]
@@ -149,16 +213,29 @@ def test_cached_leaf_keys_equal_a_fresh_walk(entries, overflow):
                 if id(g) not in seen:
                     seen.add(id(g))
                     assert F._leaves(g) == _walked_leaves(g), o.id
+                    if source is _LETS_PROGRAM and isinstance(g, F.Let):
+                        lets.append(g)
                     stack.extend(F.children(g))
             checked_obligations += 1
     assert checked_obligations > 100
+    x, y = F.Sym("x", T_INT), F.Sym("y", T_INT)
+    binding_x: dict = {}
+    for g in lets:
+        if len(g.binds) == 1 and g.binds[0][0] == "x":
+            binding_x.setdefault(g.binds[0][1], []).append(g)
+    assert set(binding_x) == {F.Arith("+", x, F.Lit(1)), F.Lit(0), y}
+    assert all(F._leaves(g) is F._leaves(g.body) for g in binding_x[F.Arith("+", x, F.Lit(1))])
+    assert all("x" not in F._leaves(g) for g in binding_x[F.Lit(0)])
+    assert all("x" not in F._leaves(g) and "y" in F._leaves(g) for g in binding_x[y])
+    assert any(len(g.binds) == 2 for g in lets)
 
 
 @pytest.mark.parametrize("overflow", [False, True], ids=["manifest", "width8"])
 def test_folding_a_folded_formula_builds_no_node(entries, overflow, monkeypatch):
     """F.fold returns a node whose parts it keeps as it is: folding each
     corpus obligation's folded formula again gives back that very formula
-    and constructs no node of any formula class on the way."""
+    and constructs no node of any formula class on the way. Each formula
+    class builds its nodes in its own __init__, which is counted."""
     folded = []
     for entry in entries.values():
         opts = entry.options.replace(check_overflow=True, overflow_width=8) if overflow else entry.options
@@ -166,14 +243,17 @@ def test_folding_a_folded_formula_builds_no_node(entries, overflow, monkeypatch)
     built = []
 
     def counting(original):
-        def __post_init__(self):
+        def __init__(self, *args):
             built.append(type(self).__name__)
-            original(self)
+            original(self, *args)
 
-        return __post_init__
+        return __init__
 
     for cls in F.Formula.__subclasses__():
-        monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    F.neg(F.Sym("b", T_BOOL))
+    assert built == ["Sym", "Not"]  # the count sees what a fold would build
+    built.clear()
     assert len(folded) > 100
     for g in folded:
         assert F.fold(g) is g, F.to_text(g)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from miniproof import analyze, parse
+from miniproof import analyze, ast, parse
 from miniproof import formula as F
 from miniproof import vcgen
 from miniproof.vcgen import (
@@ -579,6 +579,45 @@ _ONE_PASS = (
     "  small: n < 5\n"
     "end\n"
 )
+
+
+def test_lowering_covers_every_expression_class_and_refuses_others():
+    """formula.lower looks its rule up by the expression's class: each
+    class of ast.Expr lowers to its formula, a creation raises Creation,
+    and a class the table lacks raises TypeError, not KeyError."""
+    x, b, s = F.Sym("x", ast.T_INT), F.Sym("b", ast.T_BOOL), F.Sym("s", ast.T_SET)
+    name_x = ast.Name("x", ty=ast.T_INT)
+    cases = {
+        ast.IntLit: (ast.IntLit(3), F.Lit(3)),
+        ast.BoolLit: (ast.BoolLit(True), F.TRUE),
+        ast.StrLit: (ast.StrLit("t"), F.Lit("t")),
+        ast.VoidLit: (ast.VoidLit(), F.Lit(None)),
+        ast.SetLit: (ast.SetLit(("t", "u")), F.Lit(frozenset({"t", "u"}))),
+        ast.Name: (name_x, x),
+        ast.Qualified: (ast.Qualified("r", "a", ty=ast.T_INT), F.Sym("r.a", ast.T_INT)),
+        ast.Old: (ast.Old(name_x), F.Sym(F.OLD + "x", ast.T_INT)),
+        ast.Unary: (ast.Unary("not", ast.Name("b", ty=ast.T_BOOL)), F.Not(b)),
+        ast.Binary: (ast.Binary("<", name_x, ast.IntLit(3)), F.Cmp("<", x, F.Lit(3))),
+        ast.Has: (ast.Has(ast.Name("s", ty=ast.T_SET), ast.StrLit("t")), F.HasF(s, F.Lit("t"))),
+    }
+    classes, stack = set(), [ast.Expr]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub.__module__ == ast.__name__:
+                classes.add(sub)
+                stack.append(sub)
+    assert classes == {*cases, ast.CreateExpr}
+    for e, expected in cases.values():
+        assert F.lower(e) == expected
+    with pytest.raises(F.Creation):
+        F.lower(ast.Binary("=", name_x, ast.CreateExpr("C")))
+
+    class Unlisted(ast.Expr):
+        __slots__ = ()
+
+    for e in (Unlisted(), ast.Expr(), ast.Unary("not", Unlisted())):
+        with pytest.raises(TypeError, match="unexpected expression"):
+            F.lower(e)
 
 
 def test_pulling_goals_together_equals_pulling_each_alone():
