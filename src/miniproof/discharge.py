@@ -10,7 +10,7 @@ Any other exception is a bug in miniproof and propagates.
 The search binds one symbol at a time and constant-folds the residual. A
 residual that folds to true holds on its whole subtree; one that folds to
 false makes every leaf below it a falsifier, so the first is the current
-prefix with each unbound symbol at its first domain value. Five rules cut
+prefix with each unbound symbol at its first domain value. Six rules cut
 the work, and none of them can change which falsifier comes first:
 
 1. Branch only on symbols the folded residual still mentions. Every value
@@ -36,12 +36,28 @@ the work, and none of them can change which falsifier comes first:
    satisfies the hypotheses satisfies the goal, so nothing is narrowed,
    branched on or compiled. This is the syntactic entailment a simplifier
    such as Frama-C's Qed (Correnson, NFM 2014) drops before a prover runs.
+   A comparison of INTEGER terms also matches a hypothesis over the same
+   symbols with its linear form (see ``_form``), or a ``<=`` one with a
+   constant at least its own: ``amount <= balance`` settles ``balance -
+   amount >= 0``.
+6. Decide a box whole, or bisect it. When the live INTEGER symbols'
+   narrowed slices hold more than ``BISECT_AT`` leaves, the residual is
+   read over their hull with Kleene's three-valued connectives and the
+   exact range of each linear comparison; any other node is unknown. A
+   box true throughout holds no falsifier, and one false throughout has
+   its first leaf first. An unknown box whose first live symbol is an
+   INTEGER is split on that symbol, lower half first, so the leaves stay
+   in order; a symbol left one value is bound. This is the branch and
+   prune of interval analysis (Moore 1966; Benhamou et al., ICLP 1999),
+   on linear forms, which do not lose ``x + y - y`` to the dependency
+   problem.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import product
+from math import prod
 
 from . import ast
 from . import formula as F
@@ -81,6 +97,9 @@ ERROR = "Error"
 
 # a residual with this many live symbols or fewer is compiled and scanned
 COMPILE_AT = 3
+
+# a box of more leaves than this is decided whole or bisected (rule 6)
+BISECT_AT = 1024
 
 
 class Domains(ast.Node, frozen=True):
@@ -200,12 +219,37 @@ def _walk(g: F.Formula, domains: Domains, bound: dict, narrowed: dict) -> dict |
                 narrowed = {**narrowed, name: values}
     if pins:  # bound together, then narrowed again
         return _walk(F.specialize(g, pins), domains, {**bound, **pins}, narrowed)
+    return _prune(g, domains, bound, narrowed, live)
+
+
+def _prune(g: F.Formula, domains: Domains, bound: dict, narrowed: dict, live: dict, steps=None) -> dict | None:
+    """``_walk`` once g's hypotheses are read: rule 6 on the box of the
+    live INTEGER symbols' slices, when their leaves are more than
+    ``BISECT_AT``, then the scan of rule 4 or a branch on the first
+    symbol. A bisected half goes on here, with g's box steps and no
+    hypothesis to read again."""
+    name = min(live)
+    slices = {n: narrowed.get(n) or symbol_domain(ty, domains) for n, ty in live.items() if ty.kind == ast.INTEGER}
+    if prod(map(len, slices.values())) > BISECT_AT:
+        steps = steps or _box_steps(g)
+        truth = _kleene(steps, {n: (s[0], s[-1]) for n, s in slices.items()})
+        if truth is not None:  # no falsifier, or all of them and the first leaf first
+            return None if truth else {**bound, **{n: s[0] for n, s in narrowed.items() if n in live}}
+        if name in slices:  # lower half first, a value left alone bound
+            half = len(slices[name]) // 2
+            for part in (slices[name][:half], slices[name][half:]):
+                if len(part) == 1:
+                    hit = _walk(F.specialize(g, {name: part[0]}), domains, {**bound, name: part[0]}, narrowed)
+                else:
+                    hit = _prune(g, domains, bound, {**narrowed, name: part}, live, steps)
+                if hit is not None:
+                    return hit
+            return None
     if len(live) <= COMPILE_AT:
         names = sorted(live)
         lists = [narrowed.get(n) or symbol_domain(live[n], domains) for n in names]
         hit = next(_leaves_where(g, names, lists, False), None)
         return None if hit is None else {**bound, **dict(zip(names, hit))}
-    name = min(live)
     for v in narrowed.get(name) or symbol_domain(live[name], domains):
         bound[name] = v
         hit = _walk(F.specialize(g, {name: v}), domains, bound, narrowed)
@@ -231,13 +275,150 @@ def _split(g: F.Formula) -> tuple[list, F.Formula]:
 
 
 def _entailed(hypotheses: list, goal: F.Formula) -> bool:
-    """Whether every conjunct of goal is one of the hypotheses: then every
-    assignment that satisfies the hypotheses satisfies the goal, and the
-    residual has no falsifier."""
-    return all(
-        any(h is c or type(h) is type(c) and _equal(h, c) for h in hypotheses)
-        for c in (goal.items if type(goal) is F.And else (goal,))
-    )
+    """Whether every conjunct of goal is one of the hypotheses, or has the
+    linear form of one over the same symbols, or of one ``<=`` with a
+    constant at least its own: then every assignment that satisfies the
+    hypotheses satisfies the goal, and the residual has no falsifier.
+    Comparing symbols first spares the forms of nearly every pair."""
+    memo = {}
+    for c in goal.items if type(goal) is F.And else (goal,):
+        if any(h is c or type(h) is type(c) and _equal(h, c) for h in hypotheses):
+            continue
+        keys = F._leaves(c).keys()
+        peers = [h for h in hypotheses if type(h) is F.Cmp and F._leaves(h).keys() == keys]
+        form = peers and type(c) is F.Cmp and _form(c, memo)
+        if not form:
+            return False
+        op, terms, k = form
+        forms = (_form(h, memo) for h in peers)
+        if not any(f and f[:2] == (op, terms) and (f[2] >= k if op == "<=" else f[2] == k) for f in forms):
+            return False
+    return True
+
+
+def _linear(t: F.Formula, memo: dict):
+    """The INTEGER term t as (coefficients by name, constant), or None when
+    it is not linear: a product of two non-constant terms, or a leaf that
+    is not an INTEGER symbol or literal (``True`` is an int, but never a
+    term). Each node is worked out once, into memo by identity, through a
+    stack: a shared subterm costs once and a chain as deep as the routine
+    is long takes one frame."""
+    todo = [t]
+    while todo:
+        f = todo[-1]
+        if id(f) in memo:
+            todo.pop()
+            continue
+        kind = type(f)
+        if kind is F.Arith and (id(f.left) not in memo or id(f.right) not in memo):
+            todo += (f.left, f.right)
+            continue
+        todo.pop()
+        if kind is F.Sym:
+            memo[id(f)] = ({f.name: 1}, 0) if f.ty.kind == ast.INTEGER else None
+        elif kind is F.Lit:
+            memo[id(f)] = ({}, f.value) if type(f.value) is int else None
+        elif kind is F.Arith:
+            memo[id(f)] = _combine(f.op, memo[id(f.left)], memo[id(f.right)])
+        else:
+            memo[id(f)] = None
+    return memo[id(t)]
+
+
+def _combine(op: str, a, b):
+    """``a op b`` of two linear terms, or None."""
+    if a is None or b is None:
+        return None
+    if op == "*":
+        if a[0] and b[0]:
+            return None
+        (coefs, k), scale = (b, a[1]) if not a[0] else (a, b[1])
+        return {n: scale * c for n, c in coefs.items()}, scale * k
+    sign = -1 if op == "-" else 1
+    coefs = dict(a[0])
+    for n, c in b[0].items():
+        coefs[n] = coefs.get(n, 0) + sign * c
+    return coefs, a[1] + sign * b[1]
+
+
+def _form(c: F.Formula, memo: dict):
+    """The linear form ``(op, ((name, coefficient), ...), k)`` of the
+    comparison c of INTEGER terms, meaning ``sum + k op 0``, or None. op
+    is ``<=``, ``=`` or ``/=``: ``a < b`` is ``a - b + 1 <= 0``, ``a >= b``
+    is ``b - a <= 0``; names are sorted, none with a zero coefficient, and
+    an ``=`` or ``/=`` has its first coefficient positive."""
+    if type(c) is not F.Cmp:
+        return None
+    left, right = (c.right, c.left) if c.op in (">", ">=") else (c.left, c.right)
+    diff = _combine("-", _linear(left, memo), _linear(right, memo))
+    if diff is None:
+        return None
+    terms = tuple(sorted((n, a) for n, a in diff[0].items() if a))
+    op, k = c.op, diff[1] + (1 if c.op in ("<", ">") else 0)
+    if op not in ("=", "/="):
+        op = "<="
+    elif terms and terms[0][1] < 0:
+        terms, k = tuple((n, -a) for n, a in terms), -k
+    return op, terms, k
+
+
+def _box_steps(g: F.Formula) -> list:
+    """g's nodes for ``_kleene``, each once and after its parts: a
+    connective as its class and the positions of its parts, any other
+    node as the linear form of a comparison, or None. Worked out once per
+    residual, through a stack, and read on every box it is bisected into."""
+    steps, at, memo, todo = [], {}, {}, [g]
+    while todo:
+        f = todo[-1]
+        kind = type(f)
+        parts = F.children(f) if kind is F.Not or kind is F.And or kind is F.Or or kind is F.Implies else ()
+        missing = [p for p in parts if id(p) not in at]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        if id(f) not in at:
+            at[id(f)] = len(steps)
+            steps.append((kind, [at[id(p)] for p in parts]) if parts else (None, _form(f, memo)))
+    return steps
+
+
+def _kleene(steps: list, box: dict):
+    """The truth of the residual of steps on every leaf of the box (name:
+    (low, high) of each live INTEGER symbol): True or False when all
+    leaves agree, None when unknown. Connectives take Kleene's
+    three-valued meaning and a linear comparison the exact range of its
+    form; every other node is unknown."""
+    truths = []
+    for kind, arg in steps:
+        if kind is None:
+            truth = arg and _truth(arg, box)
+        else:
+            v = [truths[i] for i in arg]
+            if kind is F.Implies:
+                v[0] = None if v[0] is None else not v[0]
+            if kind is F.Not:
+                truth = None if v[0] is None else not v[0]
+            elif kind is F.And:
+                truth = False if False in v else True if all(v) else None
+            else:
+                truth = True if True in v else False if None not in v else None
+        truths.append(truth)
+    return truths[-1]
+
+
+def _truth(form: tuple, box: dict):
+    """Whether the linear form holds on all of the box, on none of it, or
+    on some (None), from the exact range of its sum."""
+    op, terms, low = form
+    high = low
+    for n, a in terms:
+        lo, hi = box[n]
+        low, high = (low + a * lo, high + a * hi) if a > 0 else (low + a * hi, high + a * lo)
+    if op == "<=":
+        return True if high <= 0 else False if low > 0 else None
+    same = True if low == high == 0 else False if low > 0 or high < 0 else None
+    return same if op == "=" or same is None else not same
 
 
 def _equal(a: F.Formula, b: F.Formula) -> bool:

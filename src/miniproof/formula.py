@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
+import sys
 
 from . import ast
 
@@ -246,6 +247,8 @@ class VerifyOptions(ast.Node, frozen=True):
         lo, hi = self.int_range
         if not lo <= 0 <= hi:
             raise ValueError(f"int_range [{lo}, {hi}] must contain 0")
+        if hi - lo + 1 > sys.maxsize:  # more values than a sequence can count
+            raise ValueError(f"int_range [{lo}, {hi}] must span at most {sys.maxsize} values")
         if self.overflow_width < 2 or self.overflow_width & (self.overflow_width - 1):
             raise ValueError(f"overflow_width {self.overflow_width} must be a power of two, at least 2")
 

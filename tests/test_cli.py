@@ -276,6 +276,15 @@ def test_bad_int_range_exits_three(capsys):
     assert "LO..HI" in err
 
 
+def test_int_range_of_too_many_values_exits_three(capsys):
+    """A span longer than a sequence can count is refused with the other
+    option errors, before any domain is built."""
+    code, out, err = run_cli(capsys, "verify", "corpus:account", "--int-range", "-99999999999999999999..1")
+    assert code == 3
+    assert out == ""
+    assert err == f"miniproof: int_range [-99999999999999999999, 1] must span at most {sys.maxsize} values\n"
+
+
 def test_bad_overflow_width_exits_three(capsys):
     """A width must be a power of two, and at least 2: 1 is 2**0, but a
     1-bit signed integer holds only -1 and 0."""

@@ -3,12 +3,14 @@ wp of an assignment agrees with operational substitution, printing is
 parse-stable, the JSON report and trace writers match the indented dumps
 of their payloads, enumeration visits minimums first, the search finds the
 first falsifier of enumeration however its hypotheses narrow the domains
-or restate its goal, a pin's lazy domain lookup agrees with the built
+or restate its goal and however wide its integer boxes, the linear form
+of a comparison keeps its meaning, a pin's lazy domain lookup agrees with the built
 domain, delayed substitution reads exactly as eager substitution, and the
 monitor's compiled evaluator agrees with the formula evaluator on lowered
 expressions, `old` included."""
 
 import json
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from miniproof.discharge import (
     FAILED,
     Domains,
     Verdict,
+    _form,
     _member,
     build_report,
     discharge,
@@ -431,9 +434,66 @@ SEARCH_FORMULAS = st.recursive(
 )
 
 
+# small constants, so that bounds of hypotheses and goals meet, and ones past the ranges
+WIDE_CONSTANTS = st.one_of(st.integers(-3, 3), st.integers(-3, 3), st.integers(-600, 600))
+
+
+def wide_terms(syms: list):
+    """Terms over the wide symbols: sums, differences, products by a
+    constant and products of two symbols, which are not linear."""
+    base = st.one_of(st.sampled_from(syms), WIDE_CONSTANTS.map(F.Lit))
+    return st.one_of(
+        base,
+        st.builds(F.Arith, st.sampled_from(["+", "-"]), base, base),
+        st.builds(F.Arith, st.just("*"), st.integers(-3, 3).map(F.Lit), base),
+        st.builds(F.Arith, st.just("*"), st.sampled_from(syms), st.sampled_from(syms)),
+    )
+
+
+def wide_formulas(syms: list):
+    """Linear hypotheses over one or both symbols, then a goal of
+    comparisons of every operator, some restating a hypothesis with its
+    bound made strict or loose, mixed with boolean literals and a boolean
+    symbol."""
+    ops = st.sampled_from(["=", "/=", "<", "<=", ">", ">="])
+    pairs = st.builds(F.Arith, st.sampled_from(["+", "-"]), st.sampled_from(syms), st.sampled_from(syms))
+    sides = st.one_of(st.sampled_from(syms), pairs)
+    linear = st.builds(F.Cmp, ops, sides, WIDE_CONSTANTS.map(F.Lit))
+
+    def implied_by(hypotheses):
+        # where an off-by-one in a linear form shows
+        bounds = st.sampled_from(["<", "<=", ">", ">="])
+        restated = st.builds(lambda h, op: F.Cmp(op, h.left, h.right), st.sampled_from(hypotheses), bounds) if hypotheses else linear
+        booleans = st.one_of(st.booleans().map(F.Lit), st.just(SYMS["p"]))
+        others = st.builds(F.Cmp, ops, wide_terms(syms), wide_terms(syms))
+        atoms = st.one_of(restated, restated, linear, others, booleans)
+        goal = st.recursive(
+            atoms,
+            lambda sub: st.one_of(
+                st.builds(F.Not, sub),
+                st.lists(sub, min_size=2, max_size=3).map(lambda items: F.And(tuple(items))),
+                st.lists(sub, min_size=2, max_size=3).map(lambda items: F.Or(tuple(items))),
+                st.builds(F.Implies, sub, sub),
+            ),
+            max_leaves=3,
+        )
+        return goal.map(lambda g: F.Implies(_all(hypotheses), g) if hypotheses else g)
+
+    return st.lists(linear, max_size=3).flatmap(implied_by)
+
+
+# one INTEGER symbol over up to +-512, or two over up to +-64: boxes the
+# search decides whole or bisects, with the bisection size patched down
+WIDE_CASES = st.one_of(
+    st.tuples(wide_formulas([SYMS["a"]]), st.integers(-512, -4), st.integers(4, 512)),
+    st.tuples(wide_formulas([SYMS["a"], SYMS["k"]]), st.integers(-64, -4), st.integers(4, 64)),
+).map(lambda case: (case[0], Domains((case[1], case[2]), ("a", "b"))))
+
+
 @settings(max_examples=300, deadline=None)
-@given(formula=SEARCH_FORMULAS)
-def test_search_finds_the_first_falsifier_of_enumeration(formula):
+@given(case=st.one_of(SEARCH_FORMULAS.map(lambda f: (f, SEARCH_DOMAINS)), WIDE_CASES))
+def test_search_finds_the_first_falsifier_of_enumeration(case):
+    formula, domains = case
     obligation = Obligation(
         id="T.f.postcondition.0",
         kind="Postcondition",
@@ -445,17 +505,55 @@ def test_search_finds_the_first_falsifier_of_enumeration(formula):
     naive = next(
         (
             env
-            for env in enumerate_environments(obligation, SEARCH_DOMAINS)
+            for env in enumerate_environments(obligation, domains)
             if F.evaluate(formula, env) is not True
         ),
         None,
     )
-    verdict = discharge(obligation, SEARCH_DOMAINS)
+    with mock.patch("miniproof.discharge.BISECT_AT", 4):
+        verdict = discharge(obligation, domains)
     if naive is None:
         assert verdict.status == DISCHARGED
     else:
         assert verdict.status == FAILED
         assert verdict.counterexample == naive
+
+
+def _form_holds(form: tuple, env: dict) -> bool:
+    op, terms, k = form
+    total = sum(a * env[name] for name, a in terms) + k
+    return total <= 0 if op == "<=" else (total == 0) == (op == "=")
+
+
+BOOL_AND_INT_LEAVES = st.one_of(st.integers(-5, 5).map(F.Lit), st.booleans().map(F.Lit), st.sampled_from([X, Y]))
+
+
+@given(
+    op=st.sampled_from(["=", "/=", "<", "<=", ">", ">="]),
+    sides=st.lists(
+        st.one_of(int_terms(2), st.builds(F.Arith, st.sampled_from(["+", "-", "*"]), BOOL_AND_INT_LEAVES, int_terms(1))),
+        min_size=2,
+        max_size=2,
+    ),
+    env=ENVS,
+)
+def test_linear_form_keeps_meaning(op, sides, env):
+    """A comparison's linear form holds where the comparison does; a
+    product of two symbols has none, and neither has a boolean literal,
+    although ``True`` is the int 1."""
+    cmp = F.Cmp(op, *sides)
+    form = _form(cmp, {})
+    nodes, todo = [], [cmp]
+    while todo:
+        nodes.append(todo.pop())
+        todo += F.children(nodes[-1])
+    if any(type(n) is F.Lit and type(n.value) is bool for n in nodes):
+        assert form is None
+    elif form is not None:
+        assert _form_holds(form, env) == F.evaluate(cmp, env)
+        assert form[0] == "<=" or not form[1] or form[1][0][1] > 0
+    else:
+        assert any(type(n) is F.Arith and n.op == "*" for n in nodes)
 
 
 LITERAL_VALUES = st.sampled_from(list(LITERALS)).flatmap(lambda kind: LITERALS[kind])
