@@ -17,10 +17,12 @@ the work, and none of them can change which falsifier comes first:
    of any other symbol gives the same residual, so the first value stands
    for all of them.
 2. Build a domain, once per ``Domains``, only to branch on, scan or
-   filter it; pins and first values do without it.
+   filter it; pins and first values do without it. An INTEGER domain is
+   a range, so one of any width costs nothing to build.
 3. Narrow by hypotheses, the conjuncts every falsifier satisfies (see
-   ``_hypotheses``): one over a single live symbol keeps the values of its
-   domain that make it true, in domain order. Symbols left with one value
+   ``_split``): one over a single live symbol keeps the values of its
+   domain that make it true, in domain order, cut by arithmetic when it is
+   linear (see ``_cut``) and scanned otherwise. Symbols left with one value
    are bound together, and the step repeats. This is node consistency
    (Mackworth 1977), which generalises the unit propagation of DPLL.
 4. Once at most three symbols are live, compile the residual into one
@@ -56,8 +58,10 @@ the work, and none of them can change which falsifier comes first:
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from itertools import product
 from math import prod
+from typing import Sequence
 
 from . import ast
 from . import formula as F
@@ -126,17 +130,20 @@ def derive_domains(checked: CheckedProgram, opts: VerifyOptions) -> Domains:
     return Domains(int_range=opts.int_range, string_pool=checked.program.string_pool)
 
 
-def symbol_domain(ty: ast.Type, domains: Domains) -> tuple[F.Value, ...]:
+def symbol_domain(ty: ast.Type, domains: Domains) -> Sequence[F.Value]:
     """Every value a symbol of the given type can take, in enumeration
     order: ints ascending, false before true, strings in pool order with
     Void last, sets in characteristic-bitvector order over the pool,
-    references before Void. Built on first use and shared per Domains,
-    hence a tuple. One object stands for all non-Void references of a
-    class, yet a field read is a symbol per access path, so paths that
-    alias read independent values: a coarse model, unsound there."""
+    references before Void. Built on first use and shared per Domains:
+    an INTEGER domain as a range, which slices, bisects and tests
+    membership without its values, however wide; any other as a tuple.
+    One object stands for all non-Void references of a class, yet a field
+    read is a symbol per access path, so paths that alias read
+    independent values: a coarse model, unsound there."""
     built = domains._built.get(ty)
     if built is None:
-        built = domains._built[ty] = tuple(_domain_values(ty, domains))
+        values = _domain_values(ty, domains)
+        built = domains._built[ty] = values if type(values) is range else tuple(values)
     return built
 
 
@@ -451,14 +458,18 @@ def _equal(a: F.Formula, b: F.Formula) -> bool:
     return True
 
 
-def _narrow(h: F.Formula, name: str, ty: ast.Type, values, domains: Domains) -> tuple:
+def _narrow(h: F.Formula, name: str, ty: ast.Type, values, domains: Domains) -> Sequence:
     """The values of name, from values or else from its whole domain, that
     make h, a hypothesis over name alone, true, in domain order. ``name =
-    literal`` is looked up without building the domain; any other h is
-    scanned once per Domains, h object and input."""
+    literal`` is looked up without building the domain, and a linear
+    ``<=`` or ``=`` over an INTEGER is cut by arithmetic (see ``_cut``);
+    any other h is scanned once per Domains, h object and input."""
     if isinstance(h, F.Cmp) and h.op == "=" and {type(h.left), type(h.right)} == {F.Sym, F.Lit}:
         found = _member((h.left if type(h.left) is F.Lit else h.right).value, ty, domains)
         return tuple(v for v in found if values is None or v in values)
+    form = ty.kind == ast.INTEGER and _form(h, {})
+    if form and form[0] != "/=":
+        return _cut(form, values or symbol_domain(ty, domains))
     # keyed by identity: hashing h would walk it, recursively
     key, memo = (id(h), id(values)), domains._built
     if key not in memo:
@@ -468,6 +479,28 @@ def _narrow(h: F.Formula, name: str, ty: ast.Type, values, domains: Domains) -> 
         # reused; an input that h leaves whole is returned as it is
         memo[key] = (h, values, values if values and len(kept) == len(values) else kept)
     return memo[key][2]
+
+
+def _cut(form: tuple, values: Sequence[int]) -> Sequence[int]:
+    """The values, ascending INTEGERs, that satisfy the linear form ``a·x
+    + k <= 0`` or ``a·x + k = 0`` over them alone: the slice between the
+    bounds that exact integer division puts on x, found by bisection, so
+    a domain of any width costs a few steps. values itself when no value
+    is cut, as ``_walk`` tells a narrowed slice by identity."""
+    op, terms, k = form
+    if not terms:  # a·x cancelled out: all or none
+        return values if (k <= 0 if op == "<=" else k == 0) else values[:0]
+    ((_, a),) = terms
+    if op == "=":
+        if k % a:
+            return values[:0]
+        low = high = -k // a
+    elif a > 0:
+        low, high = values[0], -k // a
+    else:
+        low, high = -(k // a), values[-1]
+    i, j = bisect_left(values, low), bisect_right(values, high)
+    return values if i == 0 and j == len(values) else values[i:j]
 
 
 def _member(lit, ty: ast.Type, domains: Domains) -> tuple:

@@ -473,20 +473,25 @@ class Scenario(ast.Node):
     __slots__ = ("commands", "lines")
 
 
-def _parse_literal(token: str, line_no: int):
-    token = token.strip()
-    if token == "Void":
-        return None
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"bad scenario literal {token!r}", line_no, 1) from None
+_WORDS = {"Void": None, "true": True, "false": False}
+
+
+def _parse_args(text: str, line_no: int) -> tuple:
+    """The literals of a call's argument text, split at each ``,`` outside
+    a string."""
+    args = []
+    for token in _split_unquoted(text, ","):
+        token = token.strip()
+        if token in _WORDS:
+            args.append(_WORDS[token])
+        elif len(token) >= 2 and token[0] == '"' == token[-1]:
+            args.append(token[1:-1])
+        else:
+            try:
+                args.append(int(token))
+            except ValueError:
+                raise ParseError(f"bad scenario literal {token!r}", line_no, 1) from None
+    return tuple(args)
 
 
 def _split_unquoted(text: str, sep: str) -> list[str]:
@@ -500,60 +505,85 @@ def _split_unquoted(text: str, sep: str) -> list[str]:
 
 
 def parse_scenario(text: str) -> Scenario:
+    """The commands of a scenario script, in order, and the line of each.
+    A line holds a command, an expectation of the command before it, or
+    nothing; ``#`` outside a string starts a comment. A long script
+    repeats its lines, so each distinct line is read once per call, into
+    what it says: a command's key, an expectation, or None. Each
+    (key, expectation) pair builds its Command once, so equal commands
+    share one object."""
     commands: list[Command] = []
     lines = array("I")
-    # equal argument texts share one tuple and equal labels one
-    # expectation: a long scenario repeats both, and it is kept as long as
-    # it may be run again
-    args_by_text: dict[str, tuple] = {}
+    said: dict[str, tuple | None] = {}
+    # equal argument texts share one tuple, which a key names by its text:
+    # equality would take (1,) for (True,)
+    args_by_text: dict[str, tuple] = {"": ()}
     expect_by_label: dict[str, tuple] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    built: dict[tuple, Command] = {}
+
+    def read(raw: str, line_no: int, orphan: bool) -> tuple | None:
+        # an expectation with no command to follow is that error first,
+        # whatever else is wrong with it
         line = (_split_unquoted(raw, "#")[0] if "#" in raw else raw).strip()
         if not line:
-            continue
+            return None
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "create":
-            var, sep, class_name = rest.partition(":")
-            if not sep or not var.strip() or not class_name.strip():
+            var, sep, target = rest.partition(":")
+            var, target, arg_text = var.strip(), target.strip(), ""
+            if not sep or not var or not target:
                 raise ParseError("expected: create <var> : <class>", line_no, 1)
-            var, class_name = sys.intern(var.strip()), sys.intern(class_name.strip())
-            commands.append(Command("create", var, class_name))
-            lines.append(line_no)
         elif head == "call":
             target, paren, arg_text = rest.partition("(")
             if not paren or not arg_text.endswith(")"):
                 raise ParseError("expected: call <var>.<feature>(<args>)", line_no, 1)
-            var, dot, feature = target.strip().partition(".")
-            if not dot or not var or not feature:
+            var, dot, target = target.strip().partition(".")
+            if not dot or not var or not target:
                 raise ParseError("expected: call <var>.<feature>(<args>)", line_no, 1)
             arg_text = arg_text[:-1].strip()
-            args = args_by_text.get(arg_text)
-            if args is None:
-                args = args_by_text[arg_text] = (
-                    tuple([_parse_literal(t, line_no) for t in _split_unquoted(arg_text, ",")]) if arg_text else ()
-                )
-            var, feature = sys.intern(var), sys.intern(feature)
-            commands.append(Command("call", var, feature, args))
-            lines.append(line_no)
+            if arg_text not in args_by_text:
+                args_by_text[arg_text] = _parse_args(arg_text, line_no)
         elif head in ("expect_violation", "expect_ok"):
-            if not commands or commands[-1].expect is not None:
+            if orphan:
                 raise ParseError("expectation must follow a command", line_no, 1)
             if head == "expect_ok":
-                commands[-1].expect = ("ok",)
-            elif not rest:
+                if rest:
+                    raise ParseError("expected: expect_ok, with nothing after it", line_no, 1)
+                return ("ok",)
+            if not rest:
                 raise ParseError("expected: expect_violation <label>", line_no, 1)
-            else:
-                expect = expect_by_label.get(rest)
-                if expect is None:
-                    expect = expect_by_label[rest] = ("violation", sys.intern(rest))
-                commands[-1].expect = expect
+            expect = expect_by_label.get(rest)
+            if expect is None:
+                expect = expect_by_label[rest] = ("violation", sys.intern(rest))
+            return expect
         else:
             raise ParseError(f"unknown scenario command {head!r}", line_no, 1)
-    # equal commands share one object; args are shared per text, so their
-    # identity stands for the text, where equality would take (1,) for (True,)
-    shared: dict[tuple, Command] = {}
-    commands = [shared.setdefault((c.kind, c.var, c.target, id(c.args), c.expect), c) for c in commands]
+        return (head, sys.intern(var), sys.intern(target), arg_text)
+
+    def build(key: tuple, expect: tuple | None) -> Command:
+        cmd = built[key, expect] = Command(key[0], key[1], key[2], args_by_text[key[3]], expect)
+        return cmd
+
+    key = None  # the last command's key, until an expectation or the next command settles it
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        what = said.get(raw, said)  # said itself: not read yet
+        if what is said:
+            what = said[raw] = read(raw, line_no, key is None)
+        if what is None:
+            continue
+        if len(what) == 4:  # a command's key
+            if key is not None:
+                commands.append(built.get((key, None)) or build(key, None))
+            key = what
+            lines.append(line_no)
+            continue
+        if key is None:
+            raise ParseError("expectation must follow a command", line_no, 1)
+        commands.append(built.get((key, what)) or build(key, what))
+        key = None
+    if key is not None:
+        commands.append(built.get((key, None)) or build(key, None))
     return Scenario(commands, lines)
 
 

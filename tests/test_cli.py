@@ -285,6 +285,39 @@ def test_int_range_of_too_many_values_exits_three(capsys):
     assert err == f"miniproof: int_range [-99999999999999999999, 1] must span at most {sys.maxsize} values\n"
 
 
+@pytest.mark.parametrize("low", ["-9223372036854775806", "-4611686018427387904"])
+def test_the_widest_int_ranges_get_a_verdict(capsys, low):
+    """An INTEGER domain as wide as a sequence can count is searched as a
+    range, its one-symbol linear hypotheses cut by arithmetic."""
+    code, out, err = run_cli(capsys, "verify", "corpus:account", "--int-range", f"{low}..0")
+    assert (code, err) == (0, "")
+    assert "6 obligations: 6 discharged (100%), 0 failed (0%), 0 errors (0%)" in out
+
+
+def test_width_32_overflow_checks_find_the_narrower_widths_counterexamples(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "corpus:account_overflow_mutant",
+        "--check-overflow",
+        "--overflow-width",
+        "32",
+        "--int-range",
+        "-2147483648..2147483647",
+        "--format",
+        "json",
+    )
+    assert (code, err) == (1, "")
+    failed = {r["id"]: r["counterexample"] for r in json.loads(out)["rows"] if r["verdict"] == "Failed"}
+    top = 2**31 - 1
+    assert failed == {
+        "ACCOUNT.deposit.overflow.0": {"amount": 1, "balance": top},
+        "ACCOUNT.deposit.overflow.1": {"amount": 1, "balance": top - 1},
+        "ACCOUNT.deposit.overflow.2": {"amount": 1, "balance": top},
+        "ACCOUNT.withdraw.overflow.0": {"amount": -(2**31), "balance": 0},
+    }
+
+
 def test_bad_overflow_width_exits_three(capsys):
     """A width must be a power of two, and at least 2: 1 is 2**0, but a
     1-bit signed integer holds only -1 and 0."""
@@ -865,6 +898,16 @@ def test_run_bad_scenario_command_exits_three_without_traceback(tmp_path, comman
     assert proc.stderr.startswith("miniproof: 2:1: ")
     assert message in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def test_expect_ok_followed_by_text_exits_three(tmp_path):
+    """``expect_ok`` takes nothing after it: text there is an error at its
+    line, not an expectation that reads as ``expect_ok``."""
+    scenario = tmp_path / "junk.scn"
+    scenario.write_text("create a : ACCOUNT\ncall a.deposit(1)\nexpect_ok whatever text\n", encoding="utf-8")
+    proc = _cli_process("run", "corpus:account", str(scenario))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "miniproof: 3:1: expected: expect_ok, with nothing after it\n"
 
 
 def test_replay_overflow_with_matching_flags(capsys, tmp_path):

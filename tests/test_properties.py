@@ -25,7 +25,9 @@ from miniproof.discharge import (
     Domains,
     Verdict,
     _form,
+    _leaves_where,
     _member,
+    _narrow,
     build_report,
     discharge,
     enumerate_environments,
@@ -554,6 +556,36 @@ def test_linear_form_keeps_meaning(op, sides, env):
         assert form[0] == "<=" or not form[1] or form[1][0][1] > 0
     else:
         assert any(type(n) is F.Arith and n.op == "*" for n in nodes)
+
+
+@settings(max_examples=300)
+@given(
+    op=st.sampled_from(["=", "<", "<=", ">", ">="]),
+    a=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    k=st.integers(-12, 12),
+    flip=st.booleans(),
+    bounds=st.tuples(st.integers(-6, 0), st.integers(1, 6)),
+    cut=st.one_of(st.none(), st.tuples(st.integers(0, 12), st.integers(0, 12), st.booleans())),
+)
+def test_linear_narrowing_keeps_what_the_scan_keeps(op, a, k, flip, bounds, cut):
+    """A hypothesis ``a·x + k ⋈ 0`` over one INTEGER narrows by arithmetic,
+    without a scan, to the values the scan of its domain, or of a slice
+    of it (a range, or a tuple as a scan leaves), keeps, in order; an
+    input it leaves whole comes back as the same object."""
+    domains = Domains(bounds, ())
+    term = F.Arith("+", F.Arith("*", F.Lit(a), X), F.Lit(k))
+    h = F.Cmp(op, F.Lit(0), term) if flip else F.Cmp(op, term, F.Lit(0))
+    domain = symbol_domain(T_INT, domains)
+    values = None
+    if cut is not None and domain[cut[0] : cut[0] + cut[1] + 1]:
+        values = domain[cut[0] : cut[0] + cut[1] + 1]
+        values = tuple(values) if cut[2] else values
+    source = values or domain
+    scanned = tuple(v for (v,) in _leaves_where(h, ["x"], [source], True))
+    narrowed = _narrow(h, "x", T_INT, values, domains)
+    assert not any(type(key) is tuple for key in domains._built)  # nothing scanned
+    assert tuple(narrowed) == scanned
+    assert (narrowed is source) == (len(scanned) == len(source))
 
 
 LITERAL_VALUES = st.sampled_from(list(LITERALS)).flatmap(lambda kind: LITERALS[kind])
